@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass, fields, replace
@@ -159,18 +160,26 @@ _FUNCTIONS = {
 }
 
 
+# Deepest nesting of parentheses, calls, unary minus and powers accepted;
+# each level costs the parser about five stack frames.
+MAX_EXPR_DEPTH = 100
+
+
 class _ExprParser:
     """Recursive-descent parser for grid expressions in m and n.
 
     Grammar: + - * / ^ (right-assoc), unary minus, parentheses, the
     variables m and n, pi and e, one-argument log/exp/sin/cos/sqrt/abs,
     and two-argument pow.  Compiles to a closure over numpy index arrays.
+    Chains of + - and * / compile to one loop each, so only nesting, which
+    is capped at MAX_EXPR_DEPTH, deepens the parser or the closure.
     """
 
     def __init__(self, text: str):
         self.text = text
         self.tokens = self._lex(text)
         self.pos = 0
+        self.depth = 0
 
     @staticmethod
     def _lex(text: str):
@@ -206,32 +215,42 @@ class _ExprParser:
             raise ValueError(f"trailing input after expression in {self.text!r}")
         return node
 
-    def _expr(self):
-        node = self._term()
-        while self._peek() == ("op", "+") or self._peek() == ("op", "-"):
-            op = self._take()[1]
-            rhs = self._term()
-            node = (lambda a, b: lambda M, N: a(M, N) + b(M, N))(node, rhs) if op == "+" else (
-                lambda a, b: lambda M, N: a(M, N) - b(M, N)
-            )(node, rhs)
+    def _chain(self, operand, ops):
+        """Left-associative chain ``a op b op c ...`` evaluated in one loop."""
+        first = operand()
+        rest = []
+        while self._peek()[0] == "op" and self._peek()[1] in ops:
+            rest.append((ops[self._take()[1]], operand()))
+        if not rest:
+            return first
+
+        def node(M, N):
+            acc = first(M, N)
+            for op, rhs in rest:
+                acc = op(acc, rhs(M, N))
+            return acc
+
         return node
+
+    def _expr(self):
+        return self._chain(self._term, {"+": operator.add, "-": operator.sub})
 
     def _term(self):
-        node = self._unary()
-        while self._peek() == ("op", "*") or self._peek() == ("op", "/"):
-            op = self._take()[1]
-            rhs = self._unary()
-            node = (lambda a, b: lambda M, N: a(M, N) * b(M, N))(node, rhs) if op == "*" else (
-                lambda a, b: lambda M, N: a(M, N) / b(M, N)
-            )(node, rhs)
-        return node
+        return self._chain(self._unary, {"*": operator.mul, "/": operator.truediv})
 
     def _unary(self):
-        if self._peek() == ("op", "-"):
-            self._take()
-            inner = self._unary()
-            return lambda M, N: -inner(M, N)
-        return self._power()
+        # depth counts the enclosing levels; the outermost one is level 0.
+        if self.depth > MAX_EXPR_DEPTH:
+            raise ValueError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
+        self.depth += 1
+        try:
+            if self._peek() == ("op", "-"):
+                self._take()
+                inner = self._unary()
+                return lambda M, N: -inner(M, N)
+            return self._power()
+        finally:
+            self.depth -= 1
 
     def _power(self):
         base = self._atom()
@@ -333,6 +352,14 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _weight_pair(cfg: RunConfig):
+    """Row and column weights; one spec for both axes gives one shared object,
+    so its prefix cache and classification are computed once."""
+    p = parse_weight_spec(cfg.weights_p)
+    q = p if cfg.weights_q == cfg.weights_p else parse_weight_spec(cfg.weights_q)
+    return p, q
+
+
 def cmd_classify_weights(cfg: RunConfig) -> int:
     p = parse_weight_spec(cfg.weights_p)
     vc, used, note = classify_adaptive(p, cfg.class_horizon, cfg.tol)
@@ -347,8 +374,7 @@ def cmd_classify_weights(cfg: RunConfig) -> int:
 
 def cmd_transform(cfg: RunConfig) -> int:
     seq = parse_sequence_spec(cfg.sequence)
-    p = parse_weight_spec(cfg.weights_p)
-    q = parse_weight_spec(cfg.weights_q)
+    p, q = _weight_pair(cfg)
     fieldv = weighted_mean_field(seq, p, q, cfg.horizon, cfg.horizon)
     out = _out_dir(cfg) / "sigma.csv"
     export_grid_csv(fieldv.sigma, str(out))
@@ -358,8 +384,7 @@ def cmd_transform(cfg: RunConfig) -> int:
 
 def cmd_analyze(cfg: RunConfig) -> int:
     seq = parse_sequence_spec(cfg.sequence)
-    p = parse_weight_spec(cfg.weights_p)
-    q = parse_weight_spec(cfg.weights_q)
+    p, q = _weight_pair(cfg)
     hc = HarnessConfig(
         horizon=cfg.horizon,
         lambda_ladder=cfg.lambda_ladder,
@@ -395,8 +420,7 @@ def cmd_verify_lemma(
         if m is None or n is None:
             raise ValueError("an explicit split needs both --m and --n")
         seq = parse_sequence_spec(cfg.sequence)
-        p = parse_weight_spec(cfg.weights_p)
-        q = parse_weight_spec(cfg.weights_q)
+        p, q = _weight_pair(cfg)
         if mu is None:
             mu = choose_mu(p, m, cfg.delta)
         if eta is None:
@@ -420,8 +444,7 @@ def cmd_verify_lemma(
 
 def cmd_sweep(cfg: RunConfig) -> int:
     seq = parse_sequence_spec(cfg.sequence)
-    p = parse_weight_spec(cfg.weights_p)
-    q = parse_weight_spec(cfg.weights_q)
+    p, q = _weight_pair(cfg)
     ladder = sorted({cfg.horizon // 8, cfg.horizon // 4, cfg.horizon // 2, cfg.horizon})
     samples = profile_samples(
         seq,

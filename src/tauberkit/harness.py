@@ -530,8 +530,10 @@ def verify_theorem(
         raise ScalarKindError(
             f"{theorem.value} uses order-sensitive conditions; {seq.name} is complex"
         )
-    vc_p, used_p, note_p = classify_adaptive(p, cfg.class_horizon, cfg.class_tol)
-    vc_q, used_q, note_q = classify_adaptive(q, cfg.class_horizon, cfg.class_tol)
+    class_p = classify_adaptive(p, cfg.class_horizon, cfg.class_tol)
+    class_q = class_p if q is p else classify_adaptive(q, cfg.class_horizon, cfg.class_tol)
+    vc_p, _, note_p = class_p
+    vc_q, _, note_q = class_q
 
     h = cfg.horizon
     while True:

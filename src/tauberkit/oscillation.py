@@ -499,7 +499,7 @@ def empirical_limit(
         profile.append((h, float(np.abs(sub - lhat).max())))
     r = [v for _, v in profile]
     decreasing = r[-3] > r[-2] > r[-1]
-    noise_floor = 64.0 * np.finfo(np.float64).eps * max(1.0, abs(lhat))
+    noise_floor = 64.0 * float(np.finfo(np.float64).eps) * max(1.0, abs(lhat))
     converged = r[-1] < eps_dec and (decreasing or r[-1] <= noise_floor)
     return LimitEstimate(
         value=lhat,

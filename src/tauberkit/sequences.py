@@ -8,6 +8,7 @@ grow-only and safe to read concurrently while one writer extends it.
 """
 from __future__ import annotations
 
+import inspect
 import math
 import threading
 from dataclasses import dataclass, field
@@ -125,12 +126,27 @@ class WeightSequence:
     """Positive one-sided weights p_0, p_1, ... with cached partial sums.
 
     Partial sums are accumulated with compensated (Neumaier) summation and
-    published as float64.  The cache only grows.  Readers take a snapshot
-    without locking: the published count is read before the buffer
-    reference, and buffers are never shrunk or mutated below the count, so
-    a stale pair is still internally consistent.  Writers serialize on a
-    lock and extension is idempotent.
+    published as float64.  The cache grows in chunks: a chunk evaluates the
+    scalar weight rule at each of its indices, runs the Neumaier recurrence
+    as two sequential cumulative sums (bit-identical to the one-index-at-a-
+    time loop), and checks the chunk in the loop's order -- weight domain,
+    then overflow, then monotonicity -- to find its first bad index.  The
+    valid prefix is published with one count update, written last.  A bad
+    index raises only when the caller needed it (``ensure``: an index at or
+    below its target; ``ensure_sum_exceeds``: no earlier sum exceeds the
+    threshold); otherwise growth stops just before it and a later request
+    that needs it raises there.
+
+    Readers take a snapshot without locking: the published count is read
+    before the buffer reference, and buffers are never shrunk or mutated
+    below the count, so a stale pair is still internally consistent.
+    Writers serialize on a lock and extension is idempotent.
     """
+
+    # Indices a growth step evaluates: at least the first, at most the
+    # second, so the chunk's temporaries stay small.
+    _MIN_CHUNK = 1 << 10
+    _MAX_CHUNK = 1 << 16
 
     def __init__(
         self,
@@ -160,8 +176,9 @@ class WeightSequence:
                 needed=m,
             )
         with self._lock:
+            target = max(m + 1, 2 * self._count)
             while self._count <= m:
-                self._append_one()
+                self._extend(target, lambda k: k <= m)
 
     def ensure_sum_exceeds(self, threshold: float) -> int:
         """Grow until the last partial sum strictly exceeds ``threshold``.
@@ -172,55 +189,93 @@ class WeightSequence:
         if not math.isfinite(threshold):
             raise ValueError(f"{self.name}: threshold must be finite, got {threshold}")
         with self._lock:
-            if self._count == 0:
-                self._append_one()
-            while self._sums[self._count - 1] <= threshold:
+            while self._count == 0 or self._sums[self._count - 1] <= threshold:
                 if self._count > self.max_index:
                     raise HorizonError(
                         f"{self.name}: partial sums reached index {self.max_index} "
                         f"without exceeding {threshold}",
                         needed=threshold,
                     )
-                self._append_one()
+                self._extend(
+                    2 * self._count,
+                    lambda k: k == 0 or self._sums[k - 1] <= threshold,
+                )
             sums = self._sums[: self._count]
         return int(np.searchsorted(sums, threshold, side="right"))
 
-    def _append_one(self) -> None:
-        # Caller holds the lock.
-        k = self._count
-        if k > self.max_index:
-            raise HorizonError(
-                f"{self.name}: index {k} beyond max_index {self.max_index}", needed=k
-            )
-        pk = float(self._weight(k))
-        if not math.isfinite(pk) or pk <= 0.0:
-            raise WeightDomainError(f"{self.name}: weight p_{k} = {pk} is not positive and finite")
-        s, c = self._acc, self._comp
-        t = s + pk
-        if abs(s) >= abs(pk):
-            c += (s - t) + pk
-        else:
-            c += (pk - t) + s
-        published = t + c
-        if not math.isfinite(published):
-            raise PrefixOverflowError(
-                f"{self.name}: partial sum overflowed at index {k}"
-            )
-        if k > 0 and published <= self._sums[k - 1]:
-            raise MonotonicityError(
-                f"{self.name}: partial sum failed to increase at index {k} "
-                f"(P_{k - 1} = {self._sums[k - 1]!r}, P_{k} = {published!r})"
-            )
-        if k == len(self._weights):
-            self._grow()
-        self._weights[k] = pk
-        self._sums[k] = published
-        self._acc, self._comp = t, c
-        # Publish last: readers snapshot count before buffers.
-        self._count = k + 1
+    def _extend(self, target: int, needed: Callable[[int], bool]) -> None:
+        """Evaluate one chunk towards ``target`` and publish its valid prefix.
 
-    def _grow(self) -> None:
-        new_w = np.empty(2 * len(self._weights), dtype=np.float64)
+        ``needed(k)`` says whether a failure at index k concerns the caller;
+        it is asked after the indices below k are published.  Caller holds
+        the lock.
+        """
+        k0 = self._count
+        k1 = min(max(target, k0 + self._MIN_CHUNK), k0 + self._MAX_CHUNK, self.max_index + 1)
+        try:
+            w = np.fromiter(map(self._weight, range(k0, k1)), np.float64, k1 - k0)
+            rule_error = None
+        except Exception:
+            # Re-run the chunk one index at a time to pin the failing one.
+            vals = []
+            for k in range(k0, k1):
+                try:
+                    vals.append(float(self._weight(k)))
+                except Exception as exc:
+                    rule_error = exc
+                    break
+            w = np.array(vals, dtype=np.float64)
+        n = w.size
+        # Neumaier recurrence: t_k = t_{k-1} + p_k, c_k = c_{k-1} + err_k.
+        # np.add.accumulate runs left to right, so every rounding matches
+        # the scalar loop.
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = np.empty(n + 1)
+            t[0] = self._acc
+            t[1:] = w
+            np.add.accumulate(t, out=t)
+            s, t = t[:-1], t[1:]
+            err = np.where(np.abs(s) >= np.abs(w), (s - t) + w, (w - t) + s)
+            c = np.empty(n + 1)
+            c[0] = self._comp
+            c[1:] = err
+            np.add.accumulate(c, out=c)
+            c = c[1:]
+            published = t + c
+            bad_domain = ~np.isfinite(w) | (w <= 0.0)
+            bad_overflow = ~np.isfinite(published)
+            prev = np.empty(n)
+            prev[:1] = self._sums[k0 - 1] if k0 > 0 else -np.inf
+            prev[1:] = published[:-1]
+            bad = bad_domain | bad_overflow | (published <= prev)
+        j = int(bad.argmax()) if bad.any() else n
+        if j:
+            end = k0 + j
+            if end > len(self._weights):
+                self._grow(end)
+            self._weights[k0:end] = w[:j]
+            self._sums[k0:end] = published[:j]
+            self._acc, self._comp = float(t[j - 1]), float(c[j - 1])
+            # Publish last: readers snapshot count before buffers.
+            self._count = end
+        k = k0 + j
+        if (j == n and rule_error is None) or not needed(k):
+            return
+        if j == n:
+            raise rule_error
+        if bad_domain[j]:
+            raise WeightDomainError(
+                f"{self.name}: weight p_{k} = {float(w[j])} is not positive and finite"
+            )
+        if bad_overflow[j]:
+            raise PrefixOverflowError(f"{self.name}: partial sum overflowed at index {k}")
+        raise MonotonicityError(
+            f"{self.name}: partial sum failed to increase at index {k} "
+            f"(P_{k - 1} = {self._sums[k - 1]!r}, P_{k} = {float(published[j])!r})"
+        )
+
+    def _grow(self, size: int) -> None:
+        new_w = np.empty(max(size, 2 * len(self._weights)), dtype=np.float64)
         new_s = np.empty_like(new_w)
         new_w[: self._count] = self._weights[: self._count]
         new_s[: self._count] = self._sums[: self._count]
@@ -231,6 +286,7 @@ class WeightSequence:
 
     @property
     def evaluated_count(self) -> int:
+        """Indices evaluated and published so far (chunks may overshoot a request)."""
         return self._count
 
     def weight_at(self, m: int) -> float:
@@ -252,12 +308,6 @@ class WeightSequence:
         """Read-only view of all published partial sums (no extension)."""
         count = self._count
         view = self._sums[:count]
-        view.flags.writeable = False
-        return view
-
-    def weights_snapshot(self) -> np.ndarray:
-        count = self._count
-        view = self._weights[:count]
         view.flags.writeable = False
         return view
 
@@ -425,21 +475,27 @@ def weight_names() -> list[str]:
     return sorted(_WEIGHT_FACTORIES)
 
 
-def corpus_sequence(name: str, **params) -> DoubleSequence:
+def _build(factories: dict[str, Callable], label: str, name: str, params: dict):
+    """Call the named factory, rejecting parameters its signature lacks."""
     try:
-        factory = _SEQUENCE_FACTORIES[name]
+        factory = factories[name]
     except KeyError:
         raise KeyError(
-            f"unknown sequence {name!r}; known: {', '.join(sequence_names())}"
+            f"unknown {label} {name!r}; known: {', '.join(sorted(factories))}"
         ) from None
+    accepted = list(inspect.signature(factory).parameters)
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"{label} {name!r} takes no parameter {', '.join(unknown)}; "
+            f"accepted: {', '.join(accepted) or 'none'}"
+        )
     return factory(**params)
+
+
+def corpus_sequence(name: str, **params) -> DoubleSequence:
+    return _build(_SEQUENCE_FACTORIES, "sequence", name, params)
 
 
 def corpus_weight(name: str, **params) -> WeightSequence:
-    try:
-        factory = _WEIGHT_FACTORIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown weight family {name!r}; known: {', '.join(weight_names())}"
-        ) from None
-    return factory(**params)
+    return _build(_WEIGHT_FACTORIES, "weight family", name, params)

@@ -97,6 +97,35 @@ def test_analyze_exits_four_when_limits_disagree(tmp_path):
     assert doc["verdict"] == "Inconsistent"
 
 
+@pytest.mark.parametrize("sequence", ["constant", "paper_unbounded"])
+def test_analyze_writes_reports_when_limits_sit_at_the_noise_floor(tmp_path, sequence):
+    # the tail equals the corner to rounding, so the limit converges outright
+    res = run_cli(
+        "analyze", "--sequence", sequence, "--horizon", "128", "--class-horizon", "4096",
+        cwd=tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["u_limit"]["converged"] is True
+    assert (tmp_path / "profiles.csv").read_text().startswith("functional,")
+
+
+def test_analyze_rejects_unknown_weight_parameters(tmp_path):
+    res = run_cli("analyze", "--weights-p", "power:zeta=3", cwd=tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.splitlines() == [
+        "error: weight family 'power' takes no parameter zeta; accepted: beta"
+    ]
+
+
+@pytest.mark.parametrize("depth", [200, 3000])
+def test_deeply_nested_expressions_exit_two(tmp_path, depth):
+    expr = "(" * depth + "m+n" + ")" * depth
+    res = run_cli("transform", "--horizon", "64", "--sequence", expr, cwd=tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.splitlines() == ["error: expression nested deeper than 100 levels"]
+
+
 def test_verify_lemma_is_deterministic(tmp_path):
     for sub in ("r1", "r2"):
         res = run_cli(
@@ -223,6 +252,27 @@ def test_expression_parser_rejects_garbage():
         expression_sequence("1 +* 2")
     with pytest.raises(ValueError, match="unknown name"):
         expression_sequence("q/(m+1)")
+
+
+def test_spec_parameters_must_belong_to_the_factory():
+    with pytest.raises(ValueError, match="accepted: beta"):
+        parse_weight_spec("power:zeta=3")
+    with pytest.raises(ValueError, match="accepted: none"):
+        parse_sequence_spec("alternating:c=2")
+    assert parse_sequence_spec("constant:c=2").declared_limit == 2.0
+
+
+def test_expression_nesting_is_capped_but_long_chains_are_not():
+    import tauberkit as tk
+
+    nested = expression_sequence("(" * 50 + "m-n" + ")" * 50)
+    assert tk.eval_grid(nested, 2, 3).values[2, 3] == -1.0
+    assert expression_sequence("-" * 100 + "m").evaluate(3, 0) == 3.0
+    with pytest.raises(ValueError, match="nested deeper"):
+        expression_sequence("sin(" * 101 + "m" + ")" * 101)
+    # flat chains compile to one loop, so their length costs no stack depth
+    chain = expression_sequence("m" + "+m" * 3000 + "-n/2" * 4)
+    assert chain.evaluate(2, 4) == 3001 * 2 - 8.0
 
 
 def test_run_config_validates_ladders():

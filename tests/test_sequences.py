@@ -1,6 +1,8 @@
 """Corpus sequences and weight families: definitions, prefixes, guard rails."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -165,3 +167,150 @@ def test_weight_at_matches_weights_array():
     p = tk.harmonic()
     w = p.weights_array(20)
     assert all(p.weight_at(i) == w[i] for i in range(21))
+
+
+# ---------------------------------------------------------------------------
+# Chunked prefix engine against the scalar Neumaier loop
+# ---------------------------------------------------------------------------
+
+
+def scalar_prefix(rule, count):
+    """Weights and partial sums by the one-index-at-a-time Neumaier loop."""
+    weights, sums = [], []
+    s = c = 0.0
+    for k in range(count):
+        pk = float(rule(k))
+        t = s + pk
+        if abs(s) >= abs(pk):
+            c += (s - t) + pk
+        else:
+            c += (pk - t) + s
+        s = t
+        weights.append(pk)
+        sums.append(t + c)
+    return np.array(weights), np.array(sums)
+
+
+ENGINE_CASES = {
+    "ones": tk.ones,
+    "harmonic": tk.harmonic,
+    "power": lambda: tk.power(1.5),
+    "power_negative": lambda: tk.power(-0.5),
+    "geometric": lambda: tk.geometric(1.0001),
+    "wobble": tk.wobble,
+    "odd": lambda: tk.WeightSequence(lambda m: 2.0 * m + 1.0, name="odd"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+def test_chunked_prefix_is_bit_identical_to_the_scalar_loop(case):
+    p = ENGINE_CASES[case]()
+    # Interleaved requests: inside the first chunk, at chunk edges, a
+    # threshold crossing, and a jump past the largest chunk.
+    p.ensure(0)
+    p.ensure(1023)
+    p.ensure(1024)
+    p.ensure_sum_exceeds(p.prefix(3000) * 1.01)
+    p.ensure(70_000)
+    p.ensure_sum_exceeds(p.prefix(70_000) * 1.001)
+    p.ensure(150_000)
+    count = p.evaluated_count
+    weights, sums = scalar_prefix(p._weight, count)
+    assert p.weights_array(count - 1).tobytes() == weights.tobytes()
+    assert p.prefix_array(count - 1).tobytes() == sums.tobytes()
+
+
+def test_geometric_prefix_below_the_overflow_index_succeeds():
+    p = tk.geometric(2.0)
+    p.ensure(500)
+    assert p.prefix(500) == 2.0**501 - 1.0
+
+
+def _bad_at_300(kind):
+    def rule(m):
+        if m != 300:
+            return 1.0
+        if kind == "raise":
+            raise ZeroDivisionError("no weight at 300")
+        return -1.0
+
+    return tk.WeightSequence(rule, name="bad")
+
+
+@pytest.mark.parametrize(
+    "kind, error", [("raise", ZeroDivisionError), ("negative", tk.WeightDomainError)]
+)
+def test_a_bad_index_raises_only_once_it_is_needed(kind, error):
+    p = _bad_at_300(kind)
+    p.ensure(299)
+    assert p.prefix(299) == 300.0
+    with pytest.raises(error):
+        p.ensure(300)
+    assert p.evaluated_count == 300
+
+
+@pytest.mark.parametrize("kind", ["raise", "negative"])
+def test_ensure_sum_exceeds_stops_before_a_bad_index_past_the_crossing(kind):
+    p = _bad_at_300(kind)
+    assert p.ensure_sum_exceeds(99.5) == 99
+    assert p.ensure_sum_exceeds(299.5) == 299
+    assert p.evaluated_count == 300
+    with pytest.raises((ZeroDivisionError, tk.WeightDomainError)):
+        p.ensure_sum_exceeds(300.0)
+
+
+def test_horizon_error_reports_what_was_needed_at_max_index():
+    p = tk.WeightSequence(lambda m: 1.0, name="tiny", max_index=5000)
+    with pytest.raises(tk.HorizonError) as info:
+        p.ensure(5001)
+    assert info.value.needed == 5001
+    with pytest.raises(tk.HorizonError, match="reached index 5000") as info:
+        p.ensure_sum_exceeds(1e6)
+    assert info.value.needed == 1e6
+    assert p.evaluated_count == 5001
+    p.ensure(5000)
+
+
+def test_prefix_error_messages_are_stable():
+    flat = tk.WeightSequence(lambda m: 1.0 if m < 2000 else 1e-30, name="flat")
+    flat.ensure(1999)  # the failing index then opens the next chunk
+    with pytest.raises(tk.MonotonicityError) as info:
+        flat.ensure(5000)
+    assert str(info.value) == (
+        "flat: partial sum failed to increase at index 2000 "
+        f"(P_1999 = {np.float64(2000.0)!r}, P_2000 = 2000.0)"
+    )
+    with pytest.raises(tk.WeightDomainError) as info:
+        _bad_at_300("negative").ensure(400)
+    assert str(info.value) == "bad: weight p_300 = -1.0 is not positive and finite"
+
+
+def test_concurrent_readers_see_consistent_published_prefixes():
+    # requests stop at 300_000; chunks overshoot a request by at most 2**16
+    reference = tk.harmonic().prefix_array(400_000)
+    p = tk.harmonic()
+    problems = []
+
+    def work(seed):
+        rnd = np.random.default_rng(seed)
+        for _ in range(40):
+            if rnd.random() < 0.5:
+                p.ensure(int(rnd.integers(0, 300_000)))
+            else:
+                p.ensure_sum_exceeds(float(rnd.uniform(0.0, reference[300_000])))
+            snap = p.prefix_snapshot()
+            if snap.size and snap.tobytes() != reference[: snap.size].tobytes():
+                problems.append(snap.size)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,)) for s in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert not problems
