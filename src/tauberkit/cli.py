@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import TauberkitError
+from .errors import ScalarKindError, TauberkitError
 from .harness import (
     HarnessConfig,
     Theorem,
@@ -564,8 +564,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify-lemma":
             return cmd_verify_lemma(cfg, m=args.m, n=args.n, mu=args.mu, eta=args.eta)
         return _COMMANDS[args.command](cfg)
-    except (ValueError, KeyError) as exc:
-        # Bad names or parameters discovered past config validation.
+    except (ValueError, KeyError, ScalarKindError) as exc:
+        # Bad names or parameters discovered past config validation, and
+        # order-sensitive checks asked of a complex sequence.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TauberkitError as exc:

@@ -262,6 +262,11 @@ class WeightSequence:
         if (j == n and rule_error is None) or not needed(k):
             return
         if j == n:
+            if isinstance(rule_error, OverflowError):
+                # The weight itself left the doubles, so the sum cannot stay finite.
+                raise PrefixOverflowError(
+                    f"{self.name}: partial sum overflowed at index {k}"
+                ) from rule_error
             raise rule_error
         if bad_domain[j]:
             raise WeightDomainError(
@@ -271,7 +276,7 @@ class WeightSequence:
             raise PrefixOverflowError(f"{self.name}: partial sum overflowed at index {k}")
         raise MonotonicityError(
             f"{self.name}: partial sum failed to increase at index {k} "
-            f"(P_{k - 1} = {self._sums[k - 1]!r}, P_{k} = {float(published[j])!r})"
+            f"(P_{k - 1} = {float(self._sums[k - 1])!r}, P_{k} = {float(published[j])!r})"
         )
 
     def _grow(self, size: int) -> None:

@@ -58,12 +58,20 @@ def weighted_mean_field(
     without storing intermediate corners.  Raises on non-finite sequence
     values or an overflowing accumulation, naming the first offending cell.
     """
-    u = eval_grid(seq, m_max, n_max)
+    u = eval_grid(seq, m_max, n_max).values
     pw = p.weights_array(m_max)
     qw = q.weights_array(n_max)
+    # Each step writes into a buffer it already holds, and u is dropped
+    # once multiplied in, so the peak stays within three grids.  A complex
+    # sequence gets complex buffers: numpy promotes the real weight products
+    # to complex for the multiply and the divide in any case, so the results
+    # are the same bits as out-of-place arithmetic gives.
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = (pw[:, None] * qw[None, :]) * u.values
-        s = np.cumsum(np.cumsum(terms, axis=0), axis=1)
+        s = np.multiply(pw[:, None], qw[None, :], out=np.empty(u.shape, u.dtype))
+        np.multiply(s, u, out=s)
+        del u
+        np.cumsum(s, axis=0, out=s)
+        np.cumsum(s, axis=1, out=s)
     finite = np.isfinite(s) if seq.kind is ScalarKind.REAL else np.isfinite(s.real) & np.isfinite(s.imag)
     if not finite.all():
         bad = np.argwhere(~finite)[0]
@@ -72,7 +80,8 @@ def weighted_mean_field(
         )
     pp = p.prefix_array(m_max)
     qp = q.prefix_array(n_max)
-    sigma = s / (pp[:, None] * qp[None, :])
+    sigma = np.multiply(pp[:, None], qp[None, :], out=np.empty_like(s))
+    np.divide(s, sigma, out=sigma)
     return MeanField(
         sequence_name=seq.name,
         weights_p=p.name,

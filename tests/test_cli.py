@@ -118,6 +118,44 @@ def test_analyze_rejects_unknown_weight_parameters(tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (
+            ("analyze", "--sequence", "complex_convergent", "--theorem", "T41"),
+            "error: T41 uses order-sensitive conditions; complex_convergent is complex",
+        ),
+        (
+            ("sweep", "--sequence", "complex_convergent", "--functional", "sd_P"),
+            "error: sd_P is order-sensitive; complex_convergent is complex-valued",
+        ),
+    ],
+)
+def test_order_sensitive_checks_on_complex_sequences_exit_two(tmp_path, args, message):
+    res = run_cli(*args, cwd=tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.splitlines() == [message]
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (("classify-weights", "--weights", "geometric:r=10"), 0),
+        (("analyze", "--weights-p", "geometric:r=10", "--horizon", "64"), 5),
+    ],
+)
+def test_weights_that_overflow_before_their_sums_back_off(tmp_path, args, code):
+    # 10**309 overflows the weight rule while the partial sum is still finite
+    res = run_cli(*args, cwd=tmp_path)
+    assert res.returncode == code, res.stderr
+    assert "Traceback" not in res.stderr
+    if args[0] == "classify-weights":
+        note = json.loads((tmp_path / "variation.json").read_text())["note"]
+    else:
+        note = json.loads((tmp_path / "report.json").read_text())["class_notes"][0]
+    assert note == "partial sums overflow before index 100000; classified at 195"
+
+
 @pytest.mark.parametrize("depth", [200, 3000])
 def test_deeply_nested_expressions_exit_two(tmp_path, depth):
     expr = "(" * depth + "m+n" + ")" * depth

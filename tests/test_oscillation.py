@@ -297,3 +297,258 @@ def test_window_profile_and_csv_layout(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "functional,lambda,kappa,horizon,tail_stat"
     assert lines[1].startswith("sd_P,1.5,1.5,64,")
+
+
+# ---------------------------------------------------------------------------
+# The window engine against a per-anchor reference
+# ---------------------------------------------------------------------------
+
+# Each anchor evaluates its own window and reduces it with the plain
+# formulas; a rung is unsampled from its first anchor past a budget.
+_REF_FORMULAS = {
+    "sd_P": lambda b: b[:, 0].min() - b[0, 0],
+    "sd_Q": lambda b: b[0, :].min() - b[0, 0],
+    "sd_strong_P": lambda b: (b.min(axis=0) - b[0, :]).min(),
+    "sd_strong_Q": lambda b: (b.min(axis=1) - b[:, 0]).min(),
+    "sd_both": lambda b: b.min() - b[0, 0],
+    "so_P": lambda b: np.abs(b[:, 0] - b[0, 0]).max(),
+    "so_Q": lambda b: np.abs(b[0, :] - b[0, 0]).max(),
+    "so_strong_P": lambda b: np.abs(b - b[0:1, :]).max(),
+    "so_strong_Q": lambda b: np.abs(b - b[:, 0:1]).max(),
+    "so_both": lambda b: np.abs(b - b[0, 0]).max(),
+}
+_REF_SHAPES = {"sd_P": "p", "so_P": "p", "sd_Q": "q", "so_Q": "q"}
+
+
+def _ref_upper(w, anchor, scale):
+    w.ensure_sum_exceeds(scale * w.prefix(anchor))
+    return tk.window_upper_index(w, anchor, scale)
+
+
+def _ref_value(seq, p, q, name, m, n, lam, kappa, budget):
+    shape = _REF_SHAPES.get(name, "pq")
+    hp = m if shape == "q" else _ref_upper(p, m, lam)
+    hq = n if shape == "p" else _ref_upper(q, n, kappa)
+    if shape == "pq" and (hp - m + 1) * (hq - n + 1) > budget:
+        raise tk.ResourceLimitError("over budget")
+    b = seq.block(np.arange(m, hp + 1), np.arange(n, hq + 1))
+    if not (np.isfinite(b.real) & np.isfinite(b.imag)).all():
+        raise tk.NonFiniteValueError("non-finite")
+    return float(_REF_FORMULAS[name](b))
+
+
+def _ref_rung(seq, p, q, name, h, lam, budget, stop_at_gap):
+    t0 = -(-h // 2)
+    cells = sorted({t0, (t0 + h) // 2, h})
+    vals = []
+    for m in cells:
+        for n in cells:
+            try:
+                vals.append(_ref_value(seq, p, q, name, m, n, lam, lam, budget))
+            except (tk.HorizonError, tk.ResourceLimitError):
+                vals.append(None)
+                if stop_at_gap:
+                    return vals
+    return vals
+
+
+def _ref_profile(seq, p, q, name, horizons, ladder, budget):
+    worst = min if name.startswith("sd") else max
+    stats = []
+    for lam in ladder:
+        for h in horizons:
+            vals = _ref_rung(seq, p, q, name, h, lam, budget, stop_at_gap=True)
+            stats.append(None if None in vals else (repr(worst(vals)), len(vals)))
+    return stats
+
+
+def _ref_samples(seq, p, q, name, horizons, ladder, budget):
+    return [
+        v
+        for lam in ladder
+        for h in horizons
+        for v in _ref_rung(seq, p, q, name, h, lam, budget, stop_at_gap=False)
+    ]
+
+
+def _engine_profile(seq, p, q, name, horizons, ladder, budget):
+    prof = tk.build_window_profile(seq, p, q, name, horizons, ladder, budget=budget)
+    return [None if r.stat is None else (repr(r.stat), r.cells) for r in prof.rungs]
+
+
+def _engine_samples(seq, p, q, name, horizons, ladder, budget):
+    rows = tk.profile_samples(seq, p, q, name, horizons, ladder, budget=budget)
+    return [v for *_, v in rows]
+
+
+def _bits(vals):
+    # repr tells 0.0 from -0.0 and pins every last bit
+    return [repr(v) for v in vals]
+
+
+def _outcome(fn, *args):
+    try:
+        return _bits(fn(*args))
+    except tk.TauberkitError as exc:
+        return type(exc).__name__
+
+
+_WEIGHTS = {
+    "ones": tk.ones,
+    "harmonic": tk.harmonic,
+    "power": lambda: tk.power(1.5),
+}
+# (2.0, 1.5): windows of neighbouring tail anchors overlap; (1.1, 1.05):
+# they leave gaps between them.
+_LADDERS = {"ones": [2.0, 1.05], "harmonic": [1.25, 1.05], "power": [1.5, 1.1]}
+_SEQUENCES = ["additive_convergent", "alternating", "separable_convergent", "complex_convergent"]
+
+
+@pytest.fixture(params=[None, 64], ids=["default_bands", "tiny_bands"])
+def band_cells(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(tk.oscillation, "_BAND_CELLS", request.param)
+
+
+@pytest.mark.parametrize("weights", sorted(_WEIGHTS))
+@pytest.mark.parametrize("name", list(_REF_FORMULAS))
+def test_engine_matches_the_per_anchor_reference_bitwise(band_cells, name, weights):
+    horizons = [24, 40]
+    ladder = _LADDERS[weights]
+    for seq_name in _SEQUENCES:
+        seq = tk.corpus_sequence(seq_name)
+        if name.startswith("sd") and seq.kind is tk.ScalarKind.COMPLEX:
+            continue
+        args = (seq, _WEIGHTS[weights](), tk.ones(), name, horizons, ladder, 10**6)
+        assert _engine_profile(*args) == _ref_profile(*args), seq_name
+        assert _bits(_engine_samples(*args)) == _bits(_ref_samples(*args)), seq_name
+
+
+# The backward forms read from the window's last cell, the anchor.
+_REF_BACKWARD = {
+    "sd_P": lambda b: b[-1, -1] - b[:, -1].max(),
+    "sd_Q": lambda b: b[-1, -1] - b[-1, :].max(),
+    "sd_strong_P": lambda b: (b[-1, :] - b.max(axis=0)).min(),
+    "sd_strong_Q": lambda b: (b[:, -1] - b.max(axis=1)).min(),
+    "sd_both": lambda b: b[-1, -1] - b.max(),
+    "so_P": lambda b: np.abs(b[-1, -1] - b[:, -1]).max(),
+    "so_Q": lambda b: np.abs(b[-1, -1] - b[-1, :]).max(),
+    "so_strong_P": lambda b: np.abs(b[-1:, :] - b).max(),
+    "so_strong_Q": lambda b: np.abs(b[:, -1:] - b).max(),
+    "so_both": lambda b: np.abs(b - b[-1, -1]).max(),
+}
+
+
+@pytest.mark.parametrize("name", list(_REF_BACKWARD))
+def test_backward_functionals_match_the_per_anchor_reference_bitwise(band_cells, name):
+    shape = _REF_SHAPES.get(name, "pq")
+    for seq_name in _SEQUENCES:
+        seq = tk.corpus_sequence(seq_name)
+        if name.startswith("sd") and seq.kind is tk.ScalarKind.COMPLEX:
+            continue
+        for m, n in ((40, 25), (7, 60), (0, 0), (90, 90)):
+            for lam, kappa in ((0.5, 0.5), (0.9, 0.3)):
+                p, q = tk.harmonic(), tk.ones()
+                lo_p = m if shape == "q" else tk.backward_window_lower_index(p, m, lam)
+                lo_q = n if shape == "p" else tk.backward_window_lower_index(q, n, kappa)
+                block = seq.block(np.arange(lo_p, m + 1), np.arange(lo_q, n + 1))
+                expect = float(_REF_BACKWARD[name](block))
+                got = tk.backward_functionals(name, seq, p, q, m, n, lam, kappa)
+                assert repr(got) == repr(expect), (seq_name, m, n, lam, kappa)
+                view = getattr(tk, f"{name}_backward")
+                args = {"p": (p, m, n, lam), "q": (q, m, n, kappa)}.get(
+                    shape, (p, q, m, n, lam, kappa)
+                )
+                assert repr(view(seq, *args)) == repr(expect), (seq_name, m, n, lam, kappa)
+
+
+def test_evaluate_functionals_reads_the_rectangle_window_once():
+    for seq_name in ("additive_convergent", "complex_convergent"):
+        base = tk.corpus_sequence(seq_name)
+        cells = []
+
+        def rule(M, N, base=base):
+            cells.append(np.broadcast(M, N).size)
+            return base.rule(M, N)
+
+        seq = tk.DoubleSequence(name="counted", rule=rule, kind=base.kind)
+        fns = tk.evaluate_functionals(seq, tk.ones(), tk.ones(), 100, 50, 1.5, 1.5)
+        # rows 100..150 and columns 50..75 hold every window of the anchor
+        assert cells == [51 * 26]
+        for name in tk.window_functional_names():
+            if name.startswith("sd") and base.kind is tk.ScalarKind.COMPLEX:
+                assert getattr(fns, name) is None
+                continue
+            ref = _ref_value(base, tk.ones(), tk.ones(), name, 100, 50, 1.5, 1.5, 10**6)
+            assert repr(getattr(fns, name)) == repr(ref), (seq_name, name)
+
+
+def test_evaluate_functionals_checks_the_budget_before_reading_cells():
+    # the anchor's own cell is infinite, but the rectangle is over budget
+    seq = _poisoned((100, 50))
+    with pytest.raises(tk.ResourceLimitError):
+        tk.evaluate_functionals(seq, tk.ones(), tk.ones(), 100, 50, 1.5, 1.5, budget=100)
+    with pytest.raises(tk.NonFiniteValueError):
+        tk.evaluate_functionals(seq, tk.ones(), tk.ones(), 100, 50, 1.5, 1.5)
+
+
+@pytest.mark.parametrize("name", ["sd_strong_Q", "so_both", "so_Q"])
+def test_engine_keeps_the_per_anchor_budget_and_horizon_rules(band_cells, name):
+    # a max_index that the widest anchors' windows run past, and (line
+    # functionals have none) a cell budget that admits the anchor (48, 32)
+    # but not (32, 64) before it
+    cases = [(lambda: tk.WeightSequence(lambda k: 1.0, name="short", max_index=90), 10**6)]
+    if name != "so_Q":
+        cases.append((tk.ones, 500))
+    for make, budget in cases:
+        for seq_name in ("additive_convergent", "complex_convergent"):
+            seq = tk.corpus_sequence(seq_name)
+            if name.startswith("sd") and seq.kind is tk.ScalarKind.COMPLEX:
+                continue
+            args = (seq, make(), make(), name, [32, 64], [1.5], budget)
+            ref = _ref_profile(*args)
+            assert _engine_profile(*args) == ref
+            assert None in ref and any(r is not None for r in ref)
+            samples = _ref_samples(*args)
+            assert _bits(_engine_samples(*args)) == _bits(samples)
+            # a failed anchor does not hide the anchors after it
+            first_gap = samples.index(None)
+            assert any(v is not None for v in samples[first_gap:])
+
+
+def _poisoned(cell):
+    """additive_convergent with one infinite cell."""
+    base = tk.corpus_sequence("additive_convergent")
+    bm, bn = cell
+
+    def rule(M, N):
+        return np.where((M == bm) & (N == bn), np.inf, base.rule(M, N))
+
+    return tk.DoubleSequence(name="poisoned", rule=rule)
+
+
+@pytest.mark.parametrize("cell", [(16, 16), (24, 40), (40, 24), (70, 70), (90, 50)])
+@pytest.mark.parametrize("name", ["sd_strong_P", "so_strong_Q", "sd_Q"])
+def test_non_finite_cells_raise_exactly_where_per_anchor_evaluation_does(band_cells, name, cell):
+    seq = _poisoned(cell)
+    # budget 600 stops a rung part-way through its anchors
+    for budget in (10**6, 600):
+        args = (seq, tk.ones(), tk.ones(), name, [32, 48], [1.5], budget)
+        assert _outcome(_engine_profile, *args) == _outcome(_ref_profile, *args)
+        assert _outcome(_engine_samples, *args) == _outcome(_ref_samples, *args)
+
+
+@pytest.mark.parametrize("cell", [(16, 16), (30, 60), (60, 30)])
+def test_a_weight_error_is_raised_after_earlier_anchors_are_checked(cell):
+    # rows' weights break at index 60, which only the window of m = 48 needs;
+    # (60, 30) lies in that window alone
+    def make():
+        return tk.WeightSequence(lambda k: 1.0 if k < 60 else -1.0, name="breaks")
+
+    seq = _poisoned(cell)
+    args = (seq, make(), tk.ones(), "sd_strong_P", [32, 48], [1.5], 10**6)
+    expect = _outcome(_ref_profile, *(args[:1] + (make(),) + args[2:]))
+    assert expect == ("WeightDomainError" if cell == (60, 30) else "NonFiniteValueError")
+    assert _outcome(_engine_profile, *args) == expect
+    args = (seq, make(), tk.ones(), "sd_strong_P", [32, 48], [1.5], 10**6)
+    assert _outcome(_engine_samples, *args) == expect

@@ -147,6 +147,14 @@ def test_geometric_prefix_overflow_is_reported():
         tk.geometric(2.0).ensure(2000)
 
 
+def test_weight_rule_overflow_is_reported_as_prefix_overflow():
+    # 10.0**309 overflows the rule itself while P_308 is still finite
+    tk.geometric(10.0).ensure(308)
+    with pytest.raises(tk.PrefixOverflowError, match="overflowed at index 309") as info:
+        tk.geometric(10.0).ensure(400)
+    assert isinstance(info.value.__cause__, OverflowError)
+
+
 def test_power_weights_reject_non_summable_exponents():
     with pytest.raises(tk.WeightDomainError, match="beta > -1"):
         tk.power(-1.5)
@@ -278,7 +286,7 @@ def test_prefix_error_messages_are_stable():
         flat.ensure(5000)
     assert str(info.value) == (
         "flat: partial sum failed to increase at index 2000 "
-        f"(P_1999 = {np.float64(2000.0)!r}, P_2000 = 2000.0)"
+        "(P_1999 = 2000.0, P_2000 = 2000.0)"
     )
     with pytest.raises(tk.WeightDomainError) as info:
         _bad_at_300("negative").ensure(400)

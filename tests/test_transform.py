@@ -1,5 +1,7 @@
 """Weighted mean fields against direct summation, plus overflow reporting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,21 @@ def test_complex_sequence_mean_field():
     got = fld.sigma.values[10, 10]
     assert got.real == pytest.approx(want_re, rel=1e-12)
     assert got.imag == pytest.approx(want_im, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["additive_convergent", "complex_convergent"])
+def test_mean_field_peak_memory_stays_within_three_grids(name):
+    seq = tk.corpus_sequence(name)
+    p, q = tk.ones(), tk.harmonic()
+    p.ensure(300)  # the prefix caches are not part of the field's peak
+    q.ensure(300)
+    tracemalloc.start()
+    try:
+        fld = tk.weighted_mean_field(seq, p, q, 255, 255)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * fld.sigma.values.nbytes
 
 
 def test_export_grid_csv_layout(tmp_path):
