@@ -62,16 +62,11 @@ from .variation import (
 from .oscillation import (
     DecisionProfile,
     LimitEstimate,
-    OscillationFunctionals,
     WindowDirection,
-    WindowParams,
-    backward_functionals,
     backward_window_lower_index,
     build_bound_profile,
     build_window_profile,
-    decomposition_margin,
     empirical_limit,
-    evaluate_functionals,
     export_profiles_csv,
     export_samples_csv,
     hardy_stat,
@@ -79,25 +74,7 @@ from .oscillation import (
     profile_samples,
     sd_field_components,
     sd_functional_P,
-    sd_functional_Q,
-    sd_functional_both,
-    sd_functional_strong_P,
-    sd_functional_strong_Q,
-    sd_both_backward,
-    sd_P_backward,
-    sd_Q_backward,
-    sd_strong_P_backward,
-    sd_strong_Q_backward,
-    so_functional_P,
-    so_functional_Q,
-    so_functional_both,
-    so_functional_strong_P,
-    so_functional_strong_Q,
-    so_both_backward,
-    so_P_backward,
-    so_Q_backward,
-    so_strong_P_backward,
-    so_strong_Q_backward,
+    window_functional,
     window_functional_names,
     window_upper_index,
 )

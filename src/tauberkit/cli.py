@@ -30,6 +30,7 @@ from .harness import (
     Theorem,
     Verdict,
     choose_mu,
+    horizon_ladder,
     lemma_forward,
     lemma_residual_suite,
     report_json,
@@ -445,7 +446,7 @@ def cmd_verify_lemma(
 def cmd_sweep(cfg: RunConfig) -> int:
     seq = parse_sequence_spec(cfg.sequence)
     p, q = _weight_pair(cfg)
-    ladder = sorted({cfg.horizon // 8, cfg.horizon // 4, cfg.horizon // 2, cfg.horizon})
+    ladder = horizon_ladder(cfg.horizon)
     samples = profile_samples(
         seq,
         p,

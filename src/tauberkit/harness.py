@@ -25,6 +25,7 @@ from .oscillation import (
     MAX_WINDOW_CELLS,
     DecisionProfile,
     LimitEstimate,
+    WindowDirection,
     build_bound_profile,
     build_window_profile,
     empirical_limit,
@@ -146,38 +147,39 @@ def _window_average(seq, p, q, i_lo, i_hi, j_lo, j_hi, anchor, flip):
     return num / (dp * dq), dp, dq
 
 
-def lemma_forward(
-    seq: DoubleSequence,
-    p: WeightSequence,
-    q: WeightSequence,
-    m: int,
-    n: int,
-    mu: int,
-    eta: int,
-) -> LemmaDecomposition:
-    """Split against the forward block (m..mu] x (n..eta]; requires mu > m,
-    eta > n."""
-    if not (0 <= m < mu):
-        raise ValueError(f"forward split needs mu > m >= 0, got m={m}, mu={mu}")
-    if not (0 <= n < eta):
-        raise ValueError(f"forward split needs eta > n >= 0, got n={n}, eta={eta}")
+def _lemma(direction, seq, p, q, m, n, mu, eta) -> LemmaDecomposition:
+    """Split against the block between the anchor (m, n) and (mu, eta).
+
+    The forward block (m..mu] x (n..eta] needs mu > m and eta > n; the
+    backward block (mu..m] x (eta..n] needs mu < m and eta < n and flips the
+    sign of each mean difference and of the window term.
+    """
+    forward = direction is WindowDirection.FORWARD
+    for a, b, x, y in (("m", "mu", m, mu), ("n", "eta", n, eta)):
+        if forward and not 0 <= x < y:
+            raise ValueError(f"forward split needs {b} > {a} >= 0, got {a}={x}, {b}={y}")
+        if not forward and not 0 <= y < x:
+            raise ValueError(f"backward split needs 0 <= {b} < {a}, got {b}={y}, {a}={x}")
     u_mn = seq.evaluate(m, n)
     s_mn = sigma_single(seq, p, q, m, n)
     s_mu_n = sigma_single(seq, p, q, mu, n)
     s_m_eta = sigma_single(seq, p, q, m, eta)
     s_mu_eta = sigma_single(seq, p, q, mu, eta)
-    t_window, dp, dq = _window_average(seq, p, q, m + 1, mu, n + 1, eta, u_mn, flip=False)
+    t_window, dp, dq = _window_average(
+        seq, p, q, min(m, mu) + 1, max(m, mu), min(n, eta) + 1, max(n, eta), u_mn,
+        flip=not forward,
+    )
     p_mu = p.prefix(mu)
     q_eta = q.prefix(eta)
     corner = _fsum([s_mu_eta, -s_mu_n, -s_m_eta, s_mn])
     t1 = (p_mu * q_eta) / (dp * dq) * corner
-    t2 = p_mu / dp * (s_mu_n - s_mn)
-    t3 = q_eta / dq * (s_m_eta - s_mn)
+    t2 = p_mu / dp * (s_mu_n - s_mn if forward else s_mn - s_mu_n)
+    t3 = q_eta / dq * (s_m_eta - s_mn if forward else s_mn - s_m_eta)
     lhs = u_mn - s_mn
-    residual = _fsum([lhs, -t1, -t2, -t3, t_window])
+    residual = _fsum([lhs, -t1, -t2, -t3, t_window if forward else -t_window])
     scale = max(1.0, abs(lhs), abs(t1), abs(t2), abs(t3), abs(t_window))
     return LemmaDecomposition(
-        direction="forward",
+        direction=direction.value,
         m=m,
         n=n,
         mu=mu,
@@ -190,52 +192,20 @@ def lemma_forward(
         residual=residual,
         rel_residual=abs(residual) / scale,
     )
+
+
+def lemma_forward(
+    seq: DoubleSequence, p: WeightSequence, q: WeightSequence, m: int, n: int, mu: int, eta: int
+) -> LemmaDecomposition:
+    """Split against the forward block (m..mu] x (n..eta]."""
+    return _lemma(WindowDirection.FORWARD, seq, p, q, m, n, mu, eta)
 
 
 def lemma_backward(
-    seq: DoubleSequence,
-    p: WeightSequence,
-    q: WeightSequence,
-    m: int,
-    n: int,
-    mu: int,
-    eta: int,
+    seq: DoubleSequence, p: WeightSequence, q: WeightSequence, m: int, n: int, mu: int, eta: int
 ) -> LemmaDecomposition:
-    """Split against the backward block (mu..m] x (eta..n]; requires mu < m,
-    eta < n."""
-    if not (0 <= mu < m):
-        raise ValueError(f"backward split needs 0 <= mu < m, got mu={mu}, m={m}")
-    if not (0 <= eta < n):
-        raise ValueError(f"backward split needs 0 <= eta < n, got eta={eta}, n={n}")
-    u_mn = seq.evaluate(m, n)
-    s_mn = sigma_single(seq, p, q, m, n)
-    s_mu_n = sigma_single(seq, p, q, mu, n)
-    s_m_eta = sigma_single(seq, p, q, m, eta)
-    s_mu_eta = sigma_single(seq, p, q, mu, eta)
-    t_window, dp, dq = _window_average(seq, p, q, mu + 1, m, eta + 1, n, u_mn, flip=True)
-    p_mu = p.prefix(mu)
-    q_eta = q.prefix(eta)
-    corner = _fsum([s_mu_eta, -s_mu_n, -s_m_eta, s_mn])
-    t1 = (p_mu * q_eta) / (dp * dq) * corner
-    t2 = p_mu / dp * (s_mn - s_mu_n)
-    t3 = q_eta / dq * (s_mn - s_m_eta)
-    lhs = u_mn - s_mn
-    residual = _fsum([lhs, -t1, -t2, -t3, -t_window])
-    scale = max(1.0, abs(lhs), abs(t1), abs(t2), abs(t3), abs(t_window))
-    return LemmaDecomposition(
-        direction="backward",
-        m=m,
-        n=n,
-        mu=mu,
-        eta=eta,
-        lhs=lhs,
-        term_corner=t1,
-        term_rows=t2,
-        term_cols=t3,
-        term_window=t_window,
-        residual=residual,
-        rel_residual=abs(residual) / scale,
-    )
+    """Split against the backward block (mu..m] x (eta..n]."""
+    return _lemma(WindowDirection.BACKWARD, seq, p, q, m, n, mu, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -267,41 +237,55 @@ class ProofInequality:
     bound_line: float
 
 
-def proof_inequality_forward(
-    seq: DoubleSequence,
-    p: WeightSequence,
-    q: WeightSequence,
-    m: int,
-    n: int,
-    lam: float,
-    kappa: float,
-    delta: float,
-    gamma: float,
-) -> ProofInequality:
-    """Bound u - sigma from above by corner-mean terms plus worst window drops.
+def _proof_inequality(direction, seq, p, q, m, n, lam, kappa, delta, gamma) -> ProofInequality:
+    """Bound u - sigma by corner-mean terms plus worst window drops or gains.
 
-    The windowed average of u(i,j) - u(m,n) over the forward block is at
-    least (worst drop of u(i,j) below u(i,n) on the rectangle) plus (worst
-    drop of u(i,n) below u(m,n) along the row window), so subtracting those
-    minima instead of the average can only raise the right side.  holds
-    allows a rounding slack proportional to the terms in play.
+    Forward: the windowed average of u(i,j) - u(m,n) over the forward block
+    is at least (worst drop of u(i,j) below u(i,n) on the rectangle) plus
+    (worst drop of u(i,n) below u(m,n) along the row window), so
+    subtracting those minima instead of the average can only raise the
+    right side, which bounds u - sigma from above.  Backward mirrors this
+    from below with the backward block and the worst gains up to the
+    anchor.  holds allows a rounding slack proportional to the terms in
+    play.
 
     lam and kappa are the scale pair the chooser block is meant to sit
-    inside; window_contained records whether P_mu <= lam*P_m and
-    Q_eta <= kappa*Q_n actually held at this anchor.
+    inside (above 1 forward, in (0, 1) backward); window_contained records
+    whether it did: P_mu <= lam*P_m forward or P_mu > lam*P_m backward, and
+    the same for Q_eta against kappa*Q_n.
     """
+    forward = direction is WindowDirection.FORWARD
     if seq.kind is not ScalarKind.REAL:
         raise ScalarKindError(f"proof inequality is order-sensitive; {seq.name} is complex")
-    if lam <= 1.0 or kappa <= 1.0:
+    if forward and (lam <= 1.0 or kappa <= 1.0):
         raise ValueError(f"forward scales must exceed 1, got ({lam}, {kappa})")
-    mu = choose_mu(p, m, delta)
-    eta = choose_mu(q, n, gamma)
-    contained = p.prefix(mu) <= lam * p.prefix(m) and q.prefix(eta) <= kappa * q.prefix(n)
-    dec = lemma_forward(seq, p, q, m, n, mu, eta)
-    block = seq.block(np.arange(m, mu + 1), np.arange(n, eta + 1))
-    bound_rect = float((block.min(axis=1) - block[:, 0]).min())
-    bound_line = float(block[:, 0].min() - block[0, 0])
-    rhs = _fsum([dec.term_corner, dec.term_rows, dec.term_cols, -bound_rect, -bound_line])
+    if not forward and not (0.0 < lam < 1.0 and 0.0 < kappa < 1.0):
+        raise ValueError(f"backward scales must lie in (0, 1), got ({lam}, {kappa})")
+    # Called through the public names, so a tracer that rebinds them sees
+    # the chooser and lemma time apart from this step's own.
+    choose = choose_mu if forward else choose_mu_backward
+    mu = choose(p, m, delta)
+    eta = choose(q, n, gamma)
+    if not forward and (mu >= m or eta >= n):
+        raise ValueError(
+            f"backward block is empty at (m={m}, n={n}) with delta={delta}, gamma={gamma}"
+        )
+    dec = (lemma_forward if forward else lemma_backward)(seq, p, q, m, n, mu, eta)
+    block = seq.block(
+        np.arange(min(m, mu), max(m, mu) + 1), np.arange(min(n, eta), max(n, eta) + 1)
+    )
+    # bound_rect: the worst drop of u(i, j) below u(i, n), or gain up to it;
+    # bound_line: the same for u(i, n) against u(m, n).
+    if forward:
+        contained = p.prefix(mu) <= lam * p.prefix(m) and q.prefix(eta) <= kappa * q.prefix(n)
+        bound_rect = float((block.min(axis=1) - block[:, 0]).min())
+        bound_line = float(block[:, 0].min() - block[0, 0])
+    else:
+        contained = p.prefix(mu) > lam * p.prefix(m) and q.prefix(eta) > kappa * q.prefix(n)
+        bound_rect = float((block[:, -1] - block.max(axis=1)).min())
+        bound_line = float(block[-1, -1] - block[:, -1].max())
+    bounds = [-bound_rect, -bound_line] if forward else [bound_rect, bound_line]
+    rhs = float(_fsum([dec.term_corner, dec.term_rows, dec.term_cols, *bounds]))
     lhs = float(dec.lhs)
     scale = max(
         1.0,
@@ -317,7 +301,7 @@ def proof_inequality_forward(
     # the bare term sum would suggest
     slack = 1024.0 * _EPS * scale
     return ProofInequality(
-        direction="forward",
+        direction=direction.value,
         m=m,
         n=n,
         mu=mu,
@@ -327,10 +311,10 @@ def proof_inequality_forward(
         delta=delta,
         gamma=gamma,
         lhs=lhs,
-        rhs=float(rhs),
-        margin=float(rhs) - lhs,
+        rhs=rhs,
+        margin=rhs - lhs if forward else lhs - rhs,
         slack=slack,
-        holds=lhs <= rhs + slack,
+        holds=lhs <= rhs + slack if forward else lhs >= rhs - slack,
         window_contained=bool(contained),
         term_corner=float(dec.term_corner),
         term_rows=float(dec.term_rows),
@@ -338,74 +322,22 @@ def proof_inequality_forward(
         bound_rect=bound_rect,
         bound_line=bound_line,
     )
+
+
+def proof_inequality_forward(
+    seq: DoubleSequence, p: WeightSequence, q: WeightSequence, m: int, n: int,
+    lam: float, kappa: float, delta: float, gamma: float,
+) -> ProofInequality:
+    """Bound u - sigma from above over the forward chooser block; lam, kappa > 1."""
+    return _proof_inequality(WindowDirection.FORWARD, seq, p, q, m, n, lam, kappa, delta, gamma)
 
 
 def proof_inequality_backward(
-    seq: DoubleSequence,
-    p: WeightSequence,
-    q: WeightSequence,
-    m: int,
-    n: int,
-    lam: float,
-    kappa: float,
-    delta: float,
-    gamma: float,
+    seq: DoubleSequence, p: WeightSequence, q: WeightSequence, m: int, n: int,
+    lam: float, kappa: float, delta: float, gamma: float,
 ) -> ProofInequality:
-    """Mirror bound from below using the backward block and window gains.
-
-    lam and kappa are the narrowing scales in (0, 1); window_contained
-    records whether every block row stayed above lam*P_m (and columns
-    above kappa*Q_n).
-    """
-    if seq.kind is not ScalarKind.REAL:
-        raise ScalarKindError(f"proof inequality is order-sensitive; {seq.name} is complex")
-    if not (0.0 < lam < 1.0 and 0.0 < kappa < 1.0):
-        raise ValueError(f"backward scales must lie in (0, 1), got ({lam}, {kappa})")
-    mu = choose_mu_backward(p, m, delta)
-    eta = choose_mu_backward(q, n, gamma)
-    if mu >= m or eta >= n:
-        raise ValueError(
-            f"backward block is empty at (m={m}, n={n}) with delta={delta}, gamma={gamma}"
-        )
-    contained = p.prefix(mu) > lam * p.prefix(m) and q.prefix(eta) > kappa * q.prefix(n)
-    dec = lemma_backward(seq, p, q, m, n, mu, eta)
-    block = seq.block(np.arange(mu, m + 1), np.arange(eta, n + 1))
-    bound_line = float(block[-1, -1] - block[:, -1].max())
-    bound_rect = float((block[:, -1] - block.max(axis=1)).min())
-    rhs = _fsum([dec.term_corner, dec.term_rows, dec.term_cols, bound_rect, bound_line])
-    lhs = float(dec.lhs)
-    scale = max(
-        1.0,
-        abs(lhs)
-        + abs(dec.term_corner)
-        + abs(dec.term_rows)
-        + abs(dec.term_cols)
-        + abs(bound_rect)
-        + abs(bound_line),
-    )
-    slack = 1024.0 * _EPS * scale
-    return ProofInequality(
-        direction="backward",
-        m=m,
-        n=n,
-        mu=mu,
-        eta=eta,
-        lam=lam,
-        kappa=kappa,
-        delta=delta,
-        gamma=gamma,
-        lhs=lhs,
-        rhs=float(rhs),
-        margin=lhs - float(rhs),
-        slack=slack,
-        holds=lhs >= rhs - slack,
-        window_contained=bool(contained),
-        term_corner=float(dec.term_corner),
-        term_rows=float(dec.term_rows),
-        term_cols=float(dec.term_cols),
-        bound_rect=bound_rect,
-        bound_line=bound_line,
-    )
+    """Bound u - sigma from below over the backward chooser block; lam, kappa in (0, 1)."""
+    return _proof_inequality(WindowDirection.BACKWARD, seq, p, q, m, n, lam, kappa, delta, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +408,10 @@ class HarnessConfig:
         if self.eps_agree is not None and self.eps_agree <= 0.0:
             raise ValueError(f"eps_agree must be > 0, got {self.eps_agree}")
 
-    def horizon_ladder(self) -> list[int]:
-        return sorted({self.horizon // 8, self.horizon // 4, self.horizon // 2, self.horizon})
+
+def horizon_ladder(h: int) -> list[int]:
+    """The horizons a run of horizon h samples its limits and profiles at."""
+    return sorted({h // 8, h // 4, h // 2, h})
 
 
 _THEOREM_FUNCTIONALS = {
@@ -550,7 +484,7 @@ def verify_theorem(
         if h == cfg.horizon
         else f"grid overflows doubles at horizon {cfg.horizon}; evaluated at {h}"
     )
-    ladder = sorted({h // 8, h // 4, h // 2, h})
+    ladder = horizon_ladder(h)
     u_limit = empirical_limit(u_grid, ladder, cfg.tail_fraction, cfg.eps_dec)
     sigma_limit = empirical_limit(fieldv.sigma, ladder, cfg.tail_fraction, cfg.eps_dec)
 

@@ -16,8 +16,8 @@ of those windows, in row bands of at most _BAND_CELLS cells, and reduces
 every anchor from the bands' extrema over the segments the window edges cut
 the union into.  Min and max are exact and every value is still one
 subtraction of the same two doubles, so the results match a per-anchor
-evaluation bit for bit.  The scalar functionals are the engine's
-single-anchor case.
+evaluation bit for bit.  window_functional, one functional at one anchor,
+is the engine's single-anchor case.
 """
 from __future__ import annotations
 
@@ -127,27 +127,6 @@ def _forward_upper(p: WeightSequence, m: int, lam: float) -> int:
 class WindowDirection(Enum):
     FORWARD = "forward"
     BACKWARD = "backward"
-
-
-@dataclass(frozen=True)
-class WindowParams:
-    """Scale pair for a rectangle window; forward widens, backward narrows."""
-
-    lam: float
-    kappa: float
-    direction: WindowDirection = WindowDirection.FORWARD
-
-    def __post_init__(self):
-        if self.direction is WindowDirection.FORWARD:
-            if self.lam <= 1.0 or self.kappa <= 1.0:
-                raise ValueError(
-                    f"forward window scales must exceed 1, got ({self.lam}, {self.kappa})"
-                )
-        else:
-            if not (0.0 < self.lam < 1.0 and 0.0 < self.kappa < 1.0):
-                raise ValueError(
-                    f"backward window scales must lie in (0, 1), got ({self.lam}, {self.kappa})"
-                )
 
 
 class TrendSense(Enum):
@@ -347,14 +326,6 @@ def _window_values(seq, spec, direction, row_wins, col_wins) -> np.ndarray:
     return out
 
 
-def _at_anchor(name, direction, seq, p, q, m, n, lam, kappa, budget=None) -> float:
-    """One functional at one anchor: the engine's single-anchor case."""
-    what = name if direction is WindowDirection.FORWARD else f"backward {name}"
-    spec = _functional(name, seq, what)
-    rows, cols = _resolve(spec, direction, p, q, m, n, lam, kappa, budget)
-    return float(_window_values(seq, spec, direction, [rows], [cols])[0, 0])
-
-
 def _tail_values(seq, spec, p, q, cells, lam, kappa, budget, stop_at_gap):
     """The functional at the anchors cells x cells, in row-major order.
 
@@ -393,173 +364,39 @@ def _tail_values(seq, spec, p, q, cells, lam, kappa, budget, stop_at_gap):
 # Scalar functionals
 # ---------------------------------------------------------------------------
 
-_FORWARD = WindowDirection.FORWARD
-_BACKWARD = WindowDirection.BACKWARD
+
+def window_functional(
+    name: str,
+    seq: DoubleSequence,
+    p: WeightSequence | None,
+    q: WeightSequence | None,
+    m: int,
+    n: int,
+    lam: float | None,
+    kappa: float | None,
+    direction: WindowDirection = WindowDirection.FORWARD,
+    budget: int = MAX_WINDOW_CELLS,
+) -> float:
+    """One named window functional at the anchor (m, n).
+
+    Forward windows (lam, kappa > 1) start at the anchor: the drops read
+    min of x - ref, e.g. sd_P is min over the row window of u(i, n) - u(m, n).
+    Backward windows (lam, kappa in (0, 1)) end at it: the drops read min of
+    ref - x, e.g. sd_both is min over the rectangle of u(m, n) - u(i, j).
+    The spreads read max |x - ref| either way.  A line functional ignores
+    the other axis, so the P forms need no q or kappa and the Q forms no p
+    or lam.  A rectangle over budget cells raises ResourceLimitError before
+    any cell is evaluated.
+    """
+    what = name if direction is WindowDirection.FORWARD else f"backward {name}"
+    spec = _functional(name, seq, what)
+    rows, cols = _resolve(spec, direction, p, q, m, n, lam, kappa, budget)
+    return float(_window_values(seq, spec, direction, [rows], [cols])[0, 0])
 
 
 def sd_functional_P(seq, p, m, n, lam) -> float:
     """min over the row window of u(i, n) - u(m, n)."""
-    return _at_anchor("sd_P", _FORWARD, seq, p, None, m, n, lam, None)
-
-
-def sd_functional_Q(seq, q, m, n, kappa) -> float:
-    """min over the column window of u(m, j) - u(m, n)."""
-    return _at_anchor("sd_Q", _FORWARD, seq, None, q, m, n, None, kappa)
-
-
-def sd_functional_strong_P(seq, p, q, m, n, lam, kappa, budget=MAX_WINDOW_CELLS) -> float:
-    """min over the rectangle window of u(i, j) - u(m, j)."""
-    return _at_anchor("sd_strong_P", _FORWARD, seq, p, q, m, n, lam, kappa, budget)
-
-
-def sd_functional_strong_Q(seq, p, q, m, n, lam, kappa, budget=MAX_WINDOW_CELLS) -> float:
-    """min over the rectangle window of u(i, j) - u(i, n)."""
-    return _at_anchor("sd_strong_Q", _FORWARD, seq, p, q, m, n, lam, kappa, budget)
-
-
-def sd_functional_both(seq, p, q, m, n, lam, kappa, budget=MAX_WINDOW_CELLS) -> float:
-    """min over the rectangle window of u(i, j) - u(m, n)."""
-    return _at_anchor("sd_both", _FORWARD, seq, p, q, m, n, lam, kappa, budget)
-
-
-def so_functional_P(seq, p, m, n, lam) -> float:
-    """max over the row window of |u(i, n) - u(m, n)|."""
-    return _at_anchor("so_P", _FORWARD, seq, p, None, m, n, lam, None)
-
-
-def so_functional_Q(seq, q, m, n, kappa) -> float:
-    return _at_anchor("so_Q", _FORWARD, seq, None, q, m, n, None, kappa)
-
-
-def so_functional_strong_P(seq, p, q, m, n, lam, kappa, budget=MAX_WINDOW_CELLS) -> float:
-    """max over the rectangle window of |u(i, j) - u(m, j)|."""
-    return _at_anchor("so_strong_P", _FORWARD, seq, p, q, m, n, lam, kappa, budget)
-
-
-def so_functional_strong_Q(seq, p, q, m, n, lam, kappa, budget=MAX_WINDOW_CELLS) -> float:
-    return _at_anchor("so_strong_Q", _FORWARD, seq, p, q, m, n, lam, kappa, budget)
-
-
-def so_functional_both(seq, p, q, m, n, lam, kappa, budget=MAX_WINDOW_CELLS) -> float:
-    return _at_anchor("so_both", _FORWARD, seq, p, q, m, n, lam, kappa, budget)
-
-
-@dataclass(frozen=True)
-class OscillationFunctionals:
-    """All ten forward window functionals at one anchor.
-
-    The sd_* entries are None for complex sequences; the so_* entries are
-    always present and nonnegative.
-    """
-
-    m: int
-    n: int
-    lam: float
-    kappa: float
-    sd_P: float | None
-    sd_Q: float | None
-    sd_strong_P: float | None
-    sd_strong_Q: float | None
-    sd_both: float | None
-    so_P: float
-    so_Q: float
-    so_strong_P: float
-    so_strong_Q: float
-    so_both: float
-
-
-class _Evaluated(NamedTuple):
-    """u already evaluated on a rectangle from (row0, col0), read like the
-    sequence it came from."""
-
-    name: str
-    kind: ScalarKind
-    u: np.ndarray
-    row0: int
-    col0: int
-
-    def block(self, rows, cols):
-        return self.u[np.ix_(rows - self.row0, cols - self.col0)]
-
-
-def evaluate_functionals(
-    seq, p, q, m, n, lam, kappa, budget=MAX_WINDOW_CELLS
-) -> OscillationFunctionals:
-    """Every forward functional at (m, n) in one pass over the window.
-
-    The rectangle window holds the row and column windows, so u is
-    evaluated once on it, after the budget check, and each functional is
-    reduced from that block.
-    """
-    rows, cols = _resolve(_FUNCTIONALS["so_both"], _FORWARD, p, q, m, n, lam, kappa, budget)
-    u = seq.block(np.arange(rows[0], rows[1] + 1), np.arange(cols[0], cols[1] + 1))
-    _check_finite(seq, u)
-    rect = _Evaluated(seq.name, seq.kind, u, rows[0], cols[0])
-    real = seq.kind is ScalarKind.REAL
-    vals = {}
-    for name, spec in _FUNCTIONALS.items():
-        r = (m, m) if spec.shape == "q" else rows
-        c = (n, n) if spec.shape == "p" else cols
-        ok = real or spec.reduction == "spread"
-        vals[name] = float(_window_values(rect, spec, _FORWARD, [r], [c])[0, 0]) if ok else None
-    return OscillationFunctionals(m=m, n=n, lam=lam, kappa=kappa, **vals)
-
-
-def backward_functionals(
-    functional: str, seq, p, q, m, n, lam, kappa, budget=MAX_WINDOW_CELLS
-) -> float:
-    """Backward (primed) form of a named functional at one anchor.
-
-    lam and kappa sit in (0, 1); the anchor contributes the reference
-    value, so the row forms read u(m, n) - u(i, n) and the rectangle
-    forms u(m, n) - u(i, j).
-    """
-    return _at_anchor(functional, _BACKWARD, seq, p, q, m, n, lam, kappa, budget)
-
-
-def sd_P_backward(seq, p, m, n, lam) -> float:
-    """min over the backward row window of u(m, n) - u(i, n)."""
-    return _at_anchor("sd_P", _BACKWARD, seq, p, None, m, n, lam, None)
-
-
-def sd_Q_backward(seq, q, m, n, kappa) -> float:
-    return _at_anchor("sd_Q", _BACKWARD, seq, None, q, m, n, None, kappa)
-
-
-def so_P_backward(seq, p, m, n, lam) -> float:
-    """max over the backward row window of |u(m, n) - u(i, n)|."""
-    return _at_anchor("so_P", _BACKWARD, seq, p, None, m, n, lam, None)
-
-
-def so_Q_backward(seq, q, m, n, kappa) -> float:
-    return _at_anchor("so_Q", _BACKWARD, seq, None, q, m, n, None, kappa)
-
-
-def sd_strong_P_backward(seq, p, q, m, n, lam, kappa, budget=MAX_WINDOW_CELLS) -> float:
-    """min over the backward rectangle of u(m, j) - u(i, j)."""
-    return _at_anchor("sd_strong_P", _BACKWARD, seq, p, q, m, n, lam, kappa, budget)
-
-
-def sd_strong_Q_backward(seq, p, q, m, n, lam, kappa, budget=MAX_WINDOW_CELLS) -> float:
-    """min over the backward rectangle of u(i, n) - u(i, j)."""
-    return _at_anchor("sd_strong_Q", _BACKWARD, seq, p, q, m, n, lam, kappa, budget)
-
-
-def so_strong_P_backward(seq, p, q, m, n, lam, kappa, budget=MAX_WINDOW_CELLS) -> float:
-    return _at_anchor("so_strong_P", _BACKWARD, seq, p, q, m, n, lam, kappa, budget)
-
-
-def so_strong_Q_backward(seq, p, q, m, n, lam, kappa, budget=MAX_WINDOW_CELLS) -> float:
-    return _at_anchor("so_strong_Q", _BACKWARD, seq, p, q, m, n, lam, kappa, budget)
-
-
-def sd_both_backward(seq, p, q, m, n, lam, kappa, budget=MAX_WINDOW_CELLS) -> float:
-    """min over the backward rectangle of u(m, n) - u(i, j)."""
-    return _at_anchor("sd_both", _BACKWARD, seq, p, q, m, n, lam, kappa, budget)
-
-
-def so_both_backward(seq, p, q, m, n, lam, kappa, budget=MAX_WINDOW_CELLS) -> float:
-    return _at_anchor("so_both", _BACKWARD, seq, p, q, m, n, lam, kappa, budget)
+    return window_functional("sd_P", seq, p, None, m, n, lam, None)
 
 
 # ---------------------------------------------------------------------------
@@ -790,13 +627,12 @@ def build_bound_profile(
 ) -> tuple[DecisionProfile, DecisionProfile]:
     """Tail profiles of the weighted difference bounds, one per axis."""
     if which == "landau":
+        _require_real(seq, "signed difference bound")
         fn, sense = landau_stat, TrendSense.INF
     elif which == "hardy":
         fn, sense = hardy_stat, TrendSense.SUP
     else:
         raise KeyError(f"unknown bound {which!r}; expected 'landau' or 'hardy'")
-    if which == "landau":
-        _require_real(seq, "signed difference bound")
     rows, cols = [], []
     for h in sorted(horizons):
         t0 = max(1, math.ceil(tail_fraction * h))
@@ -893,46 +729,6 @@ def sd_field_components(
         "sd_both": both_field,
         "margin": both_field - strong_p_field - sd_q_field,
     }
-
-
-# ---------------------------------------------------------------------------
-# Decomposition identity at a point
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DecompositionSample:
-    m: int
-    n: int
-    lam: float
-    kappa: float
-    sd_both: float
-    sd_strong_P: float
-    sd_Q: float
-    margin: float
-
-
-def decomposition_margin(
-    seq, p, q, m, n, lam, kappa, budget=MAX_WINDOW_CELLS
-) -> DecompositionSample:
-    """How much sd_both exceeds the sum sd_strong_P + sd_Q at one anchor.
-
-    Nonnegative in exact arithmetic; in floats each side carries one
-    rounded subtraction per term, so callers should allow a few ulps.
-    """
-    both = sd_functional_both(seq, p, q, m, n, lam, kappa, budget)
-    strong = sd_functional_strong_P(seq, p, q, m, n, lam, kappa, budget)
-    drop = sd_functional_Q(seq, q, m, n, kappa)
-    return DecompositionSample(
-        m=m,
-        n=n,
-        lam=lam,
-        kappa=kappa,
-        sd_both=both,
-        sd_strong_P=strong,
-        sd_Q=drop,
-        margin=both - strong - drop,
-    )
 
 
 # ---------------------------------------------------------------------------

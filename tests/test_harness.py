@@ -154,6 +154,96 @@ def test_inequality_slack_tracks_the_term_scale():
     assert r.slack >= 1e-13 * max(abs(r.term_corner), abs(r.term_rows))
 
 
+# Every field of forward and backward splits and inequalities, as the four
+# functions returned them before each pair became one direction-parameterised
+# function; a sign slip in one direction changes a repr here.
+_FROZEN = [
+    (
+        ("lemma_forward", "additive_convergent", "harmonic", "ones", (40, 30, 55, 47)),
+        "LemmaDecomposition(direction='forward', m=40, n=30, mu=55, eta=47, "
+        "lhs=-0.6135000965896542, term_corner=1.8741136245556738e-14, "
+        "term_rows=-0.47740852708760306, term_cols=-0.1655784359979289, "
+        "term_window=-0.029486866495868694, residual=-9.678940807053897e-15, "
+        "rel_residual=9.678940807053897e-15)",
+    ),
+    (
+        ("lemma_backward", "additive_convergent", "harmonic", "ones", (40, 30, 25, 12)),
+        "LemmaDecomposition(direction='backward', m=40, n=30, mu=25, eta=12, "
+        "lhs=-0.6135000965896542, term_corner=0.0, term_rows=-0.4503863435875657, "
+        "term_cols=-0.11457929422245902, term_window=-0.04853445877963214, "
+        "residual=2.6367796834847468e-15, rel_residual=2.6367796834847468e-15)",
+    ),
+    (
+        ("lemma_forward", "alternating", "ones", "harmonic", (40, 30, 55, 47)),
+        "LemmaDecomposition(direction='forward', m=40, n=30, mu=55, eta=47, "
+        "lhs=0.9957059783391837, term_corner=0.02155437063893634, "
+        "term_rows=-0.016031014200380684, term_cols=-0.005773492135429377, "
+        "term_window=-0.9959561140360575, residual=-1.0148132334464322e-16, "
+        "rel_residual=1.0148132334464322e-16)",
+    ),
+    (
+        ("lemma_backward", "alternating", "ones", "harmonic", (40, 30, 25, 12)),
+        "LemmaDecomposition(direction='backward', m=40, n=30, mu=25, eta=12, "
+        "lhs=0.9957059783391837, term_corner=-0.008496875421621653, "
+        "term_rows=0.007442970878748174, term_cols=-0.004902043512474031, "
+        "term_window=1.0016619263945312, residual=1.734723475976807e-17, "
+        "rel_residual=1.7318452766003806e-17)",
+    ),
+    (
+        ("proof_inequality_forward", "additive_convergent", "harmonic", "ones",
+         (40, 30, 1.5, 1.5, 0.5, 0.5)),
+        "ProofInequality(direction='forward', m=40, n=30, mu=121, eta=38, lam=1.5, kappa=1.5,"
+        " delta=0.5, gamma=0.5, lhs=-0.6135000965896542, rhs=-0.5793870668270544, "
+        "margin=0.03411302976259978, slack=3.0633514514158553e-13, holds=True, "
+        "window_contained=True, term_corner=0.0, term_rows=-0.4991307897764554, "
+        "term_cols=-0.1574508035014885, bound_rect=-0.01745397749597588, "
+        "bound_line=-0.05974054895491365)",
+    ),
+    (
+        ("proof_inequality_backward", "additive_convergent", "harmonic", "ones",
+         (40, 30, 0.5, 0.5, 0.5, 0.5)),
+        "ProofInequality(direction='backward', m=40, n=30, mu=16, eta=23, lam=0.5, kappa=0.5,"
+        " delta=0.5, gamma=0.5, lhs=-0.6135000965896542, rhs=-0.6711134075495266, "
+        "margin=0.05761331095987243, slack=2.9208729396014065e-13, holds=True, "
+        "window_contained=True, term_corner=1.213145796101305e-14, "
+        "term_rows=-0.4321915843961975, term_cols=-0.13836349420918836, "
+        "bound_rect=-0.022128459102013442, bound_line=-0.07842986984213951)",
+    ),
+    (
+        ("proof_inequality_forward", "alternating", "ones", "harmonic",
+         (40, 30, 1.1, 1.1, 0.1, 0.1)),
+        "ProofInequality(direction='forward', m=40, n=30, mu=43, eta=38, lam=1.1, kappa=1.1, "
+        "delta=0.1, gamma=0.1, lhs=0.9957059783391837, rhs=4.00043841467934, "
+        "margin=3.0047324363401557, slack=1.1667414029754962e-12, holds=True, "
+        "window_contained=True, term_corner=0.0680576965285615, "
+        "term_rows=-0.0629789843586384, term_cols=-0.004640297490583738, bound_rect=-2.0, "
+        "bound_line=-2.0)",
+    ),
+    (
+        ("proof_inequality_backward", "alternating", "ones", "harmonic",
+         (40, 30, 0.9, 0.9, 0.2, 0.2)),
+        "ProofInequality(direction='backward', m=40, n=30, mu=36, eta=20, lam=0.9, kappa=0.9,"
+        " delta=0.2, gamma=0.2, lhs=0.9957059783391837, rhs=-2.004294021660816, margin=3.0, "
+        "slack=6.842878968094732e-13, holds=True, window_contained=True, "
+        "term_corner=0.004764998576798713, term_rows=-0.004294021660816249, "
+        "term_cols=-0.004764998576798691, bound_rect=-2.0, bound_line=0.0)",
+    ),
+]
+
+
+@pytest.mark.parametrize("case, expect", _FROZEN, ids=[f"{c[0]}-{c[1]}" for c, _ in _FROZEN])
+def test_splits_and_inequalities_keep_every_field(case, expect):
+    fn, seq, p, q, args = case
+    got = getattr(tk, fn)(tk.corpus_sequence(seq), getattr(tk, p)(), getattr(tk, q)(), *args)
+    assert repr(got) == expect
+
+
+def test_horizon_ladder_steps_down_to_an_eighth():
+    assert tk.harness.horizon_ladder(512) == [64, 128, 256, 512]
+    assert tk.harness.horizon_ladder(100) == [12, 25, 50, 100]
+    assert tk.harness.horizon_ladder(3) == [0, 1, 3]
+
+
 # ---------------------------------------------------------------------------
 # Verdicts
 # ---------------------------------------------------------------------------

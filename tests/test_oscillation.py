@@ -8,6 +8,8 @@ import tauberkit as tk
 ADD = tk.corpus_sequence("additive_convergent")
 EPS = float(np.finfo(np.float64).eps)
 ALT = tk.corpus_sequence("alternating")
+FORWARD = tk.WindowDirection.FORWARD
+BACKWARD = tk.WindowDirection.BACKWARD
 
 
 # ---------------------------------------------------------------------------
@@ -57,21 +59,22 @@ def test_one_sided_row_functional_anchor():
 
 
 def test_one_sided_column_functional_anchor():
-    assert tk.sd_functional_Q(ADD, tk.ones(), 100, 50, 1.5) == -0.022871979222665706
+    got = tk.window_functional("sd_Q", ADD, None, tk.ones(), 100, 50, None, 1.5)
+    assert got == -0.022871979222665706
 
 
 def test_rectangle_functional_anchor():
-    got = tk.sd_functional_both(ADD, tk.ones(), tk.ones(), 100, 50, 1.5, 1.5)
+    got = tk.window_functional("sd_both", ADD, tk.ones(), tk.ones(), 100, 50, 1.5, 1.5)
     assert got == -0.040040146696193935
 
 
 def test_column_anchored_variants_match_on_additive_structure():
     # separable increments make the column-anchored minimum coincide with
     # the plainly anchored one
-    strong_p = tk.sd_functional_strong_P(ADD, tk.ones(), tk.ones(), 100, 50, 1.5, 1.5)
-    strong_q = tk.sd_functional_strong_Q(ADD, tk.ones(), tk.ones(), 100, 50, 1.5, 1.5)
+    strong_p = tk.window_functional("sd_strong_P", ADD, tk.ones(), tk.ones(), 100, 50, 1.5, 1.5)
+    strong_q = tk.window_functional("sd_strong_Q", ADD, tk.ones(), tk.ones(), 100, 50, 1.5, 1.5)
     assert strong_p == tk.sd_functional_P(ADD, tk.ones(), 100, 50, 1.5)
-    assert strong_q == tk.sd_functional_Q(ADD, tk.ones(), 100, 50, 1.5)
+    assert strong_q == tk.window_functional("sd_Q", ADD, None, tk.ones(), 100, 50, None, 1.5)
 
 
 def test_checkerboard_row_functional_hits_the_full_swing():
@@ -80,14 +83,14 @@ def test_checkerboard_row_functional_hits_the_full_swing():
 
 def test_absolute_functional_dominates_the_one_sided_one():
     sd = tk.sd_functional_P(ADD, tk.ones(), 100, 50, 1.5)
-    so = tk.so_functional_P(ADD, tk.ones(), 100, 50, 1.5)
+    so = tk.window_functional("so_P", ADD, tk.ones(), None, 100, 50, 1.5, None)
     assert so >= abs(sd)
     assert so == 0.01716816747352823
 
 
 def test_absolute_functionals_accept_complex_sequences():
     cz = tk.corpus_sequence("complex_convergent")
-    assert tk.so_functional_P(cz, tk.ones(), 50, 50, 1.5) > 0.0
+    assert tk.window_functional("so_P", cz, tk.ones(), None, 50, 50, 1.5, None) > 0.0
     with pytest.raises(tk.ScalarKindError, match="order-sensitive"):
         tk.sd_functional_P(cz, tk.ones(), 50, 50, 1.5)
 
@@ -99,18 +102,19 @@ def test_row_functional_minimum_decreases_as_the_window_grows():
 
 def test_backward_functionals_anchor_values():
     args = (ALT, tk.ones(), tk.ones())
-    assert tk.backward_functionals("sd_P", *args, 9, 0, 0.5, 0.5) == -2.0
-    assert tk.backward_functionals("sd_P", *args, 9, 9, 0.5, 0.5) == 0.0
-    assert tk.backward_functionals("so_both", *args, 9, 9, 0.5, 0.5) == 2.0
+    assert tk.window_functional("sd_P", *args, 9, 0, 0.5, 0.5, BACKWARD) == -2.0
+    assert tk.window_functional("sd_P", *args, 9, 9, 0.5, 0.5, BACKWARD) == 0.0
+    assert tk.window_functional("so_both", *args, 9, 9, 0.5, 0.5, BACKWARD) == 2.0
 
 
 def test_backward_functionals_vanish_on_empty_windows():
-    assert tk.backward_functionals("sd_P", ALT, tk.ones(), tk.ones(), 0, 0, 0.5, 0.5) == 0.0
+    args = (ALT, tk.ones(), tk.ones(), 0, 0, 0.5, 0.5, BACKWARD)
+    assert tk.window_functional("sd_P", *args) == 0.0
 
 
 def test_backward_dispatch_rejects_unknown_names():
     with pytest.raises(KeyError, match="unknown functional"):
-        tk.backward_functionals("nope", ALT, tk.ones(), tk.ones(), 5, 5, 0.5, 0.5)
+        tk.window_functional("nope", ALT, tk.ones(), tk.ones(), 5, 5, 0.5, 0.5, BACKWARD)
 
 
 def test_functional_name_registry():
@@ -128,25 +132,73 @@ def test_functional_name_registry():
     ]
 
 
-def test_window_params_validate_by_direction():
-    wp = tk.WindowParams(1.5, 1.25)
-    assert wp.direction is tk.WindowDirection.FORWARD
-    with pytest.raises(ValueError, match="exceed 1"):
-        tk.WindowParams(0.9, 1.5)
-    back = tk.WindowParams(0.5, 0.5, tk.WindowDirection.BACKWARD)
-    assert back.lam == 0.5
-    with pytest.raises(ValueError):
-        tk.WindowParams(1.5, 1.5, tk.WindowDirection.BACKWARD)
+def test_window_functional_validates_scales_by_direction():
+    args = (ADD, tk.ones(), tk.ones(), 20, 20)
+    assert tk.window_functional("sd_both", *args, 1.5, 1.25) <= 0.0
+    with pytest.raises(ValueError, match="lam > 1"):
+        tk.window_functional("sd_both", *args, 0.9, 1.5)
+    assert tk.window_functional("sd_both", *args, 0.5, 0.5, BACKWARD) <= 0.0
+    with pytest.raises(ValueError, match="0 < lam < 1"):
+        tk.window_functional("sd_both", *args, 1.5, 1.5, BACKWARD)
 
 
-def test_evaluate_functionals_bundles_the_scalar_paths():
-    fns = tk.evaluate_functionals(ADD, tk.ones(), tk.ones(), 100, 50, 1.5, 1.5)
-    assert fns.sd_P == tk.sd_functional_P(ADD, tk.ones(), 100, 50, 1.5)
-    assert fns.so_P == tk.so_functional_P(ADD, tk.ones(), 100, 50, 1.5)
-    assert fns.sd_both <= fns.sd_Q + fns.sd_strong_P + 1e-12
+def test_window_functionals_at_one_anchor_hang_together():
+    fns = {
+        name: tk.window_functional(name, ADD, tk.ones(), tk.ones(), 100, 50, 1.5, 1.5)
+        for name in tk.window_functional_names()
+    }
+    assert fns["sd_P"] == tk.sd_functional_P(ADD, tk.ones(), 100, 50, 1.5)
+    assert fns["sd_both"] <= fns["sd_Q"] + fns["sd_strong_P"] + 1e-12
     for name in ("so_P", "so_Q", "so_strong_P", "so_strong_Q", "so_both"):
-        assert getattr(fns, name) >= 0.0
-    assert (fns.m, fns.n, fns.lam, fns.kappa) == (100, 50, 1.5, 1.5)
+        assert fns[name] >= 0.0
+
+
+# Values the per-name functions (sd_functional_Q, so_both_backward, ...)
+# returned before window_functional replaced them, with harmonic row and unit
+# column weights at the anchor (100, 50).
+_PINNED_ANCHORS = {"forward": (1.5, 1.25), "backward": (0.5, 0.8)}
+_PINNED = {
+    ("additive_convergent", "sd_P", "forward"): "-0.07769241338823374",
+    ("additive_convergent", "sd_Q", "forward"): "-0.01263569579582291",
+    ("additive_convergent", "sd_strong_P", "forward"): "-0.07769241338823374",
+    ("additive_convergent", "sd_strong_Q", "forward"): "-0.01263569579582291",
+    ("additive_convergent", "sd_both", "forward"): "-0.09032810918405665",
+    ("additive_convergent", "so_P", "forward"): "0.07769241338823374",
+    ("additive_convergent", "so_Q", "forward"): "0.01263569579582291",
+    ("additive_convergent", "so_strong_P", "forward"): "0.07769241338823374",
+    ("additive_convergent", "so_strong_Q", "forward"): "0.01263569579582291",
+    ("additive_convergent", "so_both", "forward"): "0.09032810918405665",
+    ("additive_convergent", "sd_P", "backward"): "-0.23890212612566497",
+    ("additive_convergent", "sd_Q", "backward"): "-0.014461517141737046",
+    ("additive_convergent", "sd_strong_P", "backward"): "-0.23890212612566497",
+    ("additive_convergent", "sd_strong_Q", "backward"): "-0.014461517141737046",
+    ("additive_convergent", "sd_both", "backward"): "-0.253363643267402",
+    ("additive_convergent", "so_P", "backward"): "0.23890212612566497",
+    ("additive_convergent", "so_Q", "backward"): "0.014461517141737046",
+    ("additive_convergent", "so_strong_P", "backward"): "0.23890212612566497",
+    ("additive_convergent", "so_strong_Q", "backward"): "0.014461517141737046",
+    ("additive_convergent", "so_both", "backward"): "0.253363643267402",
+    ("complex_convergent", "so_P", "forward"): "0.012997921664538158",
+    ("complex_convergent", "so_Q", "forward"): "0.012997921664538158",
+    ("complex_convergent", "so_strong_P", "forward"): "0.012997921664538158",
+    ("complex_convergent", "so_strong_Q", "forward"): "0.012997921664538158",
+    ("complex_convergent", "so_both", "forward"): "0.012997921664538158",
+    ("complex_convergent", "so_P", "backward"): "0.022945930908475527",
+    ("complex_convergent", "so_Q", "backward"): "0.013267281249985668",
+    ("complex_convergent", "so_strong_P", "backward"): "0.02662089652102262",
+    ("complex_convergent", "so_strong_Q", "backward"): "0.03612463430528874",
+    ("complex_convergent", "so_both", "backward"): "0.025881014966728438",
+}
+
+
+def test_window_functional_keeps_the_values_of_the_per_name_functions():
+    for (seq_name, name, direction), expect in _PINNED.items():
+        lam, kappa = _PINNED_ANCHORS[direction]
+        got = tk.window_functional(
+            name, tk.corpus_sequence(seq_name), tk.harmonic(), tk.ones(), 100, 50, lam, kappa,
+            tk.WindowDirection(direction),
+        )
+        assert repr(got) == expect, (seq_name, name, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +209,9 @@ def test_evaluate_functionals_bundles_the_scalar_paths():
 def test_field_components_match_the_scalar_functionals_bitwise():
     comp = tk.sd_field_components(ADD, tk.ones(), tk.ones(), 100, 60, 1.5, 1.5)
     assert set(comp) == {"sd_Q", "sd_strong_P", "sd_both", "margin"}
-    assert comp["sd_Q"][100, 50] == tk.sd_functional_Q(ADD, tk.ones(), 100, 50, 1.5)
-    assert comp["sd_strong_P"][100, 50] == tk.sd_functional_strong_P(
-        ADD, tk.ones(), tk.ones(), 100, 50, 1.5, 1.5
-    )
-    assert comp["sd_both"][100, 50] == tk.sd_functional_both(
-        ADD, tk.ones(), tk.ones(), 100, 50, 1.5, 1.5
-    )
+    for name in ("sd_Q", "sd_strong_P", "sd_both"):
+        expect = tk.window_functional(name, ADD, tk.ones(), tk.ones(), 100, 50, 1.5, 1.5)
+        assert comp[name][100, 50] == expect, name
 
 
 def test_field_margin_is_the_component_surplus():
@@ -176,10 +224,13 @@ def test_field_margin_is_the_component_surplus():
 
 
 def test_decomposition_margin_sample():
-    s = tk.decomposition_margin(ADD, tk.ones(), tk.ones(), 100, 50, 1.5, 1.5)
-    assert s.margin == pytest.approx(s.sd_Q + s.sd_strong_P - s.sd_both, abs=1e-15)
-    assert s.margin >= 0.0
-    assert (s.m, s.n, s.lam, s.kappa) == (100, 50, 1.5, 1.5)
+    args = (ADD, tk.ones(), tk.ones(), 100, 50, 1.5, 1.5)
+    both, strong_p, sd_q = (
+        tk.window_functional(name, *args) for name in ("sd_both", "sd_strong_P", "sd_Q")
+    )
+    margin = both - strong_p - sd_q
+    assert margin == pytest.approx(sd_q + strong_p - both, abs=1e-15)
+    assert margin >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +303,25 @@ def test_difference_stats_reject_ranges_from_zero():
 # ---------------------------------------------------------------------------
 # Profiles and CSV export
 # ---------------------------------------------------------------------------
+
+
+def test_signed_bound_profile_refuses_complex_sequences_before_evaluating():
+    base = tk.corpus_sequence("complex_convergent")
+    calls = []
+
+    def rule(M, N):
+        calls.append(np.broadcast(M, N).size)
+        return base.rule(M, N)
+
+    seq = tk.DoubleSequence(name="complex_convergent", rule=rule, kind=base.kind)
+    with pytest.raises(tk.ScalarKindError) as exc:
+        tk.build_bound_profile(seq, tk.ones(), tk.ones(), "landau", [32, 64])
+    assert str(exc.value) == (
+        "signed difference bound is order-sensitive; complex_convergent is complex-valued"
+    )
+    assert calls == []
+    hardy_p, _ = tk.build_bound_profile(seq, tk.ones(), tk.ones(), "hardy", [32, 64])
+    assert len(hardy_p.rungs) == 2 and calls
 
 
 def test_profile_samples_walk_the_tail_cells():
@@ -439,57 +509,40 @@ _REF_BACKWARD = {
 }
 
 
+@pytest.mark.parametrize("direction", list(tk.WindowDirection))
 @pytest.mark.parametrize("name", list(_REF_BACKWARD))
-def test_backward_functionals_match_the_per_anchor_reference_bitwise(band_cells, name):
+def test_window_functional_matches_the_per_anchor_reference_bitwise(band_cells, name, direction):
     shape = _REF_SHAPES.get(name, "pq")
+    forward = direction is FORWARD
+    scales = ((1.5, 1.5), (1.1, 2.0)) if forward else ((0.5, 0.5), (0.9, 0.3))
     for seq_name in _SEQUENCES:
         seq = tk.corpus_sequence(seq_name)
         if name.startswith("sd") and seq.kind is tk.ScalarKind.COMPLEX:
             continue
         for m, n in ((40, 25), (7, 60), (0, 0), (90, 90)):
-            for lam, kappa in ((0.5, 0.5), (0.9, 0.3)):
+            for lam, kappa in scales:
                 p, q = tk.harmonic(), tk.ones()
-                lo_p = m if shape == "q" else tk.backward_window_lower_index(p, m, lam)
-                lo_q = n if shape == "p" else tk.backward_window_lower_index(q, n, kappa)
-                block = seq.block(np.arange(lo_p, m + 1), np.arange(lo_q, n + 1))
-                expect = float(_REF_BACKWARD[name](block))
-                got = tk.backward_functionals(name, seq, p, q, m, n, lam, kappa)
+                if forward:
+                    expect = _ref_value(seq, p, q, name, m, n, lam, kappa, 10**6)
+                else:
+                    lo_p = m if shape == "q" else tk.backward_window_lower_index(p, m, lam)
+                    lo_q = n if shape == "p" else tk.backward_window_lower_index(q, n, kappa)
+                    block = seq.block(np.arange(lo_p, m + 1), np.arange(lo_q, n + 1))
+                    expect = float(_REF_BACKWARD[name](block))
+                got = tk.window_functional(name, seq, p, q, m, n, lam, kappa, direction)
                 assert repr(got) == repr(expect), (seq_name, m, n, lam, kappa)
-                view = getattr(tk, f"{name}_backward")
-                args = {"p": (p, m, n, lam), "q": (q, m, n, kappa)}.get(
-                    shape, (p, q, m, n, lam, kappa)
-                )
-                assert repr(view(seq, *args)) == repr(expect), (seq_name, m, n, lam, kappa)
 
 
-def test_evaluate_functionals_reads_the_rectangle_window_once():
-    for seq_name in ("additive_convergent", "complex_convergent"):
-        base = tk.corpus_sequence(seq_name)
-        cells = []
-
-        def rule(M, N, base=base):
-            cells.append(np.broadcast(M, N).size)
-            return base.rule(M, N)
-
-        seq = tk.DoubleSequence(name="counted", rule=rule, kind=base.kind)
-        fns = tk.evaluate_functionals(seq, tk.ones(), tk.ones(), 100, 50, 1.5, 1.5)
-        # rows 100..150 and columns 50..75 hold every window of the anchor
-        assert cells == [51 * 26]
-        for name in tk.window_functional_names():
-            if name.startswith("sd") and base.kind is tk.ScalarKind.COMPLEX:
-                assert getattr(fns, name) is None
-                continue
-            ref = _ref_value(base, tk.ones(), tk.ones(), name, 100, 50, 1.5, 1.5, 10**6)
-            assert repr(getattr(fns, name)) == repr(ref), (seq_name, name)
-
-
-def test_evaluate_functionals_checks_the_budget_before_reading_cells():
+@pytest.mark.parametrize("direction", list(tk.WindowDirection))
+def test_window_functional_checks_the_budget_before_reading_cells(direction):
     # the anchor's own cell is infinite, but the rectangle is over budget
     seq = _poisoned((100, 50))
+    lam = 1.5 if direction is FORWARD else 0.5
+    args = (seq, tk.ones(), tk.ones(), 100, 50, lam, lam, direction)
     with pytest.raises(tk.ResourceLimitError):
-        tk.evaluate_functionals(seq, tk.ones(), tk.ones(), 100, 50, 1.5, 1.5, budget=100)
+        tk.window_functional("so_both", *args, budget=100)
     with pytest.raises(tk.NonFiniteValueError):
-        tk.evaluate_functionals(seq, tk.ones(), tk.ones(), 100, 50, 1.5, 1.5)
+        tk.window_functional("so_both", *args)
 
 
 @pytest.mark.parametrize("name", ["sd_strong_Q", "so_both", "so_Q"])

@@ -142,9 +142,12 @@ def test_rectangle_functional_never_beats_its_parts(cells, rnd):
     q = tk.ones()
     m = rnd.randrange(0, side // 2)
     n = rnd.randrange(0, side // 2)
-    s = tk.decomposition_margin(seq, p, q, m, n, 1.3, 1.3)
-    scale = max(1.0, abs(s.sd_both), abs(s.sd_Q), abs(s.sd_strong_P))
-    assert s.margin >= -1e-12 * scale
+    both, strong_p, sd_q = (
+        tk.window_functional(name, seq, p, q, m, n, 1.3, 1.3)
+        for name in ("sd_both", "sd_strong_P", "sd_Q")
+    )
+    scale = max(1.0, abs(both), abs(sd_q), abs(strong_p))
+    assert both - strong_p - sd_q >= -1e-12 * scale
 
 
 @settings(max_examples=25, deadline=None)

@@ -46,6 +46,15 @@ def test_alternating_is_a_parity_checkerboard():
     assert np.array_equal(g.values, (-1.0) ** (i + j))
 
 
+def test_alternating_parity_rule_matches_the_modulo_form_bitwise():
+    rows, cols = np.arange(1000, 1300), np.arange(300)
+    got = tk.corpus_sequence("alternating").block(rows, cols)
+    M, N = rows[:, None], cols[None, :]
+    old = np.where((M + N) % 2 == 0, 1.0, -1.0)
+    assert got.dtype == old.dtype and got.shape == (300, 300)
+    assert got.tobytes() == old.tobytes()
+
+
 def test_constant_sequence_is_flat():
     g = tk.eval_grid(tk.corpus_sequence("constant"), 5, 5)
     assert np.array_equal(g.values, np.ones((6, 6)))
