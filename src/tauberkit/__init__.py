@@ -42,10 +42,7 @@ from .sequences import (
 )
 from .transform import (
     MeanField,
-    RegularityReport,
     export_grid_csv,
-    general_mean,
-    regularity_diagnostic,
     sigma_single,
     weighted_mean_field,
 )

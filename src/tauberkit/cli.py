@@ -550,6 +550,19 @@ _COMMANDS = {
 }
 
 
+# Exit code of each failure, first match wins: bad names, parameters,
+# files and config, an order-sensitive check asked of a complex sequence,
+# and a bad weight (a TauberkitError that is also a ValueError) exit 2;
+# any other failure of the computation exits 1.
+_EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
+    (ValueError, 2),
+    (KeyError, 2),
+    (OSError, 2),
+    (ScalarKindError, 2),
+    (TauberkitError, 1),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -558,21 +571,12 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         cfg = resolve_config(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if args.command == "verify-lemma":
             return cmd_verify_lemma(cfg, m=args.m, n=args.n, mu=args.mu, eta=args.eta)
         return _COMMANDS[args.command](cfg)
-    except (ValueError, KeyError, ScalarKindError) as exc:
-        # Bad names or parameters discovered past config validation, and
-        # order-sensitive checks asked of a complex sequence.
+    except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TauberkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ being finite-sample.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -20,7 +19,7 @@ import numpy as np
 from .errors import NonFiniteValueError, PrefixOverflowError, ScalarKindError
 from .sequences import DoubleSequence, ScalarKind, WeightSequence, array_sequence, eval_grid
 from .sequences import geometric, harmonic, ones, power
-from .transform import sigma_single, weighted_mean_field
+from .transform import _exact_sum, sigma_single, weighted_mean_field
 from .oscillation import (
     MAX_WINDOW_CELLS,
     DecisionProfile,
@@ -47,15 +46,6 @@ class Verdict(Enum):
     CONSISTENT_NEGATIVE = "ConsistentNegative"
     VACUOUSLY_CONSISTENT = "VacuouslyConsistent"
     INCONSISTENT = "Inconsistent"
-
-
-def _fsum(terms) -> float | complex:
-    if any(isinstance(t, complex) for t in terms):
-        return complex(
-            math.fsum(t.real if isinstance(t, complex) else t for t in terms),
-            math.fsum(t.imag if isinstance(t, complex) else 0.0 for t in terms),
-        )
-    return math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +82,7 @@ def choose_mu_backward(p: WeightSequence, m: int, delta: float) -> int:
     idx = int(np.searchsorted(scaled, sums[m], side="right")) - 1
     if idx < 0:
         raise ValueError(
-            f"{p.name}: no index i has (1 + {delta}/2) * P_i <= P_{m} = {sums[m]!r}"
+            f"{p.name}: no index i has (1 + {delta}/2) * P_i <= P_{m} = {float(sums[m])!r}"
         )
     return idx
 
@@ -137,13 +127,9 @@ def _window_average(seq, p, q, i_lo, i_hi, j_lo, j_hi, anchor, flip):
     qw = q.weights_array(j_hi)[j_lo:]
     block = seq.block(np.arange(i_lo, i_hi + 1), np.arange(j_lo, j_hi + 1))
     diff = (anchor - block) if flip else (block - anchor)
-    terms = (pw[:, None] * qw[None, :]) * diff
-    if np.iscomplexobj(terms):
-        num = complex(math.fsum(terms.real.ravel().tolist()), math.fsum(terms.imag.ravel().tolist()))
-    else:
-        num = math.fsum(terms.ravel().tolist())
-    dp = math.fsum(pw.tolist())
-    dq = math.fsum(qw.tolist())
+    num = _exact_sum((pw[:, None] * qw[None, :]) * diff)
+    dp = _exact_sum(pw)
+    dq = _exact_sum(qw)
     return num / (dp * dq), dp, dq
 
 
@@ -171,12 +157,12 @@ def _lemma(direction, seq, p, q, m, n, mu, eta) -> LemmaDecomposition:
     )
     p_mu = p.prefix(mu)
     q_eta = q.prefix(eta)
-    corner = _fsum([s_mu_eta, -s_mu_n, -s_m_eta, s_mn])
+    corner = _exact_sum(np.array([s_mu_eta, -s_mu_n, -s_m_eta, s_mn]))
     t1 = (p_mu * q_eta) / (dp * dq) * corner
     t2 = p_mu / dp * (s_mu_n - s_mn if forward else s_mn - s_mu_n)
     t3 = q_eta / dq * (s_m_eta - s_mn if forward else s_mn - s_m_eta)
     lhs = u_mn - s_mn
-    residual = _fsum([lhs, -t1, -t2, -t3, t_window if forward else -t_window])
+    residual = _exact_sum(np.array([lhs, -t1, -t2, -t3, t_window if forward else -t_window]))
     scale = max(1.0, abs(lhs), abs(t1), abs(t2), abs(t3), abs(t_window))
     return LemmaDecomposition(
         direction=direction.value,
@@ -285,7 +271,7 @@ def _proof_inequality(direction, seq, p, q, m, n, lam, kappa, delta, gamma) -> P
         bound_rect = float((block[:, -1] - block.max(axis=1)).min())
         bound_line = float(block[-1, -1] - block[:, -1].max())
     bounds = [-bound_rect, -bound_line] if forward else [bound_rect, bound_line]
-    rhs = float(_fsum([dec.term_corner, dec.term_rows, dec.term_cols, *bounds]))
+    rhs = float(_exact_sum(np.array([dec.term_corner, dec.term_rows, dec.term_cols, *bounds])))
     lhs = float(dec.lhs)
     scale = max(
         1.0,

@@ -55,11 +55,7 @@ def _require_real(seq: DoubleSequence, what: str) -> None:
 
 
 def _check_finite(seq: DoubleSequence, arr: np.ndarray) -> None:
-    if seq.kind is ScalarKind.REAL:
-        ok = np.isfinite(arr)
-    else:
-        ok = np.isfinite(arr.real) & np.isfinite(arr.imag)
-    if not ok.all():
+    if not np.isfinite(arr).all():
         raise NonFiniteValueError(f"{seq.name}: non-finite value inside a window")
 
 
@@ -86,7 +82,7 @@ def window_upper_index(p: WeightSequence, m: int, lam: float) -> int:
     target = lam * float(sums[m])
     if sums[-1] < target:
         raise HorizonError(
-            f"{p.name}: prefix reaches {sums[-1]!r}, window needs > {target!r}",
+            f"{p.name}: prefix reaches {float(sums[-1])!r}, window needs > {target!r}",
             needed=target,
         )
     return int(np.searchsorted(sums, target, side="right")) - 1

@@ -98,14 +98,22 @@ def eval_grid(seq: DoubleSequence, m_max: int, n_max: int) -> Grid:
             f"{seq.name}: grid of {cells} cells exceeds budget {MAX_GRID_CELLS}"
         )
     vals = seq.block(np.arange(m_max + 1), np.arange(n_max + 1))
-    finite = np.isfinite(vals) if seq.kind is ScalarKind.REAL else np.isfinite(vals.real) & np.isfinite(vals.imag)
-    if not finite.all():
-        bad = np.argwhere(~finite)[0]
-        bm, bn = int(bad[0]), int(bad[1])
-        raise NonFiniteValueError(
-            f"{seq.name}: non-finite value at ({bm}, {bn})", m=bm, n=bn
-        )
+    bad = _first_nonfinite(vals)
+    if bad is not None:
+        raise NonFiniteValueError(f"{seq.name}: non-finite value at {bad}", m=bad[0], n=bad[1])
     return Grid(m_max, n_max, vals, seq.kind)
+
+
+def _first_nonfinite(arr: np.ndarray) -> tuple[int, int] | None:
+    """Row-major first cell of a 2-D array that is nan or infinite, else None.
+
+    A complex value is finite only when both of its parts are.
+    """
+    finite = np.isfinite(arr)
+    if finite.all():
+        return None
+    m, n = np.unravel_index(int(finite.argmin()), arr.shape)
+    return int(m), int(n)
 
 
 def delta10(seq: DoubleSequence, m: int, n: int) -> float | complex:

@@ -7,26 +7,25 @@ checked against an independently rounded route.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    NonFiniteValueError,
-    PrefixOverflowError,
-    ResourceLimitError,
-    WeightDomainError,
-)
+from .errors import PrefixOverflowError
 from .sequences import (
     DoubleSequence,
     Grid,
-    MAX_GRID_CELLS,
     ScalarKind,
     WeightSequence,
+    _first_nonfinite,
     eval_grid,
 )
+
+# Values math.fsum takes from one list: the Python floats alive at once
+# stay at one chunk (about 2 MiB) however large the summed block is.
+_SUM_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -72,12 +71,9 @@ def weighted_mean_field(
         del u
         np.cumsum(s, axis=0, out=s)
         np.cumsum(s, axis=1, out=s)
-    finite = np.isfinite(s) if seq.kind is ScalarKind.REAL else np.isfinite(s.real) & np.isfinite(s.imag)
-    if not finite.all():
-        bad = np.argwhere(~finite)[0]
-        raise PrefixOverflowError(
-            f"{seq.name}: weighted numerator overflowed at ({int(bad[0])}, {int(bad[1])})"
-        )
+    bad = _first_nonfinite(s)
+    if bad is not None:
+        raise PrefixOverflowError(f"{seq.name}: weighted numerator overflowed at {bad}")
     pp = p.prefix_array(m_max)
     qp = q.prefix_array(n_max)
     sigma = np.multiply(pp[:, None], qp[None, :], out=np.empty_like(s))
@@ -94,10 +90,16 @@ def weighted_mean_field(
 
 
 def _exact_sum(arr: np.ndarray) -> float | complex:
+    """math.fsum over every value of ``arr``, real and imaginary parts apart.
+
+    One fsum call sees the whole stream, so the sum is the exactly rounded
+    one whatever the chunking; only one chunk is ever a list of floats.
+    """
     flat = arr.ravel()
     if np.iscomplexobj(flat):
-        return complex(math.fsum(flat.real.tolist()), math.fsum(flat.imag.tolist()))
-    return math.fsum(flat.tolist())
+        return complex(_exact_sum(flat.real), _exact_sum(flat.imag))
+    chunks = (flat[i : i + _SUM_CHUNK].tolist() for i in range(0, flat.size, _SUM_CHUNK))
+    return math.fsum(itertools.chain.from_iterable(chunks))
 
 
 def sigma_single(
@@ -110,149 +112,17 @@ def sigma_single(
     """One weighted mean by direct summation with an exact accumulator.
 
     Shares the per-term products with the field path, so any disagreement
-    between the two isolates the accumulation order.
+    between the two isolates the accumulation order.  Bad indices, the cell
+    budget and non-finite cells raise as in eval_grid.
     """
-    if m < 0 or n < 0:
-        raise ValueError(f"mean indices must be >= 0, got ({m}, {n})")
-    cells = (m + 1) * (n + 1)
-    if cells > MAX_GRID_CELLS:
-        raise ResourceLimitError(f"single mean over {cells} cells exceeds budget")
-    u = seq.block(np.arange(m + 1), np.arange(n + 1))
-    finite = np.isfinite(u) if seq.kind is ScalarKind.REAL else np.isfinite(u.real) & np.isfinite(u.imag)
-    if not finite.all():
-        bad = np.argwhere(~finite)[0]
-        bm, bn = int(bad[0]), int(bad[1])
-        raise NonFiniteValueError(f"{seq.name}: non-finite value at ({bm}, {bn})", m=bm, n=bn)
-    pw = p.weights_array(m)
-    qw = q.weights_array(n)
-    total = _exact_sum((pw[:, None] * qw[None, :]) * u)
-    return total / (p.prefix(m) * q.prefix(n))
-
-
-def general_mean(
-    seq: DoubleSequence,
-    weight_rule: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    m_max: int,
-    n_max: int,
-    name: str = "general",
-) -> Grid:
-    """Mean against a genuinely two-dimensional positive weight rule.
-
-    ``weight_rule`` receives broadcastable integer index arrays like a
-    sequence rule does and must return strictly positive finite weights.
-    """
-    u = eval_grid(seq, m_max, n_max)
-    M = np.arange(m_max + 1, dtype=np.int64)[:, None]
-    N = np.arange(n_max + 1, dtype=np.int64)[None, :]
-    w = np.asarray(weight_rule(M, N), dtype=np.float64)
-    if w.shape != u.values.shape:
-        w = np.broadcast_to(w, u.values.shape).copy()
-    if not np.isfinite(w).all() or (w <= 0).any():
-        bad = np.argwhere(~(np.isfinite(w) & (w > 0)))[0]
-        raise WeightDomainError(
-            f"{name}: weight at ({int(bad[0])}, {int(bad[1])}) = "
-            f"{w[bad[0], bad[1]]!r} is not positive and finite"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = np.cumsum(np.cumsum(w * u.values, axis=0), axis=1)
-        denom = np.cumsum(np.cumsum(w, axis=0), axis=1)
-    if not np.isfinite(denom).all():
-        raise PrefixOverflowError(f"{name}: weight accumulation overflowed")
-    sfin = np.isfinite(s) if seq.kind is ScalarKind.REAL else np.isfinite(s.real) & np.isfinite(s.imag)
-    if not sfin.all():
-        bad = np.argwhere(~sfin)[0]
-        raise PrefixOverflowError(
-            f"{seq.name}: weighted numerator overflowed at ({int(bad[0])}, {int(bad[1])})"
-        )
-    return Grid(m_max, n_max, s / denom, seq.kind)
-
-
-@dataclass(frozen=True)
-class ProbeProfile:
-    """Vanishing-ratio samples for one fixed row and column index."""
-
-    index: int
-    row_samples: tuple[tuple[int, float], ...]
-    col_samples: tuple[tuple[int, float], ...]
-    row_vanishing: bool
-    col_vanishing: bool
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    horizon: int
-    probes: tuple[ProbeProfile, ...]
-    consistent: bool
-
-
-def _diag_ladder(horizon: int) -> list[int]:
-    ladder = []
-    t = 1
-    while t < horizon:
-        ladder.append(t)
-        t *= 2
-    ladder.append(horizon)
-    return ladder
-
-
-def regularity_diagnostic(
-    p2_prefix: Callable[[int, int], float],
-    probe_rows: list[int],
-    m_max: int,
-    n_max: int,
-    shrink: float = 0.1,
-) -> RegularityReport:
-    """Check the vanishing-margin behaviour of a two-dimensional prefix.
-
-    For each probe index i the profile samples P(t, i)/P(t, t) and
-    P(i, t)/P(t, t) along the diagonal ladder t = 1, 2, 4, ..., up to
-    min(m_max, n_max).  A profile is flagged vanishing when it is
-    non-increasing (up to a relative 1e-12 slack) and its final sample has
-    dropped below ``shrink`` times its first.  ``consistent`` is the
-    conjunction over all probes.
-    """
-    horizon = min(m_max, n_max)
-    if horizon < 4:
-        raise ValueError(f"diagnostic extent must be >= 4, got {horizon}")
-    if not probe_rows:
-        raise ValueError("need at least one probe index")
-    ladder = _diag_ladder(horizon)
-    probes = []
-    for idx in probe_rows:
-        if idx < 0 or idx >= horizon:
-            raise ValueError(f"probe index {idx} outside [0, {horizon})")
-        row, col = [], []
-        for t in ladder:
-            if t <= idx:
-                continue
-            denom = float(p2_prefix(t, t))
-            if not math.isfinite(denom) or denom <= 0:
-                raise PrefixOverflowError(f"prefix at ({t}, {t}) = {denom!r}")
-            row.append((t, float(p2_prefix(t, idx)) / denom))
-            col.append((t, float(p2_prefix(idx, t)) / denom))
-        probes.append(
-            ProbeProfile(
-                index=idx,
-                row_samples=tuple(row),
-                col_samples=tuple(col),
-                row_vanishing=_vanishing(row, shrink),
-                col_vanishing=_vanishing(col, shrink),
-            )
-        )
-    return RegularityReport(
-        horizon=horizon,
-        probes=tuple(probes),
-        consistent=all(pr.row_vanishing and pr.col_vanishing for pr in probes),
-    )
-
-
-def _vanishing(samples: list[tuple[int, float]], shrink: float) -> bool:
-    if len(samples) < 2:
-        return False
-    vals = [v for _, v in samples]
-    slack = 1e-12 * max(abs(v) for v in vals)
-    monotone = all(b <= a + slack for a, b in zip(vals, vals[1:]))
-    return monotone and vals[-1] <= shrink * vals[0]
+    u = eval_grid(seq, m, n).values
+    # The weight products go into one buffer of u's dtype and u is
+    # multiplied into it in place: the same bits as (pw x qw) * u with two
+    # blocks alive instead of three, and u is freed before the summing.
+    terms = np.multiply(p.weights_array(m)[:, None], q.weights_array(n)[None, :], out=np.empty_like(u))
+    np.multiply(terms, u, out=terms)
+    del u
+    return _exact_sum(terms) / (p.prefix(m) * q.prefix(n))
 
 
 def format_float(x: float) -> str:

@@ -156,6 +156,29 @@ def test_weights_that_overflow_before_their_sums_back_off(tmp_path, args, code):
     assert note == "partial sums overflow before index 100000; classified at 195"
 
 
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (
+            ("transform", "--horizon", "64", "--sequence", "1/(m-3)"),
+            1,
+            "error: 1/(m-3): non-finite value at (3, 0)",
+        ),
+        (
+            ("transform", "--horizon", "64", "--out", "taken"),
+            2,
+            "error: [Errno 17] File exists: 'taken'",
+        ),
+    ],
+)
+def test_failures_exit_with_one_error_line(tmp_path, args, code, message):
+    (tmp_path / "taken").write_text("a file where --out wants a directory\n")
+    res = run_cli(*args, cwd=tmp_path)
+    assert res.returncode == code, res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stderr.splitlines() == [message]
+
+
 @pytest.mark.parametrize("depth", [200, 3000])
 def test_deeply_nested_expressions_exit_two(tmp_path, depth):
     expr = "(" * depth + "m+n" + ")" * depth

@@ -27,6 +27,11 @@ def test_forward_window_requires_evaluated_prefix():
     with pytest.raises(tk.HorizonError) as exc:
         tk.window_upper_index(tk.ones(), 100, 1.5)
     assert exc.value.needed == 100
+    p = tk.ones()
+    p.ensure(1000)  # one chunk: P_0..P_1023
+    with pytest.raises(tk.HorizonError) as exc:
+        tk.window_upper_index(p, 1000, 1.5)
+    assert str(exc.value) == "ones: prefix reaches 1024.0, window needs > 1501.5"
 
 
 def test_forward_window_rejects_unit_scale():

@@ -1,5 +1,6 @@
 """Weighted mean fields against direct summation, plus overflow reporting."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import tauberkit as tk
 from helpers import direct_sigma, direct_sigma_grid
+from tauberkit.transform import _SUM_CHUNK, _exact_sum
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -112,6 +114,41 @@ def test_mean_field_peak_memory_stays_within_three_grids(name):
     assert peak <= 3.0 * fld.sigma.values.nbytes
 
 
+@pytest.mark.parametrize("name", ["additive_convergent", "complex_convergent"])
+def test_single_mean_peak_memory_stays_within_three_blocks(name):
+    seq = tk.corpus_sequence(name)
+    p, q = tk.ones(), tk.harmonic()
+    p.ensure(1000)  # the prefix caches are not part of the mean's peak
+    q.ensure(1000)
+    tracemalloc.start()
+    try:
+        tk.sigma_single(seq, p, q, 999, 999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0 * tk.eval_grid(seq, 999, 999).values.nbytes
+
+
+@pytest.mark.parametrize(
+    "size", [1, _SUM_CHUNK - 1, _SUM_CHUNK, _SUM_CHUNK + 1, 3 * _SUM_CHUNK + 5]
+)
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_chunked_exact_sum_matches_one_fsum_over_the_whole_list(size, kind):
+    rng = np.random.default_rng(size)
+
+    def spread():
+        # magnitudes over 2^-60..2^60, so any rounded partial sum would show
+        return rng.standard_normal(size) * 2.0 ** rng.integers(-60, 60, size)
+
+    if kind == "real":
+        vals = spread()
+        want = math.fsum(vals.tolist())
+    else:
+        vals = spread() + 1j * spread()
+        want = complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
+    assert _exact_sum(vals) == want
+
+
 def test_export_grid_csv_layout(tmp_path):
     fld = tk.weighted_mean_field(tk.corpus_sequence("constant"), tk.ones(), tk.ones(), 4, 3)
     out = tmp_path / "grid.csv"
@@ -122,21 +159,3 @@ def test_export_grid_csv_layout(tmp_path):
     first = lines[1].split(",")
     assert first[:2] == ["0", "0"]
     assert float(first[3]) == 0.0
-
-
-def test_general_mean_with_flat_rule_is_the_unweighted_mean():
-    seq = tk.corpus_sequence("additive_convergent")
-    gm = tk.general_mean(seq, lambda i, j: np.ones((len(i), len(j))), 6, 6)
-    fld = tk.weighted_mean_field(seq, tk.ones(), tk.ones(), 6, 6)
-    assert np.array_equal(gm.values, fld.sigma.values)
-
-
-def test_regularity_diagnostic_flags_vanishing_margins():
-    factored = tk.regularity_diagnostic(
-        lambda a, b: (a + 1.0) * (b + 1.0), probe_rows=[0, 1, 2], m_max=64, n_max=64
-    )
-    assert factored.consistent
-    stuck = tk.regularity_diagnostic(
-        lambda a, b: 1.0, probe_rows=[0, 1, 2], m_max=64, n_max=64
-    )
-    assert not stuck.consistent
