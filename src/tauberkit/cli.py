@@ -113,6 +113,33 @@ class RunConfig:
             raise ValueError(f"grid must be >= 8, got {self.grid}")
 
 
+def _is_number(x, integral: bool = False) -> bool:
+    return not isinstance(x, bool) and isinstance(x, int if integral else (int, float))
+
+
+def _check_config_value(key: str, annotation: str, value) -> None:
+    """Raise ValueError unless a JSON config value fits its RunConfig field.
+
+    ``annotation`` is the field's annotation text.  A float field takes any
+    number, an int field only an integer, a ladder a list of numbers, and
+    a field annotated ``| None`` also takes null.
+    """
+    optional = annotation.endswith(" | None")
+    if value is None and optional:
+        return
+    if annotation.startswith("tuple"):
+        ok, expected = isinstance(value, list) and all(map(_is_number, value)), "a list of numbers"
+    elif annotation.startswith("float"):
+        ok, expected = _is_number(value), "a number"
+    elif annotation == "int":
+        ok, expected = _is_number(value, integral=True), "an integer"
+    else:
+        ok, expected = isinstance(value, str), "a string"
+    if not ok:
+        expected += " or null" if optional else ""
+        raise ValueError(f"config key {key} must be {expected}, got {json.dumps(value)}")
+
+
 def _load_config_file(path: str) -> dict:
     with open(path) as fh:
         data = json.load(fh)
@@ -122,6 +149,9 @@ def _load_config_file(path: str) -> dict:
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    for f in fields(RunConfig):
+        if f.name in data:
+            _check_config_value(f.name, f.type, data[f.name])
     for key in ("lambda_ladder", "kappa_ladder"):
         if data.get(key) is not None:
             data[key] = tuple(float(x) for x in data[key])

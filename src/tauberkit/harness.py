@@ -459,7 +459,7 @@ def verify_theorem(
     while True:
         try:
             u_grid = eval_grid(seq, h, h)
-            fieldv = weighted_mean_field(seq, p, q, h, h)
+            fieldv = weighted_mean_field(seq, p, q, h, h, grid=u_grid)
             break
         except (NonFiniteValueError, PrefixOverflowError):
             if h // 2 < 64:

@@ -48,6 +48,8 @@ def weighted_mean_field(
     q: WeightSequence,
     m_max: int,
     n_max: int,
+    *,
+    grid: Grid | None = None,
 ) -> MeanField:
     """Weighted means over [0..m_max] x [0..n_max].
 
@@ -56,15 +58,20 @@ def weighted_mean_field(
     S(m, n) = S(m-1, n) + S(m, n-1) - S(m-1, n-1) + p_m q_n u(m, n)
     without storing intermediate corners.  Raises on non-finite sequence
     values or an overflowing accumulation, naming the first offending cell.
+    A caller that already holds ``eval_grid(seq, m_max, n_max)`` passes it
+    as ``grid``; its values are only read.
     """
-    u = eval_grid(seq, m_max, n_max).values
+    if grid is not None and (grid.m_max, grid.n_max) != (m_max, n_max):
+        raise ValueError(f"grid is {grid.m_max}x{grid.n_max}, expected {m_max}x{n_max}")
+    u = (eval_grid(seq, m_max, n_max) if grid is None else grid).values
     pw = p.weights_array(m_max)
     qw = q.weights_array(n_max)
     # Each step writes into a buffer it already holds, and u is dropped
-    # once multiplied in, so the peak stays within three grids.  A complex
-    # sequence gets complex buffers: numpy promotes the real weight products
-    # to complex for the multiply and the divide in any case, so the results
-    # are the same bits as out-of-place arithmetic gives.
+    # once multiplied in, so the peak stays within three grids.  u itself
+    # is never written: it may be the caller's.  A complex sequence gets
+    # complex buffers: numpy promotes the real weight products to complex
+    # for the multiply and the divide in any case, so the results are the
+    # same bits as out-of-place arithmetic gives.
     with np.errstate(over="ignore", invalid="ignore"):
         s = np.multiply(pw[:, None], qw[None, :], out=np.empty(u.shape, u.dtype))
         np.multiply(s, u, out=s)
@@ -134,17 +141,17 @@ def export_grid_csv(grid: Grid, path: str) -> None:
     """Write a grid row-major as m,n,value_re,value_im.
 
     Real grids carry an explicit zero imaginary column so every export has
-    the same shape.
+    the same shape.  Each row is one %-template of .17g fields, the text
+    format_float gives; a complex row fills it from its interleaved parts.
+    The rows are bytes: a str row would cost a second, encoded copy.
     """
     complex_kind = grid.kind is ScalarKind.COMPLEX
-    with open(path, "w", newline="") as fh:
-        fh.write("m,n,value_re,value_im\n")
-        vals = grid.values
-        for m in range(grid.m_max + 1):
-            row = vals[m]
-            for n in range(grid.n_max + 1):
-                v = row[n]
-                if complex_kind:
-                    fh.write(f"{m},{n},{format_float(v.real)},{format_float(v.imag)}\n")
-                else:
-                    fh.write(f"{m},{n},{format_float(v)},0\n")
+    cell = b"%.17g,%.17g\n" if complex_kind else b"%.17g,0\n"
+    parts = [b",%d,%s" % (n, cell) for n in range(grid.n_max + 1)]
+    with open(path, "wb") as fh:
+        fh.write(b"m,n,value_re,value_im\n")
+        for m, row in enumerate(grid.values):
+            if complex_kind:
+                row = np.ascontiguousarray(row, dtype=np.complex128).view(np.float64)
+            label = b"%d" % m
+            fh.write((label + label.join(parts)) % tuple(row.tolist()))

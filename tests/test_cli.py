@@ -1,11 +1,13 @@
 """Command line flows: artifacts, exit codes, determinism, config handling."""
 
+import hashlib
 import json
 
 import pytest
 
 from tauberkit.cli import (
     RunConfig,
+    _load_config_file,
     expression_sequence,
     parse_sequence_spec,
     parse_weight_spec,
@@ -179,6 +181,53 @@ def test_failures_exit_with_one_error_line(tmp_path, args, code, message):
     assert res.stderr.splitlines() == [message]
 
 
+# One case per row of the README exit-code table; bad usage has three.
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (("transform", "--horizon", "64"), 0),
+        (("transform", "--horizon", "64", "--sequence", "1/(m-3)"), 1),
+        (("analyze", "--weights-p", "power:zeta=3"), 2),
+        (("transform", "--horizon", "10"), 2),
+        (("transform", "--config", "wrong_type.json"), 2),
+        (("classify-weights", "--weights", "wobble", "--horizon", "4096"), 3),
+        (
+            ("analyze", "--sequence", "additive_convergent", "--theorem", "T51",
+             "--horizon", "2048", "--class-horizon", "4096"),
+            4,
+        ),
+        (("analyze", "--weights-p", "geometric:r=10", "--horizon", "64"), 5),
+    ],
+)
+def test_exit_code_matrix(tmp_path, args, code):
+    (tmp_path / "wrong_type.json").write_text(json.dumps({"horizon": "abc"}))
+    res = run_cli(*args, cwd=tmp_path)
+    assert res.returncode == code, res.stderr
+    if code:
+        assert "Traceback" not in res.stderr
+
+
+# md5 of sigma.csv from `transform --horizon 64`, captured at commit 3fec5e8,
+# whose writer formatted one cell per call (Python 3.11, numpy 2.4, x86-64).
+# The expression goes through numpy's sin, so another numpy build may round
+# it differently.
+@pytest.mark.parametrize(
+    "sequence, weights_p, weights_q, digest",
+    [
+        ("additive_convergent", "ones", "ones", "7aa237e4ff177a504c27d3a1937365c8"),
+        ("complex_convergent", "harmonic", "power", "5cf6fd303bb9dd8302ad3cf9cabde154"),
+        ("1/(m+1)+sin(n)/(n+1)", "ones", "ones", "0394414ff0067be8a4102f0e659ffc3f"),
+    ],
+)
+def test_transform_keeps_its_golden_bytes(tmp_path, sequence, weights_p, weights_q, digest):
+    res = run_cli(
+        "transform", "--horizon", "64", "--sequence", sequence,
+        "--weights-p", weights_p, "--weights-q", weights_q, cwd=tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    assert hashlib.md5((tmp_path / "sigma.csv").read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("depth", [200, 3000])
 def test_deeply_nested_expressions_exit_two(tmp_path, depth):
     expr = "(" * depth + "m+n" + ")" * depth
@@ -264,6 +313,28 @@ def test_malformed_config_exits_two(tmp_path):
     (tmp_path / "bad.json").write_text("{not json")
     res = run_cli("transform", "--config", "bad.json", cwd=tmp_path)
     assert res.returncode == 2, res.stderr
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"horizon": "abc"}, 'error: config key horizon must be an integer, got "abc"'),
+        ({"lambda_ladder": 3}, "error: config key lambda_ladder must be a list of numbers, got 3"),
+    ],
+)
+def test_wrong_typed_config_values_exit_two(tmp_path, doc, message):
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    res = run_cli("transform", "--config", "cfg.json", cwd=tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.splitlines() == [message]
+
+
+def test_config_files_take_ints_for_floats_and_null_for_optional_fields(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"horizon": 64, "delta": 1, "lambda_ladder": [2, 1.5], "eps_agree": None}))
+    assert _load_config_file(str(cfg)) == {
+        "horizon": 64, "delta": 1, "lambda_ladder": (2.0, 1.5), "eps_agree": None,
+    }
 
 
 def test_flags_override_config_files(tmp_path):

@@ -287,6 +287,23 @@ def test_horizon_halves_until_the_grid_is_finite():
     assert rep.horizon_note == "grid overflows doubles at horizon 512; evaluated at 256"
 
 
+def test_verify_theorem_evaluates_the_full_grid_once(monkeypatch):
+    shapes = []
+    block = tk.DoubleSequence.block
+
+    def recording_block(self, m_idx, n_idx):
+        out = block(self, m_idx, n_idx)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(tk.DoubleSequence, "block", recording_block)
+    # T42's bound profiles read no full grid, so only the limits and the
+    # mean field could ask for one
+    tk.verify_theorem(ADD, tk.ones(), tk.ones(), tk.Theorem.T42,
+                      tk.HarnessConfig(horizon=256, class_horizon=4096))
+    assert shapes.count((257, 257)) == 1
+
+
 def test_disagreeing_limits_are_flagged():
     cfg = tk.HarnessConfig(horizon=2048, eps_dec=0.1, eps_agree=0.01, class_horizon=4096)
     rep = tk.verify_theorem(ADD, tk.ones(), tk.ones(), tk.Theorem.T42, cfg)

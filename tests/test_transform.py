@@ -8,7 +8,8 @@ import pytest
 
 import tauberkit as tk
 from helpers import direct_sigma, direct_sigma_grid
-from tauberkit.transform import _SUM_CHUNK, _exact_sum
+from tauberkit.cli import parse_sequence_spec
+from tauberkit.transform import _SUM_CHUNK, _exact_sum, format_float
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -100,6 +101,21 @@ def test_complex_sequence_mean_field():
 
 
 @pytest.mark.parametrize("name", ["additive_convergent", "complex_convergent"])
+def test_mean_field_reads_a_passed_grid_without_writing_it(name):
+    seq = tk.corpus_sequence(name)
+    p, q = tk.harmonic(), tk.power(1.5)
+    grid = tk.eval_grid(seq, 30, 20)
+    before = grid.values.copy()
+    fld = tk.weighted_mean_field(seq, p, q, 30, 20, grid=grid)
+    assert np.array_equal(grid.values, before)
+    own = tk.weighted_mean_field(seq, p, q, 30, 20)
+    assert fld.sigma.values.tobytes() == own.sigma.values.tobytes()
+    assert fld.numerator.values.tobytes() == own.numerator.values.tobytes()
+    with pytest.raises(ValueError, match="grid is 30x20, expected 20x30"):
+        tk.weighted_mean_field(seq, p, q, 20, 30, grid=grid)
+
+
+@pytest.mark.parametrize("name", ["additive_convergent", "complex_convergent"])
 def test_mean_field_peak_memory_stays_within_three_grids(name):
     seq = tk.corpus_sequence(name)
     p, q = tk.ones(), tk.harmonic()
@@ -159,3 +175,52 @@ def test_export_grid_csv_layout(tmp_path):
     first = lines[1].split(",")
     assert first[:2] == ["0", "0"]
     assert float(first[3]) == 0.0
+
+
+def _export_cell_by_cell(grid, path):
+    """The writer as it was before rows were formatted whole: the reference."""
+    complex_kind = grid.kind is tk.ScalarKind.COMPLEX
+    with open(path, "w", newline="") as fh:
+        fh.write("m,n,value_re,value_im\n")
+        vals = grid.values
+        for m in range(grid.m_max + 1):
+            row = vals[m]
+            for n in range(grid.n_max + 1):
+                v = row[n]
+                if complex_kind:
+                    fh.write(f"{m},{n},{format_float(v.real)},{format_float(v.imag)}\n")
+                else:
+                    fh.write(f"{m},{n},{format_float(v)},0\n")
+
+
+_EDGE_VALUES = np.array([[-0.0, 5e-324, 1e-300], [5e300, -1.5, -2.5e-310]])
+
+
+def _oracle_grids():
+    for name, wp, wq in (
+        ("additive_convergent", "ones", "ones"),
+        ("complex_convergent", "harmonic", "power"),
+        ("1/(m+1)+sin(n)/(n+1)", "power", "harmonic"),
+    ):
+        seq = parse_sequence_spec(name)
+        for h in (0, 1, 300):
+            yield f"{name}@{h}", tk.weighted_mean_field(
+                seq, tk.corpus_weight(wp), tk.corpus_weight(wq), h, h
+            ).sigma
+    seq = tk.corpus_sequence("complex_convergent")
+    yield "non-square", tk.weighted_mean_field(seq, tk.ones(), tk.harmonic(), 7, 19).sigma
+    yield "edge values", tk.Grid(1, 2, _EDGE_VALUES)
+    signed = _EDGE_VALUES + 1j * np.array([[-0.0, 0.0, -0.0], [-5e-324, 0.0, -1e-300]])
+    yield "complex signed zeros", tk.Grid(1, 2, signed, tk.ScalarKind.COMPLEX)
+    yield "complex signed zero cell", tk.Grid(0, 0, np.array([[complex(-0.0, -0.0)]]), tk.ScalarKind.COMPLEX)
+    strided = np.arange(48.0).reshape(6, 8) / 7.0
+    yield "non-contiguous real", tk.Grid(2, 3, strided[::2, ::2])
+    yield "non-contiguous complex", tk.Grid(2, 3, (strided * (1 - 3j))[::2, 1::2], tk.ScalarKind.COMPLEX)
+    yield "complex kind, real dtype", tk.Grid(1, 2, _EDGE_VALUES, tk.ScalarKind.COMPLEX)
+
+
+@pytest.mark.parametrize("grid", [pytest.param(g, id=label) for label, g in _oracle_grids()])
+def test_export_grid_csv_writes_the_bytes_of_the_cell_by_cell_writer(tmp_path, grid):
+    tk.export_grid_csv(grid, str(tmp_path / "rows.csv"))
+    _export_cell_by_cell(grid, str(tmp_path / "cells.csv"))
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
