@@ -1,15 +1,17 @@
 """Command line front end.
 
 Five subcommands: classify-weights, transform, analyze, verify-lemma, and
-sweep.  Options resolve as flags over config file over defaults.  Outputs
-are deterministic: fixed file names inside --out, floats printed with 17
-significant digits, randomized runs driven entirely by --seed.
+sweep.  Options resolve as flags over config file over defaults, and the
+result is checked once; HarnessConfig owns the harness settings' rules.
+Outputs are deterministic: fixed file names inside --out, floats printed
+with 17 significant digits, randomized runs driven entirely by --seed.
 
-Exit codes: 0 success, 1 a numeric or resource failure stopped the run,
-2 invalid configuration or usage (verify-lemma also exits 1 when a
-residual lands above tolerance), 3 weight classification came back
-inconclusive, 4 analyze produced an inconsistent verdict, 5 analyze ran
-on weights outside the regularly varying class (report still written).
+Exit codes: 0 success, 1 a numeric failure or a request over the cell
+budget stopped the run (or a verify-lemma residual landed above tolerance),
+2 bad usage or configuration, a value outside its rule included, 3 weight
+classification came back inconclusive, 4 analyze produced an inconsistent
+verdict, 5 analyze ran on weights outside the regularly varying class
+(report still written).
 """
 from __future__ import annotations
 
@@ -50,7 +52,11 @@ from .variation import VariationKind, classification_report, classify_adaptive
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a subcommand can consume, with conservative bounds."""
+    """Every setting a subcommand can consume, named as in config files.
+
+    harness() maps the harness settings onto a HarnessConfig, which owns
+    their rules, under the same names except that ``tol`` is ``class_tol``.
+    """
 
     sequence: str = "additive_convergent"
     weights_p: str = "ones"
@@ -72,32 +78,19 @@ class RunConfig:
     grid: int = 20
     out_dir: str = "."
 
+    def harness(self) -> HarnessConfig:
+        """The harness settings among these fields; building them checks their rules."""
+        shared = {
+            f.name: getattr(self, f.name) for f in fields(HarnessConfig) if f.name != "class_tol"
+        }
+        return HarnessConfig(class_tol=self.tol, **shared)
+
     def validate(self) -> None:
-        if self.horizon < 64:
-            raise ValueError(f"horizon must be >= 64, got {self.horizon}")
-        if self.class_horizon < 64:
-            raise ValueError(f"class-horizon must be >= 64, got {self.class_horizon}")
-        for name in ("tol", "eps_dec"):
-            v = getattr(self, name)
-            if not 0.0 < v < 0.5:
-                raise ValueError(f"{name} must lie in (0, 0.5), got {v}")
-        if self.eps_agree is not None and not 0.0 < self.eps_agree < 0.5:
-            raise ValueError(f"eps-agree must lie in (0, 0.5), got {self.eps_agree}")
-        if not 0.0 < self.tail_fraction < 1.0:
-            raise ValueError(f"tail-fraction must lie in (0, 1), got {self.tail_fraction}")
-        for label, ladder in (("lambda", self.lambda_ladder), ("kappa", self.kappa_ladder)):
-            if ladder is None:
-                continue
-            if not ladder:
-                raise ValueError(f"{label} ladder must not be empty")
-            if any(l <= 1.0 for l in ladder):
-                raise ValueError(f"{label} ladder entries must exceed 1, got {ladder}")
-            if any(b >= a for a, b in zip(ladder, ladder[1:])):
-                raise ValueError(f"{label} ladder must be strictly decreasing")
-        if self.kappa_ladder is not None and len(self.kappa_ladder) != len(self.lambda_ladder):
-            raise ValueError("kappa ladder must pair one-for-one with the lambda ladder")
-        if self.delta <= 0.0 or self.gamma <= 0.0:
-            raise ValueError(f"delta and gamma must be > 0, got ({self.delta}, {self.gamma})")
+        """Raise ValueError unless every field keeps its rule; harness() checks most."""
+        self.harness()
+        for name in ("delta", "gamma"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.theorem not in {t.value for t in Theorem}:
             raise ValueError(f"theorem must be one of T41, T42, T51, T52, got {self.theorem}")
         if self.functional not in window_functional_names():
@@ -105,12 +98,9 @@ class RunConfig:
                 f"functional must be one of {', '.join(window_functional_names())}, "
                 f"got {self.functional}"
             )
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.grid < 8:
-            raise ValueError(f"grid must be >= 8, got {self.grid}")
+        for name, least in (("seed", 0), ("count", 1), ("grid", 8)):
+            if not getattr(self, name) >= least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 def _is_number(x, integral: bool = False) -> bool:
@@ -416,17 +406,7 @@ def cmd_transform(cfg: RunConfig) -> int:
 def cmd_analyze(cfg: RunConfig) -> int:
     seq = parse_sequence_spec(cfg.sequence)
     p, q = _weight_pair(cfg)
-    hc = HarnessConfig(
-        horizon=cfg.horizon,
-        lambda_ladder=cfg.lambda_ladder,
-        kappa_ladder=cfg.kappa_ladder,
-        tail_fraction=cfg.tail_fraction,
-        eps_dec=cfg.eps_dec,
-        eps_agree=cfg.eps_agree,
-        class_horizon=cfg.class_horizon,
-        class_tol=cfg.tol,
-    )
-    report = verify_theorem(seq, p, q, Theorem(cfg.theorem), hc)
+    report = verify_theorem(seq, p, q, Theorem(cfg.theorem), cfg.harness())
     out = _out_dir(cfg)
     _write_json(out / "report.json", report_json(report))
     export_profiles_csv(list(report.condition_profiles.values()), str(out / "profiles.csv"))
@@ -505,6 +485,18 @@ def _add_common(sp: argparse.ArgumentParser, horizon_dest: str = "horizon") -> N
     sp.add_argument("--out", dest="out_dir", help="output directory (default .)")
 
 
+def _add_sequence_flags(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--sequence", help="corpus name or expression in m and n")
+    sp.add_argument("--weights-p", dest="weights_p", help="row weight family, e.g. power:beta=1.5")
+    sp.add_argument("--weights-q", dest="weights_q", help="column weight family")
+
+
+def _add_scale_flags(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--lambdas", dest="lambda_ladder", type=_ladder, help="comma-separated, decreasing, all > 1")
+    sp.add_argument("--kappas", dest="kappa_ladder", type=_ladder, help="column ladder (defaults to --lambdas)")
+    sp.add_argument("--tail-fraction", dest="tail_fraction", type=float)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="tauberkit",
@@ -519,19 +511,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("transform", help="export the weighted mean grid")
     _add_common(sp)
-    sp.add_argument("--sequence", help="corpus name or expression in m and n")
-    sp.add_argument("--weights-p", dest="weights_p")
-    sp.add_argument("--weights-q", dest="weights_q")
+    _add_sequence_flags(sp)
 
     sp = sub.add_parser("analyze", help="full verdict for one theorem")
     _add_common(sp)
-    sp.add_argument("--sequence")
-    sp.add_argument("--weights-p", dest="weights_p")
-    sp.add_argument("--weights-q", dest="weights_q")
+    _add_sequence_flags(sp)
     sp.add_argument("--theorem", choices=[t.value for t in Theorem])
-    sp.add_argument("--lambdas", dest="lambda_ladder", type=_ladder, help="comma-separated, decreasing, all > 1")
-    sp.add_argument("--kappas", dest="kappa_ladder", type=_ladder, help="column ladder (defaults to --lambdas)")
-    sp.add_argument("--tail-fraction", dest="tail_fraction", type=float)
+    _add_scale_flags(sp)
     sp.add_argument("--eps-dec", dest="eps_dec", type=float)
     sp.add_argument("--eps-agree", dest="eps_agree", type=float)
     sp.add_argument("--tol", type=float, help="classification tolerance")
@@ -541,9 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--count", type=int, help="number of random grids")
     sp.add_argument("--grid", type=int, help="random grid side length")
-    sp.add_argument("--sequence", help="sequence for an explicit split")
-    sp.add_argument("--weights-p", dest="weights_p")
-    sp.add_argument("--weights-q", dest="weights_q")
+    _add_sequence_flags(sp)
     sp.add_argument("--m", type=int, help="row anchor for one explicit split")
     sp.add_argument("--n", type=int, help="column anchor for one explicit split")
     sp.add_argument("--mu", type=int, help="row split (default: chooser at --delta)")
@@ -553,13 +537,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="per-cell values of one functional across scales")
     _add_common(sp)
-    sp.add_argument("--sequence")
-    sp.add_argument("--weights-p", dest="weights_p")
-    sp.add_argument("--weights-q", dest="weights_q")
+    _add_sequence_flags(sp)
     sp.add_argument("--functional", choices=window_functional_names())
-    sp.add_argument("--lambdas", dest="lambda_ladder", type=_ladder)
-    sp.add_argument("--kappas", dest="kappa_ladder", type=_ladder)
-    sp.add_argument("--tail-fraction", dest="tail_fraction", type=float)
+    _add_scale_flags(sp)
 
     return ap
 

@@ -11,17 +11,17 @@ being finite-sample.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import NonFiniteValueError, PrefixOverflowError, ScalarKindError
+from .errors import NonFiniteValueError, PrefixOverflowError, ResourceLimitError, ScalarKindError
 from .sequences import DoubleSequence, ScalarKind, WeightSequence, array_sequence, eval_grid
-from .sequences import geometric, harmonic, ones, power
+from .sequences import MAX_GRID_CELLS, geometric, harmonic, ones, power
 from .transform import _exact_sum, sigma_single, weighted_mean_field
 from .oscillation import (
-    MAX_WINDOW_CELLS,
     DecisionProfile,
     LimitEstimate,
     WindowDirection,
@@ -341,6 +341,8 @@ def lemma_residual_suite(trials: int = 100, grid: int = 20, seed: int = 0) -> li
         raise ValueError(f"suite grid must be >= 8, got {grid}")
     if trials < 1:
         raise ValueError(f"suite needs trials >= 1, got {trials}")
+    if grid * grid > MAX_GRID_CELLS:
+        raise ResourceLimitError(f"suite grid of {grid * grid} cells exceeds budget {MAX_GRID_CELLS}")
     rng = np.random.default_rng(seed)
     pool = [ones, harmonic, lambda: power(1.0), lambda: geometric(1.5)]
     out = []
@@ -367,6 +369,15 @@ def lemma_residual_suite(trials: int = 100, grid: int = 20, seed: int = 0) -> li
 
 @dataclass(frozen=True)
 class HarnessConfig:
+    """Settings of one verify_theorem run, each checked once, when built.
+
+    horizon, class_horizon >= 64; each ladder non-empty, finite, > 1 and
+    strictly decreasing, kappa_ladder (None: lambda_ladder) one-for-one with
+    lambda_ladder; tail_fraction in (0, 1); eps_dec, eps_agree (None: 0.02 *
+    (1 + |sigma limit|)) finite and > 0; class_tol in (0, 0.5).  NaN fails
+    every rule, and each error names its field.
+    """
+
     horizon: int = 512
     lambda_ladder: tuple[float, ...] = (2.0, 1.5, 1.25, 1.1, 1.05)
     kappa_ladder: tuple[float, ...] | None = None
@@ -375,24 +386,31 @@ class HarnessConfig:
     eps_agree: float | None = None
     class_horizon: int = 10**5
     class_tol: float = 0.05
-    window_budget: int = MAX_WINDOW_CELLS
 
     def __post_init__(self):
-        if self.horizon < 64:
-            raise ValueError(f"harness horizon must be >= 64, got {self.horizon}")
-        if not self.lambda_ladder or any(l <= 1.0 for l in self.lambda_ladder):
-            raise ValueError("lambda ladder entries must all exceed 1")
-        if self.kappa_ladder is not None and (
-            len(self.kappa_ladder) != len(self.lambda_ladder)
-            or any(k <= 1.0 for k in self.kappa_ladder)
-        ):
-            raise ValueError("kappa ladder must pair with lambda ladder, entries > 1")
+        for name in ("horizon", "class_horizon"):
+            if not getattr(self, name) >= 64:
+                raise ValueError(f"{name} must be >= 64, got {getattr(self, name)}")
+        for name in ("lambda_ladder", "kappa_ladder"):
+            ladder = getattr(self, name)
+            if ladder is None:
+                continue
+            if not ladder:
+                raise ValueError(f"{name} must not be empty")
+            if not all(1.0 < x < math.inf for x in ladder):
+                raise ValueError(f"{name} entries must be finite and > 1, got {ladder}")
+            if not all(a > b for a, b in zip(ladder, ladder[1:])):
+                raise ValueError(f"{name} must be strictly decreasing, got {ladder}")
+        if self.kappa_ladder is not None and len(self.kappa_ladder) != len(self.lambda_ladder):
+            raise ValueError("kappa_ladder must pair one-for-one with lambda_ladder")
         if not 0.0 < self.tail_fraction < 1.0:
-            raise ValueError(f"tail fraction must lie in (0, 1), got {self.tail_fraction}")
-        if self.eps_dec <= 0.0:
-            raise ValueError(f"eps_dec must be > 0, got {self.eps_dec}")
-        if self.eps_agree is not None and self.eps_agree <= 0.0:
-            raise ValueError(f"eps_agree must be > 0, got {self.eps_agree}")
+            raise ValueError(f"tail_fraction must lie in (0, 1), got {self.tail_fraction}")
+        for name in ("eps_dec", "eps_agree"):
+            v = getattr(self, name)
+            if v is not None and not 0.0 < v < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
+        if not 0.0 < self.class_tol < 0.5:
+            raise ValueError(f"class_tol must lie in (0, 0.5), got {self.class_tol}")
 
 
 def horizon_ladder(h: int) -> list[int]:
@@ -490,7 +508,6 @@ def verify_theorem(
                 list(cfg.lambda_ladder),
                 None if cfg.kappa_ladder is None else list(cfg.kappa_ladder),
                 cfg.tail_fraction,
-                cfg.window_budget,
             )
 
     tr = {name: prof.trend_holds(cfg.eps_dec) for name, prof in profiles.items()}

@@ -86,6 +86,8 @@ class Grid:
         expect = (self.m_max + 1, self.n_max + 1)
         if self.values.shape != expect:
             raise ValueError(f"grid shape {self.values.shape} != {expect}")
+        if self.kind is ScalarKind.REAL and np.iscomplexobj(self.values):
+            raise ValueError(f"a real grid cannot hold {self.values.dtype} values")
 
 
 def eval_grid(seq: DoubleSequence, m_max: int, n_max: int) -> Grid:

@@ -2,17 +2,22 @@
 
 import hashlib
 import json
+from dataclasses import fields
 
 import pytest
 
+from tauberkit import HarnessConfig
 from tauberkit.cli import (
     RunConfig,
     _load_config_file,
     expression_sequence,
+    main,
     parse_sequence_spec,
     parse_weight_spec,
 )
 from helpers import run_tauberkit
+
+NAN, INF = float("nan"), float("inf")
 
 
 def run_cli(*args, cwd):
@@ -170,6 +175,12 @@ def test_weights_that_overflow_before_their_sums_back_off(tmp_path, args, code):
             ("transform", "--horizon", "64", "--out", "taken"),
             2,
             "error: [Errno 17] File exists: 'taken'",
+        ),
+        (
+            # refused before the suite allocates its 7.28 TiB of grids
+            ("verify-lemma", "--grid", "1000000", "--count", "1"),
+            1,
+            "error: suite grid of 1000000000000 cells exceeds budget 268435456",
         ),
     ],
 )
@@ -415,3 +426,117 @@ def test_run_config_validates_ladders():
     with pytest.raises(ValueError):
         RunConfig(kappa_ladder=(2.0,)).validate()  # must pair with lambdas
     RunConfig().validate()
+
+
+# One case per rule: its boundary value, NaN and, for ladders and the
+# thresholds that must be finite, inf.  HarnessConfig owns the rules of the
+# harness settings and RunConfig.validate those of the CLI-only ones; the
+# CLI prints the same text as its one error line.  An argv of None marks a
+# value no flag or config key can carry (NaN for an integer).
+_RULES = [
+    ("horizon", 63, ("transform", "--horizon", "63"), "horizon must be >= 64, got 63"),
+    ("horizon", NAN, None, "horizon must be >= 64, got nan"),
+    ("class_horizon", 63, ("analyze", "--class-horizon", "63"), "class_horizon must be >= 64, got 63"),
+    ("class_horizon", NAN, None, "class_horizon must be >= 64, got nan"),
+    ("lambda_ladder", (), ("analyze", "--config", "empty_ladder.json"), "lambda_ladder must not be empty"),
+    (
+        "lambda_ladder", (2.0, 1.0), ("analyze", "--lambdas", "2,1"),
+        "lambda_ladder entries must be finite and > 1, got (2.0, 1.0)",
+    ),
+    (
+        "lambda_ladder", (NAN,), ("analyze", "--lambdas", "nan"),
+        "lambda_ladder entries must be finite and > 1, got (nan,)",
+    ),
+    (
+        "lambda_ladder", (INF, 2.0), ("sweep", "--lambdas", "inf,2"),
+        "lambda_ladder entries must be finite and > 1, got (inf, 2.0)",
+    ),
+    (
+        "lambda_ladder", (1.5, 1.5), ("analyze", "--lambdas", "1.5,1.5"),
+        "lambda_ladder must be strictly decreasing, got (1.5, 1.5)",
+    ),
+    (
+        "lambda_ladder", (1.5, 2.0), ("analyze", "--lambdas", "1.5,2"),
+        "lambda_ladder must be strictly decreasing, got (1.5, 2.0)",
+    ),
+    (
+        "kappa_ladder", (1.0,), ("analyze", "--kappas", "1"),
+        "kappa_ladder entries must be finite and > 1, got (1.0,)",
+    ),
+    (
+        "kappa_ladder", (NAN,), ("sweep", "--kappas", "nan"),
+        "kappa_ladder entries must be finite and > 1, got (nan,)",
+    ),
+    (
+        "kappa_ladder", (INF,), ("analyze", "--kappas", "inf"),
+        "kappa_ladder entries must be finite and > 1, got (inf,)",
+    ),
+    (
+        "kappa_ladder", (2.0, 2.0), ("analyze", "--kappas", "2,2"),
+        "kappa_ladder must be strictly decreasing, got (2.0, 2.0)",
+    ),
+    (
+        "kappa_ladder", (2.0,), ("analyze", "--kappas", "2"),
+        "kappa_ladder must pair one-for-one with lambda_ladder",
+    ),
+    ("tail_fraction", 0.0, ("analyze", "--tail-fraction", "0"), "tail_fraction must lie in (0, 1), got 0.0"),
+    ("tail_fraction", 1.0, ("sweep", "--tail-fraction", "1"), "tail_fraction must lie in (0, 1), got 1.0"),
+    ("tail_fraction", NAN, ("analyze", "--tail-fraction", "nan"), "tail_fraction must lie in (0, 1), got nan"),
+    ("eps_dec", 0.0, ("analyze", "--eps-dec", "0"), "eps_dec must be finite and > 0, got 0.0"),
+    ("eps_dec", NAN, ("analyze", "--eps-dec", "nan"), "eps_dec must be finite and > 0, got nan"),
+    ("eps_dec", INF, ("analyze", "--eps-dec", "inf"), "eps_dec must be finite and > 0, got inf"),
+    ("eps_agree", 0.0, ("analyze", "--eps-agree", "0"), "eps_agree must be finite and > 0, got 0.0"),
+    ("eps_agree", NAN, ("analyze", "--eps-agree", "nan"), "eps_agree must be finite and > 0, got nan"),
+    ("eps_agree", INF, ("analyze", "--eps-agree", "inf"), "eps_agree must be finite and > 0, got inf"),
+    ("class_tol", 0.0, ("classify-weights", "--tol", "0"), "class_tol must lie in (0, 0.5), got 0.0"),
+    ("class_tol", 0.5, ("analyze", "--tol", "0.5"), "class_tol must lie in (0, 0.5), got 0.5"),
+    ("class_tol", NAN, ("classify-weights", "--tol", "nan"), "class_tol must lie in (0, 0.5), got nan"),
+    ("delta", 0.0, ("verify-lemma", "--delta", "0"), "delta must be finite and > 0, got 0.0"),
+    ("delta", INF, ("verify-lemma", "--delta", "inf"), "delta must be finite and > 0, got inf"),
+    ("gamma", NAN, ("verify-lemma", "--gamma", "nan"), "gamma must be finite and > 0, got nan"),
+    ("seed", -1, ("verify-lemma", "--seed", "-1"), "seed must be >= 0, got -1"),
+    ("count", 0, ("verify-lemma", "--count", "0"), "count must be >= 1, got 0"),
+    ("grid", 7, ("verify-lemma", "--grid", "7"), "grid must be >= 8, got 7"),
+    ("grid", NAN, None, "grid must be >= 8, got nan"),
+]
+
+
+@pytest.mark.parametrize(
+    "field, value, argv, message", _RULES, ids=[f"{c[0]}={c[1]}" for c in _RULES]
+)
+def test_each_rule_refuses_alike_in_the_library_and_the_cli(
+    tmp_path, monkeypatch, capsys, field, value, argv, message
+):
+    if field in {f.name for f in fields(HarnessConfig)}:
+        build = HarnessConfig
+    else:
+        def build(**kw):
+            RunConfig(**kw).validate()
+    with pytest.raises(ValueError) as info:
+        build(**{field: value})
+    assert str(info.value) == message
+    if argv is None:
+        return
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty_ladder.json").write_text(json.dumps({"lambda_ladder": []}))
+    assert main(list(argv)) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_run_config_maps_every_harness_field():
+    mapped = RunConfig(
+        horizon=100, lambda_ladder=(3.0, 2.0), kappa_ladder=(4.0, 1.5), tail_fraction=0.25,
+        eps_dec=0.1, eps_agree=0.7, class_horizon=128, tol=0.3,
+    ).harness()
+    assert {f.name: getattr(mapped, f.name) for f in fields(HarnessConfig)} == {
+        "horizon": 100, "lambda_ladder": (3.0, 2.0), "kappa_ladder": (4.0, 1.5),
+        "tail_fraction": 0.25, "eps_dec": 0.1, "eps_agree": 0.7, "class_horizon": 128,
+        "class_tol": 0.3,
+    }
+    assert RunConfig().harness() == HarnessConfig()
+
+
+def test_analyze_accepts_an_agreement_threshold_above_one_half(tmp_path):
+    res = run_cli("analyze", "--eps-agree", "0.7", "--horizon", "64", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert json.loads((tmp_path / "report.json").read_text())["agreement_threshold"] == 0.7

@@ -97,6 +97,14 @@ def test_grid_records_extents_and_kind():
     assert g.kind is tk.ScalarKind.REAL
 
 
+def test_real_grids_refuse_complex_values():
+    with pytest.raises(ValueError, match="a real grid cannot hold complex128 values"):
+        tk.Grid(0, 1, np.array([[1 + 2j, 3j]]))
+    # a complex grid may hold real values: the complex export writes 0 parts
+    g = tk.Grid(0, 1, np.array([[1.0, 2.0]]), tk.ScalarKind.COMPLEX)
+    assert g.values.dtype == np.float64
+
+
 def test_row_difference_anchors_at_one():
     with pytest.raises(ValueError, match="needs m >= 1"):
         tk.delta10(tk.corpus_sequence("constant"), 0, 3)
