@@ -3,11 +3,14 @@
 The lemma decompositions split u(m, n) - sigma(m, n) into four terms built
 from corner means and a windowed average, exactly; their residuals are the
 package's strongest internal check, since the left side and the terms are
-computed by completely different routes.  The proof inequalities replace
-the windowed average with worst-case window drops, which is the step the
-limit theorems live on.  verify_theorem runs the full pipeline for one
-sequence/weight configuration and returns a verdict that is honest about
-being finite-sample.
+computed by completely different routes.  A split's four corner means come
+from one block and one transform._corner_sums pass, with the bits of four
+sigma_single calls, the math.fsum oracle; those calls still run where the
+block raises, is not finite or could overflow.  The proof inequalities
+replace the windowed average with worst-case window drops, which is the
+step the limit theorems live on.  verify_theorem runs the full pipeline for
+one sequence/weight configuration and returns a verdict that is honest
+about being finite-sample.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ import numpy as np
 from .errors import NonFiniteValueError, PrefixOverflowError, ResourceLimitError, ScalarKindError
 from .sequences import DoubleSequence, ScalarKind, WeightSequence, array_sequence, eval_grid
 from .sequences import MAX_GRID_CELLS, geometric, harmonic, ones, power
-from .transform import _exact_sum, sigma_single, weighted_mean_field
+from .transform import _corner_sums, _exact_sum, sigma_single, weighted_mean_field
 from .oscillation import (
     DecisionProfile,
     LimitEstimate,
@@ -55,8 +58,8 @@ class Verdict(Enum):
 
 def choose_mu(p: WeightSequence, m: int, delta: float) -> int:
     """Least i > m with P_i >= (1 + delta/2) * P_m."""
-    if delta <= 0.0:
-        raise ValueError(f"forward chooser needs delta > 0, got {delta}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"forward chooser needs a finite delta > 0, got {delta}")
     if m < 0:
         raise ValueError(f"chooser anchor must be >= 0, got {m}")
     target = (1.0 + delta / 2.0) * p.prefix(m)
@@ -72,8 +75,8 @@ def choose_mu_backward(p: WeightSequence, m: int, delta: float) -> int:
     Raises ValueError when no index qualifies (the anchor sits too close
     to the origin for this delta).
     """
-    if delta <= 0.0:
-        raise ValueError(f"backward chooser needs delta > 0, got {delta}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"backward chooser needs a finite delta > 0, got {delta}")
     if m < 0:
         raise ValueError(f"chooser anchor must be >= 0, got {m}")
     factor = 1.0 + delta / 2.0
@@ -133,6 +136,41 @@ def _window_average(seq, p, q, i_lo, i_hi, j_lo, j_hi, anchor, flip):
     return num / (dp * dq), dp, dq
 
 
+def _corner_means(seq, p, q, corners):
+    """sigma_single at each of the corners (m, n), (mu, n), (m, eta) and
+    (mu, eta), with its bits, from one block and one _corner_sums pass.
+
+    None when the block is over budget, raises, holds a non-finite term or
+    could overflow fsum's partials: the four sigma_single calls then decide,
+    with their special values and errors, in their order.
+    """
+    (m, n), _, _, (mu, eta) = corners
+    rows, cols = max(m, mu), max(n, eta)
+    cells = (rows + 1) * (cols + 1)
+    if cells > MAX_GRID_CELLS:
+        return None
+    try:
+        u = seq.block(np.arange(rows + 1), np.arange(cols + 1))
+        pw = p.weights_array(rows)
+        qw = q.weights_array(cols)
+    except Exception:
+        # Whatever the rule or the weights raise, sigma_single raises again.
+        return None
+    # sigma_single's products, with u freed as soon as it is multiplied in.
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.multiply(pw[:, None], qw[None, :], out=np.empty_like(u))
+        np.multiply(terms, u, out=terms)
+    del u
+    parts = terms.view(np.float64)
+    bound = 2.0**1022 / cells
+    if not (-bound < parts.min() and parts.max() < bound):  # NaN fails too
+        return None
+    r0, c0 = min(m, mu), min(n, eta)
+    nested = ((r0, c0), (rows, c0), (r0, cols), (rows, cols))
+    sums = dict(zip(nested, _corner_sums(terms, r0, c0)))
+    return [sums[i, j] / (p.prefix(i) * q.prefix(j)) for i, j in corners]
+
+
 def _lemma(direction, seq, p, q, m, n, mu, eta) -> LemmaDecomposition:
     """Split against the block between the anchor (m, n) and (mu, eta).
 
@@ -147,10 +185,11 @@ def _lemma(direction, seq, p, q, m, n, mu, eta) -> LemmaDecomposition:
         if not forward and not 0 <= y < x:
             raise ValueError(f"backward split needs 0 <= {b} < {a}, got {b}={y}, {a}={x}")
     u_mn = seq.evaluate(m, n)
-    s_mn = sigma_single(seq, p, q, m, n)
-    s_mu_n = sigma_single(seq, p, q, mu, n)
-    s_m_eta = sigma_single(seq, p, q, m, eta)
-    s_mu_eta = sigma_single(seq, p, q, mu, eta)
+    corners = ((m, n), (mu, n), (m, eta), (mu, eta))
+    means = _corner_means(seq, p, q, corners)
+    if means is None:
+        means = [sigma_single(seq, p, q, i, j) for i, j in corners]
+    s_mn, s_mu_n, s_m_eta, s_mu_eta = means
     t_window, dp, dq = _window_average(
         seq, p, q, min(m, mu) + 1, max(m, mu), min(n, eta) + 1, max(n, eta), u_mn,
         flip=not forward,

@@ -472,8 +472,8 @@ def empirical_limit(
     """
     if not 0.0 < tail_fraction < 1.0:
         raise ValueError(f"tail fraction must lie in (0, 1), got {tail_fraction}")
-    if eps_dec <= 0.0:
-        raise ValueError(f"eps_dec must be > 0, got {eps_dec}")
+    if not 0.0 < eps_dec < math.inf:
+        raise ValueError(f"eps_dec must be finite and > 0, got {eps_dec}")
     if len(ladder) < 3:
         raise ValueError(f"need at least 3 ladder rungs, got {len(ladder)}")
     if any(b <= a for a, b in zip(ladder, ladder[1:])) or ladder[0] < 1:

@@ -3,7 +3,9 @@
 The field evaluator materializes sigma(m, n) for every cell of a grid with a
 double cumulative sum; the single-cell evaluator recomputes one mean by
 direct exact summation (math.fsum) and exists so the fast path can be
-checked against an independently rounded route.
+checked against an independently rounded route.  The lemma splits need the
+exact sums of four nested rectangles of one block: _corner_sums gives them
+from one pass, with math.fsum's bits, and sigma_single stays their oracle.
 """
 from __future__ import annotations
 
@@ -24,8 +26,13 @@ from .sequences import (
 )
 
 # Values math.fsum takes from one list: the Python floats alive at once
-# stay at one chunk (about 2 MiB) however large the summed block is.
+# stay at one chunk (about 2 MiB) however large the summed block is.  The
+# corner-sum kernel takes bands of the same size.
 _SUM_CHUNK = 1 << 16
+
+# Bits of a double below its exponent field, and of a mantissa's low part.
+_FRACTION = (1 << 52) - 1
+_LOW_PART = (1 << 26) - 1
 
 
 @dataclass(frozen=True)
@@ -107,6 +114,55 @@ def _exact_sum(arr: np.ndarray) -> float | complex:
         return complex(_exact_sum(flat.real), _exact_sum(flat.imag))
     chunks = (flat[i : i + _SUM_CHUNK].tolist() for i in range(0, flat.size, _SUM_CHUNK))
     return math.fsum(itertools.chain.from_iterable(chunks))
+
+
+def _corner_sums(terms: np.ndarray, r0: int, c0: int) -> list[float | complex]:
+    """Exact sums of terms[:r0+1, :c0+1], terms[:, :c0+1], terms[:r0+1] and
+    terms, each rounded once: math.fsum's values, from one pass.
+
+    A double is s * mant * 2^(e - 1075) with a 53-bit integer mant (a
+    subnormal takes e = 1 and no implicit bit).  Split after row r0 and
+    column c0, each band of cells adds the 27 high and 26 low bits of its
+    signed mantissas in one float64 bincount per part, keyed by quadrant and
+    e: every bin total stays below 2^53, so exact.  The bands add up in
+    int64, and Python integers in units of 2^-1074 add the quadrants.  Int
+    true division rounds correctly, as fsum does, and a zero total gives
+    +0.0, as fsum does.  The caller keeps each sum of magnitudes below
+    2^1022, where fsum never overflows.  A complex block sums its real and
+    imaginary parts apart, as _exact_sum does.
+    """
+    if np.iscomplexobj(terms):
+        parts = zip(_corner_sums(terms.real, r0, c0), _corner_sums(terms.imag, r0, c0))
+        return [complex(re, im) for re, im in parts]
+    rows, cols = terms.shape
+    # Bin of a cell: 2048 * quadrant + e, quadrant = 2 * (below r0) + (right of c0).
+    col_key = np.where(np.arange(cols) > c0, 2048, 0)
+    hi = np.zeros(4 * 2048, np.int64)
+    lo = np.zeros(4 * 2048, np.int64)
+    width = min(cols, _SUM_CHUNK)
+    step = _SUM_CHUNK // width
+    for start, stop, row_key in ((0, r0 + 1, 0), (r0 + 1, rows, 4096)):
+        for c in range(0, cols, width):
+            keys = col_key[c : c + width] + row_key
+            for r in range(start, stop, step):
+                bits = terms[r : min(r + step, stop), c : c + width].view(np.int64)
+                e = (bits >> 52) & 0x7FF
+                mant = bits & _FRACTION
+                mant |= np.minimum(e, 1) << 52
+                sign = bits >> 63
+                mant ^= sign
+                mant -= sign
+                np.maximum(e, 1, out=e)
+                e += keys
+                key = e.ravel()
+                hi += np.bincount(key, (mant >> 26).ravel(), 4 * 2048).astype(np.int64)
+                lo += np.bincount(key, (mant & _LOW_PART).ravel(), 4 * 2048).astype(np.int64)
+    q00, q01, q10, q11 = (
+        sum(((int(h[k]) << 26) + int(l[k])) << (k - 1) for k in np.flatnonzero(h | l).tolist())
+        for h, l in zip(hi.reshape(4, 2048), lo.reshape(4, 2048))
+    )
+    unit = 1 << 1074
+    return [q00 / unit, (q00 + q10) / unit, (q00 + q01) / unit, (q00 + q01 + q10 + q11) / unit]
 
 
 def sigma_single(

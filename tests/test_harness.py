@@ -1,11 +1,14 @@
 """Split choosers, exact decompositions, proof inequalities, and verdicts."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import tauberkit as tk
+from tauberkit import harness
+from tauberkit.transform import _exact_sum
 
 ADD = tk.corpus_sequence("additive_convergent")
 ALT = tk.corpus_sequence("alternating")
@@ -41,6 +44,25 @@ def test_forward_chooser_rejects_bad_parameters():
 
 def test_backward_chooser_anchor_inverts_the_forward_one():
     assert tk.choose_mu_backward(tk.ones(), 14, 1.0) == 9
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda v: tk.choose_mu(tk.ones(), 50, v), "forward chooser needs a finite delta > 0"),
+        (lambda v: tk.choose_mu_backward(tk.ones(), 50, v),
+         "backward chooser needs a finite delta > 0"),
+        (lambda v: tk.empirical_limit(tk.eval_grid(tk.constant(), 64, 64), [8, 16, 32, 64],
+                                      0.5, v),
+         "eps_dec must be finite and > 0"),
+    ],
+    ids=["choose_mu", "choose_mu_backward", "empirical_limit"],
+)
+def test_thresholds_must_be_finite(call, message, value):
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert str(exc.value) == f"{message}, got {value}"
 
 
 def test_backward_chooser_raises_near_the_origin():
@@ -237,6 +259,117 @@ def test_splits_and_inequalities_keep_every_field(case, expect):
     fn, seq, p, q, args = case
     got = getattr(tk, fn)(tk.corpus_sequence(seq), getattr(tk, p)(), getattr(tk, q)(), *args)
     assert repr(got) == expect
+
+
+def _four_sum_lemma(direction, seq, p, q, m, n, mu, eta):
+    """The split from four sigma_single calls from the origin, in this
+    order: the oracle of the tests below."""
+    forward = direction == "forward"
+    u_mn = seq.evaluate(m, n)
+    s_mn = tk.sigma_single(seq, p, q, m, n)
+    s_mu_n = tk.sigma_single(seq, p, q, mu, n)
+    s_m_eta = tk.sigma_single(seq, p, q, m, eta)
+    s_mu_eta = tk.sigma_single(seq, p, q, mu, eta)
+    t_window, dp, dq = harness._window_average(
+        seq, p, q, min(m, mu) + 1, max(m, mu), min(n, eta) + 1, max(n, eta), u_mn,
+        flip=not forward,
+    )
+    p_mu = p.prefix(mu)
+    q_eta = q.prefix(eta)
+    corner = _exact_sum(np.array([s_mu_eta, -s_mu_n, -s_m_eta, s_mn]))
+    t1 = (p_mu * q_eta) / (dp * dq) * corner
+    t2 = p_mu / dp * (s_mu_n - s_mn if forward else s_mn - s_mu_n)
+    t3 = q_eta / dq * (s_m_eta - s_mn if forward else s_mn - s_m_eta)
+    lhs = u_mn - s_mn
+    residual = _exact_sum(np.array([lhs, -t1, -t2, -t3, t_window if forward else -t_window]))
+    scale = max(1.0, abs(lhs), abs(t1), abs(t2), abs(t3), abs(t_window))
+    return tk.LemmaDecomposition(direction, m, n, mu, eta, lhs, t1, t2, t3, t_window,
+                                 residual, abs(residual) / scale)
+
+
+def _outcome(fn, *args):
+    """Each field's repr, or the error's type and text."""
+    try:
+        dec = fn(*args)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return [repr(getattr(dec, f.name)) for f in dataclasses.fields(dec)]
+
+
+def _both_outcomes(seq, p, q, m, n, mu, eta):
+    direction = "forward" if mu > m else "backward"
+    lemma = tk.lemma_forward if mu > m else tk.lemma_backward
+    # fresh weights for each side, so neither reads the other's cache
+    return (
+        _outcome(lemma, seq, p(), q(), m, n, mu, eta),
+        _outcome(_four_sum_lemma, direction, seq, p(), q(), m, n, mu, eta),
+    )
+
+
+_WEIGHTS = {"ones": tk.ones, "harmonic": tk.harmonic, "power": tk.power,
+            "geometric:r=10": lambda: tk.geometric(10.0)}
+# Forward then backward splits.  Near (150, 150), geometric:r=10 products
+# reach 1e305: finite, but close enough to overflow that the oracle decides.
+_SPLITS = [(40, 30, 55, 47), (3, 5, 4, 6), (150, 150, 152, 153),
+           (40, 30, 25, 12), (1, 1, 0, 0), (152, 153, 150, 150)]
+
+
+@pytest.mark.parametrize("wp, wq", [("ones", "ones"), ("harmonic", "power"), ("power", "harmonic"),
+                                    ("geometric:r=10", "ones"),
+                                    ("geometric:r=10", "geometric:r=10")])
+@pytest.mark.parametrize("name", ["additive_convergent", "alternating", "separable_convergent",
+                                  "complex_convergent"])
+def test_splits_keep_the_bits_of_four_sigma_single_calls(name, wp, wq):
+    seq = tk.corpus_sequence(name)
+    for split in _SPLITS:
+        new, old = _both_outcomes(seq, _WEIGHTS[wp], _WEIGHTS[wq], *split)
+        assert new == old, split
+
+
+def test_split_keeps_the_intermediate_overflow_of_fsum():
+    # every product is finite, but the block's sum overflows a double
+    new, old = _both_outcomes(tk.constant(1.5), _WEIGHTS["geometric:r=10"],
+                              _WEIGHTS["geometric:r=10"], 150, 150, 154, 154)
+    assert new == old == "OverflowError: intermediate overflow in fsum"
+
+
+def _two_poles(M, N):
+    u = np.where((M == 3) & (N == 2), np.inf, np.ones(np.broadcast_shapes(M.shape, N.shape)))
+    return np.where((M == 0) & (N == 9), np.nan, u)
+
+
+def test_split_names_the_bad_cell_of_the_anchor_rectangle():
+    # (0, 9) comes first in the whole block, but (3, 2) is the first bad
+    # cell of the (m, n) rectangle, which is summed first
+    seq = tk.DoubleSequence("poles", _two_poles)
+    new, old = _both_outcomes(seq, tk.ones, tk.ones, 5, 5, 8, 12)
+    assert new == old == "NonFiniteValueError: poles: non-finite value at (3, 2)"
+
+
+def test_over_budget_split_raises_the_budget_error():
+    new, old = _both_outcomes(tk.constant(), tk.ones, tk.ones, 20000, 20000, 20001, 20002)
+    assert new == old == (
+        "ResourceLimitError: constant(c=1): grid of 400040001 cells exceeds budget 268435456"
+    )
+
+
+@pytest.mark.parametrize("split", [(40, 30, 55, 47), (40, 30, 25, 12)])
+def test_split_evaluates_one_block_and_the_window(monkeypatch, split):
+    m, n, mu, eta = split
+    cells = []
+    block = tk.DoubleSequence.block
+
+    def counting(self, m_idx, n_idx):
+        out = block(self, m_idx, n_idx)
+        cells.append(out.size)
+        return out
+
+    monkeypatch.setattr(tk.DoubleSequence, "block", counting)
+    lemma = tk.lemma_forward if mu > m else tk.lemma_backward
+    lemma(ADD, tk.ones(), tk.harmonic(), m, n, mu, eta)
+    # the anchor's own cell, the block from the origin, the window block
+    rows, cols = max(m, mu) + 1, max(n, eta) + 1
+    assert cells == [1, rows * cols, abs(mu - m) * abs(eta - n)]
 
 
 def test_horizon_ladder_steps_down_to_an_eighth():

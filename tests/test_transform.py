@@ -5,11 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tauberkit as tk
 from helpers import direct_sigma, direct_sigma_grid
 from tauberkit.cli import parse_sequence_spec
-from tauberkit.transform import _SUM_CHUNK, _exact_sum, format_float
+from tauberkit.transform import _SUM_CHUNK, _corner_sums, _exact_sum, format_float
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -163,6 +164,68 @@ def test_chunked_exact_sum_matches_one_fsum_over_the_whole_list(size, kind):
         vals = spread() + 1j * spread()
         want = complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
     assert _exact_sum(vals) == want
+
+
+def _random_doubles(rng, size, top_exponent):
+    """Doubles with uniform random sign, 52-bit fraction and biased exponent
+    in [0, top_exponent]: every binade from the subnormals up."""
+    bits = rng.integers(0, 1 << 52, size, dtype=np.int64)
+    bits |= rng.integers(0, top_exponent + 1, size, dtype=np.int64) << 52
+    bits |= rng.integers(0, 2, size, dtype=np.int64) << 63
+    return bits.view(np.float64)
+
+
+@st.composite
+def corner_blocks(draw):
+    """A block, a split (r0, c0) and a seed-built value pattern.
+
+    The fill keeps each rectangle's sum of magnitudes below 2^1018, inside
+    the kernel's contract.  Some shapes hold more than one band of cells,
+    or a single row or column longer than one band.
+    """
+    rows, cols = draw(
+        st.tuples(st.integers(1, 40), st.integers(1, 40))
+        | st.sampled_from([(1, _SUM_CHUNK + 3), (_SUM_CHUNK + 3, 1), (2, 40000), (300, 300)])
+    )
+    r0, c0 = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+    fills = ["spread", "cancel", "subnormal", "zero", "negzero", "zero_corner"]
+    fill = draw(st.sampled_from(fills))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = rows * cols
+    top = 2040 - size.bit_length()
+
+    def part():
+        if fill in ("zero", "negzero"):
+            return np.full(size, 0.0 if fill == "zero" else -0.0)
+        vals = _random_doubles(rng, size, 0 if fill == "subnormal" else top)
+        if fill == "cancel":
+            # half the cells cancel another cell exactly, and the rest are
+            # tiny against them
+            perm = rng.permutation(size)
+            half = size // 2
+            vals[perm[:half]] = -vals[perm[half : 2 * half]]
+            vals[perm[2 * half :]] *= 2.0**-600
+        return vals
+
+    vals = part() + 1j * part() if draw(st.booleans()) else part()
+    terms = vals.reshape(rows, cols)
+    if fill == "zero_corner":
+        terms[: r0 + 1, : c0 + 1] = draw(st.sampled_from([0.0, -0.0]))
+    return terms, r0, c0
+
+
+@settings(max_examples=150, deadline=None)
+@given(corner_blocks())
+def test_corner_sums_equal_fsum_of_each_rectangle(case):
+    terms, r0, c0 = case
+    want = [
+        _exact_sum(terms[: r0 + 1, : c0 + 1]),
+        _exact_sum(terms[:, : c0 + 1]),
+        _exact_sum(terms[: r0 + 1]),
+        _exact_sum(terms),
+    ]
+    # repr tells -0.0 from 0.0 as well as every other pair of doubles apart
+    assert [repr(x) for x in _corner_sums(terms, r0, c0)] == [repr(x) for x in want]
 
 
 def test_export_grid_csv_layout(tmp_path):
