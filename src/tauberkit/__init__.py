@@ -63,6 +63,7 @@ from .oscillation import (
     backward_window_lower_index,
     build_bound_profile,
     build_window_profile,
+    build_window_profiles,
     empirical_limit,
     export_profiles_csv,
     export_samples_csv,

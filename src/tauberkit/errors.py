@@ -50,4 +50,11 @@ class NonFiniteValueError(TauberkitError, ArithmeticError):
 
 
 class ResourceLimitError(TauberkitError, MemoryError):
-    """A requested evaluation would exceed the configured cell budget."""
+    """A requested evaluation would exceed the configured cell budget.
+
+    Carries ``cells``, the size of the refused request, when that is known.
+    """
+
+    def __init__(self, message: str, cells: int | None = None):
+        super().__init__(message)
+        self.cells = cells

@@ -29,7 +29,7 @@ from .oscillation import (
     LimitEstimate,
     WindowDirection,
     build_bound_profile,
-    build_window_profile,
+    build_window_profiles,
     empirical_limit,
 )
 from .variation import VariationClass, VariationKind, classify_adaptive
@@ -531,23 +531,21 @@ def verify_theorem(
     u_limit = empirical_limit(u_grid, ladder, cfg.tail_fraction, cfg.eps_dec)
     sigma_limit = empirical_limit(fieldv.sigma, ladder, cfg.tail_fraction, cfg.eps_dec)
 
-    profiles: dict[str, DecisionProfile] = {}
-    for name in _THEOREM_FUNCTIONALS[theorem]:
-        if name in ("landau", "hardy"):
-            prof_p, prof_q = build_bound_profile(seq, p, q, name, ladder, cfg.tail_fraction)
-            profiles[prof_p.functional] = prof_p
-            profiles[prof_q.functional] = prof_q
-        else:
-            profiles[name] = build_window_profile(
-                seq,
-                p,
-                q,
-                name,
-                ladder,
-                list(cfg.lambda_ladder),
-                None if cfg.kappa_ladder is None else list(cfg.kappa_ladder),
-                cfg.tail_fraction,
-            )
+    names = _THEOREM_FUNCTIONALS[theorem]
+    if names[0] in ("landau", "hardy"):
+        prof_p, prof_q = build_bound_profile(seq, p, q, names[0], ladder, cfg.tail_fraction)
+        profiles = {prof_p.functional: prof_p, prof_q.functional: prof_q}
+    else:
+        profiles = build_window_profiles(
+            seq,
+            p,
+            q,
+            list(names),
+            ladder,
+            list(cfg.lambda_ladder),
+            None if cfg.kappa_ladder is None else list(cfg.kappa_ladder),
+            cfg.tail_fraction,
+        )
 
     tr = {name: prof.trend_holds(cfg.eps_dec) for name, prof in profiles.items()}
     if theorem is Theorem.T41:

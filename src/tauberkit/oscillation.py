@@ -9,21 +9,23 @@ absolute spreads max |u - ref| (complex welcome).  Decision profiles sample
 the functionals on a tail ladder of horizons so a caller can see whether a
 condition is trending the way the limit theory needs it to.
 
-One window engine computes every functional.  A profile rung first
-resolves the windows of its 3x3 tail anchors, in anchor order and under the
-per-anchor index and cell budgets.  It then evaluates u once on the union
-of those windows, in row bands of at most _BAND_CELLS cells, and reduces
-every anchor from the bands' extrema over the segments the window edges cut
-the union into.  Min and max are exact and every value is still one
-subtraction of the same two doubles, so the results match a per-anchor
-evaluation bit for bit.  window_functional, one functional at one anchor,
-is the engine's single-anchor case.
+One window engine computes every functional.  A set of profiles first
+resolves every window it samples -- by functional, then scale, horizon
+and 3x3 tail anchor -- under the per-anchor index and cell budgets.  It
+then makes one pass per horizon: u is evaluated once on the union of
+that horizon's windows, for all functionals and scales, in row bands of
+at most _BAND_CELLS cells.  The window edges cut the union into
+segments, and each window is reduced from per-segment extrema (of x, or
+of |x - r| for complex u).  Min and max are exact and every value is
+still one subtraction of the same two doubles, so the results match a
+per-anchor evaluation bit for bit.  window_functional, one functional at
+one anchor, is the engine's single-window case.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -54,8 +56,8 @@ def _require_real(seq: DoubleSequence, what: str) -> None:
         raise ScalarKindError(f"{what} is order-sensitive; {seq.name} is complex-valued")
 
 
-def _check_finite(seq: DoubleSequence, arr: np.ndarray) -> None:
-    if not np.isfinite(arr).all():
+def _check_finite(seq: DoubleSequence, *arrays: np.ndarray) -> None:
+    if not all(np.isfinite(arr).all() for arr in arrays):
         raise NonFiniteValueError(f"{seq.name}: non-finite value inside a window")
 
 
@@ -103,16 +105,6 @@ def backward_window_lower_index(p: WeightSequence, m: int, lam: float) -> int:
     # lam < 1 puts m itself in the window in exact arithmetic; keep that
     # guarantee even if lam*P_m rounds up onto P_m.
     return min(lo, m)
-
-
-def _forward_upper(p: WeightSequence, m: int, lam: float) -> int:
-    """window_upper_index after growing the prefix past the window edge."""
-    if lam <= 1.0:
-        raise ValueError(f"forward window needs lam > 1, got {lam}")
-    if m < 0:
-        raise ValueError(f"window anchor must be >= 0, got {m}")
-    p.ensure_sum_exceeds(lam * p.prefix(m))
-    return window_upper_index(p, m, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -186,174 +178,211 @@ def _functional(name: str, seq: DoubleSequence, what: str | None = None) -> _Fun
 # ---------------------------------------------------------------------------
 
 
-def _axis_window(w, anchor, scale, direction) -> tuple[int, int]:
-    if direction is WindowDirection.FORWARD:
-        return anchor, _forward_upper(w, anchor, scale)
-    return backward_window_lower_index(w, anchor, scale), anchor
+def _axis_window(w, anchor, scale, direction, known) -> tuple[int, int]:
+    """(lo, hi) of one axis's window, cached in known: the prefix only grows
+    (past a forward window's edge first), so a resolved window is final."""
+    key = (id(w), anchor, scale)
+    if key not in known and direction is WindowDirection.BACKWARD:
+        known[key] = backward_window_lower_index(w, anchor, scale), anchor
+    elif key not in known:
+        if scale <= 1.0:
+            raise ValueError(f"forward window needs lam > 1, got {scale}")
+        if anchor < 0:
+            raise ValueError(f"window anchor must be >= 0, got {anchor}")
+        w.ensure_sum_exceeds(scale * w.prefix(anchor))
+        known[key] = anchor, window_upper_index(w, anchor, scale)
+    return known[key]
 
 
-def _resolve(spec, direction, p, q, m, n, lam, kappa, budget):
-    """Row and column window (lo, hi) of one anchor.
-
-    Grows the prefixes as needed; HorizonError propagates when max_index is
-    hit first, and a rectangle over the cell budget raises
+def _resolve(spec, direction, p, q, m, n, lam, kappa, budget, known):
+    """Row and column window (lo, hi) of one anchor, axis windows cached in
+    known.  Grows the prefixes as needed; HorizonError propagates when
+    max_index is hit first, and a rectangle over the cell budget raises
     ResourceLimitError.
     """
-    rows = (m, m) if spec.shape == "q" else _axis_window(p, m, lam, direction)
-    cols = (n, n) if spec.shape == "p" else _axis_window(q, n, kappa, direction)
+    rows = (m, m) if spec.shape == "q" else _axis_window(p, m, lam, direction, known)
+    cols = (n, n) if spec.shape == "p" else _axis_window(q, n, kappa, direction, known)
     if spec.shape == "pq" and budget is not None:
         cells = (rows[1] - rows[0] + 1) * (cols[1] - cols[0] + 1)
         if cells > budget:
             raise ResourceLimitError(
                 f"window [{rows[0]}..{rows[1]}]x[{cols[0]}..{cols[1]}] has {cells} cells, "
-                f"budget {budget}"
+                f"budget {budget}", cells=cells
             )
     return rows, cols
 
 
-def _union(wins):
-    """Union of inclusive windows, cut into segments at every window edge.
+class _Window(NamedTuple):
+    """A functional's inclusive row and column window, anchored on row m."""
 
-    Returns the sorted index vector, the position of each segment's start
-    in it (its length appended) and each window's (first, last + 1)
-    segment: every window is a run of whole segments.
-    """
-    edges = sorted({e for lo, hi in wins for e in (lo, hi + 1)})
-    segs = [(a, b) for a, b in zip(edges, edges[1:]) if any(lo <= a <= hi for lo, hi in wins)]
-    idx = np.concatenate([np.arange(a, b) for a, b in segs])
-    starts = np.cumsum([0] + [b - a for a, b in segs])
-    first = {a: s for s, (a, _) in enumerate(segs)}
-    last = {b: s + 1 for s, (_, b) in enumerate(segs)}
-    return idx, starts, [(first[lo], last[hi + 1]) for lo, hi in wins]
+    spec: _Functional
+    rows: tuple[int, int]
+    cols: tuple[int, int]
+    m: int
 
 
-def _compare(spec, forward, lo, hi, ref):
-    """The functional's value from the window's minima lo and maxima hi."""
-    if spec.reduction == "spread":
+def _cuts(spans):
+    """Edges cutting an axis at both ends of every span, and each span's
+    (first, last + 1) segment: every span is a run of whole segments."""
+    edges = sorted({e for lo, hi in spans for e in (lo, hi + 1)})
+    at = {e: k for k, e in enumerate(edges)}
+    return edges, [(at[lo], at[hi + 1]) for lo, hi in spans]
+
+
+_WORSE = {"drop": np.minimum, "spread": np.maximum}
+
+
+def _compare(reduction, forward, lo, hi, ref):
+    """A functional's value from the minima lo and maxima hi of its window."""
+    if reduction == "spread":
         return np.maximum(hi - ref, ref - lo)
     return lo - ref if forward else ref - hi
 
 
-def _window_values(seq, spec, direction, row_wins, col_wins) -> np.ndarray:
-    """One functional at every (row window, column window) pair.
+def _window_values(seq, direction, wins) -> list[float]:
+    """Each window's functional value, from one pass over their union.
 
-    Evaluates u once on the union of the windows, in bands of rows of at
-    most _BAND_CELLS cells, and raises NonFiniteValueError if any cell of it
-    is not finite.  A real band is reduced to extrema: column minima and
-    maxima per row segment or, for a column reference, row minima and
-    maxima per column segment.  max |x - r| is then max(max x - r, r - min x),
-    exact because rounding is monotone.  A complex band reduces |x - r| over
-    each window's part of it.
+    The window edges cut rows and columns into segments; a row segment
+    reads only the column segments some window pairs it with, in bands of
+    at most _BAND_CELLS cells, and any non-finite cell raises
+    NonFiniteValueError.  Each reference (reduction and corner u(m, n),
+    anchor row u(m, .) or anchor column u(., n)) keeps its worst comparison
+    per pair of segments; a window takes the worst over its segments.  Real
+    bands compare extrema: column min/max over the row segment for corner
+    and row references, row min/max per column segment for column ones.
+    Rounding is monotone, so min x - r is min (x - r) and max(max x - r,
+    r - min x) is max |x - r|.  Complex bands take |x - r| once per
+    reference a row segment needs.
     """
     forward = direction is WindowDirection.FORWARD
-    rows, row_starts, row_spans = _union(row_wins)
-    cols, col_starts, col_spans = _union(col_wins)
-    # The anchor opens a forward window and closes a backward one.
-    ref_col = [col_starts[t0] if forward else col_starts[t1] - 1 for t0, t1 in col_spans]
-    if spec.reference != "col":
-        refs = seq.block(np.array([lo if forward else hi for lo, hi in row_wins]), cols)
-        _check_finite(seq, refs)
     real = seq.kind is ScalarKind.REAL
-    worse = np.minimum if spec.reduction == "drop" else np.maximum
-    nseg = len(row_starts) - 1
-    # Per row segment: column minima and maxima, or for a column reference
-    # the worst comparison for each column anchor.
-    lo, hi = np.full((nseg, cols.size), np.inf), np.full((nseg, cols.size), -np.inf)
-    acc = np.full((nseg, len(col_wins)), np.inf if worse is np.minimum else -np.inf)
-    out = np.zeros((len(row_wins), len(col_wins)))
-    band = max(1, _BAND_CELLS // cols.size)
-    for b0 in range(0, rows.size, band):
-        b1 = min(b0 + band, rows.size)
-        u = seq.block(rows[b0:b1], cols)
-        k0 = int(np.searchsorted(row_starts, b0, side="right")) - 1
-        k1 = int(np.searchsorted(row_starts, b1))
-        parts = [
-            (s, max(row_starts[s], b0) - b0, min(row_starts[s + 1], b1) - b0)
-            for s in range(k0, k1)
-        ]
-        if not real:
-            _check_finite(seq, u)
-            for a, (s0, s1) in enumerate(row_spans):
-                r0, r1 = max(row_starts[s0], b0) - b0, min(row_starts[s1], b1) - b0
-                if r0 >= r1:
-                    continue
-                for c, (t0, t1) in enumerate(col_spans):
-                    c0, c1 = col_starts[t0], col_starts[t1]
-                    if spec.reference == "corner":
-                        ref = refs[a, ref_col[c]]
-                    elif spec.reference == "row":
-                        ref = refs[a, c0:c1]
-                    else:
-                        ref = u[r0:r1, ref_col[c], None]
-                    out[a, c] = max(out[a, c], np.abs(u[r0:r1, c0:c1] - ref).max())
-        elif spec.reference == "col":
-            # Extrema carry any nan or infinity of the band.
-            row_lo = np.minimum.reduceat(u, col_starts[:-1], axis=1)
-            row_hi = np.maximum.reduceat(u, col_starts[:-1], axis=1)
-            _check_finite(seq, row_lo)
-            _check_finite(seq, row_hi)
-            for c, (t0, t1) in enumerate(col_spans):
-                wlo, whi = row_lo[:, t0:t1].min(axis=1), row_hi[:, t0:t1].max(axis=1)
-                d = _compare(spec, forward, wlo, whi, u[:, ref_col[c]])
-                for s, r0, r1 in parts:
-                    acc[s, c] = worse(acc[s, c], worse.reduce(d[r0:r1]))
-        else:
-            for s, r0, r1 in parts:
-                seg_lo, seg_hi = u[r0:r1].min(axis=0), u[r0:r1].max(axis=0)
-                _check_finite(seq, seg_lo)
-                _check_finite(seq, seg_hi)
-                np.minimum(lo[s], seg_lo, out=lo[s])
-                np.maximum(hi[s], seg_hi, out=hi[s])
-    if not real:
-        return out
-    for a, (s0, s1) in enumerate(row_spans):
-        if spec.reference == "col":
-            out[a] = worse.reduce(acc[s0:s1], axis=0)
+    redges, rspans = _cuts([w.rows for w in wins])
+    cedges, cspans = _cuts([w.cols for w in wins])
+    nseg = len(redges) - 1
+    cover = np.zeros((nseg, len(cedges) - 1), dtype=bool)
+    for (s0, s1), (t0, t1) in zip(rspans, cspans):
+        cover[s0:s1, t0:t1] = True
+    # Column segment t of the union sits at positions cpos[t]..cpos[t + 1].
+    cpos = np.concatenate([[0], np.cumsum(np.diff(cedges) * cover.any(axis=0))])
+    # Each row segment's references, with the column segments their windows
+    # span there; the anchor opens a forward window and closes a backward one.
+    keys, need = [], [{} for _ in range(nseg)]
+    for w, (s0, s1), (t0, t1) in zip(wins, rspans, cspans):
+        ref = w.spec.reference
+        at = int(cpos[t0] if forward else cpos[t1] - 1)
+        key = (w.spec.reduction, ref, None if ref == "col" else w.m, None if ref == "row" else at)
+        keys.append(key)
+        for s in range(s0, s1):
+            a, b = need[s].get(key, (t0, t1))
+            need[s][key] = (min(a, t0), max(b, t1))
+    ref_rows = {key[2]: None for key in keys if key[2] is not None}
+    fill = {"drop": np.inf, "spread": -np.inf}
+    tables = {key: np.full(cover.shape, fill[key[0]]) for key in dict.fromkeys(keys)}
+    for s in range(nseg) if forward else range(nseg - 1, -1, -1):
+        ts = np.flatnonzero(cover[s])
+        if ts.size == 0:
             continue
-        wlo, whi = lo[s0:s1].min(axis=0), hi[s0:s1].max(axis=0)
-        for c, (t0, t1) in enumerate(col_spans):
-            c0, c1 = col_starts[t0], col_starts[t1]
-            if spec.reference == "corner":
-                ref = refs[a, ref_col[c]]
-                out[a, c] = _compare(spec, forward, wlo[c0:c1].min(), whi[c0:c1].max(), ref)
+        cols = np.concatenate([np.arange(cedges[t], cedges[t + 1]) for t in ts])
+        pos = np.concatenate([np.arange(cpos[t], cpos[t + 1]) for t in ts])
+        bounds = np.append(np.searchsorted(pos, cpos[ts]), pos.size)
+        jobs = [(key, *np.searchsorted(ts, span)) for key, span in need[s].items()]
+        col_refs = any(key[1] == "col" for key in need[s])
+        step = max(1, _BAND_CELLS // cols.size)
+        bands = range(redges[s], redges[s + 1], step)
+        for b0 in bands if forward else reversed(bands):
+            b1 = min(b0 + step, redges[s + 1])
+            u = seq.block(np.arange(b0, b1), cols)
+            for m in ref_rows:
+                if b0 <= m < b1:
+                    ref_rows[m] = np.full(int(cpos[-1]), np.nan, dtype=u.dtype)
+                    ref_rows[m][pos] = u[m - b0]
+            if real:
+                # Extrema carry any nan or infinity of the band.
+                col_lo, col_hi = u.min(axis=0), u.max(axis=0)
+                _check_finite(seq, col_lo, col_hi)
+                seg_lo = np.minimum.reduceat(col_lo, bounds[:-1])
+                seg_hi = np.maximum.reduceat(col_hi, bounds[:-1])
+                if col_refs:
+                    row_lo = np.minimum.reduceat(u, bounds[:-1], axis=1)
+                    row_hi = np.maximum.reduceat(u, bounds[:-1], axis=1)
             else:
-                d = _compare(spec, forward, wlo[c0:c1], whi[c0:c1], refs[a, c0:c1])
-                out[a, c] = worse.reduce(d)
-    return out
-
-
-def _tail_values(seq, spec, p, q, cells, lam, kappa, budget, stop_at_gap):
-    """The functional at the anchors cells x cells, in row-major order.
-
-    An anchor whose window runs past max_index or over the cell budget gets
-    None; with stop_at_gap the first such anchor ends the walk.  Raises what
-    evaluating each anchor in turn would raise, in the same order.
-    """
-    fwd = WindowDirection.FORWARD
-    wins, failure = [], None
-    for m, n in itertools.product(cells, cells):
-        try:
-            wins.append(_resolve(spec, fwd, p, q, m, n, lam, kappa, budget))
-        except (HorizonError, ResourceLimitError):
-            wins.append(None)
-            if stop_at_gap:
-                break
-        except Exception as exc:
-            # Anchors resolved before this one are evaluated first: a
-            # non-finite cell in their windows is raised ahead of this error.
-            failure = exc
-            break
-    k = len(cells)
-    if failure is None and len(wins) == k * k and None not in wins:
-        rows, cols = [w[0] for w in wins[::k]], [w[1] for w in wins[:k]]
-        return _window_values(seq, spec, fwd, rows, cols).ravel().tolist()
-    vals = [
-        None if w is None else float(_window_values(seq, spec, fwd, [w[0]], [w[1]])[0, 0])
-        for w in wins
+                _check_finite(seq, u)
+            for key, k0, k1 in jobs:
+                reduction, ref, m, at = key
+                worse, c0, c1 = _WORSE[reduction], bounds[k0], bounds[k1]
+                if ref == "col":
+                    r = u[:, c0 if forward else c1 - 1, None]
+                else:
+                    # A row reference's windows may leave column gaps its
+                    # own row did not read; their nan entries go unused.
+                    r = ref_rows[m][pos[c0:c1] if at is None else at]
+                if not real:
+                    top = np.maximum.reduceat(np.abs(u[:, c0:c1] - r), bounds[k0:k1] - c0, axis=1)
+                    top = top.max(axis=0)
+                elif ref == "corner":
+                    top = _compare(reduction, forward, seg_lo[k0:k1], seg_hi[k0:k1], r)
+                elif ref == "row":
+                    d = _compare(reduction, forward, col_lo[c0:c1], col_hi[c0:c1], r)
+                    top = worse.reduceat(d, bounds[k0:k1] - c0)
+                else:
+                    d = _compare(reduction, forward, row_lo[:, k0:k1], row_hi[:, k0:k1], r)
+                    top = worse.reduce(d, axis=0)
+                row = tables[key][s]
+                row[ts[k0:k1]] = worse(row[ts[k0:k1]], top)
+    return [
+        float(_WORSE[key[0]].reduce(tables[key][s0:s1, t0:t1], axis=None))
+        for key, (s0, s1), (t0, t1) in zip(keys, rspans, cspans)
     ]
+
+
+def _rung_values(seq, p, q, functionals, horizons, lambda_ladder, kappa_ladder,
+                 tail_fraction, budget, stop_at_gap):
+    """(functional, descriptor, lam, kappa, horizon, tail cells, slots) per
+    rung; a slot per anchor tried, in row-major order, holds its value or
+    why it has none: ("horizon", HorizonError.needed) or ("budget", cells).
+    With stop_at_gap the first such anchor ends its rung.  Every window is
+    resolved before any is evaluated, one pass per horizon.  Raises what
+    evaluating the rungs in turn would raise: any other error ends the
+    resolution, raised after evaluating the windows resolved before it.
+    """
+    kappa_ladder = list(lambda_ladder if kappa_ladder is None else kappa_ladder)
+    fwd = WindowDirection.FORWARD
+    rungs, failure, known = [], None, {}
+    try:
+        for name in functionals:
+            spec = _functional(name, seq)
+            if len(kappa_ladder) != len(lambda_ladder):
+                raise ValueError("kappa ladder must pair one-for-one with the lambda ladder")
+            for (lam, kap), h in itertools.product(zip(lambda_ladder, kappa_ladder),
+                                                   sorted(horizons)):
+                t0 = math.ceil(tail_fraction * h)
+                cells = sorted({t0, (t0 + h) // 2, h})
+                slots = []
+                rungs.append((name, spec, lam, kap, h, cells, slots))
+                for m, n in itertools.product(cells, cells):
+                    try:
+                        win = _resolve(spec, fwd, p, q, m, n, lam, kap, budget, known)
+                    except HorizonError as exc:
+                        slots.append(("horizon", exc.needed))
+                    except ResourceLimitError as exc:
+                        slots.append(("budget", exc.cells))
+                    else:
+                        slots.append(_Window(spec, *win, m))
+                        continue
+                    if stop_at_gap:
+                        break
+    except Exception as exc:
+        failure = exc
+    wins = {}
+    for *_, h, _, slots in rungs:
+        wins.setdefault(h, []).extend(w for w in slots if isinstance(w, _Window))
+    values = {h: iter(_window_values(seq, fwd, ws)) for h, ws in wins.items() if ws}
     if failure is not None:
         raise failure
-    return vals
+    return [
+        (*rung[:6], [next(values[rung[4]]) if isinstance(w, _Window) else w for w in rung[6]])
+        for rung in rungs
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -362,16 +391,9 @@ def _tail_values(seq, spec, p, q, cells, lam, kappa, budget, stop_at_gap):
 
 
 def window_functional(
-    name: str,
-    seq: DoubleSequence,
-    p: WeightSequence | None,
-    q: WeightSequence | None,
-    m: int,
-    n: int,
-    lam: float | None,
-    kappa: float | None,
-    direction: WindowDirection = WindowDirection.FORWARD,
-    budget: int = MAX_WINDOW_CELLS,
+    name: str, seq: DoubleSequence, p: WeightSequence | None, q: WeightSequence | None,
+    m: int, n: int, lam: float | None, kappa: float | None,
+    direction: WindowDirection = WindowDirection.FORWARD, budget: int = MAX_WINDOW_CELLS,
 ) -> float:
     """One named window functional at the anchor (m, n).
 
@@ -386,8 +408,8 @@ def window_functional(
     """
     what = name if direction is WindowDirection.FORWARD else f"backward {name}"
     spec = _functional(name, seq, what)
-    rows, cols = _resolve(spec, direction, p, q, m, n, lam, kappa, budget)
-    return float(_window_values(seq, spec, direction, [rows], [cols])[0, 0])
+    rows, cols = _resolve(spec, direction, p, q, m, n, lam, kappa, budget, {})
+    return _window_values(seq, direction, [_Window(spec, rows, cols, m)])[0]
 
 
 def sd_functional_P(seq, p, m, n, lam) -> float:
@@ -515,15 +537,17 @@ class ProfileRung:
     horizon: int
     stat: float | None
     cells: int
+    reason: tuple[str, float | None] | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class DecisionProfile:
     """Tail statistics of one functional across window scales and horizons.
 
-    ``stat`` being None on a rung means the window could not be sampled
-    within the index or cell budget; the trend logic then works from the
-    rungs that were.
+    ``stat`` None on a rung means its windows could not be sampled within
+    the index or cell budget; ``reason`` says which, as ("horizon",
+    HorizonError.needed) or ("budget", cells).  The trend logic then works
+    from the rungs that were.
     """
 
     functional: str
@@ -562,55 +586,40 @@ class DecisionProfile:
         return monotone and small
 
 
-def _tail_cells(horizon: int, tail_fraction: float) -> list[int]:
-    t0 = math.ceil(tail_fraction * horizon)
-    return sorted({t0, (t0 + horizon) // 2, horizon})
+def build_window_profiles(
+    seq: DoubleSequence, p: WeightSequence, q: WeightSequence, functionals: list[str],
+    horizons: list[int], lambda_ladder: list[float], kappa_ladder: list[float] | None = None,
+    tail_fraction: float = 0.5, budget: int = MAX_WINDOW_CELLS,
+) -> dict[str, DecisionProfile]:
+    """Sample window functionals on tail cells across scales and horizons.
 
-
-def _ladder(seq, p, q, functional, horizons, lambda_ladder, kappa_ladder, tail_fraction,
-            budget, stop_at_gap):
-    """The functional's descriptor and (lam, kappa, horizon, tail cells,
-    values) for every rung, values as _tail_values gives them."""
-    spec = _functional(functional, seq)
-    if kappa_ladder is None:
-        kappa_ladder = list(lambda_ladder)
-    if len(kappa_ladder) != len(lambda_ladder):
-        raise ValueError("kappa ladder must pair one-for-one with the lambda ladder")
-    rungs = []
-    for lam, kap in zip(lambda_ladder, kappa_ladder):
-        for h in sorted(horizons):
-            cells = _tail_cells(h, tail_fraction)
-            vals = _tail_values(seq, spec, p, q, cells, lam, kap, budget, stop_at_gap)
-            rungs.append((lam, kap, h, cells, vals))
-    return spec, rungs
+    Each rung takes the worst value (per the functional's sense) over a
+    3x3 tail sample; a rung whose windows cannot be resolved within the
+    index or cell budget gets stat None.  One pass over u per horizon
+    serves every functional and scale.
+    """
+    ladder = _rung_values(seq, p, q, functionals, horizons, lambda_ladder, kappa_ladder,
+                          tail_fraction, budget, stop_at_gap=True)
+    rungs = {name: [] for name in functionals}
+    for name, spec, lam, kap, h, _, slots in ladder:
+        gap = next((s for s in slots if isinstance(s, tuple)), None)
+        worst = min if spec.sense is TrendSense.INF else max
+        stat, cells = (None, 0) if gap else (worst(slots), len(slots))
+        rungs[name].append(ProfileRung(lam, kap, h, stat, cells, reason=gap))
+    return {
+        name: DecisionProfile(name, _functional(name, seq).sense, tuple(rs))
+        for name, rs in rungs.items()
+    }
 
 
 def build_window_profile(
-    seq: DoubleSequence,
-    p: WeightSequence,
-    q: WeightSequence,
-    functional: str,
-    horizons: list[int],
-    lambda_ladder: list[float],
-    kappa_ladder: list[float] | None = None,
-    tail_fraction: float = 0.5,
-    budget: int = MAX_WINDOW_CELLS,
+    seq: DoubleSequence, p: WeightSequence, q: WeightSequence, functional: str,
+    horizons: list[int], lambda_ladder: list[float], kappa_ladder: list[float] | None = None,
+    tail_fraction: float = 0.5, budget: int = MAX_WINDOW_CELLS,
 ) -> DecisionProfile:
-    """Sample one window functional on tail cells across scales and horizons.
-
-    Each rung takes the worst value (per the functional's sense) over a
-    3x3 tail sample.  Rungs whose windows cannot be resolved within the
-    prefix index budget or the cell budget get stat None.
-    """
-    spec, ladder = _ladder(seq, p, q, functional, horizons, lambda_ladder, kappa_ladder,
-                           tail_fraction, budget, stop_at_gap=True)
-    worst = min if spec.sense is TrendSense.INF else max
-    rungs = []
-    for lam, kap, h, _, vals in ladder:
-        sampled = None not in vals
-        stat, cells = (worst(vals), len(vals)) if sampled else (None, 0)
-        rungs.append(ProfileRung(lam=lam, kappa=kap, horizon=h, stat=stat, cells=cells))
-    return DecisionProfile(functional=functional, sense=spec.sense, rungs=tuple(rungs))
+    """build_window_profiles for one functional."""
+    return build_window_profiles(seq, p, q, [functional], horizons, lambda_ladder,
+                                 kappa_ladder, tail_fraction, budget)[functional]
 
 
 def build_bound_profile(
@@ -748,28 +757,19 @@ def export_profiles_csv(profiles: list[DecisionProfile], path: str) -> None:
 
 
 def profile_samples(
-    seq: DoubleSequence,
-    p: WeightSequence,
-    q: WeightSequence,
-    functional: str,
-    horizons: list[int],
-    lambda_ladder: list[float],
-    kappa_ladder: list[float] | None = None,
-    tail_fraction: float = 0.5,
-    budget: int = MAX_WINDOW_CELLS,
+    seq: DoubleSequence, p: WeightSequence, q: WeightSequence, functional: str,
+    horizons: list[int], lambda_ladder: list[float], kappa_ladder: list[float] | None = None,
+    tail_fraction: float = 0.5, budget: int = MAX_WINDOW_CELLS,
 ) -> list[tuple[float, float, int, int, int, float | None]]:
-    """Raw per-cell functional values behind a decision profile.
-
-    Rows (lambda, kappa, horizon, m, n, value) over the same tail cells
-    build_window_profile aggregates; value is None when that cell's window
-    cannot be resolved within the budgets.
-    """
-    _, ladder = _ladder(seq, p, q, functional, horizons, lambda_ladder, kappa_ladder,
-                        tail_fraction, budget, stop_at_gap=False)
+    """Raw per-cell values behind a decision profile: rows (lambda, kappa,
+    horizon, m, n, value) over the tail cells build_window_profile
+    aggregates, value None where a window exceeds the budgets."""
+    ladder = _rung_values(seq, p, q, [functional], horizons, lambda_ladder, kappa_ladder,
+                          tail_fraction, budget, stop_at_gap=False)
     return [
-        (lam, kap, h, m, n, v)
-        for lam, kap, h, cells, vals in ladder
-        for (m, n), v in zip(itertools.product(cells, cells), vals)
+        (lam, kap, h, m, n, None if isinstance(v, tuple) else v)
+        for _, _, lam, kap, h, cells, slots in ladder
+        for (m, n), v in zip(itertools.product(cells, cells), slots)
     ]
 
 

@@ -239,6 +239,43 @@ def test_transform_keeps_its_golden_bytes(tmp_path, sequence, weights_p, weights
     assert hashlib.md5((tmp_path / "sigma.csv").read_bytes()).hexdigest() == digest
 
 
+# md5 of report.json and profiles.csv from `analyze --horizon 256`, captured at
+# commit e1195a1, whose window engine evaluated each profile rung on its own
+# (Python 3.11, numpy 2.4, x86-64).
+@pytest.mark.parametrize(
+    "sequence, theorem, weights, report_digest, profiles_digest",
+    [
+        ("alternating", "T41", "ones",
+         "68c55abea31f4929221c8eacc48fa7fd", "97c9eeb42c092c48e55a993330af7f6f"),
+        ("alternating", "T51", "ones",
+         "2e0dfee8979aec5543c80b61dbf8b03d", "172eac40901f2734d716288d35f1617a"),
+        ("complex_convergent", "T51", "power",
+         "68d10117ddd0a5ae81804f08ddef046a", "642ff2c142dbfc2e91d88205b28af90d"),
+    ],
+)
+def test_analyze_keeps_its_golden_bytes(
+    tmp_path, sequence, theorem, weights, report_digest, profiles_digest
+):
+    res = run_cli(
+        "analyze", "--horizon", "256", "--sequence", sequence, "--theorem", theorem,
+        "--weights-p", weights, "--weights-q", weights, cwd=tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    assert hashlib.md5((tmp_path / "report.json").read_bytes()).hexdigest() == report_digest
+    assert hashlib.md5((tmp_path / "profiles.csv").read_bytes()).hexdigest() == profiles_digest
+
+
+# md5 of sweep.csv, captured at commit e1195a1 like the analyze digests above.
+def test_sweep_keeps_its_golden_bytes(tmp_path):
+    res = run_cli(
+        "sweep", "--sequence", "alternating", "--functional", "so_both", "--horizon", "256",
+        cwd=tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    digest = hashlib.md5((tmp_path / "sweep.csv").read_bytes()).hexdigest()
+    assert digest == "61b7a8a96c9a17ab13f67451211f8974"
+
+
 @pytest.mark.parametrize("depth", [200, 3000])
 def test_deeply_nested_expressions_exit_two(tmp_path, depth):
     expr = "(" * depth + "m+n" + ")" * depth

@@ -1,5 +1,7 @@
 """Window indexing, the one-sided and absolute window functionals, and limits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -610,3 +612,126 @@ def test_a_weight_error_is_raised_after_earlier_anchors_are_checked(cell):
     assert _outcome(_engine_profile, *args) == expect
     args = (seq, make(), tk.ones(), "sd_strong_P", [32, 48], [1.5], 10**6)
     assert _outcome(_engine_samples, *args) == expect
+
+
+# ---------------------------------------------------------------------------
+# One pass per horizon for a whole set of functionals
+# ---------------------------------------------------------------------------
+
+_THEOREM_SETS = {
+    "T41": ["sd_P", "sd_Q", "sd_strong_P", "sd_strong_Q"],
+    "T51": ["so_P", "so_Q", "so_strong_P", "so_strong_Q"],
+}
+
+
+def _engine_profiles(seq, p, q, names, horizons, ladder, budget):
+    profs = tk.build_window_profiles(seq, p, q, names, horizons, ladder, budget=budget)
+    assert list(profs) == names
+    return [
+        [None if r.stat is None else (repr(r.stat), r.cells) for r in prof.rungs]
+        for prof in profs.values()
+    ]
+
+
+def _ref_profiles(seq, p, q, names, horizons, ladder, budget):
+    # one profile after another, as a caller of build_window_profile would
+    return [_ref_profile(seq, p, q, name, horizons, ladder, budget) for name in names]
+
+
+# 500 cells admit the anchor (20, 20) of a lam = 2 rung at horizon 40 but
+# not (20, 30) after it, so such rungs stop part-way.
+@pytest.mark.parametrize("budget", [10**6, 500])
+@pytest.mark.parametrize("theorem", sorted(_THEOREM_SETS))
+def test_shared_pass_matches_the_per_anchor_reference_bitwise(band_cells, theorem, budget):
+    names = _THEOREM_SETS[theorem]
+    stats = []
+    for seq_name in _SEQUENCES:
+        seq = tk.corpus_sequence(seq_name)
+        if theorem == "T41" and seq.kind is tk.ScalarKind.COMPLEX:
+            continue
+        for weights in sorted(_WEIGHTS):
+            args = (names, [24, 40], _LADDERS[weights], budget)
+            got = _engine_profiles(seq, _WEIGHTS[weights](), tk.ones(), *args)
+            assert got == _ref_profiles(seq, _WEIGHTS[weights](), tk.ones(), *args), seq_name
+            stats += [r for prof in got for r in prof]
+    assert any(r is not None for r in stats)
+    assert (None in stats) == (budget == 500)
+
+
+def test_shared_pass_reads_no_cell_that_no_rung_reads():
+    # At horizon 32 the tail anchors are 16, 24 and 32.  Row 60 lies only in
+    # lam = 2 row windows and column 60 only in kappa = 2 column windows,
+    # and no rung pairs the two; (60, 17) lies in the (2.0, 1.1) rung's.
+    args = (tk.ones(), tk.ones(), _THEOREM_SETS["T41"], [32], [1.1, 2.0], [2.0, 1.1])
+    profs = tk.build_window_profiles(_poisoned((60, 60)), *args)
+    clean = tk.build_window_profiles(ADD, *args)
+    assert profs == clean
+    assert all(r.stat is not None for prof in profs.values() for r in prof.rungs)
+    with pytest.raises(tk.NonFiniteValueError):
+        tk.build_window_profiles(_poisoned((60, 17)), *args)
+
+
+@pytest.mark.parametrize("cell", [(16, 16), (30, 60), (60, 30), (40, 40)])
+@pytest.mark.parametrize("breaks", [False, True])
+def test_errors_of_a_later_functional_are_raised_where_per_profile_evaluation_does(
+    band_cells, cell, breaks
+):
+    # sd_Q reads rows 16..48 at the anchors' own rows only.  (40, 40) and
+    # (30, 60) lie in windows of sd_strong_P alone; with breaking row weights
+    # the anchor m = 48 of its second rung raises, and (60, 30) lies in that
+    # anchor's window alone.
+    def make():
+        if breaks:
+            return tk.WeightSequence(lambda k: 1.0 if k < 60 else -1.0, name="breaks")
+        return tk.ones()
+
+    names = ["sd_Q", "sd_strong_P"]
+    args = (names, [32, 48], [1.5], 10**6)
+    seq = _poisoned(cell)
+    expect = _outcome(_ref_profiles, seq, make(), tk.ones(), *args)
+    if breaks and cell == (60, 30):
+        assert expect == "WeightDomainError"
+    else:
+        assert expect == "NonFiniteValueError"
+    assert _outcome(_engine_profiles, seq, make(), tk.ones(), *args) == expect
+
+
+def test_verify_theorem_reads_each_window_cell_of_a_horizon_once(monkeypatch):
+    cells, inside = [0], [False]
+    block, values = tk.DoubleSequence.block, tk.oscillation._window_values
+
+    def counted_block(self, i, j):
+        out = block(self, i, j)
+        cells[0] += out.size if inside[0] else 0
+        return out
+
+    def flagged_values(*args):
+        inside[0] = True
+        try:
+            return values(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(tk.DoubleSequence, "block", counted_block)
+    monkeypatch.setattr(tk.oscillation, "_window_values", flagged_values)
+    tk.verify_theorem(ALT, tk.ones(), tk.ones(), tk.Theorem.T41, tk.HarnessConfig(horizon=256))
+    # one read of each horizon's union, against 664,028 when every rung
+    # read its own union
+    assert cells[0] == 198_736
+
+
+def test_unsampled_rungs_say_why():
+    short = tk.WeightSequence(lambda k: 1.0, name="short", max_index=90)
+    prof = tk.build_window_profile(ADD, short, short, "so_both", [32, 64], [1.5])
+    with pytest.raises(tk.HorizonError) as exc:
+        tk.window_functional("so_both", ADD, short, short, 64, 32, 1.5, 1.5)
+    assert [r.reason for r in prof.rungs] == [None, ("horizon", exc.value.needed)]
+
+    prof = tk.build_window_profile(ADD, tk.ones(), tk.ones(), "so_both", [32, 64], [1.5],
+                                   budget=500)
+    with pytest.raises(tk.ResourceLimitError) as exc:
+        tk.window_functional("so_both", ADD, tk.ones(), tk.ones(), 32, 64, 1.5, 1.5, budget=500)
+    assert [r.reason for r in prof.rungs] == [None, ("budget", exc.value.cells)]
+    # the reason is a note on the rung, not part of its value
+    gap = prof.rungs[1]
+    assert gap.stat is None and gap == dataclasses.replace(gap, reason=None)
