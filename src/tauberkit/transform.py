@@ -6,11 +6,15 @@ direct exact summation (math.fsum) and exists so the fast path can be
 checked against an independently rounded route.  The lemma splits need the
 exact sums of four nested rectangles of one block: _corner_sums gives them
 from one pass, with math.fsum's bits, and sigma_single stays their oracle.
+export_grid_csv writes a grid as text through an exact numpy kernel for
+%.17g (_decimal, _text_words); b"%.17g" % x formats what it cannot certify.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,21 +197,219 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# Cells per band of the text kernel: its scratch arrays stay near 4 MiB.
+_TEXT_BAND = 1 << 14
+
+# The kernel certifies |x| in (_TINY, _HUGE): every decimal exponent k of
+# such an x, and k - 1 and k + 2, index the tables below, and no step of
+# Dekker's product on them overflows or loses bits below the normal range.
+_TINY, _HUGE, _K0 = 1e-280, 1e280, -283
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
+
+
+def _pow10_tables() -> np.ndarray:
+    """Rows over k = _K0 .. -_K0 + 7: 10^(16-k) as a double-double (hi split
+    in two halves of at most 26 bits, lo) and the least double >= 10^k.
+
+    hi is the double nearest 10^e and lo the double nearest 10^e - hi, both
+    from integer true division, which rounds correctly; lo's sign tells on
+    which side of 10^e hi lies.
+    """
+    pairs = {}
+    for e in range(_K0, 17 - _K0):
+        num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
+        hi = num / den
+        hn, hd = hi.as_integer_ratio()
+        pairs[e] = hi, (num * hd - hn * den) / (den * hd)
+    rows = []
+    for k in range(_K0, 8 - _K0):
+        hi, lo = pairs[16 - k]
+        c = hi * _SPLIT
+        half = c - (c - hi)
+        near, below = pairs[k]
+        rows.append((hi, half, hi - half, lo, near if below <= 0 else math.nextafter(near, math.inf)))
+    return np.array(rows).T.copy()
+
+
+_P_HI, _P_HH, _P_HL, _P_LO, _P10_CEIL = _pow10_tables()
+
+
+def _words(text: bytes) -> np.ndarray:
+    """8-byte chunks of text as uint64 words, little-endian: byte 0 first."""
+    return np.frombuffer(text, "<u8")
+
+
+def _text_tables():
+    """Byte words the kernel ORs together."""
+    g = np.arange(10000, dtype=np.uint64)
+    digits4 = sum((g // 10 ** (3 - i) % 10 + ord("0")) << (8 * i) for i in range(4)).astype(np.uint64)
+    zeros4 = sum(g % 10**i == 0 for i in range(1, 5)).astype(np.uint8)
+    # Sign and first digit of a value, keyed by 10 * sign + digit.
+    heads = _words(b"".join((sign + b"\0" * 5 + b"%d" % f).ljust(8, b"\0")
+                            for sign in (b"\0", b"-") for f in range(10)))
+    # A layout, keyed by 17 * lead + last, for a value whose last nonzero
+    # digit is digit last + 1.  Lead 1..16 keeps that many digits after the
+    # first in place, then a point, and moves the digits after it one byte
+    # on; lead 0 (the exponent form too) keeps every digit in place and puts
+    # the point in the head, after the first digit; lead 17..20 writes "0."
+    # and lead - 17 zeros in the head.  Columns: head bits, masks of the
+    # digits kept in place, masks of the digits moved, the point's bits.
+    lead, last, at = np.ogrid[:21, :17, :16]
+    stay = np.where((0 < lead) & (lead < 17), lead, last)
+    move = (stay <= at) & (at < last)
+    head = np.zeros((21, 17, 8), np.uint8)
+    head[17:, :, 1:3] = np.frombuffer(b"0.", np.uint8)
+    for z in range(3):
+        head[18 + z :, :, 3 + z] = ord("0")
+    head[0, 1:, 7] = ord(".")
+    columns = [head, 0xFF * (at < stay), 0xFF * move, ord(".") * ((at == stay) & move.any(axis=2, keepdims=True))]
+    forms = np.concatenate([c.astype(np.uint8) for c in columns], axis=2).view("<u8").reshape(-1, 7)
+    # Per decimal exponent X: the layout's lead (times 17) and the exponent.
+    xs = range(_K0 - 1, 9 - _K0)
+    leads = np.array([17 * (x if 0 <= x < 17 else 16 - x if -4 <= x < 0 else 0) for x in xs], np.intp)
+    suffix = _words(b"".join((b"" if -4 <= x < 17 else b"e%+03d" % x).ljust(8, b"\0") for x in xs))
+    return digits4, zeros4, heads, forms, leads, suffix
+
+
+_DIGITS4, _ZEROS4, _HEADS, _FORMS, _LEAD, _SUFFIX = _text_tables()
+
+
+def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, X, sure) for doubles _TINY < a < _HUGE: a = D * 10^(X - 16) rounded
+    half-even to the 17-digit integer D, as %.17g rounds, and whether that
+    rounding is certain.
+
+    k = floor(log10 a) is made exact by comparing a with the least doubles
+    at or above 10^k and 10^(k+1): next to a power of ten, log10 may round
+    either way.  y = a * 10^(16-k) lies in [1e16, 1e17):
+    Dekker's exact product of a and the high part of 10^(16-k) gives y's
+    integer part p and a remainder, and the low part adds its own product.
+    The remainder r is off by less than 2^-45, so rounding it is certain
+    unless it lies within 2^-30 of a half.
+    """
+    k = np.floor(np.log10(a)).astype(np.intp) - _K0
+    k -= a < _P10_CEIL[k]
+    k += a >= _P10_CEIL[k + 1]
+    hi, hh, hl = _P_HI[k], _P_HH[k], _P_HL[k]
+    c = a * _SPLIT
+    ah = c - (c - a)
+    al = a - ah
+    p = a * hi
+    r = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * _P_LO[k]
+    near = np.rint(r)
+    sure = np.abs(r - near) < 0.5 - 2.0**-30
+    d = p.astype(np.int64) + near.astype(np.int64)
+    carry = d == 10**17
+    d[carry] = 10**16
+    return d, k + carry + _K0, sure
+
+
+def _text_words(v: np.ndarray, tail: int, out: np.ndarray) -> None:
+    """Write the %.17g text of every double of the 1-D v into the rows of
+    out, shape (len(v), 4), as NUL-padded uint64 words: the head (sign,
+    "0.00" prefix, first digit, a point after it); digits 2..17 with a
+    point among them, in two words and the first byte of the last; the
+    exponent in the last word's bytes 0..4, ORed with tail (the separator
+    that follows the value, already shifted into bytes 5..7).
+
+    A value the kernel cannot certify (a near-tie, nan, inf, or a nonzero
+    |v| <= _TINY or >= _HUGE) gets the head word 1, b"\\1", and no other
+    text but tail.
+    """
+    a = np.abs(v)
+    certain = (a > _TINY) & (a < _HUGE)
+    d, x, sure = _decimal(np.where(certain, a, 1.0))
+    zero = v == 0
+    d[zero] = 0
+    x[zero] = 0
+    q = d // 10**8
+    lo8 = (d - q * 10**8).astype(np.uint32)
+    hi8 = q.astype(np.uint32)
+    first = hi8 // 10**8
+    mid = hi8 - first * 10**8
+    g1, g3 = mid // 10**4, lo8 // 10**4
+    g2, g4 = mid - g1 * 10**4, lo8 - g3 * 10**4
+    zeros, tail_zero = _ZEROS4[g4], g4 == 0
+    if tail_zero.any():
+        for g in (g3, g2, g1):
+            zeros += tail_zero * _ZEROS4[g]
+            tail_zero &= g == 0
+    x -= _K0 - 1
+    form = np.take(_FORMS, _LEAD[x] + (16 - zeros), axis=0)
+    b_lo = _DIGITS4[g1] | (_DIGITS4[g2] << np.uint64(32))
+    b_hi = _DIGITS4[g3] | (_DIGITS4[g4] << np.uint64(32))
+    move_lo, move_hi = b_lo & form[:, 3], b_hi & form[:, 4]
+    b_lo &= form[:, 1]
+    b_lo |= form[:, 5]
+    b_hi &= form[:, 2]
+    b_hi |= form[:, 6]
+    b_hi |= move_lo >> np.uint64(56)
+    np.bitwise_or(_HEADS[first + 10 * np.signbit(v)], form[:, 0], out=out[:, 0])
+    np.bitwise_or(b_lo, move_lo << np.uint64(8), out=out[:, 1])
+    np.bitwise_or(b_hi, move_hi << np.uint64(8), out=out[:, 2])
+    np.bitwise_or(_SUFFIX[x] | np.uint64(tail), move_hi >> np.uint64(56), out=out[:, 3])
+    fallback = ~(certain & sure | zero)
+    if fallback.any():
+        out[fallback, :3] = 0
+        out[fallback, 0] = 1
+        out[fallback, 3] = tail
+
+
+def _labels(count: int) -> np.ndarray:
+    """b"%d," for 0 .. count - 1, NUL-padded to whole uint64 words."""
+    width = -(-len(b"%d," % (count - 1)) // 8) * 8
+    text = b"".join((b"%d," % i).ljust(width, b"\0") for i in range(count))
+    return np.frombuffer(text, "<u8").reshape(count, -1)
+
+
 def export_grid_csv(grid: Grid, path: str) -> None:
     """Write a grid row-major as m,n,value_re,value_im.
 
     Real grids carry an explicit zero imaginary column so every export has
-    the same shape.  Each row is one %-template of .17g fields, the text
-    format_float gives; a complex row fills it from its interleaved parts.
-    The rows are bytes: a str row would cost a second, encoded copy.
+    the same shape.  Every value is the text b"%.17g" % value gives, which
+    format_float gives too: _text_words lays each band of cells out in
+    NUL-padded words, one translate drops the padding, and the values it
+    cannot certify are formatted one by one.  The file is written under a
+    temporary name beside path and renamed over it at the end, so a failed
+    export leaves no partial file and an existing one untouched.
     """
-    complex_kind = grid.kind is ScalarKind.COMPLEX
-    cell = b"%.17g,%.17g\n" if complex_kind else b"%.17g,0\n"
-    parts = [b",%d,%s" % (n, cell) for n in range(grid.n_max + 1)]
-    with open(path, "wb") as fh:
-        fh.write(b"m,n,value_re,value_im\n")
-        for m, row in enumerate(grid.values):
-            if complex_kind:
-                row = np.ascontiguousarray(row, dtype=np.complex128).view(np.float64)
-            label = b"%d" % m
-            fh.write((label + label.join(parts)) % tuple(row.tolist()))
+    if grid.kind is ScalarKind.COMPLEX:
+        values = np.ascontiguousarray(grid.values, np.complex128).view(np.float64).reshape(-1, 2)
+        tails = [ord(","), ord("\n")]
+    else:
+        values = np.ascontiguousarray(grid.values, np.float64).reshape(-1, 1)
+        tails = [int.from_bytes(b",0\n", "little")]
+    cols = grid.n_max + 1
+    labels = _labels(max(grid.m_max, grid.n_max) + 1)
+    width = labels.shape[1]
+    row_words = 2 * width + 4 * len(tails)
+    # One record serves every band.  A fresh bytes copy of each band's words
+    # left the heap fragmented: the next mean field then peaked a whole grid
+    # higher (grid_export peak RSS 84 -> 97 MiB, with numpy's huge pages).
+    record = bytearray(8 * row_words * min(_TEXT_BAND, len(values)))
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"  # beside path, so os.replace is a rename
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(b"m,n,value_re,value_im\n")
+            for start in range(0, len(values), _TEXT_BAND):
+                band = values[start : start + _TEXT_BAND]
+                m, n = np.divmod(np.arange(start, start + len(band)), cols)
+                words = np.frombuffer(record, np.uint64, len(band) * row_words).reshape(len(band), -1)
+                np.take(labels, m, axis=0, out=words[:, :width], mode="clip")
+                np.take(labels, n, axis=0, out=words[:, width : 2 * width], mode="clip")
+                for part, tail in enumerate(tails):
+                    at = 2 * width + 4 * part
+                    _text_words(band[:, part], tail << 40, words[:, at : at + 4])
+                text = (record if words.nbytes == len(record) else words.tobytes()).translate(None, b"\0")
+                flagged = words[:, 2 * width :: 4] == 1
+                if flagged.any():
+                    fallback = np.flatnonzero(flagged)
+                    pieces = text.split(b"\1")
+                    fixed = [b"%.17g" % x for x in band.ravel()[fallback].tolist()]
+                    text = b"".join(itertools.chain(*zip(pieces, fixed), pieces[-1:]))
+                fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise

@@ -221,18 +221,23 @@ def test_exit_code_matrix(tmp_path, args, code):
 # md5 of sigma.csv from `transform --horizon 64`, captured at commit 3fec5e8,
 # whose writer formatted one cell per call (Python 3.11, numpy 2.4, x86-64).
 # The expression goes through numpy's sin, so another numpy build may round
-# it differently.
+# it differently.  The --horizon 300 digests (90,601 cells, several bands of
+# the text kernel each) were captured at commit e0d2d7f, whose writer
+# formatted one %-template per row, before the kernel replaced it.
 @pytest.mark.parametrize(
-    "sequence, weights_p, weights_q, digest",
+    "horizon, sequence, weights_p, weights_q, digest",
     [
-        ("additive_convergent", "ones", "ones", "7aa237e4ff177a504c27d3a1937365c8"),
-        ("complex_convergent", "harmonic", "power", "5cf6fd303bb9dd8302ad3cf9cabde154"),
-        ("1/(m+1)+sin(n)/(n+1)", "ones", "ones", "0394414ff0067be8a4102f0e659ffc3f"),
+        (64, "additive_convergent", "ones", "ones", "7aa237e4ff177a504c27d3a1937365c8"),
+        (64, "complex_convergent", "harmonic", "power", "5cf6fd303bb9dd8302ad3cf9cabde154"),
+        (64, "1/(m+1)+sin(n)/(n+1)", "ones", "ones", "0394414ff0067be8a4102f0e659ffc3f"),
+        (300, "additive_convergent", "ones", "ones", "f56e62a52d141be2b8793d44568239d0"),
+        (300, "complex_convergent", "harmonic", "power", "fd3a0d65b34cc20e034c4f42ef60df9c"),
+        (300, "1/(m+1)+sin(n)/(n+1)", "power", "harmonic", "c3a222908d5c16d568c647f9e377805f"),
     ],
 )
-def test_transform_keeps_its_golden_bytes(tmp_path, sequence, weights_p, weights_q, digest):
+def test_transform_keeps_its_golden_bytes(tmp_path, horizon, sequence, weights_p, weights_q, digest):
     res = run_cli(
-        "transform", "--horizon", "64", "--sequence", sequence,
+        "transform", "--horizon", str(horizon), "--sequence", sequence,
         "--weights-p", weights_p, "--weights-q", weights_q, cwd=tmp_path,
     )
     assert res.returncode == 0, res.stderr

@@ -1,7 +1,9 @@
 """Weighted mean fields against direct summation, plus overflow reporting."""
 
+import decimal
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,8 +11,16 @@ from hypothesis import given, settings, strategies as st
 
 import tauberkit as tk
 from helpers import direct_sigma, direct_sigma_grid
+from tauberkit import transform
 from tauberkit.cli import parse_sequence_spec
-from tauberkit.transform import _SUM_CHUNK, _corner_sums, _exact_sum, format_float
+from tauberkit.transform import (
+    _SUM_CHUNK,
+    _TEXT_BAND,
+    _corner_sums,
+    _exact_sum,
+    _text_words,
+    format_float,
+)
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -280,6 +290,32 @@ def _oracle_grids():
     yield "non-contiguous real", tk.Grid(2, 3, strided[::2, ::2])
     yield "non-contiguous complex", tk.Grid(2, 3, (strided * (1 - 3j))[::2, 1::2], tk.ScalarKind.COMPLEX)
     yield "complex kind, real dtype", tk.Grid(1, 2, _EDGE_VALUES, tk.ScalarKind.COMPLEX)
+    nan, inf = float("nan"), float("inf")
+    yield "non-finite real", tk.Grid(1, 2, np.array([[nan, inf, -inf], [-nan, 1.5, -0.0]]))
+    yield "non-finite complex", tk.Grid(1, 1, np.array(
+        [[complex(nan, 1.5), complex(-2.5, inf)], [complex(-inf, -nan), complex(0.1, -inf)]]
+    ), tk.ScalarKind.COMPLEX)
+    # %g writes 9.9999999999999991e-05 but 0.0001, and 10000000000000000 but
+    # 1e+17; the doubles 1e-14 and 1e+98 lie below their powers of ten, and
+    # their 17 digits round up to one
+    switches = np.array([math.nextafter(1e-4, 0), 1e-4, 1e16, math.nextafter(1e17, 0), 1e17, 1e-14, 1e98])
+    yield "form switches", tk.Grid(1, 6, np.stack([switches, -switches]))
+    yield "complex form switches", tk.Grid(0, 6, (switches - 1j * switches[::-1])[None], tk.ScalarKind.COMPLEX)
+    near_2_53 = 2.0**53 + np.arange(-4.0, 5.0)
+    yield "integers near 2^53", tk.Grid(1, 8, np.stack([near_2_53, -near_2_53]))
+    # 2^-25 = 2.98023223876953125e-08 and n / 4 for odd n just below 2^53
+    # have 18 significant digits ending in 5: a tie at the 17th digit
+    ties = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)), np.arange(2.0**53 - 99, 2.0**53, 2) / 4])
+    yield "powers of two and ties", tk.Grid(1, ties.size // 2 - 1, ties.reshape(2, -1))
+    subnormal = np.array([5e-324, -5e-324, 1e-310, -2.5e-320, 2.225073858507201e-308, 2.2250738585072014e-308])
+    yield "subnormal row", tk.Grid(0, 5, subnormal[None])
+    rng = np.random.default_rng(2024)
+    spread = rng.standard_normal((3, _TEXT_BAND + 7)) * 10.0 ** rng.integers(-320, 306, (3, _TEXT_BAND + 7))
+    spread[:, ::97] = 0.0
+    yield "mixed signs and exponents over bands", tk.Grid(2, _TEXT_BAND + 6, spread)
+    yield "complex mixed signs and exponents over bands", tk.Grid(
+        1, _TEXT_BAND + 6, spread[:2] + 1j * spread[1:][::-1], tk.ScalarKind.COMPLEX
+    )
 
 
 @pytest.mark.parametrize("grid", [pytest.param(g, id=label) for label, g in _oracle_grids()])
@@ -287,3 +323,65 @@ def test_export_grid_csv_writes_the_bytes_of_the_cell_by_cell_writer(tmp_path, g
     tk.export_grid_csv(grid, str(tmp_path / "rows.csv"))
     _export_cell_by_cell(grid, str(tmp_path / "cells.csv"))
     assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
+def _near_tie(x: float) -> bool:
+    """Whether the exact decimal value of x lies within 2^-30 of a half unit
+    of its 17th significant digit, where %.17g's rounding is not certified."""
+    scaled = Fraction(x) * Fraction(10) ** (16 - decimal.Decimal(x).adjusted())
+    return abs(scaled - math.floor(scaled) - Fraction(1, 2)) <= Fraction(1, 2**30)
+
+
+# Raw bit patterns: every exponent field, subnormals, signed zeros, nan
+# payloads and both infinities are reached.
+doubles_by_bits = st.builds(
+    lambda sign, exponent, fraction: (sign << 63) | (exponent << 52) | fraction,
+    st.integers(0, 1), st.integers(0, 2047), st.integers(0, 2**52 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(doubles_by_bits, min_size=1, max_size=64))
+def test_text_kernel_writes_the_bytes_of_percent_17g(tmp_path_factory, patterns):
+    v = np.array(patterns, np.uint64).view(np.float64)
+    words = np.empty((v.size, 4), np.uint64)
+    _text_words(v, 0, words)
+    for x, row in zip(v.tolist(), words):
+        text = row.tobytes().translate(None, b"\0")
+        if row[0] == 1:
+            # only what the kernel cannot certify is left to b"%.17g" % x
+            assert text == b"\1"
+            assert not 1e-280 < abs(x) < 1e280 or _near_tie(x), x
+        else:
+            assert text == b"%.17g" % x
+    out = tmp_path_factory.mktemp("export")
+    grid = tk.Grid(0, v.size - 1, v[None])
+    tk.export_grid_csv(grid, str(out / "kernel.csv"))
+    _export_cell_by_cell(grid, str(out / "cells.csv"))
+    assert (out / "kernel.csv").read_bytes() == (out / "cells.csv").read_bytes()
+
+
+@pytest.mark.parametrize("existing", [None, b"m,n,value_re,value_im\n0,0,1,0\n"])
+def test_failed_export_leaves_no_partial_file(tmp_path, monkeypatch, existing):
+    target = tmp_path / "sigma.csv"
+    if existing is not None:
+        target.write_bytes(existing)
+    grid = tk.Grid(2, _TEXT_BAND - 1, np.full((3, _TEXT_BAND), 0.25))  # three bands
+    calls = []
+
+    def fail_on_second_band(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("second band")
+        return _text_words(*args)
+
+    monkeypatch.setattr(transform, "_text_words", fail_on_second_band)
+    with pytest.raises(RuntimeError, match="second band"):
+        tk.export_grid_csv(grid, str(target))
+    assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else ["sigma.csv"])
+    if existing is not None:
+        assert target.read_bytes() == existing
+    monkeypatch.undo()
+    tk.export_grid_csv(grid, str(target))
+    assert [p.name for p in tmp_path.iterdir()] == ["sigma.csv"]
+    assert target.read_bytes().count(b"\n") == 1 + grid.values.size
