@@ -46,7 +46,7 @@ from .sequences import (
     sequence_names,
     weight_names,
 )
-from .transform import export_grid_csv, format_float, weighted_mean_field
+from .transform import _export_rows, _mean_field_bands, format_float
 from .variation import VariationKind, classification_report, classify_adaptive
 
 
@@ -396,9 +396,10 @@ def cmd_classify_weights(cfg: RunConfig) -> int:
 def cmd_transform(cfg: RunConfig) -> int:
     seq = parse_sequence_spec(cfg.sequence)
     p, q = _weight_pair(cfg)
-    fieldv = weighted_mean_field(seq, p, q, cfg.horizon, cfg.horizon)
+    h = cfg.horizon
     out = _out_dir(cfg) / "sigma.csv"
-    export_grid_csv(fieldv.sigma, str(out))
+    bands = ((r0, sigma) for r0, _, _, sigma in _mean_field_bands(seq, p, q, h, h))
+    _export_rows(str(out), seq.kind, h, h, bands)
     print(f"wrote {out}")
     return 0
 

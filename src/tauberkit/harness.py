@@ -21,9 +21,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import NonFiniteValueError, PrefixOverflowError, ResourceLimitError, ScalarKindError
-from .sequences import DoubleSequence, ScalarKind, WeightSequence, array_sequence, eval_grid
+from .sequences import DoubleSequence, ScalarKind, WeightSequence, array_sequence
 from .sequences import MAX_GRID_CELLS, geometric, harmonic, ones, power
-from .transform import _corner_sums, _exact_sum, sigma_single, weighted_mean_field
+from .transform import _corner_sums, _exact_sum, _mean_field_bands, sigma_single
 from .oscillation import (
     DecisionProfile,
     LimitEstimate,
@@ -486,6 +486,56 @@ class TauberianReport:
     horizon_note: str | None = None
 
 
+class _TailSquares:
+    """The squares [ceil(tf * k)..k]^2 of an h x h grid, one per ladder rung
+    k, read as empirical_limit reads a Grid: values[i, j] and
+    values[a:b, c:d] come from a square that holds them."""
+
+    def __init__(self, h, ladder, tail_fraction, dtype):
+        self.m_max = self.n_max = h
+        starts = [math.ceil(tail_fraction * k) for k in ladder]
+        self.squares = [(t, np.empty((k + 1 - t,) * 2, dtype)) for t, k in zip(starts, ladder)]
+
+    @property
+    def values(self):  # a property, not an attribute: no cycle keeps the squares alive
+        return self
+
+    def __getitem__(self, key):
+        rows, cols = (k if isinstance(k, slice) else slice(k, k + 1) for k in key)
+        t, sq = next((t, sq) for t, sq in self.squares
+                     if t <= min(rows.start, cols.start) and max(rows.stop, cols.stop) <= t + len(sq))
+        block = sq[rows.start - t : rows.stop - t, cols.start - t : cols.stop - t]
+        return block if isinstance(key[0], slice) else block[0, 0]
+
+
+def _limits(seq, p, q, cfg):
+    """The grid horizon, its ladder and the limits of u and sigma there.
+
+    One banded mean-field pass keeps only the ladder's tail squares of u
+    and sigma.  While u or the numerator is not finite in doubles, the
+    horizon halves.
+    """
+    h = cfg.horizon
+    while True:
+        ladder = horizon_ladder(h)
+        tails = []
+        try:
+            for r0, u, _, sigma in _mean_field_bands(seq, p, q, h, h):
+                # allocated once the first band has passed the cell budget
+                tails = tails or [_TailSquares(h, ladder, cfg.tail_fraction, u.dtype) for _ in range(2)]
+                for tail, band in zip(tails, (u, sigma)):
+                    for t, sq in tail.squares:
+                        lo = max(r0, t)
+                        hi = max(lo, min(r0 + len(band), t + len(sq)))
+                        sq[lo - t : hi - t] = band[lo - r0 : hi - r0, t : t + len(sq)]
+            break
+        except (NonFiniteValueError, PrefixOverflowError):
+            if h // 2 < 64:
+                raise
+            h //= 2
+    return h, ladder, *(empirical_limit(tail, ladder, cfg.tail_fraction, cfg.eps_dec) for tail in tails)
+
+
 def verify_theorem(
     seq: DoubleSequence,
     p: WeightSequence,
@@ -512,24 +562,12 @@ def verify_theorem(
     vc_p, _, note_p = class_p
     vc_q, _, note_q = class_q
 
-    h = cfg.horizon
-    while True:
-        try:
-            u_grid = eval_grid(seq, h, h)
-            fieldv = weighted_mean_field(seq, p, q, h, h, grid=u_grid)
-            break
-        except (NonFiniteValueError, PrefixOverflowError):
-            if h // 2 < 64:
-                raise
-            h //= 2
+    h, ladder, u_limit, sigma_limit = _limits(seq, p, q, cfg)
     horizon_note = (
         None
         if h == cfg.horizon
         else f"grid overflows doubles at horizon {cfg.horizon}; evaluated at {h}"
     )
-    ladder = horizon_ladder(h)
-    u_limit = empirical_limit(u_grid, ladder, cfg.tail_fraction, cfg.eps_dec)
-    sigma_limit = empirical_limit(fieldv.sigma, ladder, cfg.tail_fraction, cfg.eps_dec)
 
     names = _THEOREM_FUNCTIONALS[theorem]
     if names[0] in ("landau", "hardy"):

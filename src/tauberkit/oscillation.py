@@ -448,18 +448,30 @@ def _difference_bound(seq, p, q, m_range, n_range, signed):
     cells = (m1 - m0 + 2) * (n1 - n0 + 2)
     if cells > MAX_WINDOW_CELLS:
         raise ResourceLimitError(f"difference range has {cells} cells")
-    u = seq.block(np.arange(m0 - 1, m1 + 1), np.arange(n0 - 1, n1 + 1))
-    _check_finite(seq, u)
-    d10 = u[1:, 1:] - u[:-1, 1:]
-    d01 = u[1:, 1:] - u[1:, :-1]
-    cp = p.prefix_array(m1)[m0:] / p.weights_array(m1)[m0:]
-    cq = q.prefix_array(n1)[n0:] / q.weights_array(n1)[n0:]
-    if signed:
-        return float((cp[:, None] * d10).min()), float((cq[None, :] * d01).min())
-    return (
-        float((cp[:, None] * np.abs(d10)).max()),
-        float((cq[None, :] * np.abs(d01)).max()),
-    )
+    late = None
+    try:
+        cp = p.prefix_array(m1)[m0:] / p.weights_array(m1)[m0:]
+        cq = q.prefix_array(n1)[n0:] / q.weights_array(n1)[n0:]
+    except Exception as exc:  # raised once every band of u is checked
+        late = exc
+    # Row bands of u overlapping by one row: min and max are exact, so the
+    # extremum of the band extrema has the whole range's bits.
+    reduce = np.min if signed else np.max
+    cols = np.arange(n0 - 1, n1 + 1)
+    step = max(1, _BAND_CELLS // cols.size)
+    stats = []
+    for b0 in range(m0, m1 + 1, step):
+        b1 = min(b0 + step, m1 + 1)
+        u = seq.block(np.arange(b0 - 1, b1), cols)
+        _check_finite(seq, u)
+        if late is None:
+            d10, d01 = u[1:, 1:] - u[:-1, 1:], u[1:, 1:] - u[1:, :-1]
+            if not signed:
+                d10, d01 = np.abs(d10), np.abs(d01)
+            stats.append((reduce(cp[b0 - m0 : b1 - m0, None] * d10), reduce(cq[None, :] * d01)))
+    if late is not None:
+        raise late
+    return float(reduce([r for r, _ in stats])), float(reduce([c for _, c in stats]))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,9 @@ from .errors import (
     WeightDomainError,
 )
 
-# Hard ceiling on cells materialized by eval_grid; ~2 GiB of float64.
+# Hard ceiling on the cells of one grid, ~2 GiB of float64.  Only eval_grid
+# and weighted_mean_field hold a whole grid; analyze and transform refuse
+# the same horizons but hold only row bands and the ladder's tail squares.
 MAX_GRID_CELLS = 1 << 28
 
 
@@ -90,8 +92,8 @@ class Grid:
             raise ValueError(f"a real grid cannot hold {self.values.dtype} values")
 
 
-def eval_grid(seq: DoubleSequence, m_max: int, n_max: int) -> Grid:
-    """Materialize u on [0..m_max] x [0..n_max], rejecting non-finite cells."""
+def _check_grid(seq: DoubleSequence, m_max: int, n_max: int) -> None:
+    """Refuse negative bounds and grids over MAX_GRID_CELLS."""
     if m_max < 0 or n_max < 0:
         raise ValueError(f"grid bounds must be >= 0, got ({m_max}, {n_max})")
     cells = (m_max + 1) * (n_max + 1)
@@ -99,6 +101,11 @@ def eval_grid(seq: DoubleSequence, m_max: int, n_max: int) -> Grid:
         raise ResourceLimitError(
             f"{seq.name}: grid of {cells} cells exceeds budget {MAX_GRID_CELLS}"
         )
+
+
+def eval_grid(seq: DoubleSequence, m_max: int, n_max: int) -> Grid:
+    """Materialize u on [0..m_max] x [0..n_max], rejecting non-finite cells."""
+    _check_grid(seq, m_max, n_max)
     vals = seq.block(np.arange(m_max + 1), np.arange(n_max + 1))
     bad = _first_nonfinite(vals)
     if bad is not None:

@@ -1,7 +1,8 @@
 """Weighted rectangular means of double sequences.
 
-The field evaluator materializes sigma(m, n) for every cell of a grid with a
-double cumulative sum; the single-cell evaluator recomputes one mean by
+The field pass accumulates sigma(m, n) over a grid in row bands, with the
+bits of one double cumulative sum of the whole grid, so a caller can keep
+only the cells it reads; the single-cell evaluator recomputes one mean by
 direct exact summation (math.fsum) and exists so the fast path can be
 checked against an independently rounded route.  The lemma splits need the
 exact sums of four nested rectangles of one block: _corner_sums gives them
@@ -19,12 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PrefixOverflowError
+from .errors import NonFiniteValueError, PrefixOverflowError
 from .sequences import (
     DoubleSequence,
     Grid,
     ScalarKind,
     WeightSequence,
+    _check_grid,
     _first_nonfinite,
     eval_grid,
 )
@@ -33,6 +35,10 @@ from .sequences import (
 # stay at one chunk (about 2 MiB) however large the summed block is.  The
 # corner-sum kernel takes bands of the same size.
 _SUM_CHUNK = 1 << 16
+
+# Cells per band of the text kernel, whose scratch arrays stay near 4 MiB,
+# and at most those of a band of the mean-field pass.
+_TEXT_BAND = 1 << 14
 
 # Bits of a double below its exponent field, and of a mantissa's low part.
 _FRACTION = (1 << 52) - 1
@@ -59,8 +65,6 @@ def weighted_mean_field(
     q: WeightSequence,
     m_max: int,
     n_max: int,
-    *,
-    grid: Grid | None = None,
 ) -> MeanField:
     """Weighted means over [0..m_max] x [0..n_max].
 
@@ -69,42 +73,79 @@ def weighted_mean_field(
     S(m, n) = S(m-1, n) + S(m, n-1) - S(m-1, n-1) + p_m q_n u(m, n)
     without storing intermediate corners.  Raises on non-finite sequence
     values or an overflowing accumulation, naming the first offending cell.
-    A caller that already holds ``eval_grid(seq, m_max, n_max)`` passes it
-    as ``grid``; its values are only read.
+    The grids are filled band by band by _mean_field_bands, so the peak
+    stays within the two grids and one band of u.
     """
-    if grid is not None and (grid.m_max, grid.n_max) != (m_max, n_max):
-        raise ValueError(f"grid is {grid.m_max}x{grid.n_max}, expected {m_max}x{n_max}")
-    u = (eval_grid(seq, m_max, n_max) if grid is None else grid).values
-    pw = p.weights_array(m_max)
-    qw = q.weights_array(n_max)
-    # Each step writes into a buffer it already holds, and u is dropped
-    # once multiplied in, so the peak stays within three grids.  u itself
-    # is never written: it may be the caller's.  A complex sequence gets
-    # complex buffers: numpy promotes the real weight products to complex
-    # for the multiply and the divide in any case, so the results are the
-    # same bits as out-of-place arithmetic gives.
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = np.multiply(pw[:, None], qw[None, :], out=np.empty(u.shape, u.dtype))
-        np.multiply(s, u, out=s)
-        del u
-        np.cumsum(s, axis=0, out=s)
-        np.cumsum(s, axis=1, out=s)
-    bad = _first_nonfinite(s)
-    if bad is not None:
-        raise PrefixOverflowError(f"{seq.name}: weighted numerator overflowed at {bad}")
-    pp = p.prefix_array(m_max)
-    qp = q.prefix_array(n_max)
-    sigma = np.multiply(pp[:, None], qp[None, :], out=np.empty_like(s))
-    np.divide(s, sigma, out=sigma)
+    _check_grid(seq, m_max, n_max)
+    dtype = np.complex128 if seq.kind is ScalarKind.COMPLEX else np.float64
+    numerator, sigma = (np.empty((m_max + 1, n_max + 1), dtype) for _ in range(2))
+    for _ in _mean_field_bands(seq, p, q, m_max, n_max, out=(numerator, sigma)):
+        pass
     return MeanField(
         sequence_name=seq.name,
         weights_p=p.name,
         weights_q=q.name,
         sigma=Grid(m_max, n_max, sigma, seq.kind),
-        numerator=Grid(m_max, n_max, s, seq.kind),
-        p_prefix=pp,
-        q_prefix=qp,
+        numerator=Grid(m_max, n_max, numerator, seq.kind),
+        p_prefix=p.prefix_array(m_max),
+        q_prefix=q.prefix_array(n_max),
     )
+
+
+def _mean_field_bands(seq, p, q, m_max, n_max, out=None):
+    """Yield (r0, u, numerator, sigma) on the row bands [r0, r0 + rows) x
+    [0..n_max] of at most _TEXT_BAND cells (or one row), top to bottom.
+    The numerator and sigma bands are views of out's grids, if given.
+
+    Each band of u is multiplied by pw x qw, its first row takes the
+    previous band's last row of sums down the columns, and it is summed
+    down then across: the additions, in their order, of one cumsum of the
+    whole grid each way, so every bit is the whole-grid pass's.  The errors
+    keep that pass's order: bounds and cell budget; the rule or a
+    non-finite u cell anywhere; p's weights, then q's; then the row-major
+    first non-finite numerator cell.  A weight error or an overflow is held
+    while the later bands of u are still checked.
+    """
+    _check_grid(seq, m_max, n_max)
+    late = None
+    try:
+        pw, qw = p.weights_array(m_max), q.weights_array(n_max)
+        pp, qp = p.prefix_array(m_max), q.prefix_array(n_max)
+    except Exception as exc:  # raised once every band of u is checked
+        late = exc
+    cols = np.arange(n_max + 1)
+    step = max(1, _TEXT_BAND // cols.size)
+    for r0 in range(0, m_max + 1, step):
+        r1 = min(r0 + step, m_max + 1)
+        u = seq.block(np.arange(r0, r1), cols)
+        bad = _first_nonfinite(u)
+        if bad is not None:
+            m, n = r0 + bad[0], bad[1]
+            raise NonFiniteValueError(f"{seq.name}: non-finite value at {(m, n)}", m=m, n=n)
+        if late is not None:
+            continue
+        s, sigma = (np.empty(u.shape, u.dtype) for _ in range(2)) if out is None else (g[r0:r1] for g in out)
+        # A complex u gets complex buffers: numpy promotes the real weight
+        # products to complex in any case, so the bits are out-of-place ones.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(pw[r0:r1, None], qw[None, :], out=s)
+            np.multiply(s, u, out=s)
+            # The sums down the columns one row at a time: cumsum(axis=0)'s
+            # additions at about 0.9 ns a cell, where numpy's axis-0 loop
+            # took 5.5 (2-vCPU x86-64, numpy 2.4).
+            for i in range(0 if r0 else 1, r1 - r0):  # row 0 has no row above
+                s[i] += s[i - 1] if i else down
+            down = s[-1].copy()
+            np.cumsum(s, axis=1, out=s)
+        bad = _first_nonfinite(s)
+        if bad is not None:
+            late = PrefixOverflowError(f"{seq.name}: weighted numerator overflowed at {(r0 + bad[0], bad[1])}")
+            continue
+        np.multiply(pp[r0:r1, None], qp[None, :], out=sigma)
+        np.divide(s, sigma, out=sigma)
+        yield r0, u, s, sigma
+    if late is not None:
+        raise late
 
 
 def _exact_sum(arr: np.ndarray) -> float | complex:
@@ -196,9 +237,6 @@ def format_float(x: float) -> str:
     """17 significant digits; round-trips every double and is bit-stable."""
     return format(x, ".17g")
 
-
-# Cells per band of the text kernel: its scratch arrays stay near 4 MiB.
-_TEXT_BAND = 1 << 14
 
 # The kernel certifies |x| in (_TINY, _HUGE): every decimal exponent k of
 # such an x, and k - 1 and k + 2, index the tables below, and no step of
@@ -373,41 +411,47 @@ def export_grid_csv(grid: Grid, path: str) -> None:
     temporary name beside path and renamed over it at the end, so a failed
     export leaves no partial file and an existing one untouched.
     """
-    if grid.kind is ScalarKind.COMPLEX:
-        values = np.ascontiguousarray(grid.values, np.complex128).view(np.float64).reshape(-1, 2)
-        tails = [ord(","), ord("\n")]
-    else:
-        values = np.ascontiguousarray(grid.values, np.float64).reshape(-1, 1)
-        tails = [int.from_bytes(b",0\n", "little")]
-    cols = grid.n_max + 1
-    labels = _labels(max(grid.m_max, grid.n_max) + 1)
+    _export_rows(path, grid.kind, grid.m_max, grid.n_max, [(0, grid.values)])
+
+
+def _export_rows(path, kind, m_max, n_max, bands) -> None:
+    """export_grid_csv of the m_max x n_max grid whose row bands (r0, rows)
+    come in order from bands, so the whole grid is never held."""
+    dtype, tails = np.float64, [int.from_bytes(b",0\n", "little")]
+    if kind is ScalarKind.COMPLEX:
+        dtype, tails = np.complex128, [ord(","), ord("\n")]
+    cols = n_max + 1
+    labels = _labels(max(m_max, n_max) + 1)
     width = labels.shape[1]
     row_words = 2 * width + 4 * len(tails)
     # One record serves every band.  A fresh bytes copy of each band's words
     # left the heap fragmented: the next mean field then peaked a whole grid
     # higher (grid_export peak RSS 84 -> 97 MiB, with numpy's huge pages).
-    record = bytearray(8 * row_words * min(_TEXT_BAND, len(values)))
+    record = None
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"  # beside path, so os.replace is a rename
     try:
         with open(tmp, "xb") as fh:
             fh.write(b"m,n,value_re,value_im\n")
-            for start in range(0, len(values), _TEXT_BAND):
-                band = values[start : start + _TEXT_BAND]
-                m, n = np.divmod(np.arange(start, start + len(band)), cols)
-                words = np.frombuffer(record, np.uint64, len(band) * row_words).reshape(len(band), -1)
-                np.take(labels, m, axis=0, out=words[:, :width], mode="clip")
-                np.take(labels, n, axis=0, out=words[:, width : 2 * width], mode="clip")
-                for part, tail in enumerate(tails):
-                    at = 2 * width + 4 * part
-                    _text_words(band[:, part], tail << 40, words[:, at : at + 4])
-                text = (record if words.nbytes == len(record) else words.tobytes()).translate(None, b"\0")
-                flagged = words[:, 2 * width :: 4] == 1
-                if flagged.any():
-                    fallback = np.flatnonzero(flagged)
-                    pieces = text.split(b"\1")
-                    fixed = [b"%.17g" % x for x in band.ravel()[fallback].tolist()]
-                    text = b"".join(itertools.chain(*zip(pieces, fixed), pieces[-1:]))
-                fh.write(text)
+            for r0, rows in bands:
+                values = np.ascontiguousarray(rows, dtype).view(np.float64).reshape(-1, len(tails))
+                record = record or bytearray(8 * row_words * min(_TEXT_BAND, len(values)))
+                for start in range(0, len(values), _TEXT_BAND):
+                    band = values[start : start + _TEXT_BAND]
+                    m, n = np.divmod(np.arange(start, start + len(band)) + r0 * cols, cols)
+                    words = np.frombuffer(record, np.uint64, len(band) * row_words).reshape(len(band), -1)
+                    np.take(labels, m, axis=0, out=words[:, :width], mode="clip")
+                    np.take(labels, n, axis=0, out=words[:, width : 2 * width], mode="clip")
+                    for part, tail in enumerate(tails):
+                        at = 2 * width + 4 * part
+                        _text_words(band[:, part], tail << 40, words[:, at : at + 4])
+                    text = (record if words.nbytes == len(record) else words.tobytes()).translate(None, b"\0")
+                    flagged = words[:, 2 * width :: 4] == 1
+                    if flagged.any():
+                        fallback = np.flatnonzero(flagged)
+                        pieces = text.split(b"\1")
+                        fixed = [b"%.17g" % x for x in band.ravel()[fallback].tolist()]
+                        text = b"".join(itertools.chain(*zip(pieces, fixed), pieces[-1:]))
+                    fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -268,6 +269,75 @@ def test_analyze_keeps_its_golden_bytes(
     assert res.returncode == 0, res.stderr
     assert hashlib.md5((tmp_path / "report.json").read_bytes()).hexdigest() == report_digest
     assert hashlib.md5((tmp_path / "profiles.csv").read_bytes()).hexdigest() == profiles_digest
+
+
+# md5 of report.json and profiles.csv from `analyze --horizon 300`, captured at
+# commit f5b4103, the parent of the banded mean-field pass, whose analyze
+# evaluated u and sigma on the whole grid (Python 3.11, numpy 2.4, x86-64).
+# At horizon 300 the pass takes several row bands.
+@pytest.mark.parametrize(
+    "sequence, theorem, weights, report_digest, profiles_digest",
+    [
+        ("additive_convergent", "T41", "ones",
+         "e05ab8687c78865033f88b6856f7a353", "dab9d78181c254b29898834c66992a83"),
+        ("additive_convergent", "T42", "ones",
+         "a18c20be6cc5e8b663d24fa24a71ae58", "a11609c59723a517190f37f7ba9f7dfc"),
+        ("additive_convergent", "T51", "ones",
+         "cfd469cfd150ef700ae9b53b44d7a325", "2e92790e0b0702e7db34bedd0eaed58f"),
+        ("additive_convergent", "T52", "ones",
+         "e27d9e8df6db52d655ee1a046900ea21", "f2f24999518a608b56fa131fb34de97d"),
+        ("alternating", "T41", "ones",
+         "9a910690402ef1c913d4d58381156f5a", "f97159a15848b6581bc8e12537706d8c"),
+        ("alternating", "T42", "ones",
+         "4690afbc48f6b8354b57f81ca00dd65a", "b5233fe39af11ff72a6a298194e7f273"),
+        ("alternating", "T51", "ones",
+         "5474dc0386b5f74ac3bbde48bdd88136", "608902f6b121b9dbdd3eb0d340196088"),
+        ("alternating", "T52", "ones",
+         "2903846fe532dea00762b04ec34b6da0", "c92d46f3c064c4fa748a2767fdbf7287"),
+        ("complex_convergent", "T51", "power",
+         "a2f74b7a1dbed061bdc39d8a49e5f610", "b67abd3707bfb9de6683c52d8132d61a"),
+        ("complex_convergent", "T52", "power",
+         "03363a52cb23060511f48750cde564e3", "2de40b4bffa86cdccc0fbb4e13b54bb6"),
+    ],
+)
+def test_banded_analyze_keeps_the_whole_grid_bytes(
+    tmp_path, sequence, theorem, weights, report_digest, profiles_digest
+):
+    code = main([
+        "analyze", "--horizon", "300", "--sequence", sequence, "--theorem", theorem,
+        "--weights-p", weights, "--weights-q", weights, "--out", str(tmp_path),
+    ])
+    assert code == 0
+    assert hashlib.md5((tmp_path / "report.json").read_bytes()).hexdigest() == report_digest
+    assert hashlib.md5((tmp_path / "profiles.csv").read_bytes()).hexdigest() == profiles_digest
+
+
+def test_transform_failing_in_a_later_band_leaves_sigma_csv_alone(tmp_path):
+    # 54 rows a band at horizon 300, so row 200 lies in the fourth band
+    out = tmp_path / "t"
+    out.mkdir()
+    (out / "sigma.csv").write_text("earlier run\n")
+    res = run_cli("transform", "--horizon", "300", "--sequence", "1/(m-200)", "--out", "t",
+                  cwd=tmp_path)
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == ["error: 1/(m-200): non-finite value at (200, 0)"]
+    assert [f.name for f in out.iterdir()] == ["sigma.csv"]
+    assert (out / "sigma.csv").read_text() == "earlier run\n"
+
+
+def test_transform_peak_memory_does_not_grow_with_the_horizon(tmp_path):
+    def peak(horizon):
+        argv = ["transform", "--sequence", "complex_convergent", "--weights-p", "power",
+                "--horizon", str(horizon), "--out", str(tmp_path)]
+        main(argv)  # imports and lazily built tables are not part of the peak
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(1024) <= 1.25 * peak(256)
 
 
 # md5 of sweep.csv, captured at commit e1195a1 like the analyze digests above.

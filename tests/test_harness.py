@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import tauberkit as tk
-from tauberkit import harness
+from tauberkit import harness, transform
 from tauberkit.transform import _exact_sum
 
 ADD = tk.corpus_sequence("additive_convergent")
@@ -420,21 +422,35 @@ def test_horizon_halves_until_the_grid_is_finite():
     assert rep.horizon_note == "grid overflows doubles at horizon 512; evaluated at 256"
 
 
-def test_verify_theorem_evaluates_the_full_grid_once(monkeypatch):
-    shapes = []
+def test_verify_theorem_evaluates_each_grid_cell_once(monkeypatch):
+    counts = np.zeros((257, 257), dtype=np.int64)
     block = tk.DoubleSequence.block
 
     def recording_block(self, m_idx, n_idx):
-        out = block(self, m_idx, n_idx)
-        shapes.append(out.shape)
-        return out
+        # only the mean-field pass's own evaluations: T42's bound profiles
+        # read the tails again, through blocks of their own
+        if sys._getframe(1).f_code is transform._mean_field_bands.__code__:
+            np.add.at(counts, np.ix_(m_idx, n_idx), 1)
+        return block(self, m_idx, n_idx)
 
     monkeypatch.setattr(tk.DoubleSequence, "block", recording_block)
-    # T42's bound profiles read no full grid, so only the limits and the
-    # mean field could ask for one
     tk.verify_theorem(ADD, tk.ones(), tk.ones(), tk.Theorem.T42,
                       tk.HarnessConfig(horizon=256, class_horizon=4096))
-    assert shapes.count((257, 257)) == 1
+    assert (counts == 1).all()
+
+
+@pytest.mark.parametrize("theorem", [tk.Theorem.T41, tk.Theorem.T52])
+def test_verify_theorem_peak_memory_stays_below_two_grids(theorem):
+    cfg = tk.HarnessConfig(horizon=1024, class_horizon=4096)
+    p, q = tk.harmonic(), tk.power(1.5)
+    tk.verify_theorem(ADD, p, q, theorem, cfg)  # the prefix caches are not part of the peak
+    tracemalloc.start()
+    try:
+        tk.verify_theorem(ADD, p, q, theorem, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1025 * 1025 * 8
 
 
 def test_disagreeing_limits_are_flagged():

@@ -302,6 +302,60 @@ def test_absolute_difference_stat_grows_on_checkerboard():
     assert tk.hardy_stat(ALT, tk.ones(), tk.ones(), (1, 200), (1, 200)) == (402.0, 402.0)
 
 
+def _whole_range_bound(seq, p, q, m_range, n_range, signed):
+    """landau_stat (signed) or hardy_stat as the one-block _difference_bound
+    of commit f5b4103 computed them, before the row bands replaced it."""
+    (m0, m1), (n0, n1) = m_range, n_range
+    u = seq.block(np.arange(m0 - 1, m1 + 1), np.arange(n0 - 1, n1 + 1))
+    if not np.isfinite(u).all():
+        raise tk.NonFiniteValueError(f"{seq.name}: non-finite value inside a window")
+    d10 = u[1:, 1:] - u[:-1, 1:]
+    d01 = u[1:, 1:] - u[1:, :-1]
+    cp = p.prefix_array(m1)[m0:] / p.weights_array(m1)[m0:]
+    cq = q.prefix_array(n1)[n0:] / q.weights_array(n1)[n0:]
+    if signed:
+        return float((cp[:, None] * d10).min()), float((cq[None, :] * d01).min())
+    return (
+        float((cp[:, None] * np.abs(d10)).max()),
+        float((cq[None, :] * np.abs(d01)).max()),
+    )
+
+
+# 40-column ranges: 40-cell bands are one row, 120-cell bands three.
+@pytest.mark.parametrize("band_cells", [None, 40, 120, 41 * 12], ids=lambda c: f"band_cells={c}")
+@pytest.mark.parametrize("weights", ["ones", "harmonic", "power"])
+def test_banded_difference_bounds_keep_the_one_block_bits(monkeypatch, band_cells, weights):
+    if band_cells is not None:
+        monkeypatch.setattr(tk.oscillation, "_BAND_CELLS", band_cells)
+    for seq_name in _SEQUENCES + ["paper_unbounded"]:
+        seq = tk.corpus_sequence(seq_name)
+        stats = [(tk.hardy_stat, False)]
+        if seq.kind is tk.ScalarKind.REAL:
+            stats.append((tk.landau_stat, True))
+        for fn, signed in stats:
+            for m_range, n_range in (((1, 36), (1, 36)), ((5, 40), (2, 40)), ((17, 17), (3, 41))):
+                args = (seq, _WEIGHTS[weights](), tk.harmonic(), m_range, n_range)
+                got = fn(*args)
+                assert repr(got) == repr(_whole_range_bound(*args, signed)), (seq_name, m_range, n_range)
+
+
+def _nan_at(m, n):
+    u = np.zeros((30, 30))
+    u[m, n] = np.nan
+    return tk.array_sequence(u, f"nan_at({m}, {n})")
+
+
+@pytest.mark.parametrize("band_cells", [None, 40], ids=lambda c: f"band_cells={c}")
+def test_banded_difference_bound_reports_a_later_nan_before_a_weight_error(monkeypatch, band_cells):
+    if band_cells is not None:
+        monkeypatch.setattr(tk.oscillation, "_BAND_CELLS", band_cells)
+    bad = tk.WeightSequence(lambda k: 1.0 if k < 3 else -1.0, "sign_flip(3)")
+    with pytest.raises(tk.NonFiniteValueError, match="non-finite value inside a window"):
+        tk.hardy_stat(_nan_at(25, 20), bad, tk.ones(), (1, 28), (1, 28))
+    with pytest.raises(tk.WeightDomainError, match=r"sign_flip\(3\): weight p_3"):
+        tk.hardy_stat(_nan_at(29, 29), bad, tk.ones(), (1, 28), (1, 28))
+
+
 def test_difference_stats_reject_ranges_from_zero():
     with pytest.raises(ValueError, match="start at 1"):
         tk.landau_stat(ADD, tk.ones(), tk.ones(), (0, 5), (1, 5))

@@ -13,6 +13,7 @@ import tauberkit as tk
 from helpers import direct_sigma, direct_sigma_grid
 from tauberkit import transform
 from tauberkit.cli import parse_sequence_spec
+from tauberkit.sequences import _first_nonfinite
 from tauberkit.transform import (
     _SUM_CHUNK,
     _TEXT_BAND,
@@ -112,21 +113,6 @@ def test_complex_sequence_mean_field():
 
 
 @pytest.mark.parametrize("name", ["additive_convergent", "complex_convergent"])
-def test_mean_field_reads_a_passed_grid_without_writing_it(name):
-    seq = tk.corpus_sequence(name)
-    p, q = tk.harmonic(), tk.power(1.5)
-    grid = tk.eval_grid(seq, 30, 20)
-    before = grid.values.copy()
-    fld = tk.weighted_mean_field(seq, p, q, 30, 20, grid=grid)
-    assert np.array_equal(grid.values, before)
-    own = tk.weighted_mean_field(seq, p, q, 30, 20)
-    assert fld.sigma.values.tobytes() == own.sigma.values.tobytes()
-    assert fld.numerator.values.tobytes() == own.numerator.values.tobytes()
-    with pytest.raises(ValueError, match="grid is 30x20, expected 20x30"):
-        tk.weighted_mean_field(seq, p, q, 20, 30, grid=grid)
-
-
-@pytest.mark.parametrize("name", ["additive_convergent", "complex_convergent"])
 def test_mean_field_peak_memory_stays_within_three_grids(name):
     seq = tk.corpus_sequence(name)
     p, q = tk.ones(), tk.harmonic()
@@ -139,6 +125,111 @@ def test_mean_field_peak_memory_stays_within_three_grids(name):
     finally:
         tracemalloc.stop()
     assert peak <= 3.0 * fld.sigma.values.nbytes
+
+
+def _whole_grid_mean_field(seq, p, q, m_max, n_max):
+    """(numerator, sigma) as the whole-grid pass of commit f5b4103 computed
+    them, before the row bands replaced it: u whole, then one cumsum of the
+    whole grid down and one across."""
+    u = tk.eval_grid(seq, m_max, n_max).values
+    pw = p.weights_array(m_max)
+    qw = q.weights_array(n_max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.multiply(pw[:, None], qw[None, :], out=np.empty(u.shape, u.dtype))
+        np.multiply(s, u, out=s)
+        np.cumsum(s, axis=0, out=s)
+        np.cumsum(s, axis=1, out=s)
+    bad = _first_nonfinite(s)
+    if bad is not None:
+        raise tk.PrefixOverflowError(f"{seq.name}: weighted numerator overflowed at {bad}")
+    pp = p.prefix_array(m_max)
+    qp = q.prefix_array(n_max)
+    sigma = np.multiply(pp[:, None], qp[None, :], out=np.empty_like(s))
+    np.divide(s, sigma, out=sigma)
+    return s, sigma
+
+
+_FAMILIES = ["geometric", "harmonic", "ones", "power", "wobble"]
+
+
+def _family(name):
+    return tk.corpus_weight(name, r=1.5) if name == "geometric" else tk.corpus_weight(name)
+
+
+def _signed_zeros():
+    u = np.random.default_rng(5).uniform(-1.0, 1.0, (12, 12)) * 2.0 ** -1070
+    u[::3, ::2] = -0.0
+    return tk.array_sequence(u, "signed_zeros")
+
+
+def _band_rows(monkeypatch, rows, n_max):
+    """Make the mean-field bands ``rows`` rows of an n_max-column grid high."""
+    if rows is not None:
+        monkeypatch.setattr(transform, "_TEXT_BAND", rows * (n_max + 1))
+
+
+# Twelve-row grids: bands of 5 rows leave a short last band, 4 rows divide
+# the grid exactly, and 11 rows leave one row past them.
+@pytest.mark.parametrize("rows", [None, 1, 4, 5, 11], ids=lambda r: f"band_rows={r}")
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_banded_mean_field_keeps_the_whole_grid_bits(monkeypatch, rows, family):
+    q_family = _FAMILIES[(_FAMILIES.index(family) + 1) % len(_FAMILIES)]
+    sequences = [parse_sequence_spec(spec) for spec in
+                 ("additive_convergent", "complex_convergent", "1/(m+1)+sin(n)/(n+1)")]
+    for seq in [*sequences, _signed_zeros()]:
+        for m_max, n_max in ((11, 11), (11, 7)):
+            _band_rows(monkeypatch, rows, n_max)
+            p, q = _family(family), _family(q_family)
+            fld = tk.weighted_mean_field(seq, p, q, m_max, n_max)
+            numerator, sigma = _whole_grid_mean_field(seq, p, q, m_max, n_max)
+            assert fld.numerator.values.tobytes() == numerator.tobytes(), (seq.name, m_max, n_max)
+            assert fld.sigma.values.tobytes() == sigma.tobytes(), (seq.name, m_max, n_max)
+
+
+def _raised(fn, *args):
+    with pytest.raises(tk.TauberkitError) as exc:
+        fn(*args)
+    return exc.value
+
+
+def _overflowing(nan_at=None):
+    """u = 1 on a 12 x 8 grid but for two cells of 1e308 in row 1, whose sum
+    overflows the numerator there, and a nan at nan_at."""
+    u = np.ones((12, 8))
+    u[1, 2:4] = 1e308
+    if nan_at is not None:
+        u[nan_at] = np.nan
+    return tk.array_sequence(u, "overflowing")
+
+
+def _sign_flip(at):
+    return tk.WeightSequence(lambda k: 1.0 if k < at else -1.0, f"sign_flip({at})")
+
+
+@pytest.mark.parametrize("rows", [None, 2, 3], ids=lambda r: f"band_rows={r}")
+@pytest.mark.parametrize(
+    "case",
+    [
+        # an overflow in an early band, a non-finite u cell in a later one
+        lambda: (_overflowing((9, 3)), tk.ones(), tk.ones()),
+        # a weight error, then a non-finite u cell in a later band
+        lambda: (_overflowing((9, 3)), _sign_flip(2), tk.ones()),
+        # p's weight error before q's, both before the overflow
+        lambda: (_overflowing(), _sign_flip(4), _sign_flip(3)),
+        # an overflow alone
+        lambda: (_overflowing(), tk.ones(), tk.ones()),
+    ],
+    ids=["overflow_then_nan", "weights_then_nan", "p_then_q", "overflow_alone"],
+)
+def test_banded_mean_field_raises_the_whole_grid_error(monkeypatch, rows, case):
+    _band_rows(monkeypatch, rows, 7)
+    seq, p, q = case()
+    want = _raised(_whole_grid_mean_field, seq, p, q, 11, 7)
+    seq, p, q = case()
+    got = _raised(tk.weighted_mean_field, seq, p, q, 11, 7)
+    assert (type(got), str(got)) == (type(want), str(want))
+    if isinstance(want, tk.NonFiniteValueError):
+        assert (got.m, got.n) == (want.m, want.n) == (9, 3)
 
 
 @pytest.mark.parametrize("name", ["additive_convergent", "complex_convergent"])
