@@ -321,7 +321,8 @@ def _whole_range_bound(seq, p, q, m_range, n_range, signed):
     )
 
 
-# 40-column ranges: 40-cell bands are one row, 120-cell bands three.
+# The ranges read 37 to 40 columns of u: bands of 40 cells are one row, of
+# 120 cells three rows, of 492 cells twelve or thirteen.
 @pytest.mark.parametrize("band_cells", [None, 40, 120, 41 * 12], ids=lambda c: f"band_cells={c}")
 @pytest.mark.parametrize("weights", ["ones", "harmonic", "power"])
 def test_banded_difference_bounds_keep_the_one_block_bits(monkeypatch, band_cells, weights):
