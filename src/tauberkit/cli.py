@@ -46,7 +46,7 @@ from .sequences import (
     sequence_names,
     weight_names,
 )
-from .transform import _export_rows, _mean_field_bands, format_float
+from .transform import export_grid_csv, format_float, weighted_mean_field
 from .variation import VariationKind, classification_report, classify_adaptive
 
 
@@ -396,10 +396,10 @@ def cmd_classify_weights(cfg: RunConfig) -> int:
 def cmd_transform(cfg: RunConfig) -> int:
     seq = parse_sequence_spec(cfg.sequence)
     p, q = _weight_pair(cfg)
-    h = cfg.horizon
+    # only sigma is written: the numerator is freed before the export
+    sigma = weighted_mean_field(seq, p, q, cfg.horizon, cfg.horizon).sigma
     out = _out_dir(cfg) / "sigma.csv"
-    bands = ((r0, sigma) for r0, _, _, sigma in _mean_field_bands(seq, p, q, h, h))
-    _export_rows(str(out), seq.kind, h, h, bands)
+    export_grid_csv(sigma, str(out))
     print(f"wrote {out}")
     return 0
 

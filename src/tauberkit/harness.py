@@ -489,7 +489,7 @@ class TauberianReport:
 class _TailSquares:
     """The squares [ceil(tf * k)..k]^2 of an h x h grid, one per ladder rung
     k, read as empirical_limit reads a Grid: values[i, j] and
-    values[a:b, c:d] come from a square that holds them."""
+    values[a:b, c:d] come from the first square that holds them."""
 
     def __init__(self, h, ladder, tail_fraction, dtype):
         self.m_max = self.n_max = h
@@ -502,8 +502,11 @@ class _TailSquares:
 
     def __getitem__(self, key):
         rows, cols = (k if isinstance(k, slice) else slice(k, k + 1) for k in key)
-        t, sq = next((t, sq) for t, sq in self.squares
-                     if t <= min(rows.start, cols.start) and max(rows.stop, cols.stop) <= t + len(sq))
+        held = [(t, sq) for t, sq in self.squares
+                if t <= min(rows.start, cols.start) and max(rows.stop, cols.stop) <= t + len(sq)]
+        if not held:
+            raise IndexError(f"{key} lies in no tail square")
+        t, sq = held[0]
         block = sq[rows.start - t : rows.stop - t, cols.start - t : cols.stop - t]
         return block if isinstance(key[0], slice) else block[0, 0]
 

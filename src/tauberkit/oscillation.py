@@ -448,11 +448,11 @@ def _difference_bound(seq, p, q, m_range, n_range, signed):
     cells = (m1 - m0 + 2) * (n1 - n0 + 2)
     if cells > MAX_WINDOW_CELLS:
         raise ResourceLimitError(f"difference range has {cells} cells")
-    late = None
+    nonfinite = late = None
     try:
         cp = p.prefix_array(m1)[m0:] / p.weights_array(m1)[m0:]
         cq = q.prefix_array(n1)[n0:] / q.weights_array(n1)[n0:]
-    except Exception as exc:  # raised once every band of u is checked
+    except Exception as exc:  # raised once every band of u is evaluated
         late = exc
     # Row bands of u overlapping by one row: min and max are exact, so the
     # extremum of the band extrema has the whole range's bits.
@@ -463,14 +463,18 @@ def _difference_bound(seq, p, q, m_range, n_range, signed):
     for b0 in range(m0, m1 + 1, step):
         b1 = min(b0 + step, m1 + 1)
         u = seq.block(np.arange(b0 - 1, b1), cols)
-        _check_finite(seq, u)
-        if late is None:
-            d10, d01 = u[1:, 1:] - u[:-1, 1:], u[1:, 1:] - u[1:, :-1]
-            if not signed:
-                d10, d01 = np.abs(d10), np.abs(d01)
-            stats.append((reduce(cp[b0 - m0 : b1 - m0, None] * d10), reduce(cq[None, :] * d01)))
-    if late is not None:
-        raise late
+        try:  # a later band's rule error comes first, as in one block
+            _check_finite(seq, u)
+        except NonFiniteValueError as exc:
+            nonfinite = exc
+        if nonfinite or late:
+            continue
+        d10, d01 = u[1:, 1:] - u[:-1, 1:], u[1:, 1:] - u[1:, :-1]
+        if not signed:
+            d10, d01 = np.abs(d10), np.abs(d01)
+        stats.append((reduce(cp[b0 - m0 : b1 - m0, None] * d10), reduce(cq[None, :] * d01)))
+    if nonfinite or late:
+        raise nonfinite or late
     return float(reduce([r for r, _ in stats])), float(reduce([c for _, c in stats]))
 
 
@@ -496,6 +500,9 @@ def empirical_limit(
 ) -> LimitEstimate:
     """Estimate the rectangular limit of a materialized grid.
 
+    Only grid.m_max, grid.n_max, grid.values[top, top] and the tail squares
+    grid.values[t0 : h + 1, t0 : h + 1] are read, so verify_theorem passes
+    an object that holds just those squares (harness._TailSquares).
     The estimate is the corner value at the largest ladder rung; each rung
     h contributes the worst deviation from it over the square tail
     [ceil(tf*h), h]^2.  Convergence requires the final residual below

@@ -430,8 +430,12 @@ def array_sequence(values: np.ndarray, name: str = "array") -> DoubleSequence:
 
     def rule(M, N):
         if M.max() >= arr.shape[0] or N.max() >= arr.shape[1]:
+            # the row-major first index outside: a block split in row bands
+            # names the same one
+            M, N = np.broadcast_arrays(M, N)
+            at = np.argmax((M >= arr.shape[0]) | (N >= arr.shape[1]))
             raise IndexError(
-                f"{name}: index ({int(M.max())}, {int(N.max())}) outside "
+                f"{name}: index ({int(M.flat[at])}, {int(N.flat[at])}) outside "
                 f"stored shape {arr.shape}"
             )
         return arr[M, N]

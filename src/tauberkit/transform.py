@@ -76,7 +76,7 @@ def weighted_mean_field(
     The grids are filled band by band by _mean_field_bands, so the peak
     stays within the two grids and one band of u.
     """
-    _check_grid(seq, m_max, n_max)
+    _check_grid(seq, m_max, n_max)  # before the grids are allocated
     dtype = np.complex128 if seq.kind is ScalarKind.COMPLEX else np.float64
     numerator, sigma = (np.empty((m_max + 1, n_max + 1), dtype) for _ in range(2))
     for _ in _mean_field_bands(seq, p, q, m_max, n_max, out=(numerator, sigma)):
@@ -103,11 +103,11 @@ def _mean_field_bands(seq, p, q, m_max, n_max, out=None):
     whole grid each way, so every bit is the whole-grid pass's.  The errors
     keep that pass's order: bounds and cell budget; the rule or a
     non-finite u cell anywhere; p's weights, then q's; then the row-major
-    first non-finite numerator cell.  A weight error or an overflow is held
-    while the later bands of u are still checked.
+    first non-finite numerator cell.  An error found in a band is held
+    while the later bands of u are still evaluated and checked.
     """
     _check_grid(seq, m_max, n_max)
-    late = None
+    nonfinite = late = None
     try:
         pw, qw = p.weights_array(m_max), q.weights_array(n_max)
         pp, qp = p.prefix_array(m_max), q.prefix_array(n_max)
@@ -118,11 +118,10 @@ def _mean_field_bands(seq, p, q, m_max, n_max, out=None):
     for r0 in range(0, m_max + 1, step):
         r1 = min(r0 + step, m_max + 1)
         u = seq.block(np.arange(r0, r1), cols)
-        bad = _first_nonfinite(u)
-        if bad is not None:
+        if nonfinite is None and (bad := _first_nonfinite(u)) is not None:
             m, n = r0 + bad[0], bad[1]
-            raise NonFiniteValueError(f"{seq.name}: non-finite value at {(m, n)}", m=m, n=n)
-        if late is not None:
+            nonfinite = NonFiniteValueError(f"{seq.name}: non-finite value at {(m, n)}", m=m, n=n)
+        if nonfinite or late:
             continue
         s, sigma = (np.empty(u.shape, u.dtype) for _ in range(2)) if out is None else (g[r0:r1] for g in out)
         # A complex u gets complex buffers: numpy promotes the real weight
@@ -130,11 +129,9 @@ def _mean_field_bands(seq, p, q, m_max, n_max, out=None):
         with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(pw[r0:r1, None], qw[None, :], out=s)
             np.multiply(s, u, out=s)
-            # The sums down the columns one row at a time: cumsum(axis=0)'s
-            # additions at about 0.9 ns a cell, where numpy's axis-0 loop
-            # took 5.5 (2-vCPU x86-64, numpy 2.4).
-            for i in range(0 if r0 else 1, r1 - r0):  # row 0 has no row above
-                s[i] += s[i - 1] if i else down
+            if r0:
+                s[0] += down
+            np.cumsum(s, axis=0, out=s)
             down = s[-1].copy()
             np.cumsum(s, axis=1, out=s)
         bad = _first_nonfinite(s)
@@ -144,8 +141,8 @@ def _mean_field_bands(seq, p, q, m_max, n_max, out=None):
         np.multiply(pp[r0:r1, None], qp[None, :], out=sigma)
         np.divide(s, sigma, out=sigma)
         yield r0, u, s, sigma
-    if late is not None:
-        raise late
+    if nonfinite or late:
+        raise nonfinite or late
 
 
 def _exact_sum(arr: np.ndarray) -> float | complex:
@@ -411,47 +408,41 @@ def export_grid_csv(grid: Grid, path: str) -> None:
     temporary name beside path and renamed over it at the end, so a failed
     export leaves no partial file and an existing one untouched.
     """
-    _export_rows(path, grid.kind, grid.m_max, grid.n_max, [(0, grid.values)])
-
-
-def _export_rows(path, kind, m_max, n_max, bands) -> None:
-    """export_grid_csv of the m_max x n_max grid whose row bands (r0, rows)
-    come in order from bands, so the whole grid is never held."""
-    dtype, tails = np.float64, [int.from_bytes(b",0\n", "little")]
-    if kind is ScalarKind.COMPLEX:
-        dtype, tails = np.complex128, [ord(","), ord("\n")]
-    cols = n_max + 1
-    labels = _labels(max(m_max, n_max) + 1)
+    if grid.kind is ScalarKind.COMPLEX:
+        values = np.ascontiguousarray(grid.values, np.complex128).view(np.float64).reshape(-1, 2)
+        tails = [ord(","), ord("\n")]
+    else:
+        values = np.ascontiguousarray(grid.values, np.float64).reshape(-1, 1)
+        tails = [int.from_bytes(b",0\n", "little")]
+    cols = grid.n_max + 1
+    labels = _labels(max(grid.m_max, grid.n_max) + 1)
     width = labels.shape[1]
     row_words = 2 * width + 4 * len(tails)
     # One record serves every band.  A fresh bytes copy of each band's words
     # left the heap fragmented: the next mean field then peaked a whole grid
     # higher (grid_export peak RSS 84 -> 97 MiB, with numpy's huge pages).
-    record = None
+    record = bytearray(8 * row_words * min(_TEXT_BAND, len(values)))
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"  # beside path, so os.replace is a rename
     try:
         with open(tmp, "xb") as fh:
             fh.write(b"m,n,value_re,value_im\n")
-            for r0, rows in bands:
-                values = np.ascontiguousarray(rows, dtype).view(np.float64).reshape(-1, len(tails))
-                record = record or bytearray(8 * row_words * min(_TEXT_BAND, len(values)))
-                for start in range(0, len(values), _TEXT_BAND):
-                    band = values[start : start + _TEXT_BAND]
-                    m, n = np.divmod(np.arange(start, start + len(band)) + r0 * cols, cols)
-                    words = np.frombuffer(record, np.uint64, len(band) * row_words).reshape(len(band), -1)
-                    np.take(labels, m, axis=0, out=words[:, :width], mode="clip")
-                    np.take(labels, n, axis=0, out=words[:, width : 2 * width], mode="clip")
-                    for part, tail in enumerate(tails):
-                        at = 2 * width + 4 * part
-                        _text_words(band[:, part], tail << 40, words[:, at : at + 4])
-                    text = (record if words.nbytes == len(record) else words.tobytes()).translate(None, b"\0")
-                    flagged = words[:, 2 * width :: 4] == 1
-                    if flagged.any():
-                        fallback = np.flatnonzero(flagged)
-                        pieces = text.split(b"\1")
-                        fixed = [b"%.17g" % x for x in band.ravel()[fallback].tolist()]
-                        text = b"".join(itertools.chain(*zip(pieces, fixed), pieces[-1:]))
-                    fh.write(text)
+            for start in range(0, len(values), _TEXT_BAND):
+                band = values[start : start + _TEXT_BAND]
+                m, n = np.divmod(np.arange(start, start + len(band)), cols)
+                words = np.frombuffer(record, np.uint64, len(band) * row_words).reshape(len(band), -1)
+                np.take(labels, m, axis=0, out=words[:, :width], mode="clip")
+                np.take(labels, n, axis=0, out=words[:, width : 2 * width], mode="clip")
+                for part, tail in enumerate(tails):
+                    at = 2 * width + 4 * part
+                    _text_words(band[:, part], tail << 40, words[:, at : at + 4])
+                text = (record if words.nbytes == len(record) else words.tobytes()).translate(None, b"\0")
+                flagged = words[:, 2 * width :: 4] == 1
+                if flagged.any():
+                    fallback = np.flatnonzero(flagged)
+                    pieces = text.split(b"\1")
+                    fixed = [b"%.17g" % x for x in band.ravel()[fallback].tolist()]
+                    text = b"".join(itertools.chain(*zip(pieces, fixed), pieces[-1:]))
+                fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

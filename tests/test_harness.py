@@ -422,6 +422,33 @@ def test_horizon_halves_until_the_grid_is_finite():
     assert rep.horizon_note == "grid overflows doubles at horizon 512; evaluated at 256"
 
 
+def test_verify_theorem_raises_a_later_rule_error_before_an_earlier_nan():
+    # the nan lies in an earlier band than the rows past the array; the
+    # whole-grid pass raised the rule's error, and the horizon never halved
+    u = np.zeros((200, 257))
+    u[150, 5] = np.nan
+    with pytest.raises(IndexError, match=r"index \(200, 0\) outside stored shape"):
+        tk.verify_theorem(tk.array_sequence(u, "short"), tk.ones(), tk.ones(), tk.Theorem.T41,
+                          tk.HarnessConfig(horizon=256, class_horizon=4096))
+
+
+@pytest.mark.parametrize("tail_fraction", [0.5, 0.3])
+def test_tail_squares_read_as_the_whole_grid(tail_fraction):
+    h, ladder = 300, harness.horizon_ladder(300)
+    whole = tk.eval_grid(tk.corpus_sequence("complex_convergent"), h, h)
+    tails = harness._TailSquares(h, ladder, tail_fraction, whole.values.dtype)
+    for t, sq in tails.squares:
+        sq[:] = whole.values[t : t + len(sq), t : t + len(sq)]
+    for k in ladder:
+        t = math.ceil(tail_fraction * k)
+        assert np.array_equal(tails.values[t : k + 1, t : k + 1], whole.values[t : k + 1, t : k + 1])
+        assert tails.values[k, k] == whole.values[k, k]
+    with pytest.raises(IndexError, match="lies in no tail square"):
+        tails.values[0, 0]
+    got = tk.empirical_limit(tails, ladder, tail_fraction)
+    assert repr(got) == repr(tk.empirical_limit(whole, ladder, tail_fraction))
+
+
 def test_verify_theorem_evaluates_each_grid_cell_once(monkeypatch):
     counts = np.zeros((257, 257), dtype=np.int64)
     block = tk.DoubleSequence.block

@@ -357,6 +357,18 @@ def test_banded_difference_bound_reports_a_later_nan_before_a_weight_error(monke
         tk.hardy_stat(_nan_at(29, 29), bad, tk.ones(), (1, 28), (1, 28))
 
 
+@pytest.mark.parametrize("band_cells", [None, 40], ids=lambda c: f"band_cells={c}")
+def test_banded_difference_bound_reports_a_later_rule_error_before_a_nan(monkeypatch, band_cells):
+    if band_cells is not None:
+        monkeypatch.setattr(tk.oscillation, "_BAND_CELLS", band_cells)
+    args = (_nan_at(3, 5), tk.ones(), tk.ones(), (1, 32), (1, 28))
+    with pytest.raises(IndexError) as want:
+        _whole_range_bound(*args, False)
+    with pytest.raises(IndexError) as got:
+        tk.hardy_stat(*args)
+    assert str(got.value) == str(want.value) == "nan_at(3, 5): index (30, 0) outside stored shape (30, 30)"
+
+
 def test_difference_stats_reject_ranges_from_zero():
     with pytest.raises(ValueError, match="start at 1"):
         tk.landau_stat(ADD, tk.ones(), tk.ones(), (0, 5), (1, 5))

@@ -187,15 +187,15 @@ def test_banded_mean_field_keeps_the_whole_grid_bits(monkeypatch, rows, family):
 
 
 def _raised(fn, *args):
-    with pytest.raises(tk.TauberkitError) as exc:
+    with pytest.raises((tk.TauberkitError, IndexError)) as exc:
         fn(*args)
     return exc.value
 
 
-def _overflowing(nan_at=None):
-    """u = 1 on a 12 x 8 grid but for two cells of 1e308 in row 1, whose sum
-    overflows the numerator there, and a nan at nan_at."""
-    u = np.ones((12, 8))
+def _overflowing(nan_at=None, rows=12):
+    """u = 1 on a rows x 8 array but for two cells of 1e308 in row 1, whose
+    sum overflows the numerator there, and a nan at nan_at."""
+    u = np.ones((rows, 8))
     u[1, 2:4] = 1e308
     if nan_at is not None:
         u[nan_at] = np.nan
@@ -218,8 +218,10 @@ def _sign_flip(at):
         lambda: (_overflowing(), _sign_flip(4), _sign_flip(3)),
         # an overflow alone
         lambda: (_overflowing(), tk.ones(), tk.ones()),
+        # a nan in an early band, then rows past the array: the rule's error
+        lambda: (_overflowing((2, 3), rows=9), tk.ones(), tk.ones()),
     ],
-    ids=["overflow_then_nan", "weights_then_nan", "p_then_q", "overflow_alone"],
+    ids=["overflow_then_nan", "weights_then_nan", "p_then_q", "overflow_alone", "nan_then_rule"],
 )
 def test_banded_mean_field_raises_the_whole_grid_error(monkeypatch, rows, case):
     _band_rows(monkeypatch, rows, 7)
