@@ -27,8 +27,8 @@ from .errors import (
 )
 
 # Hard ceiling on the cells of one grid, ~2 GiB of float64.  Only eval_grid
-# and weighted_mean_field hold a whole grid; analyze and transform refuse
-# the same horizons but hold only row bands and the ladder's tail squares.
+# and weighted_mean_field hold a whole grid; analyze refuses the same
+# horizons but holds only row bands and the ladder's tail squares.
 MAX_GRID_CELLS = 1 << 28
 
 

@@ -93,18 +93,16 @@ def weighted_mean_field(
 
 
 def _mean_field_bands(seq, p, q, m_max, n_max, out=None):
-    """Yield (r0, u, numerator, sigma) on the row bands [r0, r0 + rows) x
-    [0..n_max] of at most _TEXT_BAND cells (or one row), top to bottom.
-    The numerator and sigma bands are views of out's grids, if given.
+    """Yield (r0, u, numerator, sigma) on row bands [r0, r0 + rows) x
+    [0..n_max] of at most _TEXT_BAND cells (or one row), top to bottom;
+    the numerator and sigma bands are views of out's grids, if given.
 
-    Each band of u is multiplied by pw x qw, its first row takes the
-    previous band's last row of sums down the columns, and it is summed
-    down then across: the additions, in their order, of one cumsum of the
-    whole grid each way, so every bit is the whole-grid pass's.  The errors
-    keep that pass's order: bounds and cell budget; the rule or a
-    non-finite u cell anywhere; p's weights, then q's; then the row-major
-    first non-finite numerator cell.  An error found in a band is held
-    while the later bands of u are still evaluated and checked.
+    A band's first row of products takes the previous band's last row of
+    sums down the columns: the additions, in order, of one cumsum of the
+    whole grid each way, so every bit is the whole grid's.  So is the
+    error order: bounds and cell budget; a rule error or non-finite u cell
+    anywhere; p's weights, then q's; the row-major first overflowed
+    numerator cell.  An error is held while later bands of u are checked.
     """
     _check_grid(seq, m_max, n_max)
     nonfinite = late = None
