@@ -112,6 +112,13 @@ def test_complex_sequence_mean_field():
     assert got.imag == pytest.approx(want_im, rel=1e-12)
 
 
+def test_mean_field_refuses_an_over_budget_grid_before_allocating_it():
+    # the two grids of 10^12 cells would fail to allocate with a MemoryError
+    with pytest.raises(tk.ResourceLimitError, match="exceeds budget"):
+        tk.weighted_mean_field(tk.corpus_sequence("additive_convergent"), tk.ones(), tk.ones(),
+                               10**6, 10**6)
+
+
 @pytest.mark.parametrize("name", ["additive_convergent", "complex_convergent"])
 def test_mean_field_peak_memory_stays_within_three_grids(name):
     seq = tk.corpus_sequence(name)
