@@ -61,7 +61,6 @@ from .oscillation import (
     LimitEstimate,
     WindowDirection,
     backward_window_lower_index,
-    build_bound_profile,
     build_window_profile,
     build_window_profiles,
     empirical_limit,

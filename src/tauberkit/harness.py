@@ -28,9 +28,9 @@ from .oscillation import (
     DecisionProfile,
     LimitEstimate,
     WindowDirection,
-    build_bound_profile,
+    _bound_profiles,
+    _limit_estimate,
     build_window_profiles,
-    empirical_limit,
 )
 from .variation import VariationClass, VariationKind, classify_adaptive
 
@@ -123,13 +123,12 @@ class LemmaDecomposition:
         return (self.term_corner, self.term_rows, self.term_cols, self.term_window)
 
 
-def _window_average(seq, p, q, i_lo, i_hi, j_lo, j_hi, anchor, flip):
-    """Weighted average over [i_lo..i_hi] x [j_lo..j_hi] of u - anchor
-    (anchor - u when flipped), exact accumulation."""
-    pw = p.weights_array(i_hi)[i_lo:]
-    qw = q.weights_array(j_hi)[j_lo:]
-    block = seq.block(np.arange(i_lo, i_hi + 1), np.arange(j_lo, j_hi + 1))
-    diff = (anchor - block) if flip else (block - anchor)
+def _window_average(window, p, q, r0, c0, anchor, flip):
+    """Weighted average of u - anchor (anchor - u when flipped) over
+    window[1:, 1:], for window u on [r0..] x [c0..]; exact accumulation."""
+    pw = p.weights_array(r0 + len(window) - 1)[r0 + 1 :]
+    qw = q.weights_array(c0 + window.shape[1] - 1)[c0 + 1 :]
+    diff = (anchor - window[1:, 1:]) if flip else (window[1:, 1:] - anchor)
     num = _exact_sum((pw[:, None] * qw[None, :]) * diff)
     dp = _exact_sum(pw)
     dq = _exact_sum(qw)
@@ -138,24 +137,29 @@ def _window_average(seq, p, q, i_lo, i_hi, j_lo, j_hi, anchor, flip):
 
 def _corner_means(seq, p, q, corners):
     """sigma_single at each of the corners (m, n), (mu, n), (m, eta) and
-    (mu, eta), with its bits, from one block and one _corner_sums pass.
+    (mu, eta), with its bits, from one block and one _corner_sums pass, and
+    the window: the block's cells [min(m, mu)..] x [min(n, eta)..].
 
-    None when the block is over budget, raises, holds a non-finite term or
-    could overflow fsum's partials: the four sigma_single calls then decide,
-    with their special values and errors, in their order.
+    The means are None when the block holds a non-finite term or could
+    overflow fsum's partials, and both are None when the block is over
+    budget or raises: the four sigma_single calls then decide, with their
+    special values and errors, in their order.  The last of them sums the
+    whole block, so it raises wherever the block was not evaluated.
     """
     (m, n), _, _, (mu, eta) = corners
     rows, cols = max(m, mu), max(n, eta)
     cells = (rows + 1) * (cols + 1)
     if cells > MAX_GRID_CELLS:
-        return None
+        return None, None
     try:
         u = seq.block(np.arange(rows + 1), np.arange(cols + 1))
         pw = p.weights_array(rows)
         qw = q.weights_array(cols)
     except Exception:
         # Whatever the rule or the weights raise, sigma_single raises again.
-        return None
+        return None, None
+    r0, c0 = min(m, mu), min(n, eta)
+    window = u[r0:, c0:].copy()
     # sigma_single's products, with u freed as soon as it is multiplied in.
     with np.errstate(over="ignore", invalid="ignore"):
         terms = np.multiply(pw[:, None], qw[None, :], out=np.empty_like(u))
@@ -164,15 +168,16 @@ def _corner_means(seq, p, q, corners):
     parts = terms.view(np.float64)
     bound = 2.0**1022 / cells
     if not (-bound < parts.min() and parts.max() < bound):  # NaN fails too
-        return None
-    r0, c0 = min(m, mu), min(n, eta)
+        return None, window
     nested = ((r0, c0), (rows, c0), (r0, cols), (rows, cols))
     sums = dict(zip(nested, _corner_sums(terms, r0, c0)))
-    return [sums[i, j] / (p.prefix(i) * q.prefix(j)) for i, j in corners]
+    return [sums[i, j] / (p.prefix(i) * q.prefix(j)) for i, j in corners], window
 
 
-def _lemma(direction, seq, p, q, m, n, mu, eta) -> LemmaDecomposition:
-    """Split against the block between the anchor (m, n) and (mu, eta).
+def _lemma(direction, seq, p, q, m, n, mu, eta) -> tuple[LemmaDecomposition, np.ndarray]:
+    """Split against the block between the anchor (m, n) and (mu, eta), and
+    u on that block with its first row and column: [min(m, mu)..max(m, mu)]
+    x [min(n, eta)..max(n, eta)].
 
     The forward block (m..mu] x (n..eta] needs mu > m and eta > n; the
     backward block (mu..m] x (eta..n] needs mu < m and eta < n and flips the
@@ -186,14 +191,11 @@ def _lemma(direction, seq, p, q, m, n, mu, eta) -> LemmaDecomposition:
             raise ValueError(f"backward split needs 0 <= {b} < {a}, got {b}={y}, {a}={x}")
     u_mn = seq.evaluate(m, n)
     corners = ((m, n), (mu, n), (m, eta), (mu, eta))
-    means = _corner_means(seq, p, q, corners)
+    means, window = _corner_means(seq, p, q, corners)
     if means is None:
         means = [sigma_single(seq, p, q, i, j) for i, j in corners]
     s_mn, s_mu_n, s_m_eta, s_mu_eta = means
-    t_window, dp, dq = _window_average(
-        seq, p, q, min(m, mu) + 1, max(m, mu), min(n, eta) + 1, max(n, eta), u_mn,
-        flip=not forward,
-    )
+    t_window, dp, dq = _window_average(window, p, q, min(m, mu), min(n, eta), u_mn, flip=not forward)
     p_mu = p.prefix(mu)
     q_eta = q.prefix(eta)
     corner = _exact_sum(np.array([s_mu_eta, -s_mu_n, -s_m_eta, s_mn]))
@@ -216,21 +218,21 @@ def _lemma(direction, seq, p, q, m, n, mu, eta) -> LemmaDecomposition:
         term_window=t_window,
         residual=residual,
         rel_residual=abs(residual) / scale,
-    )
+    ), window
 
 
 def lemma_forward(
     seq: DoubleSequence, p: WeightSequence, q: WeightSequence, m: int, n: int, mu: int, eta: int
 ) -> LemmaDecomposition:
     """Split against the forward block (m..mu] x (n..eta]."""
-    return _lemma(WindowDirection.FORWARD, seq, p, q, m, n, mu, eta)
+    return _lemma(WindowDirection.FORWARD, seq, p, q, m, n, mu, eta)[0]
 
 
 def lemma_backward(
     seq: DoubleSequence, p: WeightSequence, q: WeightSequence, m: int, n: int, mu: int, eta: int
 ) -> LemmaDecomposition:
     """Split against the backward block (mu..m] x (eta..n]."""
-    return _lemma(WindowDirection.BACKWARD, seq, p, q, m, n, mu, eta)
+    return _lemma(WindowDirection.BACKWARD, seq, p, q, m, n, mu, eta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +289,7 @@ def _proof_inequality(direction, seq, p, q, m, n, lam, kappa, delta, gamma) -> P
     if not forward and not (0.0 < lam < 1.0 and 0.0 < kappa < 1.0):
         raise ValueError(f"backward scales must lie in (0, 1), got ({lam}, {kappa})")
     # Called through the public names, so a tracer that rebinds them sees
-    # the chooser and lemma time apart from this step's own.
+    # the chooser time apart from this step's own.
     choose = choose_mu if forward else choose_mu_backward
     mu = choose(p, m, delta)
     eta = choose(q, n, gamma)
@@ -295,10 +297,7 @@ def _proof_inequality(direction, seq, p, q, m, n, lam, kappa, delta, gamma) -> P
         raise ValueError(
             f"backward block is empty at (m={m}, n={n}) with delta={delta}, gamma={gamma}"
         )
-    dec = (lemma_forward if forward else lemma_backward)(seq, p, q, m, n, mu, eta)
-    block = seq.block(
-        np.arange(min(m, mu), max(m, mu) + 1), np.arange(min(n, eta), max(n, eta) + 1)
-    )
+    dec, block = _lemma(direction, seq, p, q, m, n, mu, eta)
     # bound_rect: the worst drop of u(i, j) below u(i, n), or gain up to it;
     # bound_line: the same for u(i, n) against u(m, n).
     if forward:
@@ -381,7 +380,8 @@ def lemma_residual_suite(trials: int = 100, grid: int = 20, seed: int = 0) -> li
     if trials < 1:
         raise ValueError(f"suite needs trials >= 1, got {trials}")
     if grid * grid > MAX_GRID_CELLS:
-        raise ResourceLimitError(f"suite grid of {grid * grid} cells exceeds budget {MAX_GRID_CELLS}")
+        raise ResourceLimitError(f"suite grid of {grid * grid} cells exceeds budget {MAX_GRID_CELLS}",
+                                 cells=grid * grid)
     rng = np.random.default_rng(seed)
     pool = [ones, harmonic, lambda: power(1.0), lambda: geometric(1.5)]
     out = []
@@ -486,48 +486,26 @@ class TauberianReport:
     horizon_note: str | None = None
 
 
-class _TailSquares:
-    """The squares [ceil(tf * k)..k]^2 of an h x h grid, one per ladder rung
-    k, read as empirical_limit reads a Grid: values[i, j] and
-    values[a:b, c:d] come from the first square that holds them."""
-
-    def __init__(self, h, ladder, tail_fraction, dtype):
-        self.m_max = self.n_max = h
-        starts = [math.ceil(tail_fraction * k) for k in ladder]
-        self.squares = [(t, np.empty((k + 1 - t,) * 2, dtype)) for t, k in zip(starts, ladder)]
-
-    @property
-    def values(self):  # a property, not an attribute: no cycle keeps the squares alive
-        return self
-
-    def __getitem__(self, key):
-        rows, cols = (k if isinstance(k, slice) else slice(k, k + 1) for k in key)
-        held = [(t, sq) for t, sq in self.squares
-                if t <= min(rows.start, cols.start) and max(rows.stop, cols.stop) <= t + len(sq)]
-        if not held:
-            raise IndexError(f"{key} lies in no tail square")
-        t, sq = held[0]
-        block = sq[rows.start - t : rows.stop - t, cols.start - t : cols.stop - t]
-        return block if isinstance(key[0], slice) else block[0, 0]
-
-
 def _limits(seq, p, q, cfg):
-    """The grid horizon, its ladder and the limits of u and sigma there.
+    """The grid horizon, its ladder, u on [t - 1..k]^2 for each rung k,
+    t = ceil(tf * k), and the limits of u and sigma on [t..k]^2.
 
-    One banded mean-field pass keeps only the ladder's tail squares of u
-    and sigma.  While u or the numerator is not finite in doubles, the
-    horizon halves.
+    One banded mean-field pass keeps only those squares of u, with the row
+    and column before each that the difference bounds read, and of sigma.
+    While u or the numerator is not finite in doubles, the horizon halves.
     """
     h = cfg.horizon
     while True:
         ladder = horizon_ladder(h)
-        tails = []
+        starts = [math.ceil(cfg.tail_fraction * k) for k in ladder]
+        held = []
         try:
             for r0, u, _, sigma in _mean_field_bands(seq, p, q, h, h):
                 # allocated once the first band has passed the cell budget
-                tails = tails or [_TailSquares(h, ladder, cfg.tail_fraction, u.dtype) for _ in range(2)]
-                for tail, band in zip(tails, (u, sigma)):
-                    for t, sq in tail.squares:
+                held = held or [[(t - d, np.empty((k + 1 - t + d,) * 2, u.dtype)) for t, k in zip(starts, ladder)]
+                                for d in (1, 0)]
+                for squares, band in zip(held, (u, sigma)):
+                    for t, sq in squares:
                         lo = max(r0, t)
                         hi = max(lo, min(r0 + len(band), t + len(sq)))
                         sq[lo - t : hi - t] = band[lo - r0 : hi - r0, t : t + len(sq)]
@@ -536,7 +514,10 @@ def _limits(seq, p, q, cfg):
             if h // 2 < 64:
                 raise
             h //= 2
-    return h, ladder, *(empirical_limit(tail, ladder, cfg.tail_fraction, cfg.eps_dec) for tail in tails)
+    u_squares, sigma_squares = ([sq for _, sq in squares] for squares in held)
+    u_limit = _limit_estimate([sq[1:, 1:] for sq in u_squares], ladder, cfg.tail_fraction, cfg.eps_dec)
+    sigma_limit = _limit_estimate(sigma_squares, ladder, cfg.tail_fraction, cfg.eps_dec)
+    return h, ladder, u_squares, u_limit, sigma_limit
 
 
 def verify_theorem(
@@ -565,7 +546,7 @@ def verify_theorem(
     vc_p, _, note_p = class_p
     vc_q, _, note_q = class_q
 
-    h, ladder, u_limit, sigma_limit = _limits(seq, p, q, cfg)
+    h, ladder, u_squares, u_limit, sigma_limit = _limits(seq, p, q, cfg)
     horizon_note = (
         None
         if h == cfg.horizon
@@ -574,9 +555,12 @@ def verify_theorem(
 
     names = _THEOREM_FUNCTIONALS[theorem]
     if names[0] in ("landau", "hardy"):
-        prof_p, prof_q = build_bound_profile(seq, p, q, names[0], ladder, cfg.tail_fraction)
-        profiles = {prof_p.functional: prof_p, prof_q.functional: prof_q}
+        cp, cq = (w.prefix_array(h) / w.weights_array(h) for w in (p, q))
+        tails = [slice(math.ceil(cfg.tail_fraction * k), k + 1) for k in ladder]
+        rungs = [(k, sq, cp[t], cq[t]) for k, sq, t in zip(ladder, u_squares, tails)]
+        profiles = {prof.functional: prof for prof in _bound_profiles(names[0], rungs)}
     else:
+        del u_squares  # the window profiles evaluate their own windows
         profiles = build_window_profiles(
             seq,
             p,

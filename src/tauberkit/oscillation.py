@@ -40,7 +40,10 @@ from .errors import (
 from .sequences import DoubleSequence, Grid, ScalarKind, WeightSequence
 
 # Rectangle windows larger than this are refused (scalar ops) or recorded
-# as unsampled rungs (profiles).  ~240 MB of float64 at the default.
+# as unsampled rungs (profiles), though the window engine never holds a
+# window: it reads row bands.  landau_stat and hardy_stat refuse difference
+# blocks, and sd_field_components fields, larger than this, since each is
+# one block in memory: ~240 MB of float64 at the default.
 MAX_WINDOW_CELLS = 30_000_000
 
 # Cells of u the window engine evaluates at once: 1 MiB of float64, so a
@@ -447,35 +450,26 @@ def _difference_bound(seq, p, q, m_range, n_range, signed):
         raise ValueError(f"empty difference range ({m_range}, {n_range})")
     cells = (m1 - m0 + 2) * (n1 - n0 + 2)
     if cells > MAX_WINDOW_CELLS:
-        raise ResourceLimitError(f"difference range has {cells} cells")
-    nonfinite = late = None
-    try:
-        cp = p.prefix_array(m1)[m0:] / p.weights_array(m1)[m0:]
-        cq = q.prefix_array(n1)[n0:] / q.weights_array(n1)[n0:]
-    except Exception as exc:  # raised once every band of u is evaluated
-        late = exc
-    # Row bands of u overlapping by one row: min and max are exact, so the
-    # extremum of the band extrema has the whole range's bits.
-    reduce = np.min if signed else np.max
-    cols = np.arange(n0 - 1, n1 + 1)
-    step = max(1, _BAND_CELLS // cols.size)
-    stats = []
-    for b0 in range(m0, m1 + 1, step):
-        b1 = min(b0 + step, m1 + 1)
-        u = seq.block(np.arange(b0 - 1, b1), cols)
-        try:  # a later band's rule error comes first, as in one block
-            _check_finite(seq, u)
-        except NonFiniteValueError as exc:
-            nonfinite = exc
-        if nonfinite or late:
-            continue
-        d10, d01 = u[1:, 1:] - u[:-1, 1:], u[1:, 1:] - u[1:, :-1]
+        raise ResourceLimitError(f"difference range has {cells} cells", cells=cells)
+    u = seq.block(np.arange(m0 - 1, m1 + 1), np.arange(n0 - 1, n1 + 1))
+    _check_finite(seq, u)
+    cp = p.prefix_array(m1)[m0:] / p.weights_array(m1)[m0:]
+    cq = q.prefix_array(n1)[n0:] / q.weights_array(n1)[n0:]
+    return _difference_stats(u, cp, cq, signed)
+
+
+def _difference_stats(u, cp, cq, signed) -> tuple[float, float]:
+    """The min of cp (x) D10 u and of cq (x) D01 u over u[1:, 1:] (signed),
+    or the max of cp (x) |D10 u| and cq (x) |D01 u|, for u a block with one
+    row and one column before the range.  One difference array at a time,
+    made real in place (by a fresh abs if u is complex)."""
+    def stat(d, c):
         if not signed:
-            d10, d01 = np.abs(d10), np.abs(d01)
-        stats.append((reduce(cp[b0 - m0 : b1 - m0, None] * d10), reduce(cq[None, :] * d01)))
-    if nonfinite or late:
-        raise nonfinite or late
-    return float(reduce([r for r, _ in stats])), float(reduce([c for _, c in stats]))
+            d = np.abs(d, out=None if np.iscomplexobj(d) else d)
+        d *= c
+        return float(d.min() if signed else d.max())
+
+    return stat(u[1:, 1:] - u[:-1, 1:], cp[:, None]), stat(u[1:, 1:] - u[1:, :-1], cq[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +494,6 @@ def empirical_limit(
 ) -> LimitEstimate:
     """Estimate the rectangular limit of a materialized grid.
 
-    Only grid.m_max, grid.n_max, grid.values[top, top] and the tail squares
-    grid.values[t0 : h + 1, t0 : h + 1] are read, so verify_theorem passes
-    an object that holds just those squares (harness._TailSquares).
     The estimate is the corner value at the largest ladder rung; each rung
     h contributes the worst deviation from it over the square tail
     [ceil(tf*h), h]^2.  Convergence requires the final residual below
@@ -525,19 +516,30 @@ def empirical_limit(
             f"ladder rung {top} outside grid ({grid.m_max}, {grid.n_max})", needed=top
         )
     vals = grid.values
-    lhat = vals[top, top].item()
+    starts = [math.ceil(tail_fraction * h) for h in ladder]
+    squares = [vals[t0 : h + 1, t0 : h + 1] for t0, h in zip(starts, ladder)]
+    return _limit_estimate(squares, ladder, tail_fraction, eps_dec)
+
+
+def _limit_estimate(squares, ladder, tail_fraction, eps_dec) -> LimitEstimate:
+    """empirical_limit from the tail square [ceil(tf*h), h]^2 of each rung h."""
+    lhat = squares[-1][-1, -1].item()
     profile = []
-    for h in ladder:
-        t0 = math.ceil(tail_fraction * h)
-        sub = vals[t0 : h + 1, t0 : h + 1]
-        profile.append((h, float(np.abs(sub - lhat).max())))
+    for h, sub in zip(ladder, squares):
+        if np.iscomplexobj(sub):
+            r = np.abs(sub - lhat).max()
+        else:
+            # Rounded subtraction is monotone and sign-symmetric, and abs
+            # maps -0.0 to 0.0: the bits of |sub - lhat|.max(), no temporary.
+            r = np.maximum(abs(sub.max() - lhat), abs(lhat - sub.min()))
+        profile.append((h, float(r)))
     r = [v for _, v in profile]
     decreasing = r[-3] > r[-2] > r[-1]
     noise_floor = 64.0 * float(np.finfo(np.float64).eps) * max(1.0, abs(lhat))
     converged = r[-1] < eps_dec and (decreasing or r[-1] <= noise_floor)
     return LimitEstimate(
         value=lhat,
-        tail_start=math.ceil(tail_fraction * top),
+        tail_start=math.ceil(tail_fraction * ladder[-1]),
         residual_profile=tuple(profile),
         converged=converged,
         eps_dec=eps_dec,
@@ -641,33 +643,16 @@ def build_window_profile(
                                  kappa_ladder, tail_fraction, budget)[functional]
 
 
-def build_bound_profile(
-    seq: DoubleSequence,
-    p: WeightSequence,
-    q: WeightSequence,
-    which: str,
-    horizons: list[int],
-    tail_fraction: float = 0.5,
-) -> tuple[DecisionProfile, DecisionProfile]:
-    """Tail profiles of the weighted difference bounds, one per axis."""
-    if which == "landau":
-        _require_real(seq, "signed difference bound")
-        fn, sense = landau_stat, TrendSense.INF
-    elif which == "hardy":
-        fn, sense = hardy_stat, TrendSense.SUP
-    else:
-        raise KeyError(f"unknown bound {which!r}; expected 'landau' or 'hardy'")
-    rows, cols = [], []
-    for h in sorted(horizons):
-        t0 = max(1, math.ceil(tail_fraction * h))
-        row_stat, col_stat = fn(seq, p, q, (t0, h), (t0, h))
-        count = (h - t0 + 1) ** 2
-        rows.append(ProfileRung(lam=None, kappa=None, horizon=h, stat=row_stat, cells=count))
-        cols.append(ProfileRung(lam=None, kappa=None, horizon=h, stat=col_stat, cells=count))
-    return (
-        DecisionProfile(f"{which}_p", sense, tuple(rows)),
-        DecisionProfile(f"{which}_q", sense, tuple(cols)),
-    )
+def _bound_profiles(which, rungs) -> tuple[DecisionProfile, DecisionProfile]:
+    """The tail profiles of landau_stat or hardy_stat, one per axis, from
+    rungs (h, u, cp, cq): u on [t - 1..h]^2 and cp, cq = P_i/p_i, Q_j/q_j
+    over [t..h], as _difference_stats reads them."""
+    sense = TrendSense.INF if which == "landau" else TrendSense.SUP
+    axes = ([], [])
+    for h, u, cp, cq in rungs:
+        for axis, stat in zip(axes, _difference_stats(u, cp, cq, signed=which == "landau")):
+            axis.append(ProfileRung(lam=None, kappa=None, horizon=h, stat=stat, cells=cp.size * cq.size))
+    return tuple(DecisionProfile(f"{which}_{a}", sense, tuple(rs)) for a, rs in zip("pq", axes))
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +721,7 @@ def sd_field_components(
     ni_ext = int(w_cols[-1])
     cells = (mi_ext + 1) * (ni_ext + 1)
     if cells > MAX_WINDOW_CELLS:
-        raise ResourceLimitError(f"field needs {cells} extended cells")
+        raise ResourceLimitError(f"field needs {cells} extended cells", cells=cells)
     u_ext = seq.block(np.arange(mi_ext + 1), np.arange(ni_ext + 1))
     _check_finite(seq, u_ext)
     rows = np.arange(m_max + 1, dtype=np.int64)

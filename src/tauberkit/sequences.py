@@ -99,7 +99,7 @@ def _check_grid(seq: DoubleSequence, m_max: int, n_max: int) -> None:
     cells = (m_max + 1) * (n_max + 1)
     if cells > MAX_GRID_CELLS:
         raise ResourceLimitError(
-            f"{seq.name}: grid of {cells} cells exceeds budget {MAX_GRID_CELLS}"
+            f"{seq.name}: grid of {cells} cells exceeds budget {MAX_GRID_CELLS}", cells=cells
         )
 
 

@@ -122,46 +122,21 @@ def classify(p: WeightSequence, horizon: int = 10**5, tol: float = 0.05) -> Vari
     lemma_profile = tuple(lemma23_check(p, horizon))
     ratios = tuple((lam, m, r) for lam, m, r in ratio_profile(p, [0.5, 2.0], ms))
 
-    rapid = True
-    for m in ms[-2:]:
-        up = p.prefix(2 * m) / p.prefix(m)
-        down = p.prefix(m // 2) / p.prefix(m)
-        if not (up > 1.0 / tol and down < tol):
-            rapid = False
-            break
-    if rapid:
-        return VariationClass(
-            kind=VariationKind.RAPIDLY_VARYING,
-            alpha_hat=None,
-            fit_residual=None,
-            ratio_profile=ratios,
-            lemma23_profile=lemma_profile,
-            sv_residual=None,
-            tol=tol,
-            horizon=horizon,
-        )
-
-    alpha_hat, fit_residual = estimate_rv_index(p, horizon)
-    ratio_final = lemma_profile[-1][1]
-    if fit_residual <= tol and abs(ratio_final - 1.0) <= tol:
-        sv = _slow_part_profile(p, horizon, alpha_hat)
-        return VariationClass(
-            kind=VariationKind.REGULARLY_VARYING,
-            alpha_hat=alpha_hat,
-            fit_residual=fit_residual,
-            ratio_profile=ratios,
-            lemma23_profile=lemma_profile,
-            sv_residual=sv,
-            tol=tol,
-            horizon=horizon,
-        )
+    kind, alpha_hat, fit_residual, sv = VariationKind.RAPIDLY_VARYING, None, None, None
+    if not all(p.prefix(2 * m) / p.prefix(m) > 1.0 / tol and p.prefix(m // 2) / p.prefix(m) < tol
+               for m in ms[-2:]):
+        kind = VariationKind.INCONCLUSIVE
+        alpha, fit_residual = estimate_rv_index(p, horizon)
+        if fit_residual <= tol and abs(lemma_profile[-1][1] - 1.0) <= tol:
+            kind, alpha_hat = VariationKind.REGULARLY_VARYING, alpha
+            sv = _slow_part_profile(p, horizon, alpha)
     return VariationClass(
-        kind=VariationKind.INCONCLUSIVE,
-        alpha_hat=None,
+        kind=kind,
+        alpha_hat=alpha_hat,
         fit_residual=fit_residual,
         ratio_profile=ratios,
         lemma23_profile=lemma_profile,
-        sv_residual=None,
+        sv_residual=sv,
         tol=tol,
         horizon=horizon,
     )

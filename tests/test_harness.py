@@ -2,14 +2,14 @@
 
 import dataclasses
 import math
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import tauberkit as tk
-from tauberkit import harness, transform
+from tauberkit import harness
+from tauberkit.cli import expression_sequence
 from tauberkit.transform import _exact_sum
 
 ADD = tk.corpus_sequence("additive_convergent")
@@ -263,6 +263,20 @@ def test_splits_and_inequalities_keep_every_field(case, expect):
     assert repr(got) == expect
 
 
+def _window_average(seq, p, q, i_lo, i_hi, j_lo, j_hi, anchor, flip):
+    """Weighted average over [i_lo..i_hi] x [j_lo..j_hi] of u - anchor
+    (anchor - u when flipped) from a block of its own, exact accumulation:
+    the oracle of harness._window_average, which reads the lemma's block."""
+    pw = p.weights_array(i_hi)[i_lo:]
+    qw = q.weights_array(j_hi)[j_lo:]
+    block = seq.block(np.arange(i_lo, i_hi + 1), np.arange(j_lo, j_hi + 1))
+    diff = (anchor - block) if flip else (block - anchor)
+    num = _exact_sum((pw[:, None] * qw[None, :]) * diff)
+    dp = _exact_sum(pw)
+    dq = _exact_sum(qw)
+    return num / (dp * dq), dp, dq
+
+
 def _four_sum_lemma(direction, seq, p, q, m, n, mu, eta):
     """The split from four sigma_single calls from the origin, in this
     order: the oracle of the tests below."""
@@ -272,7 +286,7 @@ def _four_sum_lemma(direction, seq, p, q, m, n, mu, eta):
     s_mu_n = tk.sigma_single(seq, p, q, mu, n)
     s_m_eta = tk.sigma_single(seq, p, q, m, eta)
     s_mu_eta = tk.sigma_single(seq, p, q, mu, eta)
-    t_window, dp, dq = harness._window_average(
+    t_window, dp, dq = _window_average(
         seq, p, q, min(m, mu) + 1, max(m, mu), min(n, eta) + 1, max(n, eta), u_mn,
         flip=not forward,
     )
@@ -355,6 +369,27 @@ def test_over_budget_split_raises_the_budget_error():
     )
 
 
+@pytest.mark.parametrize(
+    "call, cells, message",
+    [
+        (lambda: tk.eval_grid(tk.constant(), 20000, 20000), 400040001,
+         "constant(c=1): grid of 400040001 cells exceeds budget 268435456"),
+        (lambda: tk.hardy_stat(ADD, tk.ones(), tk.ones(), (1, 6000), (1, 6000)), 36012001,
+         "difference range has 36012001 cells"),
+        (lambda: tk.sd_field_components(ADD, tk.ones(), tk.ones(), 6000, 6000, 1.1, 1.1), 43573201,
+         "field needs 43573201 extended cells"),
+        (lambda: tk.lemma_residual_suite(trials=1, grid=20000), 400000000,
+         "suite grid of 400000000 cells exceeds budget 268435456"),
+    ],
+    ids=["eval_grid", "hardy_stat", "sd_field_components", "lemma_residual_suite"],
+)
+def test_resource_limit_errors_carry_the_refused_cells(call, cells, message):
+    with pytest.raises(tk.ResourceLimitError) as exc:
+        call()
+    assert str(exc.value) == message
+    assert exc.value.cells == cells
+
+
 @pytest.mark.parametrize("split", [(40, 30, 55, 47), (40, 30, 25, 12)])
 def test_split_evaluates_one_block_and_the_window(monkeypatch, split):
     m, n, mu, eta = split
@@ -369,9 +404,26 @@ def test_split_evaluates_one_block_and_the_window(monkeypatch, split):
     monkeypatch.setattr(tk.DoubleSequence, "block", counting)
     lemma = tk.lemma_forward if mu > m else tk.lemma_backward
     lemma(ADD, tk.ones(), tk.harmonic(), m, n, mu, eta)
-    # the anchor's own cell, the block from the origin, the window block
+    # the anchor's own cell and the block from the origin, which holds the window
     rows, cols = max(m, mu) + 1, max(n, eta) + 1
-    assert cells == [1, rows * cols, abs(mu - m) * abs(eta - n)]
+    assert cells == [1, rows * cols]
+
+
+@pytest.mark.parametrize("fn", [tk.proof_inequality_forward, tk.proof_inequality_backward])
+def test_proof_step_evaluates_one_block_and_the_anchor(monkeypatch, fn):
+    cells = []
+    block = tk.DoubleSequence.block
+
+    def counting(self, m_idx, n_idx):
+        out = block(self, m_idx, n_idx)
+        cells.append(out.size)
+        return out
+
+    monkeypatch.setattr(tk.DoubleSequence, "block", counting)
+    forward = fn is tk.proof_inequality_forward
+    ineq = fn(ADD, tk.ones(), tk.harmonic(), 40, 30, *((1.1, 1.1, 0.1, 0.1) if forward else (0.9, 0.9, 0.2, 0.2)))
+    rows, cols = max(ineq.m, ineq.mu) + 1, max(ineq.n, ineq.eta) + 1
+    assert cells == [1, rows * cols]
 
 
 def test_horizon_ladder_steps_down_to_an_eighth():
@@ -432,38 +484,83 @@ def test_verify_theorem_raises_a_later_rule_error_before_an_earlier_nan():
                           tk.HarnessConfig(horizon=256, class_horizon=4096))
 
 
-@pytest.mark.parametrize("tail_fraction", [0.5, 0.3])
-def test_tail_squares_read_as_the_whole_grid(tail_fraction):
-    h, ladder = 300, harness.horizon_ladder(300)
-    whole = tk.eval_grid(tk.corpus_sequence("complex_convergent"), h, h)
-    tails = harness._TailSquares(h, ladder, tail_fraction, whole.values.dtype)
-    for t, sq in tails.squares:
-        sq[:] = whole.values[t : t + len(sq), t : t + len(sq)]
-    for k in ladder:
-        t = math.ceil(tail_fraction * k)
-        assert np.array_equal(tails.values[t : k + 1, t : k + 1], whole.values[t : k + 1, t : k + 1])
-        assert tails.values[k, k] == whole.values[k, k]
-    with pytest.raises(IndexError, match="lies in no tail square"):
-        tails.values[0, 0]
-    got = tk.empirical_limit(tails, ladder, tail_fraction)
-    assert repr(got) == repr(tk.empirical_limit(whole, ladder, tail_fraction))
-
-
 def test_verify_theorem_evaluates_each_grid_cell_once(monkeypatch):
     counts = np.zeros((257, 257), dtype=np.int64)
     block = tk.DoubleSequence.block
 
     def recording_block(self, m_idx, n_idx):
-        # only the mean-field pass's own evaluations: T42's bound profiles
-        # read the tails again, through blocks of their own
-        if sys._getframe(1).f_code is transform._mean_field_bands.__code__:
-            np.add.at(counts, np.ix_(m_idx, n_idx), 1)
+        # every block: the bound profiles read the mean-field pass's tails
+        np.add.at(counts, np.ix_(m_idx, n_idx), 1)
         return block(self, m_idx, n_idx)
 
     monkeypatch.setattr(tk.DoubleSequence, "block", recording_block)
-    tk.verify_theorem(ADD, tk.ones(), tk.ones(), tk.Theorem.T42,
-                      tk.HarnessConfig(horizon=256, class_horizon=4096))
-    assert (counts == 1).all()
+    for theorem in (tk.Theorem.T42, tk.Theorem.T52):
+        counts[:] = 0
+        tk.verify_theorem(ADD, tk.ones(), tk.ones(), theorem,
+                          tk.HarnessConfig(horizon=256, class_horizon=4096))
+        assert (counts == 1).all(), theorem
+
+
+def test_bound_profiles_need_no_window_budget(monkeypatch):
+    # the rungs at 32 and 64 read [15..32]^2 and [31..64]^2, 324 and 1156
+    # cells of u, from the tail squares the mean-field pass held
+    monkeypatch.setattr(tk.oscillation, "MAX_WINDOW_CELLS", 100)
+    rep = tk.verify_theorem(ALT, tk.ones(), tk.ones(), tk.Theorem.T52,
+                            tk.HarnessConfig(horizon=64, class_horizon=4096))
+    assert [r.cells for r in rep.condition_profiles["hardy_p"].rungs] == [25, 81, 289, 1089]
+
+
+def test_signed_bound_profiles_refuse_complex_sequences_before_evaluating():
+    base = tk.corpus_sequence("complex_convergent")
+    calls = []
+
+    def rule(M, N):
+        calls.append(np.broadcast(M, N).size)
+        return base.rule(M, N)
+
+    seq = tk.DoubleSequence(name="complex_convergent", rule=rule, kind=base.kind)
+    cfg = tk.HarnessConfig(horizon=64, class_horizon=4096)
+    with pytest.raises(tk.ScalarKindError) as exc:
+        tk.verify_theorem(seq, tk.ones(), tk.ones(), tk.Theorem.T42, cfg)
+    assert str(exc.value) == "T42 uses order-sensitive conditions; complex_convergent is complex"
+    assert calls == []
+    rep = tk.verify_theorem(seq, tk.ones(), tk.ones(), tk.Theorem.T52, cfg)
+    assert len(rep.condition_profiles["hardy_p"].rungs) == 4 and calls
+
+
+_ORACLE_SEQUENCES = ["additive_convergent", "alternating", "complex_convergent",
+                     "sin(m) / (1 + n) + cos(n) / (2 + m)"]
+
+
+@pytest.mark.parametrize("tail_fraction", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("name", _ORACLE_SEQUENCES)
+def test_limits_and_bound_profiles_match_their_whole_grid_oracles(name, tail_fraction):
+    seq = tk.corpus_sequence(name) if name.isidentifier() else expression_sequence(name)
+    p, q, h = tk.harmonic(), tk.power(1.5), 100
+    cfg = tk.HarnessConfig(horizon=h, tail_fraction=tail_fraction, class_horizon=4096)
+    got_h, ladder, u_squares, u_limit, sigma_limit = harness._limits(seq, p, q, cfg)
+    assert got_h == h
+    sigma = tk.weighted_mean_field(seq, p, q, h, h).sigma
+    assert repr(u_limit) == repr(tk.empirical_limit(tk.eval_grid(seq, h, h), ladder, tail_fraction))
+    assert repr(sigma_limit) == repr(tk.empirical_limit(sigma, ladder, tail_fraction))
+    stats = [tk.hardy_stat]
+    if seq.kind is tk.ScalarKind.REAL:
+        stats.append(tk.landau_stat)
+    for stat in stats:
+        which = stat.__name__.split("_")[0]
+        rungs = []
+        for k, sq in zip(ladder, u_squares):
+            t = math.ceil(tail_fraction * k)
+            assert np.array_equal(sq, tk.eval_grid(seq, k, k).values[t - 1 :, t - 1 :])
+            rungs.append((k, sq, *(w.prefix_array(k)[t:] / w.weights_array(k)[t:] for w in (p, q))))
+        got = tk.oscillation._bound_profiles(which, rungs)
+        for axis, prof in enumerate(got):
+            want = [stat(seq, p, q, (math.ceil(tail_fraction * k), k), (math.ceil(tail_fraction * k), k))[axis]
+                    for k in ladder]
+            assert repr([r.stat for r in prof.rungs]) == repr(want)
+        theorem = tk.Theorem.T42 if which == "landau" else tk.Theorem.T52
+        rep = tk.verify_theorem(seq, p, q, theorem, cfg)
+        assert repr(tuple(rep.condition_profiles[prof.functional] for prof in got)) == repr(got)
 
 
 @pytest.mark.parametrize("theorem", [tk.Theorem.T41, tk.Theorem.T52])
@@ -478,6 +575,14 @@ def test_verify_theorem_peak_memory_stays_below_two_grids(theorem):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 1025 * 1025 * 8
+
+
+def test_limit_residual_of_signed_zeros_is_zero():
+    u = np.zeros((65, 65))
+    u[::2, 1::3] = -0.0
+    u[64, 64] = -0.0
+    est = tk.empirical_limit(tk.eval_grid(tk.array_sequence(u), 64, 64), [8, 16, 32, 64])
+    assert [repr(r) for _, r in est.residual_profile] == ["0.0"] * 4
 
 
 def test_disagreeing_limits_are_flagged():

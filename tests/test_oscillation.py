@@ -379,25 +379,6 @@ def test_difference_stats_reject_ranges_from_zero():
 # ---------------------------------------------------------------------------
 
 
-def test_signed_bound_profile_refuses_complex_sequences_before_evaluating():
-    base = tk.corpus_sequence("complex_convergent")
-    calls = []
-
-    def rule(M, N):
-        calls.append(np.broadcast(M, N).size)
-        return base.rule(M, N)
-
-    seq = tk.DoubleSequence(name="complex_convergent", rule=rule, kind=base.kind)
-    with pytest.raises(tk.ScalarKindError) as exc:
-        tk.build_bound_profile(seq, tk.ones(), tk.ones(), "landau", [32, 64])
-    assert str(exc.value) == (
-        "signed difference bound is order-sensitive; complex_convergent is complex-valued"
-    )
-    assert calls == []
-    hardy_p, _ = tk.build_bound_profile(seq, tk.ones(), tk.ones(), "hardy", [32, 64])
-    assert len(hardy_p.rungs) == 2 and calls
-
-
 def test_profile_samples_walk_the_tail_cells():
     rows = tk.profile_samples(
         tk.corpus_sequence("constant"), tk.ones(), tk.ones(), "sd_P", [32, 64], [1.5]
