@@ -396,7 +396,6 @@ def cmd_classify_weights(cfg: RunConfig) -> int:
 def cmd_transform(cfg: RunConfig) -> int:
     seq = parse_sequence_spec(cfg.sequence)
     p, q = _weight_pair(cfg)
-    # only sigma is written: the numerator is freed before the export
     sigma = weighted_mean_field(seq, p, q, cfg.horizon, cfg.horizon).sigma
     out = _out_dir(cfg) / "sigma.csv"
     export_grid_csv(sigma, str(out))
@@ -428,7 +427,7 @@ def cmd_verify_lemma(
     eta: int | None = None,
 ) -> int:
     """Randomized residual suite by default; --m/--n pin one explicit split."""
-    if m is not None or n is not None:
+    if any(v is not None for v in (m, n, mu, eta)):
         if m is None or n is None:
             raise ValueError("an explicit split needs both --m and --n")
         seq = parse_sequence_spec(cfg.sequence)

@@ -500,7 +500,7 @@ def _limits(seq, p, q, cfg):
         starts = [math.ceil(cfg.tail_fraction * k) for k in ladder]
         held = []
         try:
-            for r0, u, _, sigma in _mean_field_bands(seq, p, q, h, h):
+            for r0, u, sigma in _mean_field_bands(seq, p, q, h, h):
                 # allocated once the first band has passed the cell budget
                 held = held or [[(t - d, np.empty((k + 1 - t + d,) * 2, u.dtype)) for t, k in zip(starts, ladder)]
                                 for d in (1, 0)]

@@ -27,8 +27,9 @@ from .errors import (
 )
 
 # Hard ceiling on the cells of one grid, ~2 GiB of float64.  Only eval_grid
-# and weighted_mean_field hold a whole grid; analyze refuses the same
-# horizons but holds only row bands and the ladder's tail squares.
+# (u) and weighted_mean_field (sigma) hold a whole grid, one each; analyze
+# refuses the same horizons but holds only row bands and the ladder's tail
+# squares.
 MAX_GRID_CELLS = 1 << 28
 
 
@@ -51,7 +52,6 @@ class DoubleSequence:
     rule: Callable[[np.ndarray, np.ndarray], np.ndarray]
     kind: ScalarKind = ScalarKind.REAL
     declared_limit: float | complex | None = None
-    declared_bounded: bool = True
 
     def block(self, m_idx: np.ndarray, n_idx: np.ndarray) -> np.ndarray:
         """Evaluate on the product of two index vectors; shape (len(m), len(n))."""
@@ -376,7 +376,6 @@ def paper_unbounded() -> DoubleSequence:
         name="paper_unbounded",
         rule=rule,
         declared_limit=2.0,
-        declared_bounded=False,
     )
 
 

@@ -16,7 +16,7 @@ import contextlib
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,16 +47,12 @@ _LOW_PART = (1 << 26) - 1
 
 @dataclass(frozen=True)
 class MeanField:
-    """sigma over a full grid, with the numerator sums and prefix rows kept
-    so identity checks can reuse the exact partials instead of re-rounding."""
+    """sigma over a full grid, with the names of its sequence and weights."""
 
     sequence_name: str
     weights_p: str
     weights_q: str
     sigma: Grid
-    numerator: Grid
-    p_prefix: np.ndarray = field(repr=False)
-    q_prefix: np.ndarray = field(repr=False)
 
 
 def weighted_mean_field(
@@ -73,29 +69,27 @@ def weighted_mean_field(
     S(m, n) = S(m-1, n) + S(m, n-1) - S(m-1, n-1) + p_m q_n u(m, n)
     without storing intermediate corners.  Raises on non-finite sequence
     values or an overflowing accumulation, naming the first offending cell.
-    The grids are filled band by band by _mean_field_bands, so the peak
-    stays within the two grids and one band of u.
+    The sigma grid is filled band by band by _mean_field_bands, so the
+    peak stays within that one grid and a band's u and numerator.
     """
-    _check_grid(seq, m_max, n_max)  # before the grids are allocated
+    _check_grid(seq, m_max, n_max)  # before the grid is allocated
     dtype = np.complex128 if seq.kind is ScalarKind.COMPLEX else np.float64
-    numerator, sigma = (np.empty((m_max + 1, n_max + 1), dtype) for _ in range(2))
-    for _ in _mean_field_bands(seq, p, q, m_max, n_max, out=(numerator, sigma)):
+    sigma = np.empty((m_max + 1, n_max + 1), dtype)
+    for _ in _mean_field_bands(seq, p, q, m_max, n_max, out=sigma):
         pass
     return MeanField(
         sequence_name=seq.name,
         weights_p=p.name,
         weights_q=q.name,
         sigma=Grid(m_max, n_max, sigma, seq.kind),
-        numerator=Grid(m_max, n_max, numerator, seq.kind),
-        p_prefix=p.prefix_array(m_max),
-        q_prefix=q.prefix_array(n_max),
     )
 
 
 def _mean_field_bands(seq, p, q, m_max, n_max, out=None):
-    """Yield (r0, u, numerator, sigma) on row bands [r0, r0 + rows) x
-    [0..n_max] of at most _TEXT_BAND cells (or one row), top to bottom;
-    the numerator and sigma bands are views of out's grids, if given.
+    """Yield (r0, u, sigma) on row bands [r0, r0 + rows) x [0..n_max] of at
+    most _TEXT_BAND cells (or one row), top to bottom; each band sums its
+    numerator in a buffer of its own, and the sigma bands are views of the
+    grid out, if given.
 
     A band's first row of products takes the previous band's last row of
     sums down the columns: the additions, in order, of one cumsum of the
@@ -121,9 +115,10 @@ def _mean_field_bands(seq, p, q, m_max, n_max, out=None):
             nonfinite = NonFiniteValueError(f"{seq.name}: non-finite value at {(m, n)}", m=m, n=n)
         if nonfinite or late:
             continue
-        s, sigma = (np.empty(u.shape, u.dtype) for _ in range(2)) if out is None else (g[r0:r1] for g in out)
         # A complex u gets complex buffers: numpy promotes the real weight
         # products to complex in any case, so the bits are out-of-place ones.
+        s = np.empty(u.shape, u.dtype)
+        sigma = np.empty_like(s) if out is None else out[r0:r1]
         with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(pw[r0:r1, None], qw[None, :], out=s)
             np.multiply(s, u, out=s)
@@ -138,7 +133,7 @@ def _mean_field_bands(seq, p, q, m_max, n_max, out=None):
             continue
         np.multiply(pp[r0:r1, None], qp[None, :], out=sigma)
         np.divide(s, sigma, out=sigma)
-        yield r0, u, s, sigma
+        yield r0, u, sigma
     if nonfinite or late:
         raise nonfinite or late
 
