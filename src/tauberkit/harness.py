@@ -3,14 +3,15 @@
 The lemma decompositions split u(m, n) - sigma(m, n) into four terms built
 from corner means and a windowed average, exactly; their residuals are the
 package's strongest internal check, since the left side and the terms are
-computed by completely different routes.  A split's four corner means come
-from one block and one transform._corner_sums pass, with the bits of four
-sigma_single calls, the math.fsum oracle; those calls still run where the
-block raises, is not finite or could overflow.  The proof inequalities
-replace the windowed average with worst-case window drops, which is the
-step the limit theorems live on.  verify_theorem runs the full pipeline for
-one sequence/weight configuration and returns a verdict that is honest
-about being finite-sample.
+computed by completely different routes.  A split streams its block in row
+bands through one transform._corner_sums pass and holds only its window;
+its four corner means keep the bits of four sigma_single calls, the
+math.fsum oracle, which still run where a band raises, is not finite or
+could overflow.  The proof inequalities replace the windowed average with
+worst-case window drops, which is the step the limit theorems live on.
+verify_theorem runs the full pipeline for one sequence/weight
+configuration and returns a verdict that is honest about being
+finite-sample.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import NonFiniteValueError, PrefixOverflowError, ResourceLimitError, ScalarKindError
 from .sequences import DoubleSequence, ScalarKind, WeightSequence, array_sequence
 from .sequences import MAX_GRID_CELLS, geometric, harmonic, ones, power
-from .transform import _corner_sums, _exact_sum, _mean_field_bands, sigma_single
+from .transform import _SUM_CHUNK, _corner_sums, _exact_sum, _mean_field_bands, sigma_single
 from .oscillation import (
     DecisionProfile,
     LimitEstimate,
@@ -137,41 +138,45 @@ def _window_average(window, p, q, r0, c0, anchor, flip):
 
 def _corner_means(seq, p, q, corners):
     """sigma_single at each of the corners (m, n), (mu, n), (m, eta) and
-    (mu, eta), with its bits, from one block and one _corner_sums pass, and
-    the window: the block's cells [min(m, mu)..] x [min(n, eta)..].
+    (mu, eta), with its bits, and u on the window [min(m, mu)..] x
+    [min(n, eta)..] of the block [0..max(m, mu)] x [0..max(n, eta)].
 
-    The means are None when the block holds a non-finite term or could
-    overflow fsum's partials, and both are None when the block is over
-    budget or raises: the four sigma_single calls then decide, with their
-    special values and errors, in their order.  The last of them sums the
-    whole block, so it raises wherever the block was not evaluated.
+    u is evaluated once, in row bands of about _SUM_CHUNK cells that go
+    through one _corner_sums pass and leave their window rows behind.  The
+    means are None where _corner_sums finds that a sum could overflow, and
+    both are None when the block is over budget or a band or the weights
+    raise: the four sigma_single calls then decide, with their special
+    values and errors, in their order.  The last of them sums the whole
+    block, so it raises wherever the block was not evaluated.
     """
     (m, n), _, _, (mu, eta) = corners
-    rows, cols = max(m, mu), max(n, eta)
-    cells = (rows + 1) * (cols + 1)
-    if cells > MAX_GRID_CELLS:
+    rows, cols = max(m, mu) + 1, max(n, eta) + 1
+    if rows * cols > MAX_GRID_CELLS:
         return None, None
+    r0, c0 = min(m, mu), min(n, eta)
+    window = np.empty((rows - r0, cols - c0), np.complex128 if seq.kind is ScalarKind.COMPLEX else np.float64)
+
+    def bands():
+        step = max(1, _SUM_CHUNK // cols)
+        for top in range(0, rows, step):
+            u = seq.block(np.arange(top, min(top + step, rows)), np.arange(cols))
+            window[max(top - r0, 0) : max(top + len(u) - r0, 0)] = u[max(r0 - top, 0) :, c0:]
+            # sigma_single's products, with u multiplied into them in place
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = np.multiply(pw[top : top + len(u), None], qw[None, :], out=np.empty_like(u))
+                np.multiply(terms, u, out=terms)
+            yield top, terms
+
     try:
-        u = seq.block(np.arange(rows + 1), np.arange(cols + 1))
-        pw = p.weights_array(rows)
-        qw = q.weights_array(cols)
+        pw, qw = p.weights_array(rows - 1), q.weights_array(cols - 1)
+        sums = _corner_sums(bands(), r0, c0)
     except Exception:
         # Whatever the rule or the weights raise, sigma_single raises again.
         return None, None
-    r0, c0 = min(m, mu), min(n, eta)
-    window = u[r0:, c0:].copy()
-    # sigma_single's products, with u freed as soon as it is multiplied in.
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.multiply(pw[:, None], qw[None, :], out=np.empty_like(u))
-        np.multiply(terms, u, out=terms)
-    del u
-    parts = terms.view(np.float64)
-    bound = 2.0**1022 / cells
-    if not (-bound < parts.min() and parts.max() < bound):  # NaN fails too
+    if sums is None:
         return None, window
-    nested = ((r0, c0), (rows, c0), (r0, cols), (rows, cols))
-    sums = dict(zip(nested, _corner_sums(terms, r0, c0)))
-    return [sums[i, j] / (p.prefix(i) * q.prefix(j)) for i, j in corners], window
+    # The nested rectangles of _corner_sums are the corners, reversed on a backward split.
+    return [s / (p.prefix(i) * q.prefix(j)) for s, (i, j) in zip(sums[:: 1 if mu > m else -1], corners)], window
 
 
 def _lemma(direction, seq, p, q, m, n, mu, eta) -> tuple[LemmaDecomposition, np.ndarray]:

@@ -5,8 +5,8 @@ bits of one double cumulative sum of the whole grid, so a caller can keep
 only the cells it reads; the single-cell evaluator recomputes one mean by
 direct exact summation (math.fsum) and exists so the fast path can be
 checked against an independently rounded route.  The lemma splits need the
-exact sums of four nested rectangles of one block: _corner_sums gives them
-from one pass, with math.fsum's bits, and sigma_single stays their oracle.
+exact sums of four nested rectangles of one block: _corner_sums bins them
+band by band, with math.fsum's bits, and sigma_single stays their oracle.
 export_grid_csv writes a grid as text through an exact numpy kernel for
 %.17g (_decimal, _text_words); b"%.17g" % x formats what it cannot certify.
 """
@@ -32,8 +32,8 @@ from .sequences import (
 )
 
 # Values math.fsum takes from one list: the Python floats alive at once
-# stay at one chunk (about 2 MiB) however large the summed block is.  The
-# corner-sum kernel takes bands of the same size.
+# stay at one chunk (about 2 MiB) however large the summed block is.  A
+# lemma split streams its block in bands of as many cells, or one row.
 _SUM_CHUNK = 1 << 16
 
 # Cells per band of the text kernel, whose scratch arrays stay near 4 MiB,
@@ -151,53 +151,48 @@ def _exact_sum(arr: np.ndarray) -> float | complex:
     return math.fsum(itertools.chain.from_iterable(chunks))
 
 
-def _corner_sums(terms: np.ndarray, r0: int, c0: int) -> list[float | complex]:
-    """Exact sums of terms[:r0+1, :c0+1], terms[:, :c0+1], terms[:r0+1] and
-    terms, each rounded once: math.fsum's values, from one pass.
+def _corner_sums(bands, r0: int, c0: int) -> list[float | complex] | None:
+    """Exact sums of the rectangles [0..r0] x [0..c0], [0..] x [0..c0],
+    [0..r0] x [0..] and [0..] x [0..] of one block from its row bands,
+    (top, terms) pairs in any grouping and order, each rounded once as
+    math.fsum rounds; None where one could overflow, that is where a part
+    of a term, or NaN, is not below 2^1022 / cells in magnitude.
 
     A double is s * mant * 2^(e - 1075) with a 53-bit integer mant (a
-    subnormal takes e = 1 and no implicit bit).  Split after row r0 and
-    column c0, each band of cells adds the 27 high and 26 low bits of its
-    signed mantissas in one float64 bincount per part, keyed by quadrant and
-    e: every bin total stays below 2^53, so exact.  The bands add up in
-    int64, and Python integers in units of 2^-1074 add the quadrants.  Int
-    true division rounds correctly, as fsum does, and a zero total gives
-    +0.0, as fsum does.  The caller keeps each sum of magnitudes below
-    2^1022, where fsum never overflows.  A complex block sums its real and
-    imaginary parts apart, as _exact_sum does.
+    subnormal takes e = 1 and no implicit bit).  Each chunk of _SUM_CHUNK
+    words adds the 27 high and 26 low bits of its signed mantissas in one
+    float64 bincount per part, keyed by 2048 * (4 * imaginary + 2 * (below
+    r0) + (right of c0)) + e: every bin total stays below 2^53, so exact.
+    The chunks add up in int64, Python integers in units of 2^-1074 add the
+    quadrants, and int true division rounds as fsum does, +0.0 for zero.
     """
-    if np.iscomplexobj(terms):
-        parts = zip(_corner_sums(terms.real, r0, c0), _corner_sums(terms.imag, r0, c0))
-        return [complex(re, im) for re, im in parts]
-    rows, cols = terms.shape
-    # Bin of a cell: 2048 * quadrant + e, quadrant = 2 * (below r0) + (right of c0).
-    col_key = np.where(np.arange(cols) > c0, 2048, 0)
-    hi = np.zeros(4 * 2048, np.int64)
-    lo = np.zeros(4 * 2048, np.int64)
-    width = min(cols, _SUM_CHUNK)
-    step = _SUM_CHUNK // width
-    for start, stop, row_key in ((0, r0 + 1, 0), (r0 + 1, rows, 4096)):
-        for c in range(0, cols, width):
-            keys = col_key[c : c + width] + row_key
-            for r in range(start, stop, step):
-                bits = terms[r : min(r + step, stop), c : c + width].view(np.int64)
-                e = (bits >> 52) & 0x7FF
-                mant = bits & _FRACTION
-                mant |= np.minimum(e, 1) << 52
-                sign = bits >> 63
-                mant ^= sign
-                mant -= sign
-                np.maximum(e, 1, out=e)
-                e += keys
-                key = e.ravel()
-                hi += np.bincount(key, (mant >> 26).ravel(), 4 * 2048).astype(np.int64)
-                lo += np.bincount(key, (mant & _LOW_PART).ravel(), 4 * 2048).astype(np.int64)
-    q00, q01, q10, q11 = (
-        sum(((int(h[k]) << 26) + int(l[k])) << (k - 1) for k in np.flatnonzero(h | l).tolist())
-        for h, l in zip(hi.reshape(4, 2048), lo.reshape(4, 2048))
-    )
-    unit = 1 << 1074
-    return [q00 / unit, (q00 + q10) / unit, (q00 + q01) / unit, (q00 + q01 + q10 + q11) / unit]
+    hi, lo = np.zeros((2, 8 * 2048), np.int64)
+    peak = cells = 0
+    for top, terms in bands:
+        cells += terms.size
+        peak = np.maximum(peak, np.abs(terms.view(np.float64)).max())
+        if peak < 2.0**1022 / cells:  # NaN fails too, and binning stops
+            words = terms.view(np.int64).reshape(*terms.shape, -1)  # a complex cell's re, im
+            e = (words >> 52) & 0x7FF
+            mant = (words & _FRACTION) | (np.minimum(e, 1) << 52)
+            sign = words >> 63
+            mant ^= sign
+            mant -= sign
+            np.maximum(e, 1, out=e)
+            e[max(r0 + 1 - top, 0) :] += 4096
+            e[:, c0 + 1 :] += 2048
+            e[..., 1:] += 8192
+            bins = 4 * 2048 * words.shape[2]
+            for i in range(0, e.size, _SUM_CHUNK):
+                k, v = e.ravel()[i : i + _SUM_CHUNK], mant.ravel()[i : i + _SUM_CHUNK]
+                hi[:bins] += np.bincount(k, v >> 26, bins).astype(np.int64)
+                lo[:bins] += np.bincount(k, v & _LOW_PART, bins).astype(np.int64)
+    if not peak < 2.0**1022 / cells:
+        return None
+    totals = [[sum(((int(h[k]) << 26) + int(l[k])) << (k - 1) for k in np.flatnonzero(h | l).tolist())
+               for h, l in zip(hp, lp)] for hp, lp in zip(hi.reshape(2, 4, 2048), lo.reshape(2, 4, 2048))]
+    sums = [[x / 2**1074 for x in (q00, q00 + q10, q00 + q01, q00 + q01 + q10 + q11)] for q00, q01, q10, q11 in totals]
+    return [complex(re, im) for re, im in zip(*sums)] if np.iscomplexobj(terms) else sums[0]
 
 
 def sigma_single(

@@ -342,6 +342,71 @@ def test_splits_keep_the_bits_of_four_sigma_single_calls(name, wp, wq):
         assert new == old, split
 
 
+def _set_band(monkeypatch, band, m, n, mu, eta):
+    """Cut the split's block into bands of one row, or of rows that end just
+    before row min(m, mu) or just after it; "default" keeps _SUM_CHUNK."""
+    r0 = min(m, mu)
+    rows = {"row": 1, "r0": max(r0, 1), "r0+1": r0 + 1}.get(band)
+    if rows:
+        monkeypatch.setattr(harness, "_SUM_CHUNK", rows * (max(n, eta) + 1))
+
+
+@pytest.mark.parametrize("wp, wq", [("ones", "ones"), ("power", "harmonic"),
+                                    ("geometric:r=10", "geometric:r=10")])
+@pytest.mark.parametrize("name", ["alternating", "complex_convergent"])
+@pytest.mark.parametrize("band", ["row", "r0", "r0+1"])
+def test_banded_splits_keep_the_bits_of_four_sigma_single_calls(monkeypatch, band, name, wp, wq):
+    # the test above covers the default bands
+    seq = tk.corpus_sequence(name)
+    for split in _SPLITS:
+        _set_band(monkeypatch, band, *split)
+        new, old = _both_outcomes(seq, _WEIGHTS[wp], _WEIGHTS[wq], *split)
+        assert new == old, split
+
+
+def _late_trouble(nan_row=-1, raise_row=-1):
+    """additive_convergent with a NaN at (nan_row, 3), and a rule that
+    raises on any block that holds raise_row."""
+    def rule(M, N):
+        if (M == raise_row).any():
+            raise ArithmeticError(f"row {raise_row} is out of reach")
+        return np.where((M == nan_row) & (N == 3), np.nan, ADD.rule(M, N))
+    return tk.DoubleSequence("late", rule)
+
+
+# Each trouble lies in rows past min(m, mu), so under every cut of _set_band
+# but the default it shows up only in a band after the first.
+# The last field says what _corner_means holds: no window when a band raises,
+# the whole window when a band only failed the bound.
+_LATE = {
+    "raises": [(_late_trouble(raise_row=50), "ones", (40, 30, 55, 47), "none"),
+               (_late_trouble(raise_row=38), "ones", (40, 30, 25, 12), "none")],
+    "non-finite": [(_late_trouble(nan_row=50), "ones", (40, 30, 55, 47), "window"),
+                   (_late_trouble(nan_row=38), "ones", (40, 30, 25, 12), "window")],
+    "non-finite, then raises": [(_late_trouble(45, 50), "ones", (40, 30, 55, 47), "none"),
+                                (_late_trouble(33, 38), "ones", (40, 30, 25, 12), "none")],
+    "over the bound": [(tk.constant(1.5), "geometric:r=10", (150, 150, 152, 153), "window"),
+                       (tk.constant(1.5), "geometric:r=10", (152, 153, 150, 150), "window")],
+}
+
+
+@pytest.mark.parametrize("band", ["row", "r0", "r0+1", "default"])
+@pytest.mark.parametrize("trouble", list(_LATE))
+def test_trouble_in_a_later_band_keeps_the_outcome_of_four_sigma_single_calls(monkeypatch, band, trouble):
+    for seq, w, (m, n, mu, eta), held in _LATE[trouble]:
+        _set_band(monkeypatch, band, m, n, mu, eta)
+        new, old = _both_outcomes(seq, _WEIGHTS[w], _WEIGHTS[w], m, n, mu, eta)
+        assert new == old, (m, n, mu, eta)
+        corners = ((m, n), (mu, n), (m, eta), (mu, eta))
+        means, window = harness._corner_means(seq, _WEIGHTS[w](), _WEIGHTS[w](), corners)
+        assert means is None
+        if held == "none":
+            assert window is None
+        else:
+            rows, cols = np.arange(min(m, mu), max(m, mu) + 1), np.arange(min(n, eta), max(n, eta) + 1)
+            assert np.array_equal(window, seq.block(rows, cols), equal_nan=True)
+
+
 def test_split_keeps_the_intermediate_overflow_of_fsum():
     # every product is finite, but the block's sum overflows a double
     new, old = _both_outcomes(tk.constant(1.5), _WEIGHTS["geometric:r=10"],
@@ -390,40 +455,66 @@ def test_resource_limit_errors_carry_the_refused_cells(call, cells, message):
     assert exc.value.cells == cells
 
 
-@pytest.mark.parametrize("split", [(40, 30, 55, 47), (40, 30, 25, 12)])
-def test_split_evaluates_one_block_and_the_window(monkeypatch, split):
-    m, n, mu, eta = split
-    cells = []
+def _counting_blocks(monkeypatch):
+    """Record the row and column indices of every block evaluation."""
+    calls = []
     block = tk.DoubleSequence.block
 
     def counting(self, m_idx, n_idx):
-        out = block(self, m_idx, n_idx)
-        cells.append(out.size)
-        return out
+        calls.append((np.array(m_idx), np.array(n_idx)))
+        return block(self, m_idx, n_idx)
 
     monkeypatch.setattr(tk.DoubleSequence, "block", counting)
+    return calls
+
+
+def _assert_anchor_then_bands(calls, m, n, rows, cols):
+    """The anchor's own cell, then the block [0..rows) x [0..cols) in row
+    bands of at most _SUM_CHUNK cells (or one row): each cell once."""
+    assert [(a.tolist(), b.tolist()) for a, b in calls[:1]] == [([m], [n])]
+    bands = calls[1:]
+    assert np.array_equal(np.concatenate([a for a, _ in bands]), np.arange(rows))
+    assert all(np.array_equal(b, np.arange(cols)) for _, b in bands)
+    assert sum(a.size * b.size for a, b in bands) == rows * cols
+    assert max(a.size * b.size for a, b in bands) <= max(harness._SUM_CHUNK, cols)
+
+
+@pytest.mark.parametrize("split", [(40, 30, 55, 47), (40, 30, 25, 12)])
+def test_split_evaluates_one_block_and_the_window(monkeypatch, split):
+    m, n, mu, eta = split
     lemma = tk.lemma_forward if mu > m else tk.lemma_backward
-    lemma(ADD, tk.ones(), tk.harmonic(), m, n, mu, eta)
-    # the anchor's own cell and the block from the origin, which holds the window
-    rows, cols = max(m, mu) + 1, max(n, eta) + 1
-    assert cells == [1, rows * cols]
+    for chunk in (harness._SUM_CHUNK, 100):  # one band, then bands of two or three rows
+        monkeypatch.setattr(harness, "_SUM_CHUNK", chunk)
+        calls = _counting_blocks(monkeypatch)
+        lemma(ADD, tk.ones(), tk.harmonic(), m, n, mu, eta)
+        # the window is copied out of the bands
+        _assert_anchor_then_bands(calls, m, n, max(m, mu) + 1, max(n, eta) + 1)
 
 
 @pytest.mark.parametrize("fn", [tk.proof_inequality_forward, tk.proof_inequality_backward])
 def test_proof_step_evaluates_one_block_and_the_anchor(monkeypatch, fn):
-    cells = []
-    block = tk.DoubleSequence.block
-
-    def counting(self, m_idx, n_idx):
-        out = block(self, m_idx, n_idx)
-        cells.append(out.size)
-        return out
-
-    monkeypatch.setattr(tk.DoubleSequence, "block", counting)
     forward = fn is tk.proof_inequality_forward
-    ineq = fn(ADD, tk.ones(), tk.harmonic(), 40, 30, *((1.1, 1.1, 0.1, 0.1) if forward else (0.9, 0.9, 0.2, 0.2)))
-    rows, cols = max(ineq.m, ineq.mu) + 1, max(ineq.n, ineq.eta) + 1
-    assert cells == [1, rows * cols]
+    for chunk in (harness._SUM_CHUNK, 100):
+        monkeypatch.setattr(harness, "_SUM_CHUNK", chunk)
+        calls = _counting_blocks(monkeypatch)
+        ineq = fn(ADD, tk.ones(), tk.harmonic(), 40, 30, *((1.1, 1.1, 0.1, 0.1) if forward else (0.9, 0.9, 0.2, 0.2)))
+        rows, cols = max(ineq.m, ineq.mu) + 1, max(ineq.n, ineq.eta) + 1
+        _assert_anchor_then_bands(calls, 40, 30, rows, cols)
+
+
+@pytest.mark.parametrize("fn, lam", [(tk.proof_inequality_forward, 2.0), (tk.proof_inequality_backward, 0.5)])
+def test_proof_step_holds_its_window_and_one_band(fn, lam):
+    # (1600, 1600) with delta = 0.5: the forward block is 1791 x 2002 cells
+    # (27.4 MiB), its window 0.59 MiB; the backward block is 19.6 MiB
+    args = (tk.corpus_sequence("alternating"), tk.power(), tk.ones(), 1600, 1600, lam, lam, 0.5, 0.5)
+    fn(*args)  # the prefix caches are not part of the peak
+    tracemalloc.start()
+    try:
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_horizon_ladder_steps_down_to_an_eighth():

@@ -260,11 +260,12 @@ def _random_doubles(rng, size, top_exponent):
 
 @st.composite
 def corner_blocks(draw):
-    """A block, a split (r0, c0) and a seed-built value pattern.
+    """A block, a split (r0, c0), a seed-built value pattern and the
+    block cut into row bands, in a drawn order.
 
     The fill keeps each rectangle's sum of magnitudes below 2^1018, inside
-    the kernel's contract.  Some shapes hold more than one band of cells,
-    or a single row or column longer than one band.
+    the kernel's contract.  Some shapes hold more than one chunk of cells,
+    or a single row or column longer than one chunk.
     """
     rows, cols = draw(
         st.tuples(st.integers(1, 40), st.integers(1, 40))
@@ -294,13 +295,16 @@ def corner_blocks(draw):
     terms = vals.reshape(rows, cols)
     if fill == "zero_corner":
         terms[: r0 + 1, : c0 + 1] = draw(st.sampled_from([0.0, -0.0]))
-    return terms, r0, c0
+    cuts = sorted(draw(st.sets(st.integers(1, rows - 1), max_size=6))) if rows > 1 else []
+    edges = [0, *cuts, rows]
+    order = draw(st.permutations(range(len(edges) - 1)))
+    return terms, r0, c0, [(edges[i], terms[edges[i] : edges[i + 1]]) for i in order]
 
 
 @settings(max_examples=150, deadline=None)
 @given(corner_blocks())
 def test_corner_sums_equal_fsum_of_each_rectangle(case):
-    terms, r0, c0 = case
+    terms, r0, c0, bands = case
     want = [
         _exact_sum(terms[: r0 + 1, : c0 + 1]),
         _exact_sum(terms[:, : c0 + 1]),
@@ -308,7 +312,8 @@ def test_corner_sums_equal_fsum_of_each_rectangle(case):
         _exact_sum(terms),
     ]
     # repr tells -0.0 from 0.0 as well as every other pair of doubles apart
-    assert [repr(x) for x in _corner_sums(terms, r0, c0)] == [repr(x) for x in want]
+    assert [repr(x) for x in _corner_sums([(0, terms)], r0, c0)] == [repr(x) for x in want]
+    assert [repr(x) for x in _corner_sums(bands, r0, c0)] == [repr(x) for x in want]
 
 
 def test_export_grid_csv_layout(tmp_path):
