@@ -514,6 +514,7 @@ def _limits(seq, p, q, cfg):
                         lo = max(r0, t)
                         hi = max(lo, min(r0 + len(band), t + len(sq)))
                         sq[lo - t : hi - t] = band[lo - r0 : hi - r0, t : t + len(sq)]
+                del u, sigma  # not held while the pass makes the next band
             break
         except (NonFiniteValueError, PrefixOverflowError):
             if h // 2 < 64:

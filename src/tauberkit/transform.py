@@ -1,8 +1,9 @@
 """Weighted rectangular means of double sequences.
 
-The field pass accumulates sigma(m, n) over a grid in row bands, with the
-bits of one double cumulative sum of the whole grid, so a caller can keep
-only the cells it reads; the single-cell evaluator recomputes one mean by
+The field pass accumulates sigma(m, n) over a grid in row bands of
+_SUM_CHUNK words, with the bits of one double cumulative sum of the whole
+grid, so a caller can keep only the cells it reads, copying them out of the
+pass's reused buffers; the single-cell evaluator recomputes one mean by
 direct exact summation (math.fsum) and exists so the fast path can be
 checked against an independently rounded route.  The lemma splits need the
 exact sums of four nested rectangles of one block: _corner_sums bins them
@@ -12,6 +13,7 @@ export_grid_csv writes a grid as text through an exact numpy kernel for
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import itertools
 import math
@@ -33,11 +35,11 @@ from .sequences import (
 
 # Values math.fsum takes from one list: the Python floats alive at once
 # stay at one chunk (about 2 MiB) however large the summed block is.  A
-# lemma split streams its block in bands of as many cells, or one row.
+# lemma split streams its block in bands of as many cells, the mean field
+# in bands of as many float64 words (a complex cell is two); or one row.
 _SUM_CHUNK = 1 << 16
 
-# Cells per band of the text kernel, whose scratch arrays stay near 4 MiB,
-# and at most those of a band of the mean-field pass.
+# Cells per band of the text kernel, whose scratch arrays stay near 4 MiB.
 _TEXT_BAND = 1 << 14
 
 # Bits of a double below its exponent field, and of a mantissa's low part.
@@ -70,13 +72,13 @@ def weighted_mean_field(
     without storing intermediate corners.  Raises on non-finite sequence
     values or an overflowing accumulation, naming the first offending cell.
     The sigma grid is filled band by band by _mean_field_bands, so the
-    peak stays within that one grid and a band's u and numerator.
+    peak stays within that one grid and a band's u and numerator: a
+    deque of length 0 drops each band before the pass makes the next.
     """
     _check_grid(seq, m_max, n_max)  # before the grid is allocated
     dtype = np.complex128 if seq.kind is ScalarKind.COMPLEX else np.float64
     sigma = np.empty((m_max + 1, n_max + 1), dtype)
-    for _ in _mean_field_bands(seq, p, q, m_max, n_max, out=sigma):
-        pass
+    collections.deque(_mean_field_bands(seq, p, q, m_max, n_max, out=sigma), maxlen=0)
     return MeanField(
         sequence_name=seq.name,
         weights_p=p.name,
@@ -87,16 +89,21 @@ def weighted_mean_field(
 
 def _mean_field_bands(seq, p, q, m_max, n_max, out=None):
     """Yield (r0, u, sigma) on row bands [r0, r0 + rows) x [0..n_max] of at
-    most _TEXT_BAND cells (or one row), top to bottom; each band sums its
-    numerator in a buffer of its own, and the sigma bands are views of the
-    grid out, if given.
+    most _SUM_CHUNK float64 words (a complex cell is two), or one row, top
+    to bottom.  Every band sums its numerator in one buffer of the pass,
+    and sigma is a view of the grid out, if given, or of one more buffer:
+    the yielded u and sigma are valid until the generator resumes.
 
     A band's first row of products takes the previous band's last row of
-    sums down the columns: the additions, in order, of one cumsum of the
-    whole grid each way, so every bit is the whole grid's.  So is the
-    error order: bounds and cell budget; a rule error or non-finite u cell
-    anywhere; p's weights, then q's; the row-major first overflowed
-    numerator cell.  An error is held while later bands of u are checked.
+    sums down the columns, and each later row the row above it, one row-wise
+    add at a time along numpy's fast axis: the additions, in order, of one
+    cumsum of the whole grid each way, so every bit is the whole grid's.
+    So is the error order: bounds and cell budget; a rule error or
+    non-finite u cell anywhere; p's weights, then q's; the row-major first
+    overflowed numerator cell.  An error is held while later bands of u are
+    checked.  Weights are positive and finite, so a non-finite u cell makes
+    its numerator cell non-finite: u is checked only in a band whose
+    numerator is not finite, or once an error is held.
     """
     _check_grid(seq, m_max, n_max)
     nonfinite = late = None
@@ -106,34 +113,39 @@ def _mean_field_bands(seq, p, q, m_max, n_max, out=None):
     except Exception as exc:  # raised once every band of u is checked
         late = exc
     cols = np.arange(n_max + 1)
-    step = max(1, _TEXT_BAND // cols.size)
+    # A complex u gets complex buffers: numpy promotes the real weight
+    # products to complex in any case, so the bits are out-of-place ones.
+    dtype = np.dtype(np.complex128 if seq.kind is ScalarKind.COMPLEX else np.float64)
+    step = min(m_max + 1, max(1, 8 * _SUM_CHUNK // (dtype.itemsize * cols.size)))
+    buf = np.empty((step, cols.size), dtype)
+    band_sigma = np.empty_like(buf) if out is None else None
     for r0 in range(0, m_max + 1, step):
         r1 = min(r0 + step, m_max + 1)
         u = seq.block(np.arange(r0, r1), cols)
-        if nonfinite is None and (bad := _first_nonfinite(u)) is not None:
-            m, n = r0 + bad[0], bad[1]
+        bad = None
+        if not (nonfinite or late):
+            s = buf[: r1 - r0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(pw[r0:r1, None], qw[None, :], out=s)
+                np.multiply(s, u, out=s)
+                if r0:
+                    s[0] += down
+                for i in range(1, len(s)):
+                    np.add(s[i - 1], s[i], out=s[i])
+                down = s[-1].copy()
+                np.cumsum(s, axis=1, out=s)
+            bad = _first_nonfinite(s)
+            if bad is None:
+                sigma = band_sigma[: r1 - r0] if out is None else out[r0:r1]
+                np.multiply(pp[r0:r1, None], qp[None, :], out=sigma)
+                np.divide(s, sigma, out=sigma)
+                yield r0, u, sigma
+        if nonfinite is None and (late or bad) and (at := _first_nonfinite(u)) is not None:
+            m, n = r0 + at[0], at[1]
             nonfinite = NonFiniteValueError(f"{seq.name}: non-finite value at {(m, n)}", m=m, n=n)
-        if nonfinite or late:
-            continue
-        # A complex u gets complex buffers: numpy promotes the real weight
-        # products to complex in any case, so the bits are out-of-place ones.
-        s = np.empty(u.shape, u.dtype)
-        sigma = np.empty_like(s) if out is None else out[r0:r1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(pw[r0:r1, None], qw[None, :], out=s)
-            np.multiply(s, u, out=s)
-            if r0:
-                s[0] += down
-            np.cumsum(s, axis=0, out=s)
-            down = s[-1].copy()
-            np.cumsum(s, axis=1, out=s)
-        bad = _first_nonfinite(s)
-        if bad is not None:
+        elif bad is not None:
             late = PrefixOverflowError(f"{seq.name}: weighted numerator overflowed at {(r0 + bad[0], bad[1])}")
-            continue
-        np.multiply(pp[r0:r1, None], qp[None, :], out=sigma)
-        np.divide(s, sigma, out=sigma)
-        yield r0, u, sigma
+        del u
     if nonfinite or late:
         raise nonfinite or late
 

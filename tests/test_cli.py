@@ -313,14 +313,15 @@ def test_banded_analyze_keeps_the_whole_grid_bytes(
 
 
 def test_transform_failing_in_a_later_band_leaves_sigma_csv_alone(tmp_path):
-    # 54 rows a band at horizon 300, so row 200 lies in the fourth band
+    # 217 rows a band at horizon 300 (2^16 words of 301 columns), so row 250
+    # lies in the second band
     out = tmp_path / "t"
     out.mkdir()
     (out / "sigma.csv").write_text("earlier run\n")
-    res = run_cli("transform", "--horizon", "300", "--sequence", "1/(m-200)", "--out", "t",
+    res = run_cli("transform", "--horizon", "300", "--sequence", "1/(m-250)", "--out", "t",
                   cwd=tmp_path)
     assert res.returncode == 1
-    assert res.stderr.splitlines() == ["error: 1/(m-200): non-finite value at (200, 0)"]
+    assert res.stderr.splitlines() == ["error: 1/(m-250): non-finite value at (250, 0)"]
     assert [f.name for f in out.iterdir()] == ["sigma.csv"]
     assert (out / "sigma.csv").read_text() == "earlier run\n"
 
@@ -331,7 +332,7 @@ def test_transform_failing_in_a_later_band_leaves_sigma_csv_alone(tmp_path):
 ])
 def test_transform_peak_memory_stays_near_two_grids(tmp_path, sequence, weights, grid_bytes):
     # sigma alone, filled band by band, then the export's scratch of about
-    # 4 MiB: 1.58 (real) and 1.36 (complex) grids
+    # 4 MiB: 1.58 (real) and 1.35 (complex) grids
     argv = ["transform", "--sequence", sequence, "--weights-p", weights,
             "--horizon", "1024", "--out", str(tmp_path)]
     main(argv)  # imports and lazily built tables are not part of the peak

@@ -325,13 +325,8 @@ def _whole_range_bound(seq, p, q, m_range, n_range, signed):
     )
 
 
-# The ranges read 37 to 40 columns of u: bands of 40 cells are one row, of
-# 120 cells three rows, of 492 cells twelve or thirteen.
-@pytest.mark.parametrize("band_cells", [None, 40, 120, 41 * 12], ids=lambda c: f"band_cells={c}")
 @pytest.mark.parametrize("weights", ["ones", "harmonic", "power"])
-def test_banded_difference_bounds_keep_the_one_block_bits(monkeypatch, band_cells, weights):
-    if band_cells is not None:
-        monkeypatch.setattr(tk.oscillation, "_BAND_CELLS", band_cells)
+def test_banded_difference_bounds_keep_the_one_block_bits(weights):
     for seq_name in _SEQUENCES + ["paper_unbounded"]:
         seq = tk.corpus_sequence(seq_name)
         stats = [(tk.hardy_stat, False)]
@@ -350,10 +345,7 @@ def _nan_at(m, n):
     return tk.array_sequence(u, f"nan_at({m}, {n})")
 
 
-@pytest.mark.parametrize("band_cells", [None, 40], ids=lambda c: f"band_cells={c}")
-def test_banded_difference_bound_reports_a_later_nan_before_a_weight_error(monkeypatch, band_cells):
-    if band_cells is not None:
-        monkeypatch.setattr(tk.oscillation, "_BAND_CELLS", band_cells)
+def test_banded_difference_bound_reports_a_later_nan_before_a_weight_error():
     bad = tk.WeightSequence(lambda k: 1.0 if k < 3 else -1.0, "sign_flip(3)")
     with pytest.raises(tk.NonFiniteValueError, match="non-finite value inside a window"):
         tk.hardy_stat(_nan_at(25, 20), bad, tk.ones(), (1, 28), (1, 28))
@@ -361,10 +353,7 @@ def test_banded_difference_bound_reports_a_later_nan_before_a_weight_error(monke
         tk.hardy_stat(_nan_at(29, 29), bad, tk.ones(), (1, 28), (1, 28))
 
 
-@pytest.mark.parametrize("band_cells", [None, 40], ids=lambda c: f"band_cells={c}")
-def test_banded_difference_bound_reports_a_later_rule_error_before_a_nan(monkeypatch, band_cells):
-    if band_cells is not None:
-        monkeypatch.setattr(tk.oscillation, "_BAND_CELLS", band_cells)
+def test_banded_difference_bound_reports_a_later_rule_error_before_a_nan():
     args = (_nan_at(3, 5), tk.ones(), tk.ones(), (1, 32), (1, 28))
     with pytest.raises(IndexError) as want:
         _whole_range_bound(*args, False)

@@ -1,5 +1,7 @@
 """Weighted mean fields against direct summation, plus overflow reporting."""
 
+import contextlib
+import dataclasses
 import decimal
 import math
 import tracemalloc
@@ -92,9 +94,9 @@ def test_mean_field_refuses_an_over_budget_grid_before_allocating_it():
 
 @pytest.mark.parametrize("name", ["additive_convergent", "complex_convergent"])
 def test_mean_field_peak_memory_stays_within_one_grid(name):
-    # sigma and one band of u and of the numerator: 1.07 grids.  At 255^2 a
-    # band's arrays weigh about a whole grid, so that size cannot tell one
-    # grid from two.
+    # sigma and one band of u and of the numerator, 2^16 words each: 1.15
+    # (real) and 1.10 (complex) grids.  At 255^2 a band's arrays weigh about
+    # a whole grid, so that size cannot tell one grid from two.
     seq = tk.corpus_sequence(name)
     p, q = tk.ones(), tk.harmonic()
     p.ensure(1100)  # the prefix caches are not part of the field's peak
@@ -143,10 +145,27 @@ def _signed_zeros():
     return tk.array_sequence(u, "signed_zeros")
 
 
-def _band_rows(monkeypatch, rows, n_max):
-    """Make the mean-field bands ``rows`` rows of an n_max-column grid high."""
+@contextlib.contextmanager
+def _bands(monkeypatch, seq, rows, m_max, n_max, last_row=None):
+    """Yield seq with its rule wrapped to log the rows of each block call,
+    and the mean-field pass set to bands of ``rows`` rows of an
+    (n_max + 1)-column grid (None keeps the default, one band for these
+    grids; a complex cell counts two words of _SUM_CHUNK).  On exit, check
+    that the pass asked for u band by band, top to bottom, down to the band
+    of last_row (m_max by default)."""
+    step = rows or m_max + 1
     if rows is not None:
-        monkeypatch.setattr(transform, "_TEXT_BAND", rows * (n_max + 1))
+        words = 2 if seq.kind is tk.ScalarKind.COMPLEX else 1
+        monkeypatch.setattr(transform, "_SUM_CHUNK", rows * (n_max + 1) * words)
+    calls = []
+
+    def rule(M, N):
+        calls.append((int(M[0, 0]), len(M)))
+        return seq.rule(M, N)
+
+    yield dataclasses.replace(seq, rule=rule)
+    last_row = m_max if last_row is None else last_row
+    assert calls == [(r0, min(step, m_max + 1 - r0)) for r0 in range(0, last_row + 1, step)]
 
 
 # Twelve-row grids: bands of 5 rows leave a short last band, 4 rows divide
@@ -159,9 +178,9 @@ def test_banded_mean_field_keeps_the_whole_grid_bits(monkeypatch, rows, family):
                  ("additive_convergent", "complex_convergent", "1/(m+1)+sin(n)/(n+1)")]
     for seq in [*sequences, _signed_zeros()]:
         for m_max, n_max in ((11, 11), (11, 7)):
-            _band_rows(monkeypatch, rows, n_max)
             p, q = _family(family), _family(q_family)
-            fld = tk.weighted_mean_field(seq, p, q, m_max, n_max)
+            with _bands(monkeypatch, seq, rows, m_max, n_max) as banded:
+                fld = tk.weighted_mean_field(banded, p, q, m_max, n_max)
             sigma = _whole_grid_mean_field(seq, p, q, m_max, n_max)
             assert fld.sigma.values.tobytes() == sigma.tobytes(), (seq.name, m_max, n_max)
 
@@ -204,11 +223,13 @@ def _sign_flip(at):
     ids=["overflow_then_nan", "weights_then_nan", "p_then_q", "overflow_alone", "nan_then_rule"],
 )
 def test_banded_mean_field_raises_the_whole_grid_error(monkeypatch, rows, case):
-    _band_rows(monkeypatch, rows, 7)
     seq, p, q = case()
     want = _raised(_whole_grid_mean_field, seq, p, q, 11, 7)
     seq, p, q = case()
-    got = _raised(tk.weighted_mean_field, seq, p, q, 11, 7)
+    # the rule refuses row 9 of a nine-row array, and no band after it is asked for
+    last_row = 9 if isinstance(want, IndexError) else None
+    with _bands(monkeypatch, seq, rows, 11, 7, last_row) as banded:
+        got = _raised(tk.weighted_mean_field, banded, p, q, 11, 7)
     assert (type(got), str(got)) == (type(want), str(want))
     if isinstance(want, tk.NonFiniteValueError):
         assert (got.m, got.n) == (want.m, want.n) == (9, 3)
