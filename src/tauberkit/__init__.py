@@ -27,8 +27,6 @@ from .sequences import (
     constant,
     corpus_sequence,
     corpus_weight,
-    delta01,
-    delta10,
     eval_grid,
     geometric,
     harmonic,
@@ -61,7 +59,6 @@ from .oscillation import (
     LimitEstimate,
     WindowDirection,
     backward_window_lower_index,
-    build_window_profile,
     build_window_profiles,
     empirical_limit,
     export_profiles_csv,
@@ -70,7 +67,6 @@ from .oscillation import (
     landau_stat,
     profile_samples,
     sd_field_components,
-    sd_functional_P,
     window_functional,
     window_functional_names,
     window_upper_index,

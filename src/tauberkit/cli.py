@@ -315,7 +315,8 @@ class _ExprParser:
             node = self._expr()
             self._take("op", ")")
             return node
-        raise ValueError(f"unexpected token {value!r} in {self.text!r}")
+        what = "end of expression" if kind == "end" else f"token {value!r}"
+        raise ValueError(f"unexpected {what} in {self.text!r}")
 
 
 def expression_sequence(text: str) -> DoubleSequence:
@@ -333,6 +334,8 @@ def _parse_params(spec: str) -> dict[str, float]:
         mt = _PARAM_SPEC.match(part.strip())
         if not mt:
             raise ValueError(f"bad parameter {part!r}; expected key=value")
+        if mt.group(1) in params:
+            raise ValueError(f"parameter {mt.group(1)} given twice in {spec!r}")
         params[mt.group(1)] = float(mt.group(2))
     return params
 

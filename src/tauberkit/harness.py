@@ -119,10 +119,6 @@ class LemmaDecomposition:
     residual: float | complex
     rel_residual: float
 
-    @property
-    def terms(self) -> tuple[float | complex, ...]:
-        return (self.term_corner, self.term_rows, self.term_cols, self.term_window)
-
 
 def _window_average(window, p, q, r0, c0, anchor, flip):
     """Weighted average of u - anchor (anchor - u when flipped) over

@@ -415,11 +415,6 @@ def window_functional(
     return _window_values(seq, direction, [_Window(spec, rows, cols, m)])[0]
 
 
-def sd_functional_P(seq, p, m, n, lam) -> float:
-    """min over the row window of u(i, n) - u(m, n)."""
-    return window_functional("sd_P", seq, p, None, m, n, lam, None)
-
-
 # ---------------------------------------------------------------------------
 # Weighted difference bounds
 # ---------------------------------------------------------------------------
@@ -633,16 +628,6 @@ def build_window_profiles(
     }
 
 
-def build_window_profile(
-    seq: DoubleSequence, p: WeightSequence, q: WeightSequence, functional: str,
-    horizons: list[int], lambda_ladder: list[float], kappa_ladder: list[float] | None = None,
-    tail_fraction: float = 0.5, budget: int = MAX_WINDOW_CELLS,
-) -> DecisionProfile:
-    """build_window_profiles for one functional."""
-    return build_window_profiles(seq, p, q, [functional], horizons, lambda_ladder,
-                                 kappa_ladder, tail_fraction, budget)[functional]
-
-
 def _bound_profiles(which, rungs) -> tuple[DecisionProfile, DecisionProfile]:
     """The tail profiles of landau_stat or hardy_stat, one per axis, from
     rungs (h, u, cp, cq): u on [t - 1..h]^2 and cp, cq = P_i/p_i, Q_j/q_j
@@ -665,7 +650,6 @@ def window_upper_indices(p: WeightSequence, m_max: int, lam: float) -> np.ndarra
     prefix as required."""
     if lam <= 1.0:
         raise ValueError(f"forward window needs lam > 1, got {lam}")
-    p.ensure(m_max)
     p.ensure_sum_exceeds(lam * p.prefix(m_max))
     sums = p.prefix_snapshot()
     targets = lam * sums[: m_max + 1]
@@ -766,7 +750,7 @@ def profile_samples(
     tail_fraction: float = 0.5, budget: int = MAX_WINDOW_CELLS,
 ) -> list[tuple[float, float, int, int, int, float | None]]:
     """Raw per-cell values behind a decision profile: rows (lambda, kappa,
-    horizon, m, n, value) over the tail cells build_window_profile
+    horizon, m, n, value) over the tail cells build_window_profiles
     aggregates, value None where a window exceeds the budgets."""
     ladder = _rung_values(seq, p, q, [functional], horizons, lambda_ladder, kappa_ladder,
                           tail_fraction, budget, stop_at_gap=False)

@@ -3,14 +3,12 @@
 A DoubleSequence is a pure rule on the integer quarter-plane m,n >= 0,
 evaluated through a single vectorized path so scalar lookups and bulk grids
 agree bit for bit.  A WeightSequence owns a one-sided positive weight rule
-together with a cached, extendable array of partial sums; the cache is
-grow-only and safe to read concurrently while one writer extends it.
+together with a cached, grow-only array of partial sums.
 """
 from __future__ import annotations
 
 import inspect
 import math
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -125,39 +123,20 @@ def _first_nonfinite(arr: np.ndarray) -> tuple[int, int] | None:
     return int(m), int(n)
 
 
-def delta10(seq: DoubleSequence, m: int, n: int) -> float | complex:
-    """Row difference u(m, n) - u(m-1, n); requires m >= 1."""
-    if m < 1:
-        raise ValueError(f"row difference needs m >= 1, got m={m}")
-    return seq.evaluate(m, n) - seq.evaluate(m - 1, n)
-
-
-def delta01(seq: DoubleSequence, m: int, n: int) -> float | complex:
-    """Column difference u(m, n) - u(m, n-1); requires n >= 1."""
-    if n < 1:
-        raise ValueError(f"column difference needs n >= 1, got n={n}")
-    return seq.evaluate(m, n) - seq.evaluate(m, n - 1)
-
-
 class WeightSequence:
     """Positive one-sided weights p_0, p_1, ... with cached partial sums.
 
     Partial sums are accumulated with compensated (Neumaier) summation and
-    published as float64.  The cache grows in chunks: a chunk evaluates the
+    stored as float64.  The cache grows in chunks: a chunk evaluates the
     scalar weight rule at each of its indices, runs the Neumaier recurrence
     as two sequential cumulative sums (bit-identical to the one-index-at-a-
     time loop), and checks the chunk in the loop's order -- weight domain,
-    then overflow, then monotonicity -- to find its first bad index.  The
-    valid prefix is published with one count update, written last.  A bad
-    index raises only when the caller needed it (``ensure``: an index at or
-    below its target; ``ensure_sum_exceeds``: no earlier sum exceeds the
-    threshold); otherwise growth stops just before it and a later request
-    that needs it raises there.
-
-    Readers take a snapshot without locking: the published count is read
-    before the buffer reference, and buffers are never shrunk or mutated
-    below the count, so a stale pair is still internally consistent.
-    Writers serialize on a lock and extension is idempotent.
+    then overflow, then monotonicity -- to find its first bad index, and
+    stores the valid prefix before it.  A bad index raises only when the
+    caller needed it (``ensure``: an index at or below its target;
+    ``ensure_sum_exceeds``: no earlier sum exceeds the threshold);
+    otherwise growth stops just before it and a later request that needs
+    it raises there.  Extension is idempotent.
     """
 
     # Indices a growth step evaluates: at least the first, at most the
@@ -174,14 +153,11 @@ class WeightSequence:
         self.name = name
         self.max_index = int(max_index)
         self._weight = weight
-        self._lock = threading.Lock()
         self._weights = np.empty(1024, dtype=np.float64)
         self._sums = np.empty(1024, dtype=np.float64)
         self._count = 0
         self._acc = 0.0
         self._comp = 0.0
-
-    # -- writers ---------------------------------------------------------
 
     def ensure(self, m: int) -> None:
         """Extend the cache so indices 0..m are evaluated."""
@@ -192,10 +168,9 @@ class WeightSequence:
                 f"{self.name}: index {m} beyond max_index {self.max_index}",
                 needed=m,
             )
-        with self._lock:
-            target = max(m + 1, 2 * self._count)
-            while self._count <= m:
-                self._extend(target, lambda k: k <= m)
+        target = max(m + 1, 2 * self._count)
+        while self._count <= m:
+            self._extend(target, lambda k: k <= m)
 
     def ensure_sum_exceeds(self, threshold: float) -> int:
         """Grow until the last partial sum strictly exceeds ``threshold``.
@@ -205,27 +180,24 @@ class WeightSequence:
         """
         if not math.isfinite(threshold):
             raise ValueError(f"{self.name}: threshold must be finite, got {threshold}")
-        with self._lock:
-            while self._count == 0 or self._sums[self._count - 1] <= threshold:
-                if self._count > self.max_index:
-                    raise HorizonError(
-                        f"{self.name}: partial sums reached index {self.max_index} "
-                        f"without exceeding {threshold}",
-                        needed=threshold,
-                    )
-                self._extend(
-                    2 * self._count,
-                    lambda k: k == 0 or self._sums[k - 1] <= threshold,
+        while self._count == 0 or self._sums[self._count - 1] <= threshold:
+            if self._count > self.max_index:
+                raise HorizonError(
+                    f"{self.name}: partial sums reached index {self.max_index} "
+                    f"without exceeding {threshold}",
+                    needed=threshold,
                 )
-            sums = self._sums[: self._count]
-        return int(np.searchsorted(sums, threshold, side="right"))
+            self._extend(
+                2 * self._count,
+                lambda k: k == 0 or self._sums[k - 1] <= threshold,
+            )
+        return int(np.searchsorted(self._sums[: self._count], threshold, side="right"))
 
     def _extend(self, target: int, needed: Callable[[int], bool]) -> None:
-        """Evaluate one chunk towards ``target`` and publish its valid prefix.
+        """Evaluate one chunk towards ``target`` and store its valid prefix.
 
         ``needed(k)`` says whether a failure at index k concerns the caller;
-        it is asked after the indices below k are published.  Caller holds
-        the lock.
+        it is asked after the indices below k are stored.
         """
         k0 = self._count
         k1 = min(max(target, k0 + self._MIN_CHUNK), k0 + self._MAX_CHUNK, self.max_index + 1)
@@ -273,7 +245,6 @@ class WeightSequence:
             self._weights[k0:end] = w[:j]
             self._sums[k0:end] = published[:j]
             self._acc, self._comp = float(t[j - 1]), float(c[j - 1])
-            # Publish last: readers snapshot count before buffers.
             self._count = end
         k = k0 + j
         if (j == n and rule_error is None) or not needed(k):
@@ -304,18 +275,10 @@ class WeightSequence:
         self._weights = new_w
         self._sums = new_s
 
-    # -- readers ---------------------------------------------------------
-
     @property
     def evaluated_count(self) -> int:
-        """Indices evaluated and published so far (chunks may overshoot a request)."""
+        """Indices evaluated and stored so far (chunks may overshoot a request)."""
         return self._count
-
-    def weight_at(self, m: int) -> float:
-        if m < 0:
-            raise ValueError(f"{self.name}: weight index must be >= 0, got {m}")
-        self.ensure(m)
-        return float(self._weights[m])
 
     def prefix(self, m: int) -> float:
         """Partial sum p_0 + ... + p_m; prefix(-1) is 0 by convention."""
@@ -327,9 +290,8 @@ class WeightSequence:
         return float(self._sums[m])
 
     def prefix_snapshot(self) -> np.ndarray:
-        """Read-only view of all published partial sums (no extension)."""
-        count = self._count
-        view = self._sums[:count]
+        """Read-only view of all stored partial sums (no extension)."""
+        view = self._sums[: self._count]
         view.flags.writeable = False
         return view
 

@@ -29,7 +29,6 @@ class VariationClass:
     fit_residual: float | None
     ratio_profile: tuple[tuple[float, int, float], ...]
     lemma23_profile: tuple[tuple[int, float], ...]
-    sv_residual: tuple[tuple[int, float], ...] | None
     tol: float
     horizon: int
 
@@ -117,40 +116,26 @@ def classify(p: WeightSequence, horizon: int = 10**5, tol: float = 0.05) -> Vari
         raise ValueError(f"classification horizon must be >= 64, got {horizon}")
     if not 0.0 < tol < 0.5:
         raise ValueError(f"classification tol must lie in (0, 0.5), got {tol}")
-    p.ensure(horizon)
     ms = _doubling_samples(horizon)
     lemma_profile = tuple(lemma23_check(p, horizon))
     ratios = tuple((lam, m, r) for lam, m, r in ratio_profile(p, [0.5, 2.0], ms))
 
-    kind, alpha_hat, fit_residual, sv = VariationKind.RAPIDLY_VARYING, None, None, None
+    kind, alpha_hat, fit_residual = VariationKind.RAPIDLY_VARYING, None, None
     if not all(p.prefix(2 * m) / p.prefix(m) > 1.0 / tol and p.prefix(m // 2) / p.prefix(m) < tol
                for m in ms[-2:]):
         kind = VariationKind.INCONCLUSIVE
         alpha, fit_residual = estimate_rv_index(p, horizon)
         if fit_residual <= tol and abs(lemma_profile[-1][1] - 1.0) <= tol:
             kind, alpha_hat = VariationKind.REGULARLY_VARYING, alpha
-            sv = _slow_part_profile(p, horizon, alpha)
     return VariationClass(
         kind=kind,
         alpha_hat=alpha_hat,
         fit_residual=fit_residual,
         ratio_profile=ratios,
         lemma23_profile=lemma_profile,
-        sv_residual=sv,
         tol=tol,
         horizon=horizon,
     )
-
-
-def _slow_part_profile(
-    p: WeightSequence, horizon: int, alpha_hat: float
-) -> tuple[tuple[int, float], ...]:
-    # Remainder after dividing out the fitted power, over the top octave.
-    lo = max(1, horizon // 2)
-    count = 8
-    step = max(1, (horizon - lo) // (count - 1))
-    ms = sorted({min(lo + k * step, horizon) for k in range(count)})
-    return tuple((m, p.prefix(m) / (m + 1.0) ** alpha_hat) for m in ms)
 
 
 def classify_adaptive(

@@ -239,7 +239,7 @@ def test_criterion_11_lower_bound_bridges_to_the_window_functional():
                 drops = (pref[i] / w[i]) * (col[i] - col[i - 1])
                 m1 = max(0.0, float(-drops.min()))
                 bound = -m1 * (pref[mu] / pref[m] - 1.0)
-                value = tk.sd_functional_P(seq, p, m, n, lam)
+                value = tk.window_functional("sd_P", seq, p, None, m, n, lam, None)
                 assert value >= bound - 1e-12, (wname, m, lam, value, bound)
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import tracemalloc
 from dataclasses import fields
 
@@ -182,6 +183,11 @@ def test_weights_that_overflow_before_their_sums_back_off(tmp_path, args, code):
             ("verify-lemma", "--grid", "1000000", "--count", "1"),
             1,
             "error: suite grid of 1000000000000 cells exceeds budget 268435456",
+        ),
+        (
+            ("analyze", "--sequence", "constant:c=1,c=2"),
+            2,
+            "error: parameter c given twice in 'c=1,c=2'",
         ),
     ],
 )
@@ -522,6 +528,10 @@ def test_expression_parser_rejects_garbage():
         expression_sequence("1 +* 2")
     with pytest.raises(ValueError, match="unknown name"):
         expression_sequence("q/(m+1)")
+    for text in ("m+", "m^", ""):
+        message = f"unexpected end of expression in '{text}'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            expression_sequence(text)
 
 
 def test_spec_parameters_must_belong_to_the_factory():
@@ -529,6 +539,8 @@ def test_spec_parameters_must_belong_to_the_factory():
         parse_weight_spec("power:zeta=3")
     with pytest.raises(ValueError, match="accepted: none"):
         parse_sequence_spec("alternating:c=2")
+    with pytest.raises(ValueError, match=r"^parameter c given twice in 'c=1,c=2'$"):
+        parse_sequence_spec("constant:c=1,c=2")
     assert parse_sequence_spec("constant:c=2").declared_limit == 2.0
 
 

@@ -84,8 +84,8 @@ def test_forward_split_reproduces_the_gap():
     assert dec.lhs == pytest.approx(gap, rel=1e-15)
     assert dec.rel_residual <= 1e-12
     assert dec.direction == "forward"
-    corner, rows, cols, window = dec.terms
-    assert math.fsum([corner, rows, cols, -window]) == pytest.approx(gap, rel=1e-12)
+    terms = [dec.term_corner, dec.term_rows, dec.term_cols, -dec.term_window]
+    assert math.fsum(terms) == pytest.approx(gap, rel=1e-12)
 
 
 def test_backward_split_reproduces_the_gap():

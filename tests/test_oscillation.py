@@ -62,7 +62,8 @@ def test_window_widens_with_the_scale():
 
 
 def test_one_sided_row_functional_anchor():
-    assert tk.sd_functional_P(ADD, tk.ones(), 100, 50, 1.5) == -0.01716816747352823
+    got = tk.window_functional("sd_P", ADD, tk.ones(), None, 100, 50, 1.5, None)
+    assert got == -0.01716816747352823
 
 
 def test_one_sided_column_functional_anchor():
@@ -80,16 +81,16 @@ def test_column_anchored_variants_match_on_additive_structure():
     # the plainly anchored one
     strong_p = tk.window_functional("sd_strong_P", ADD, tk.ones(), tk.ones(), 100, 50, 1.5, 1.5)
     strong_q = tk.window_functional("sd_strong_Q", ADD, tk.ones(), tk.ones(), 100, 50, 1.5, 1.5)
-    assert strong_p == tk.sd_functional_P(ADD, tk.ones(), 100, 50, 1.5)
+    assert strong_p == tk.window_functional("sd_P", ADD, tk.ones(), None, 100, 50, 1.5, None)
     assert strong_q == tk.window_functional("sd_Q", ADD, None, tk.ones(), 100, 50, None, 1.5)
 
 
 def test_checkerboard_row_functional_hits_the_full_swing():
-    assert tk.sd_functional_P(ALT, tk.ones(), 9, 1, 1.2) == -2.0
+    assert tk.window_functional("sd_P", ALT, tk.ones(), None, 9, 1, 1.2, None) == -2.0
 
 
 def test_absolute_functional_dominates_the_one_sided_one():
-    sd = tk.sd_functional_P(ADD, tk.ones(), 100, 50, 1.5)
+    sd = tk.window_functional("sd_P", ADD, tk.ones(), None, 100, 50, 1.5, None)
     so = tk.window_functional("so_P", ADD, tk.ones(), None, 100, 50, 1.5, None)
     assert so >= abs(sd)
     assert so == 0.01716816747352823
@@ -99,11 +100,14 @@ def test_absolute_functionals_accept_complex_sequences():
     cz = tk.corpus_sequence("complex_convergent")
     assert tk.window_functional("so_P", cz, tk.ones(), None, 50, 50, 1.5, None) > 0.0
     with pytest.raises(tk.ScalarKindError, match="order-sensitive"):
-        tk.sd_functional_P(cz, tk.ones(), 50, 50, 1.5)
+        tk.window_functional("sd_P", cz, tk.ones(), None, 50, 50, 1.5, None)
 
 
 def test_row_functional_minimum_decreases_as_the_window_grows():
-    vals = [tk.sd_functional_P(ADD, tk.ones(), 100, 50, lam) for lam in (1.1, 1.5, 2.0)]
+    vals = [
+        tk.window_functional("sd_P", ADD, tk.ones(), None, 100, 50, lam, None)
+        for lam in (1.1, 1.5, 2.0)
+    ]
     assert vals[0] >= vals[1] >= vals[2]
 
 
@@ -154,7 +158,7 @@ def test_window_functionals_at_one_anchor_hang_together():
         name: tk.window_functional(name, ADD, tk.ones(), tk.ones(), 100, 50, 1.5, 1.5)
         for name in tk.window_functional_names()
     }
-    assert fns["sd_P"] == tk.sd_functional_P(ADD, tk.ones(), 100, 50, 1.5)
+    assert fns["sd_P"] == tk.window_functional("sd_P", ADD, tk.ones(), None, 100, 50, 1.5, None)
     assert fns["sd_both"] <= fns["sd_Q"] + fns["sd_strong_P"] + 1e-12
     for name in ("so_P", "so_Q", "so_strong_P", "so_strong_Q", "so_both"):
         assert fns[name] >= 0.0
@@ -404,7 +408,8 @@ def test_export_samples_csv_layout(tmp_path):
 
 
 def test_window_profile_and_csv_layout(tmp_path):
-    prof = tk.build_window_profile(ADD, tk.ones(), tk.ones(), "sd_P", [64, 128], [1.5, 1.1])
+    profs = tk.build_window_profiles(ADD, tk.ones(), tk.ones(), ["sd_P"], [64, 128], [1.5, 1.1])
+    prof = profs["sd_P"]
     assert prof.functional == "sd_P"
     assert len(prof.rungs) == 4
     stats = {(r.lam, r.horizon): r.stat for r in prof.rungs}
@@ -490,7 +495,7 @@ def _ref_samples(seq, p, q, name, horizons, ladder, budget):
 
 
 def _engine_profile(seq, p, q, name, horizons, ladder, budget):
-    prof = tk.build_window_profile(seq, p, q, name, horizons, ladder, budget=budget)
+    prof = tk.build_window_profiles(seq, p, q, [name], horizons, ladder, budget=budget)[name]
     return [None if r.stat is None else (repr(r.stat), r.cells) for r in prof.rungs]
 
 
@@ -675,7 +680,7 @@ def _engine_profiles(seq, p, q, names, horizons, ladder, budget):
 
 
 def _ref_profiles(seq, p, q, names, horizons, ladder, budget):
-    # one profile after another, as a caller of build_window_profile would
+    # one profile after another, as one build_window_profiles call per name would
     return [_ref_profile(seq, p, q, name, horizons, ladder, budget) for name in names]
 
 
@@ -763,13 +768,13 @@ def test_verify_theorem_reads_each_window_cell_of_a_horizon_once(monkeypatch):
 
 def test_unsampled_rungs_say_why():
     short = tk.WeightSequence(lambda k: 1.0, name="short", max_index=90)
-    prof = tk.build_window_profile(ADD, short, short, "so_both", [32, 64], [1.5])
+    prof = tk.build_window_profiles(ADD, short, short, ["so_both"], [32, 64], [1.5])["so_both"]
     with pytest.raises(tk.HorizonError) as exc:
         tk.window_functional("so_both", ADD, short, short, 64, 32, 1.5, 1.5)
     assert [r.reason for r in prof.rungs] == [None, ("horizon", exc.value.needed)]
 
-    prof = tk.build_window_profile(ADD, tk.ones(), tk.ones(), "so_both", [32, 64], [1.5],
-                                   budget=500)
+    prof = tk.build_window_profiles(ADD, tk.ones(), tk.ones(), ["so_both"], [32, 64], [1.5],
+                                    budget=500)["so_both"]
     with pytest.raises(tk.ResourceLimitError) as exc:
         tk.window_functional("so_both", ADD, tk.ones(), tk.ones(), 32, 64, 1.5, 1.5, budget=500)
     assert [r.reason for r in prof.rungs] == [None, ("budget", exc.value.cells)]

@@ -112,8 +112,7 @@ def test_estimate_rv_index_on_linear_prefix():
     assert resid >= 0.0
 
 
-def test_slow_variation_factor_profile_is_recorded():
+def test_classify_records_its_horizon_and_tolerance():
     vc = tk.classify(tk.ones(), 4096, 0.05)
-    assert len(vc.sv_residual) >= 2
-    assert all(v >= 0.0 for _, v in vc.sv_residual)
-    assert vc.horizon == 4096
+    assert (vc.horizon, vc.tol) == (4096, 0.05)
+    assert vc.lemma23_profile[-1][0] == 4096
