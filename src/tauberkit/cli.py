@@ -226,7 +226,8 @@ class _ExprParser:
     def _take(self, kind=None, value=None):
         tok = self.tokens[self.pos]
         if kind and tok[0] != kind or value is not None and tok[1] != value:
-            raise ValueError(f"expected {value or kind} at token {self.pos} in {self.text!r}")
+            where = "end of expression" if tok[0] == "end" else f"token {self.pos}"
+            raise ValueError(f"expected {value or kind} at {where} in {self.text!r}")
         self.pos += 1
         return tok
 
@@ -334,9 +335,13 @@ def _parse_params(spec: str) -> dict[str, float]:
         mt = _PARAM_SPEC.match(part.strip())
         if not mt:
             raise ValueError(f"bad parameter {part!r}; expected key=value")
-        if mt.group(1) in params:
-            raise ValueError(f"parameter {mt.group(1)} given twice in {spec!r}")
-        params[mt.group(1)] = float(mt.group(2))
+        key, value = mt.groups()
+        if key in params:
+            raise ValueError(f"parameter {key} given twice in {spec!r}")
+        try:
+            params[key] = float(value)
+        except ValueError:
+            raise ValueError(f"bad value {value!r} for parameter {key} in {spec!r}") from None
     return params
 
 

@@ -8,6 +8,7 @@ together with a cached, grow-only array of partial sums.
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -127,8 +128,12 @@ class WeightSequence:
     """Positive one-sided weights p_0, p_1, ... with cached partial sums.
 
     Partial sums are accumulated with compensated (Neumaier) summation and
-    stored as float64.  The cache grows in chunks: a chunk evaluates the
-    scalar weight rule at each of its indices, runs the Neumaier recurrence
+    stored as float64.  ``weight`` is the scalar rule and the reference:
+    ``weights(k0, k1)``, if given, must return ``weight(k)`` for k in
+    k0..k1-1 as a float64 array, bit for bit, and raise where ``weight``
+    raises.  The cache grows in chunks: a chunk evaluates ``weights`` over
+    its indices (by default, the scalar rule at each one; when that raises,
+    the scalar rule again one index at a time), runs the Neumaier recurrence
     as two sequential cumulative sums (bit-identical to the one-index-at-a-
     time loop), and checks the chunk in the loop's order -- weight domain,
     then overflow, then monotonicity -- to find its first bad index, and
@@ -149,10 +154,14 @@ class WeightSequence:
         weight: Callable[[int], float],
         name: str,
         max_index: int = 1 << 23,
+        weights: Callable[[int, int], np.ndarray] | None = None,
     ):
         self.name = name
         self.max_index = int(max_index)
         self._weight = weight
+        self._weights_over = weights or (
+            lambda k0, k1: np.fromiter(map(weight, range(k0, k1)), np.float64, k1 - k0)
+        )
         self._weights = np.empty(1024, dtype=np.float64)
         self._sums = np.empty(1024, dtype=np.float64)
         self._count = 0
@@ -202,7 +211,7 @@ class WeightSequence:
         k0 = self._count
         k1 = min(max(target, k0 + self._MIN_CHUNK), k0 + self._MAX_CHUNK, self.max_index + 1)
         try:
-            w = np.fromiter(map(self._weight, range(k0, k1)), np.float64, k1 - k0)
+            w = self._weights_over(k0, k1)
             rule_error = None
         except Exception:
             # Re-run the chunk one index at a time to pin the failing one.
@@ -373,9 +382,24 @@ def separable_convergent() -> DoubleSequence:
 
 def complex_convergent() -> DoubleSequence:
     """Complex spiral decaying onto 1 + 0.5j; exercises the modulus-based ops."""
+
+    def spiral(k):
+        return (1.0 + 0.5j) + np.exp(1j * k) / (k + 2.0)
+
+    def rule(M, N):
+        # u depends on m + n alone: a block of R x C cells has R + C - 1
+        # distinct sums, so evaluate each once and gather (same bits).
+        s = M + N
+        if s.size:
+            lo, hi = int(s.min()), int(s.max())
+            if hi - lo < s.size:
+                s -= lo
+                return spiral(np.arange(lo, hi + 1))[s]
+        return spiral(s)
+
     return DoubleSequence(
         name="complex_convergent",
-        rule=lambda M, N: (1.0 + 0.5j) + np.exp(1j * (M + N)) / (M + N + 2.0),
+        rule=rule,
         kind=ScalarKind.COMPLEX,
         declared_limit=1.0 + 0.5j,
     )
@@ -404,14 +428,30 @@ def array_sequence(values: np.ndarray, name: str = "array") -> DoubleSequence:
     return DoubleSequence(name=name, rule=rule, kind=kind)
 
 
+# The array forms of the weight rules below keep every bit of the scalar
+# ones: numpy only for exactly rounded operations, and libm's pow, sin and
+# log through maps of the math functions (numpy's SIMD pow can differ from
+# libm's in the last bit at about 5 % of indices), with float arguments
+# built lazily so a chunk holds no list of them.
+
+
+def _plus_one(k0: int, k1: int):
+    """float(k + 1) for k in k0..k1-1, one at a time."""
+    return map(float, range(k0 + 1, k1 + 1))
+
+
 def ones() -> WeightSequence:
     """p_m = 1; partial sums m + 1."""
-    return WeightSequence(lambda m: 1.0, name="ones")
+    return WeightSequence(lambda m: 1.0, name="ones", weights=lambda k0, k1: np.ones(k1 - k0))
 
 
 def harmonic() -> WeightSequence:
     """p_m = 1/(m+1); partial sums grow like log m (slowly varying)."""
-    return WeightSequence(lambda m: 1.0 / (m + 1.0), name="harmonic")
+    return WeightSequence(
+        lambda m: 1.0 / (m + 1.0),
+        name="harmonic",
+        weights=lambda k0, k1: 1.0 / (np.arange(k0, k1) + 1.0),
+    )
 
 
 def power(beta: float = 1.0) -> WeightSequence:
@@ -419,7 +459,13 @@ def power(beta: float = 1.0) -> WeightSequence:
     bv = float(beta)
     if bv <= -1.0:
         raise WeightDomainError(f"power weights need beta > -1, got {bv}")
-    return WeightSequence(lambda m: (m + 1.0) ** bv, name=f"power(beta={bv:g})")
+    return WeightSequence(
+        lambda m: (m + 1.0) ** bv,
+        name=f"power(beta={bv:g})",
+        weights=lambda k0, k1: np.fromiter(
+            map(math.pow, _plus_one(k0, k1), itertools.repeat(bv)), np.float64, k1 - k0
+        ),
+    )
 
 
 def geometric(r: float = 2.0) -> WeightSequence:
@@ -427,14 +473,26 @@ def geometric(r: float = 2.0) -> WeightSequence:
     rv = float(r)
     if rv <= 1.0:
         raise WeightDomainError(f"geometric weights need r > 1, got {rv}")
-    return WeightSequence(lambda m: rv**m, name=f"geometric(r={rv:g})")
+    return WeightSequence(
+        lambda m: rv**m,
+        name=f"geometric(r={rv:g})",
+        weights=lambda k0, k1: np.fromiter(
+            map(math.pow, itertools.repeat(rv), map(float, range(k0, k1))), np.float64, k1 - k0
+        ),
+    )
 
 
 def wobble() -> WeightSequence:
     """p_m = (m+1)^(1 + sin(log(m+1))); log-periodic exponent, defeats a single index."""
+
+    def weights(k0, k1):
+        exponents = map((1.0).__add__, map(math.sin, map(math.log, _plus_one(k0, k1))))
+        return np.fromiter(map(math.pow, _plus_one(k0, k1), exponents), np.float64, k1 - k0)
+
     return WeightSequence(
         lambda m: (m + 1.0) ** (1.0 + math.sin(math.log(m + 1.0))),
         name="wobble",
+        weights=weights,
     )
 
 

@@ -189,6 +189,16 @@ def test_weights_that_overflow_before_their_sums_back_off(tmp_path, args, code):
             2,
             "error: parameter c given twice in 'c=1,c=2'",
         ),
+        (
+            ("analyze", "--sequence", "constant:c=1e"),
+            2,
+            "error: bad value '1e' for parameter c in 'c=1e'",
+        ),
+        (
+            ("analyze", "--sequence", "(m"),
+            2,
+            "error: expected ) at end of expression in '(m'",
+        ),
     ],
 )
 def test_failures_exit_with_one_error_line(tmp_path, args, code, message):
@@ -532,6 +542,12 @@ def test_expression_parser_rejects_garbage():
         message = f"unexpected end of expression in '{text}'"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             expression_sequence(text)
+    for text, what in (("(m", ")"), ("pow(m,n", ")"), ("pow(m", ","), ("sin", "(")):
+        message = f"expected {what} at end of expression in '{text}'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            expression_sequence(text)
+    with pytest.raises(ValueError, match=r"^expected \) at token 2 in '\(m n\)'$"):
+        expression_sequence("(m n)")
 
 
 def test_spec_parameters_must_belong_to_the_factory():
@@ -541,6 +557,8 @@ def test_spec_parameters_must_belong_to_the_factory():
         parse_sequence_spec("alternating:c=2")
     with pytest.raises(ValueError, match=r"^parameter c given twice in 'c=1,c=2'$"):
         parse_sequence_spec("constant:c=1,c=2")
+    with pytest.raises(ValueError, match=r"^bad value '1\.5\.' for parameter beta in 'beta=1\.5\.'$"):
+        parse_weight_spec("power:beta=1.5.")
     assert parse_sequence_spec("constant:c=2").declared_limit == 2.0
 
 

@@ -1,6 +1,7 @@
 """Corpus sequences and weight families: definitions, prefixes, guard rails."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,34 @@ def test_complex_corpus_sequence_has_complex_kind():
     assert seq.kind is tk.ScalarKind.COMPLEX
     g = tk.eval_grid(seq, 8, 8)
     assert np.iscomplexobj(g.values)
+
+
+def _spiral(M, N):
+    """complex_convergent's rule, evaluated at every cell."""
+    return (1.0 + 0.5j) + np.exp(1j * (M + N)) / (M + N + 2.0)
+
+
+def test_complex_blocks_match_the_elementwise_rule_bitwise():
+    seq = tk.corpus_sequence("complex_convergent")
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        r0, c0 = (int(v) for v in rng.integers(0, 10**6, 2))
+        rows, cols = (int(v) for v in rng.integers(1, 200, 2))
+        m, n = np.arange(r0, r0 + rows), np.arange(c0, c0 + cols)
+        want = _spiral(m[:, None], n[None, :])
+        assert seq.block(m, n).tobytes() == want.tobytes(), (r0, c0, rows, cols)
+    m = np.arange(1025)
+    assert seq.block(m, m).tobytes() == _spiral(m[:, None], m[None, :]).tobytes()
+    for at in [(0, 0), (3, 17), (10**6, 5), (123_457, 999_983)]:
+        want = _spiral(np.array(at[0]), np.array(at[1]))
+        assert np.complex128(seq.evaluate(*at)).tobytes() == want.tobytes()
+    empty = np.arange(0)
+    assert seq.block(empty, np.arange(5)).shape == (0, 5)
+    assert seq.block(np.arange(5), empty).shape == (5, 0)
+    assert seq.block(empty, empty).dtype == np.complex128
+    # sums spread wider than the cells: the rule evaluates each cell
+    M, N = np.array([[0], [10**12]]), np.array([[7, 3]])
+    assert seq.rule(M, N).tobytes() == _spiral(M, N).tobytes()
 
 
 def test_real_corpus_sequences_have_real_kind():
@@ -234,6 +263,99 @@ def test_chunked_prefix_is_bit_identical_to_the_scalar_loop(case):
     weights, sums = scalar_prefix(p._weight, count)
     assert p.weights_array(count - 1).tobytes() == weights.tobytes()
     assert p.prefix_array(count - 1).tobytes() == sums.tobytes()
+
+
+def _scalar_only(p):
+    """The same family driven by its scalar rule alone."""
+    return tk.WeightSequence(p._weight, name=p.name)
+
+
+ARRAY_RULE_CASES = {
+    "ones": tk.ones,
+    "harmonic": tk.harmonic,
+    **{f"power({b})": (lambda b=b: tk.power(b)) for b in (1.0, 1.5, -0.5, 2.0)},
+    **{f"geometric({r})": (lambda r=r: tk.geometric(r)) for r in (1.0001, 2.0)},
+    "wobble": tk.wobble,
+}
+
+
+def _grow(p, index):
+    """ensure(index), returning the error it raised as (type, message)."""
+    try:
+        p.ensure(index)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("case", sorted(ARRAY_RULE_CASES))
+def test_array_weight_rules_keep_the_scalar_rule_bits(case):
+    p = ARRAY_RULE_CASES[case]()
+    ref = _scalar_only(p)
+    assert _grow(p, 10**6) == _grow(ref, 10**6)
+    assert p.evaluated_count == ref.evaluated_count
+    assert p.weights_array(p.evaluated_count - 1).tobytes() == ref.weights_array(
+        ref.evaluated_count - 1
+    ).tobytes()
+    assert p.prefix_snapshot().tobytes() == ref.prefix_snapshot().tobytes()
+
+
+@pytest.mark.parametrize("make", [lambda: tk.geometric(2.0), lambda: tk.power(200.0)])
+def test_array_weight_rules_overflow_where_the_scalar_rule_does(make):
+    p = make()
+    ref = _scalar_only(p)
+    for index in (500, 2000, 5000):
+        got, want = _grow(p, index), _grow(ref, index)
+        assert got == want
+        assert p.evaluated_count == ref.evaluated_count
+        assert p.prefix_snapshot().tobytes() == ref.prefix_snapshot().tobytes()
+    assert want == (tk.PrefixOverflowError, f"{p.name}: partial sum overflowed at index "
+                    f"{p.evaluated_count}")
+    assert make().ensure_sum_exceeds(1e300) == _scalar_only(make()).ensure_sum_exceeds(1e300)
+
+
+def test_an_array_rule_that_raises_mid_chunk_leaves_the_scalar_error():
+    def weight(k):
+        if k == 3000:
+            raise ZeroDivisionError("no weight at 3000")
+        return 1.0 / (k + 1.0)
+
+    def weights(k0, k1):
+        if k0 <= 3000 < k1:
+            raise FloatingPointError("the array form gave up")
+        return 1.0 / (np.arange(k0, k1) + 1.0)
+
+    p = tk.WeightSequence(weight, name="hole", weights=weights)
+    ref = tk.WeightSequence(weight, name="hole")
+    for index in (100, 2999, 3000, 70_000):
+        assert _grow(p, index) == _grow(ref, index)
+        assert p.prefix_snapshot().tobytes() == ref.prefix_snapshot().tobytes()
+    assert _grow(p, 3000) == (ZeroDivisionError, "no weight at 3000")
+    assert p.evaluated_count == 3000
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["ones", "harmonic", "power"])
+def test_one_prefix_chunk_stays_small(name):
+    # Three chunks of 2^16 fill the cache to 3/4 of its capacity, so the
+    # fourth grows it without reallocating.  The recurrence's temporaries
+    # peak at about 3.3 MiB; the weights alone take at most two arrays of
+    # the chunk, and a list of its 2^16 arguments would add 2 MiB to them
+    # (it is freed before the recurrence, so only the first bound sees it).
+    p = tk.corpus_weight(name)
+    chunk = 1 << 16
+    p.ensure(3 * chunk - 1)
+    assert _peak_bytes(p._weights_over, 3 * chunk, 4 * chunk) <= 2.5 * 8 * chunk
+    assert _peak_bytes(p.ensure, 4 * chunk - 1) <= 4 << 20
+    assert p.evaluated_count == 4 * chunk
 
 
 def test_geometric_prefix_below_the_overflow_index_succeeds():
