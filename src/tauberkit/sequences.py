@@ -432,7 +432,9 @@ def array_sequence(values: np.ndarray, name: str = "array") -> DoubleSequence:
 # ones: numpy only for exactly rounded operations, and libm's pow, sin and
 # log through maps of the math functions (numpy's SIMD pow can differ from
 # libm's in the last bit at about 5 % of indices), with float arguments
-# built lazily so a chunk holds no list of them.
+# built lazily so a chunk holds no list of them.  geometric has none: its
+# partial sum overflows within about a thousand indices at r = 2, so the
+# scalar rule costs next to nothing there.
 
 
 def _plus_one(k0: int, k1: int):
@@ -473,13 +475,7 @@ def geometric(r: float = 2.0) -> WeightSequence:
     rv = float(r)
     if rv <= 1.0:
         raise WeightDomainError(f"geometric weights need r > 1, got {rv}")
-    return WeightSequence(
-        lambda m: rv**m,
-        name=f"geometric(r={rv:g})",
-        weights=lambda k0, k1: np.fromiter(
-            map(math.pow, itertools.repeat(rv), map(float, range(k0, k1))), np.float64, k1 - k0
-        ),
-    )
+    return WeightSequence(lambda m: rv**m, name=f"geometric(r={rv:g})")
 
 
 def wobble() -> WeightSequence:

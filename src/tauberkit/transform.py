@@ -134,12 +134,7 @@ def _mean_field_bands(seq, p, q, m_max, n_max, out=None):
                     np.add(s[i - 1], s[i], out=s[i])
                 down = s[-1].copy()
                 np.cumsum(s, axis=1, out=s)
-            # A row's cumulative sum stays non-finite to its end once it is
-            # inf or NaN, so the last column tells a finite band.  The last
-            # row does not: a row can overflow across while the rows below
-            # cancel its column sums.
-            if not np.isfinite(s[:, -1]).all():
-                bad = _first_nonfinite(s)
+            bad = _first_nonfinite(s)
             if bad is None:
                 sigma = band_sigma[: r1 - r0] if out is None else out[r0:r1]
                 np.multiply(pp[r0:r1, None], qp[None, :], out=sigma)

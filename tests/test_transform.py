@@ -235,26 +235,6 @@ def test_banded_mean_field_raises_the_whole_grid_error(monkeypatch, rows, case):
         assert (got.m, got.n) == (want.m, want.n) == (9, 3)
 
 
-@pytest.mark.parametrize("kind", ["real", "complex"])
-def test_an_overflow_inside_a_band_is_named_at_its_first_cell(monkeypatch, kind):
-    # Bands of four rows of a 12 x 8 grid.  Row 6 of the band of rows 4..7
-    # overflows across, at (6, 3), and row 7 cancels its column sums, so
-    # the band's last row stays finite and only its last column shows the
-    # overflow; the pass names the row-major first overflowed cell.
-    u = np.ones((12, 8)) * (1.0 if kind == "real" else 1.0 + 1.0j)
-    u[6, 2:4] = 1e308
-    u[7, 2:4] = -1e308
-    seq = tk.array_sequence(u, "mid_band")
-    want = _raised(_whole_grid_mean_field, seq, tk.ones(), tk.ones(), 11, 7)
-    assert str(want) == "mid_band: weighted numerator overflowed at (6, 3)"
-    with np.errstate(over="ignore", invalid="ignore"):
-        numerator = np.cumsum(np.cumsum(u, axis=0), axis=1)
-    assert np.isfinite(numerator[7]).all() and not np.isfinite(numerator[6, 3:]).any()
-    with _bands(monkeypatch, seq, 4, 11, 7) as banded:
-        got = _raised(tk.weighted_mean_field, banded, tk.ones(), tk.ones(), 11, 7)
-    assert (type(got), str(got)) == (type(want), str(want))
-
-
 @pytest.mark.parametrize("name", ["additive_convergent", "complex_convergent"])
 def test_single_mean_peak_memory_stays_within_three_blocks(name):
     seq = tk.corpus_sequence(name)
