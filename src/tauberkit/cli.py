@@ -205,8 +205,8 @@ class _ExprParser:
     @staticmethod
     def _lex(text: str):
         tokens = []
-        pos = 0
-        while pos < len(text):
+        pos, end = 0, len(text.rstrip())  # _TOKEN needs a token after its spaces
+        while pos < end:
             mt = _TOKEN.match(text, pos)
             if not mt or mt.end() == pos:
                 raise ValueError(f"bad character {text[pos]!r} in expression at {pos}")

@@ -22,9 +22,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import NonFiniteValueError, PrefixOverflowError, ResourceLimitError, ScalarKindError
-from .sequences import DoubleSequence, ScalarKind, WeightSequence, array_sequence
+from .sequences import DoubleSequence, ScalarKind, WeightSequence, _check_grid, array_sequence
 from .sequences import MAX_GRID_CELLS, geometric, harmonic, ones, power
-from .transform import _SUM_CHUNK, _corner_sums, _exact_sum, _mean_field_bands, sigma_single
+from .transform import _SUM_CHUNK, _corner_sums, _exact_sum, _mean_field_pass, sigma_single
 from .oscillation import (
     DecisionProfile,
     LimitEstimate,
@@ -491,34 +491,28 @@ def _limits(seq, p, q, cfg):
     """The grid horizon, its ladder, u on [t - 1..k]^2 for each rung k,
     t = ceil(tf * k), and the limits of u and sigma on [t..k]^2.
 
-    One banded mean-field pass keeps only those squares of u, with the row
-    and column before each that the difference bounds read, and of sigma.
+    One mean-field pass fills only those squares of u, with the row and
+    column before each that the difference bounds read, and of sigma.
     While u or the numerator is not finite in doubles, the horizon halves.
     """
     h = cfg.horizon
+    dtype = np.complex128 if seq.kind is ScalarKind.COMPLEX else np.float64
     while True:
         ladder = horizon_ladder(h)
         starts = [math.ceil(cfg.tail_fraction * k) for k in ladder]
-        held = []
+        _check_grid(seq, h, h)  # before the squares are allocated
+        keep_u = [(t - 1, np.empty((k + 2 - t,) * 2, dtype)) for t, k in zip(starts, ladder)]
+        keep_sigma = [(t, np.empty((k + 1 - t,) * 2, dtype)) for t, k in zip(starts, ladder)]
         try:
-            for r0, u, sigma in _mean_field_bands(seq, p, q, h, h):
-                # allocated once the first band has passed the cell budget
-                held = held or [[(t - d, np.empty((k + 1 - t + d,) * 2, u.dtype)) for t, k in zip(starts, ladder)]
-                                for d in (1, 0)]
-                for squares, band in zip(held, (u, sigma)):
-                    for t, sq in squares:
-                        lo = max(r0, t)
-                        hi = max(lo, min(r0 + len(band), t + len(sq)))
-                        sq[lo - t : hi - t] = band[lo - r0 : hi - r0, t : t + len(sq)]
-                del u, sigma  # not held while the pass makes the next band
+            _mean_field_pass(seq, p, q, h, h, keep_u, keep_sigma)
             break
         except (NonFiniteValueError, PrefixOverflowError):
             if h // 2 < 64:
                 raise
             h //= 2
-    u_squares, sigma_squares = ([sq for _, sq in squares] for squares in held)
+    u_squares = [sq for _, sq in keep_u]
     u_limit = _limit_estimate([sq[1:, 1:] for sq in u_squares], ladder, cfg.tail_fraction, cfg.eps_dec)
-    sigma_limit = _limit_estimate(sigma_squares, ladder, cfg.tail_fraction, cfg.eps_dec)
+    sigma_limit = _limit_estimate([sq for _, sq in keep_sigma], ladder, cfg.tail_fraction, cfg.eps_dec)
     return h, ladder, u_squares, u_limit, sigma_limit
 
 

@@ -197,20 +197,20 @@ def _axis_window(w, anchor, scale, direction, known) -> tuple[int, int]:
     return known[key]
 
 
-def _resolve(spec, direction, p, q, m, n, lam, kappa, budget, known):
+def _resolve(spec, direction, p, q, m, n, lam, kappa, known):
     """Row and column window (lo, hi) of one anchor, axis windows cached in
     known.  Grows the prefixes as needed; HorizonError propagates when
-    max_index is hit first, and a rectangle over the cell budget raises
+    max_index is hit first, and a rectangle over MAX_WINDOW_CELLS raises
     ResourceLimitError.
     """
     rows = (m, m) if spec.shape == "q" else _axis_window(p, m, lam, direction, known)
     cols = (n, n) if spec.shape == "p" else _axis_window(q, n, kappa, direction, known)
-    if spec.shape == "pq" and budget is not None:
+    if spec.shape == "pq":
         cells = (rows[1] - rows[0] + 1) * (cols[1] - cols[0] + 1)
-        if cells > budget:
+        if cells > MAX_WINDOW_CELLS:
             raise ResourceLimitError(
                 f"window [{rows[0]}..{rows[1]}]x[{cols[0]}..{cols[1]}] has {cells} cells, "
-                f"budget {budget}", cells=cells
+                f"budget {MAX_WINDOW_CELLS}", cells=cells
             )
     return rows, cols
 
@@ -339,7 +339,7 @@ def _window_values(seq, direction, wins) -> list[float]:
 
 
 def _rung_values(seq, p, q, functionals, horizons, lambda_ladder, kappa_ladder,
-                 tail_fraction, budget, stop_at_gap):
+                 tail_fraction, stop_at_gap):
     """(functional, descriptor, lam, kappa, horizon, tail cells, slots) per
     rung; a slot per anchor tried, in row-major order, holds its value or
     why it has none: ("horizon", HorizonError.needed) or ("budget", cells).
@@ -364,7 +364,7 @@ def _rung_values(seq, p, q, functionals, horizons, lambda_ladder, kappa_ladder,
                 rungs.append((name, spec, lam, kap, h, cells, slots))
                 for m, n in itertools.product(cells, cells):
                     try:
-                        win = _resolve(spec, fwd, p, q, m, n, lam, kap, budget, known)
+                        win = _resolve(spec, fwd, p, q, m, n, lam, kap, known)
                     except HorizonError as exc:
                         slots.append(("horizon", exc.needed))
                     except ResourceLimitError as exc:
@@ -396,7 +396,7 @@ def _rung_values(seq, p, q, functionals, horizons, lambda_ladder, kappa_ladder,
 def window_functional(
     name: str, seq: DoubleSequence, p: WeightSequence | None, q: WeightSequence | None,
     m: int, n: int, lam: float | None, kappa: float | None,
-    direction: WindowDirection = WindowDirection.FORWARD, budget: int = MAX_WINDOW_CELLS,
+    direction: WindowDirection = WindowDirection.FORWARD,
 ) -> float:
     """One named window functional at the anchor (m, n).
 
@@ -406,12 +406,12 @@ def window_functional(
     ref - x, e.g. sd_both is min over the rectangle of u(m, n) - u(i, j).
     The spreads read max |x - ref| either way.  A line functional ignores
     the other axis, so the P forms need no q or kappa and the Q forms no p
-    or lam.  A rectangle over budget cells raises ResourceLimitError before
-    any cell is evaluated.
+    or lam.  A rectangle over MAX_WINDOW_CELLS raises ResourceLimitError
+    before any cell is evaluated.
     """
     what = name if direction is WindowDirection.FORWARD else f"backward {name}"
     spec = _functional(name, seq, what)
-    rows, cols = _resolve(spec, direction, p, q, m, n, lam, kappa, budget, {})
+    rows, cols = _resolve(spec, direction, p, q, m, n, lam, kappa, {})
     return _window_values(seq, direction, [_Window(spec, rows, cols, m)])[0]
 
 
@@ -605,7 +605,7 @@ class DecisionProfile:
 def build_window_profiles(
     seq: DoubleSequence, p: WeightSequence, q: WeightSequence, functionals: list[str],
     horizons: list[int], lambda_ladder: list[float], kappa_ladder: list[float] | None = None,
-    tail_fraction: float = 0.5, budget: int = MAX_WINDOW_CELLS,
+    tail_fraction: float = 0.5,
 ) -> dict[str, DecisionProfile]:
     """Sample window functionals on tail cells across scales and horizons.
 
@@ -615,7 +615,7 @@ def build_window_profiles(
     serves every functional and scale.
     """
     ladder = _rung_values(seq, p, q, functionals, horizons, lambda_ladder, kappa_ladder,
-                          tail_fraction, budget, stop_at_gap=True)
+                          tail_fraction, stop_at_gap=True)
     rungs = {name: [] for name in functionals}
     for name, spec, lam, kap, h, _, slots in ladder:
         gap = next((s for s in slots if isinstance(s, tuple)), None)
@@ -747,13 +747,13 @@ def export_profiles_csv(profiles: list[DecisionProfile], path: str) -> None:
 def profile_samples(
     seq: DoubleSequence, p: WeightSequence, q: WeightSequence, functional: str,
     horizons: list[int], lambda_ladder: list[float], kappa_ladder: list[float] | None = None,
-    tail_fraction: float = 0.5, budget: int = MAX_WINDOW_CELLS,
+    tail_fraction: float = 0.5,
 ) -> list[tuple[float, float, int, int, int, float | None]]:
     """Raw per-cell values behind a decision profile: rows (lambda, kappa,
     horizon, m, n, value) over the tail cells build_window_profiles
     aggregates, value None where a window exceeds the budgets."""
     ladder = _rung_values(seq, p, q, [functional], horizons, lambda_ladder, kappa_ladder,
-                          tail_fraction, budget, stop_at_gap=False)
+                          tail_fraction, stop_at_gap=False)
     return [
         (lam, kap, h, m, n, None if isinstance(v, tuple) else v)
         for _, _, lam, kap, h, cells, slots in ladder

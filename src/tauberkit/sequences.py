@@ -457,10 +457,10 @@ def harmonic() -> WeightSequence:
 
 
 def power(beta: float = 1.0) -> WeightSequence:
-    """p_m = (m+1)^beta for beta > -1; partial sums vary regularly with index beta+1."""
+    """p_m = (m+1)^beta for finite beta > -1; partial sums vary regularly with index beta+1."""
     bv = float(beta)
-    if bv <= -1.0:
-        raise WeightDomainError(f"power weights need beta > -1, got {bv}")
+    if not -1.0 < bv < math.inf:  # nan fails too
+        raise WeightDomainError(f"power weights need a finite beta > -1, got {bv}")
     return WeightSequence(
         lambda m: (m + 1.0) ** bv,
         name=f"power(beta={bv:g})",
@@ -471,10 +471,10 @@ def power(beta: float = 1.0) -> WeightSequence:
 
 
 def geometric(r: float = 2.0) -> WeightSequence:
-    """p_m = r^m for r > 1; partial sums vary rapidly."""
+    """p_m = r^m for finite r > 1; partial sums vary rapidly."""
     rv = float(r)
-    if rv <= 1.0:
-        raise WeightDomainError(f"geometric weights need r > 1, got {rv}")
+    if not 1.0 < rv < math.inf:  # nan fails too
+        raise WeightDomainError(f"geometric weights need a finite r > 1, got {rv}")
     return WeightSequence(lambda m: rv**m, name=f"geometric(r={rv:g})")
 
 

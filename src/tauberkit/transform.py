@@ -2,18 +2,17 @@
 
 The field pass accumulates sigma(m, n) over a grid in row bands of
 _SUM_CHUNK words, with the bits of one double cumulative sum of the whole
-grid, so a caller can keep only the cells it reads, copying them out of the
-pass's reused buffers; the single-cell evaluator recomputes one mean by
-direct exact summation (math.fsum) and exists so the fast path can be
-checked against an independently rounded route.  The lemma splits need the
-exact sums of four nested rectangles of one block: _corner_sums bins them
-band by band, with math.fsum's bits, and sigma_single stays their oracle.
+grid, and fills only the rectangles of u and sigma its caller keeps; the
+single-cell evaluator recomputes one mean by direct exact summation
+(math.fsum) and exists so the fast path can be checked against an
+independently rounded route.  The lemma splits need the exact sums of four
+nested rectangles of one block: _corner_sums bins them band by band, with
+math.fsum's bits, and sigma_single stays their oracle.
 export_grid_csv writes a grid as text through an exact numpy kernel for
 %.17g (_decimal, _text_words); b"%.17g" % x formats what it cannot certify.
 """
 from __future__ import annotations
 
-import collections
 import contextlib
 import itertools
 import math
@@ -71,14 +70,13 @@ def weighted_mean_field(
     S(m, n) = S(m-1, n) + S(m, n-1) - S(m-1, n-1) + p_m q_n u(m, n)
     without storing intermediate corners.  Raises on non-finite sequence
     values or an overflowing accumulation, naming the first offending cell.
-    The sigma grid is filled band by band by _mean_field_bands, so the
-    peak stays within that one grid and a band's u and numerator: a
-    deque of length 0 drops each band before the pass makes the next.
+    The sigma grid is the one rectangle _mean_field_pass fills, so the
+    peak stays within that one grid and a band's u and numerator.
     """
     _check_grid(seq, m_max, n_max)  # before the grid is allocated
     dtype = np.complex128 if seq.kind is ScalarKind.COMPLEX else np.float64
     sigma = np.empty((m_max + 1, n_max + 1), dtype)
-    collections.deque(_mean_field_bands(seq, p, q, m_max, n_max, out=sigma), maxlen=0)
+    _mean_field_pass(seq, p, q, m_max, n_max, keep_sigma=[(0, sigma)])
     return MeanField(
         sequence_name=seq.name,
         weights_p=p.name,
@@ -87,25 +85,25 @@ def weighted_mean_field(
     )
 
 
-def _mean_field_bands(seq, p, q, m_max, n_max, out=None):
-    """Yield (r0, u, sigma) on row bands [r0, r0 + rows) x [0..n_max] of at
-    most _SUM_CHUNK float64 words (a complex cell is two), or one row, top
-    to bottom.  Every band sums its numerator in one buffer of the pass,
-    and sigma is a view of the grid out, if given, or of one more buffer:
-    the yielded u and sigma are valid until the generator resumes.
+def _mean_field_pass(seq, p, q, m_max, n_max, keep_u=(), keep_sigma=()):
+    """Fill each kept rectangle (t, dst) of u or of sigma with the grid's
+    values on [t..] x [t..], dst's shape giving the extent, in one pass over
+    row bands [r0, r0 + rows) x [0..n_max] of at most _SUM_CHUNK float64
+    words (a complex cell is two), or one row, top to bottom.  sigma is
+    divided straight into the kept cells and made nowhere else.
 
     A band's first row of products takes the previous band's last row of
     sums down the columns, and each later row the row above it, one row-wise
     add at a time along numpy's fast axis: the additions, in order, of one
     cumsum of the whole grid each way, so every bit is the whole grid's.
-    So is the error order: bounds and cell budget; a rule error or
-    non-finite u cell anywhere; p's weights, then q's; the row-major first
-    overflowed numerator cell.  An error is held while later bands of u are
-    checked.  Weights are positive and finite, so a non-finite u cell makes
-    its numerator cell non-finite: u is checked only in a band whose
-    numerator is not finite, or once an error is held.
+    So is the error order: bounds and cell budget, checked by the caller
+    before it allocates the keeps; a rule error or non-finite u cell
+    anywhere; p's weights, then q's; the row-major first overflowed
+    numerator cell.  An error is held while later bands of u are checked.
+    Weights are positive and finite, so a non-finite u cell makes its
+    numerator cell non-finite: u is checked only in a band whose numerator
+    is not finite, or once an error is held.  A raise leaves keeps part filled.
     """
-    _check_grid(seq, m_max, n_max)
     nonfinite = late = None
     try:
         pw, qw = p.weights_array(m_max), q.weights_array(n_max)
@@ -113,12 +111,11 @@ def _mean_field_bands(seq, p, q, m_max, n_max, out=None):
     except Exception as exc:  # raised once every band of u is checked
         late = exc
     cols = np.arange(n_max + 1)
-    # A complex u gets complex buffers: numpy promotes the real weight
+    # A complex u gets a complex buffer: numpy promotes the real weight
     # products to complex in any case, so the bits are out-of-place ones.
     dtype = np.dtype(np.complex128 if seq.kind is ScalarKind.COMPLEX else np.float64)
     step = min(m_max + 1, max(1, 8 * _SUM_CHUNK // (dtype.itemsize * cols.size)))
     buf = np.empty((step, cols.size), dtype)
-    band_sigma = np.empty_like(buf) if out is None else None
     for r0 in range(0, m_max + 1, step):
         r1 = min(r0 + step, m_max + 1)
         u = seq.block(np.arange(r0, r1), cols)
@@ -136,10 +133,11 @@ def _mean_field_bands(seq, p, q, m_max, n_max, out=None):
                 np.cumsum(s, axis=1, out=s)
             bad = _first_nonfinite(s)
             if bad is None:
-                sigma = band_sigma[: r1 - r0] if out is None else out[r0:r1]
-                np.multiply(pp[r0:r1, None], qp[None, :], out=sigma)
-                np.divide(s, sigma, out=sigma)
-                yield r0, u, sigma
+                for rows, cells, rect in _band_overlaps(keep_u, r0, r1):
+                    rect[...] = u[rows, cells]
+                for rows, cells, rect in _band_overlaps(keep_sigma, r0, r1):
+                    np.multiply(pp[r0:r1][rows, None], qp[None, cells], out=rect)
+                    np.divide(s[rows, cells], rect, out=rect)
         if nonfinite is None and (late or bad) and (at := _first_nonfinite(u)) is not None:
             m, n = r0 + at[0], at[1]
             nonfinite = NonFiniteValueError(f"{seq.name}: non-finite value at {(m, n)}", m=m, n=n)
@@ -148,6 +146,13 @@ def _mean_field_bands(seq, p, q, m_max, n_max, out=None):
         del u
     if nonfinite or late:
         raise nonfinite or late
+
+
+def _band_overlaps(keeps, r0, r1):
+    """(band rows, columns, dst rows) of each keep (t, dst) meeting grid rows [r0, r1)."""
+    for t, dst in keeps:
+        if (lo := max(r0, t)) < (hi := min(r1, t + len(dst))):
+            yield slice(lo - r0, hi - r0), slice(t, t + dst.shape[1]), dst[lo - t : hi - t]
 
 
 def _exact_sum(arr: np.ndarray) -> float | complex:

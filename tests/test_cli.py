@@ -199,6 +199,27 @@ def test_weights_that_overflow_before_their_sums_back_off(tmp_path, args, code):
             2,
             "error: expected ) at end of expression in '(m'",
         ),
+        (
+            ("transform", "--horizon", "64", "--sequence", " "),
+            2,
+            "error: unexpected end of expression in ' '",
+        ),
+        (
+            ("transform", "--horizon", "64", "--weights-p", "power:beta=1e999"),
+            2,
+            "error: power weights need a finite beta > -1, got inf",
+        ),
+        (
+            ("transform", "--horizon", "64", "--weights-q", "geometric:r=1e999"),
+            2,
+            "error: geometric weights need a finite r > 1, got inf",
+        ),
+        (
+            # a finite exponent whose weights overflow is a failed computation
+            ("transform", "--horizon", "64", "--weights-p", "power:beta=1000"),
+            1,
+            "error: power(beta=1000): partial sum overflowed at index 2",
+        ),
     ],
 )
 def test_failures_exit_with_one_error_line(tmp_path, args, code, message):
@@ -548,6 +569,14 @@ def test_expression_parser_rejects_garbage():
             expression_sequence(text)
     with pytest.raises(ValueError, match=r"^expected \) at token 2 in '\(m n\)'$"):
         expression_sequence("(m n)")
+
+
+@pytest.mark.parametrize("text", ["m + 1 ", "sin( n ) ", "m/(n+1)\t\n", " m "])
+def test_expressions_may_end_in_whitespace(text):
+    import tauberkit as tk
+
+    want = tk.eval_grid(expression_sequence(text.strip()), 5, 5).values
+    assert tk.eval_grid(expression_sequence(text), 5, 5).values.tobytes() == want.tobytes()
 
 
 def test_spec_parameters_must_belong_to_the_factory():

@@ -594,7 +594,7 @@ def test_verify_theorem_evaluates_each_grid_cell_once(monkeypatch):
 
 def test_bound_profiles_need_no_window_budget(monkeypatch):
     # the rungs at 32 and 64 read [15..32]^2 and [31..64]^2, 324 and 1156
-    # cells of u, from the tail squares the mean-field pass held
+    # cells of u, from the tail squares the mean-field pass filled
     monkeypatch.setattr(tk.oscillation, "MAX_WINDOW_CELLS", 100)
     rep = tk.verify_theorem(ALT, tk.ones(), tk.ones(), tk.Theorem.T52,
                             tk.HarnessConfig(horizon=64, class_horizon=4096))
@@ -625,8 +625,8 @@ _ORACLE_SEQUENCES = ["additive_convergent", "alternating", "complex_convergent",
 
 # Bands of one row put a band edge at every t - 1, t and k of the ladder, and
 # bands of seven rows end inside some squares; the default is one band.  The
-# pass reuses its buffers from band to band, so a copy out of a band that
-# kept a view of it would read a later band's values.
+# pass fills each square band by band, so rows taken from the wrong band, or
+# sigma divided by the wrong weight sums, would leave the whole grid's bits.
 @pytest.mark.parametrize("rows", [1, 7, None], ids=lambda r: f"band_rows={r}")
 @pytest.mark.parametrize("tail_fraction", [0.3, 0.5, 0.9])
 @pytest.mark.parametrize("name", _ORACLE_SEQUENCES)

@@ -387,9 +387,10 @@ def test_profile_samples_walk_the_tail_cells():
     assert m >= 16 and n >= 16
 
 
-def test_profile_samples_return_none_beyond_the_cell_budget():
+def test_profile_samples_return_none_beyond_the_cell_budget(monkeypatch):
+    monkeypatch.setattr(tk.oscillation, "MAX_WINDOW_CELLS", 10)
     rows = tk.profile_samples(
-        tk.corpus_sequence("constant"), tk.ones(), tk.ones(), "sd_both", [64], [2.0], budget=10
+        tk.corpus_sequence("constant"), tk.ones(), tk.ones(), "sd_both", [64], [2.0]
     )
     assert rows
     assert all(v is None for *_, v in rows)
@@ -495,12 +496,16 @@ def _ref_samples(seq, p, q, name, horizons, ladder, budget):
 
 
 def _engine_profile(seq, p, q, name, horizons, ladder, budget):
-    prof = tk.build_window_profiles(seq, p, q, [name], horizons, ladder, budget=budget)[name]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tk.oscillation, "MAX_WINDOW_CELLS", budget)
+        prof = tk.build_window_profiles(seq, p, q, [name], horizons, ladder)[name]
     return [None if r.stat is None else (repr(r.stat), r.cells) for r in prof.rungs]
 
 
 def _engine_samples(seq, p, q, name, horizons, ladder, budget):
-    rows = tk.profile_samples(seq, p, q, name, horizons, ladder, budget=budget)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tk.oscillation, "MAX_WINDOW_CELLS", budget)
+        rows = tk.profile_samples(seq, p, q, name, horizons, ladder)
     return [v for *_, v in rows]
 
 
@@ -587,13 +592,15 @@ def test_window_functional_matches_the_per_anchor_reference_bitwise(band_cells, 
 
 
 @pytest.mark.parametrize("direction", list(tk.WindowDirection))
-def test_window_functional_checks_the_budget_before_reading_cells(direction):
+def test_window_functional_checks_the_budget_before_reading_cells(monkeypatch, direction):
     # the anchor's own cell is infinite, but the rectangle is over budget
     seq = _poisoned((100, 50))
     lam = 1.5 if direction is FORWARD else 0.5
     args = (seq, tk.ones(), tk.ones(), 100, 50, lam, lam, direction)
-    with pytest.raises(tk.ResourceLimitError):
-        tk.window_functional("so_both", *args, budget=100)
+    with monkeypatch.context() as mp:
+        mp.setattr(tk.oscillation, "MAX_WINDOW_CELLS", 100)
+        with pytest.raises(tk.ResourceLimitError):
+            tk.window_functional("so_both", *args)
     with pytest.raises(tk.NonFiniteValueError):
         tk.window_functional("so_both", *args)
 
@@ -671,7 +678,9 @@ _THEOREM_SETS = {
 
 
 def _engine_profiles(seq, p, q, names, horizons, ladder, budget):
-    profs = tk.build_window_profiles(seq, p, q, names, horizons, ladder, budget=budget)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tk.oscillation, "MAX_WINDOW_CELLS", budget)
+        profs = tk.build_window_profiles(seq, p, q, names, horizons, ladder)
     assert list(profs) == names
     return [
         [None if r.stat is None else (repr(r.stat), r.cells) for r in prof.rungs]
@@ -766,17 +775,17 @@ def test_verify_theorem_reads_each_window_cell_of_a_horizon_once(monkeypatch):
     assert cells[0] == 198_736
 
 
-def test_unsampled_rungs_say_why():
+def test_unsampled_rungs_say_why(monkeypatch):
     short = tk.WeightSequence(lambda k: 1.0, name="short", max_index=90)
     prof = tk.build_window_profiles(ADD, short, short, ["so_both"], [32, 64], [1.5])["so_both"]
     with pytest.raises(tk.HorizonError) as exc:
         tk.window_functional("so_both", ADD, short, short, 64, 32, 1.5, 1.5)
     assert [r.reason for r in prof.rungs] == [None, ("horizon", exc.value.needed)]
 
-    prof = tk.build_window_profiles(ADD, tk.ones(), tk.ones(), ["so_both"], [32, 64], [1.5],
-                                    budget=500)["so_both"]
+    monkeypatch.setattr(tk.oscillation, "MAX_WINDOW_CELLS", 500)
+    prof = tk.build_window_profiles(ADD, tk.ones(), tk.ones(), ["so_both"], [32, 64], [1.5])["so_both"]
     with pytest.raises(tk.ResourceLimitError) as exc:
-        tk.window_functional("so_both", ADD, tk.ones(), tk.ones(), 32, 64, 1.5, 1.5, budget=500)
+        tk.window_functional("so_both", ADD, tk.ones(), tk.ones(), 32, 64, 1.5, 1.5)
     assert [r.reason for r in prof.rungs] == [None, ("budget", exc.value.cells)]
     # the reason is a note on the rung, not part of its value
     gap = prof.rungs[1]

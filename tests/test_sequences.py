@@ -197,6 +197,15 @@ def test_power_weights_reject_non_summable_exponents():
         tk.power(-1.5)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_weight_parameters_must_be_finite(value):
+    # refused at construction, not where the first weight overflows
+    with pytest.raises(tk.WeightDomainError, match=f"^power weights need a finite beta > -1, got {value}$"):
+        tk.power(value)
+    with pytest.raises(tk.WeightDomainError, match=f"^geometric weights need a finite r > 1, got {value}$"):
+        tk.geometric(value)
+
+
 def test_max_index_guard_raises_horizon_error():
     p = tk.WeightSequence(lambda m: 1.0, name="tiny", max_index=100)
     with pytest.raises(tk.HorizonError, match="beyond max_index"):

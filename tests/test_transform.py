@@ -168,21 +168,51 @@ def _bands(monkeypatch, seq, rows, m_max, n_max, last_row=None):
     assert calls == [(r0, min(step, m_max + 1 - r0)) for r0 in range(0, last_row + 1, step)]
 
 
+def _sequences():
+    specs = ("additive_convergent", "complex_convergent", "1/(m+1)+sin(n)/(n+1)")
+    return [*map(parse_sequence_spec, specs), _signed_zeros()]
+
+
 # Twelve-row grids: bands of 5 rows leave a short last band, 4 rows divide
-# the grid exactly, and 11 rows leave one row past them.
-@pytest.mark.parametrize("rows", [None, 1, 4, 5, 11], ids=lambda r: f"band_rows={r}")
+# the grid exactly, 7 rows leave a short second band, and 11 rows leave one
+# row past them.
+_BAND_ROWS = [None, 1, 4, 5, 7, 11]
+
+
+@pytest.mark.parametrize("rows", _BAND_ROWS, ids=lambda r: f"band_rows={r}")
 @pytest.mark.parametrize("family", _FAMILIES)
 def test_banded_mean_field_keeps_the_whole_grid_bits(monkeypatch, rows, family):
     q_family = _FAMILIES[(_FAMILIES.index(family) + 1) % len(_FAMILIES)]
-    sequences = [parse_sequence_spec(spec) for spec in
-                 ("additive_convergent", "complex_convergent", "1/(m+1)+sin(n)/(n+1)")]
-    for seq in [*sequences, _signed_zeros()]:
+    for seq in _sequences():
         for m_max, n_max in ((11, 11), (11, 7)):
             p, q = _family(family), _family(q_family)
             with _bands(monkeypatch, seq, rows, m_max, n_max) as banded:
                 fld = tk.weighted_mean_field(banded, p, q, m_max, n_max)
             sigma = _whole_grid_mean_field(seq, p, q, m_max, n_max)
             assert fld.sigma.values.tobytes() == sigma.tobytes(), (seq.name, m_max, n_max)
+
+
+# Squares [t..k]^2 of sigma with u's squares [t - 1..k]^2 over them: some
+# start and end inside one band, some span bands, one reaches the last row.
+_SQUARES = [(1, 7), (3, 6), (5, 5), (6, 7), (9, 11)]
+
+
+@pytest.mark.parametrize("rows", _BAND_ROWS, ids=lambda r: f"band_rows={r}")
+def test_mean_field_pass_fills_the_kept_rectangles_with_the_grid_bits(monkeypatch, rows):
+    p, q = tk.harmonic(), tk.power(1.5)
+    for seq in _sequences():
+        for m_max, n_max in ((11, 11), (11, 7)):
+            u = tk.eval_grid(seq, m_max, n_max).values
+            sigma = tk.weighted_mean_field(seq, p, q, m_max, n_max).sigma.values
+            squares = [(t, k) for t, k in _SQUARES if k <= n_max]
+            keep_u = [(t - 1, np.empty((k + 2 - t,) * 2, u.dtype)) for t, k in squares]
+            keep_sigma = [(t, np.empty((k + 1 - t,) * 2, u.dtype)) for t, k in squares]
+            with _bands(monkeypatch, seq, rows, m_max, n_max) as banded:
+                transform._mean_field_pass(banded, p, q, m_max, n_max, keep_u, keep_sigma)
+            for (t, k), (_, got_u), (_, got_sigma) in zip(squares, keep_u, keep_sigma):
+                where = (seq.name, m_max, n_max, t, k)
+                assert got_u.tobytes() == u[t - 1 : k + 1, t - 1 : k + 1].tobytes(), where
+                assert got_sigma.tobytes() == sigma[t : k + 1, t : k + 1].tobytes(), where
 
 
 def _raised(fn, *args):
@@ -231,6 +261,12 @@ def test_banded_mean_field_raises_the_whole_grid_error(monkeypatch, rows, case):
     with _bands(monkeypatch, seq, rows, 11, 7, last_row) as banded:
         got = _raised(tk.weighted_mean_field, banded, p, q, 11, 7)
     assert (type(got), str(got)) == (type(want), str(want))
+    # kept rectangles change nothing of what the pass raises
+    seq, p, q = case()
+    keeps = [(1, np.empty((6, 6))), (5, np.empty((3, 3)))]
+    with _bands(monkeypatch, seq, rows, 11, 7, last_row) as banded:
+        kept = _raised(transform._mean_field_pass, banded, p, q, 11, 7, keeps, keeps)
+    assert (type(kept), str(kept)) == (type(want), str(want))
     if isinstance(want, tk.NonFiniteValueError):
         assert (got.m, got.n) == (want.m, want.n) == (9, 3)
 
