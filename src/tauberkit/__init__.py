@@ -57,7 +57,6 @@ from .variation import (
 from .oscillation import (
     DecisionProfile,
     LimitEstimate,
-    WindowDirection,
     backward_window_lower_index,
     build_window_profiles,
     empirical_limit,

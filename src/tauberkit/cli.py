@@ -181,9 +181,26 @@ _FUNCTIONS = {
 }
 
 
+# Operands are numpy scalars, so 1/0 is inf under DoubleSequence.block's
+# errstate rather than a ZeroDivisionError.
+_CONSTANTS = {"pi": np.float64(math.pi), "e": np.float64(math.e)}
+
+
 # Deepest nesting of parentheses, calls, unary minus and powers accepted;
 # each level costs the parser about five stack frames.
 MAX_EXPR_DEPTH = 100
+
+
+def _power(base, exponent):
+    """base ^ exponent with both operands at the block's full shape: numpy
+    takes its sqrt, square and reciprocal paths, whose bits differ, for an
+    exponent of 0.5, 2 or -1 that repeats with stride 0."""
+    def node(M, N):
+        shape = np.broadcast_shapes(M.shape, N.shape)
+        a, b = (x if np.shape(x) == shape else np.full(shape, x) for x in (base(M, N), exponent(M, N)))
+        return np.power(a, b)
+
+    return node
 
 
 class _ExprParser:
@@ -191,7 +208,10 @@ class _ExprParser:
 
     Grammar: + - * / ^ (right-assoc), unary minus, parentheses, the
     variables m and n, pi and e, one-argument log/exp/sin/cos/sqrt/abs,
-    and two-argument pow.  Compiles to a closure over numpy index arrays.
+    and two-argument pow.  Compiles to a closure over numpy index arrays,
+    with m a float column, n a float row and numbers numpy scalars, so each
+    operation runs on the shape its operands broadcast to and
+    DoubleSequence.block broadcasts the result.
     Chains of + - and * / compile to one loop each, so only nesting, which
     is capped at MAX_EXPR_DEPTH, deepens the parser or the closure.
     """
@@ -278,32 +298,29 @@ class _ExprParser:
         base = self._atom()
         if self._peek() == ("op", "^"):
             self._take()
-            exponent = self._unary()
-            return lambda M, N: np.power(base(M, N), exponent(M, N))
+            return _power(base, self._unary())
         return base
 
     def _atom(self):
         kind, value = self._peek()
         if kind == "num":
             self._take()
-            return lambda M, N, v=value: np.full(np.broadcast_shapes(M.shape, N.shape), v)
+            return lambda M, N, v=np.float64(value): v
         if kind == "id":
             self._take()
             if value == "m":
-                return lambda M, N: np.broadcast_to(M, np.broadcast_shapes(M.shape, N.shape)).astype(np.float64)
+                return lambda M, N: M.astype(np.float64)
             if value == "n":
-                return lambda M, N: np.broadcast_to(N, np.broadcast_shapes(M.shape, N.shape)).astype(np.float64)
-            if value == "pi":
-                return lambda M, N: np.full(np.broadcast_shapes(M.shape, N.shape), math.pi)
-            if value == "e":
-                return lambda M, N: np.full(np.broadcast_shapes(M.shape, N.shape), math.e)
+                return lambda M, N: N.astype(np.float64)
+            if value in _CONSTANTS:
+                return lambda M, N, v=_CONSTANTS[value]: v
             if value == "pow":
                 self._take("op", "(")
                 a = self._expr()
                 self._take("op", ",")
                 b = self._expr()
                 self._take("op", ")")
-                return lambda M, N: np.power(a(M, N), b(M, N))
+                return _power(a, b)
             if value in _FUNCTIONS:
                 fn = _FUNCTIONS[value]
                 self._take("op", "(")
@@ -326,7 +343,8 @@ def expression_sequence(text: str) -> DoubleSequence:
     return DoubleSequence(name=text, rule=rule)
 
 
-_PARAM_SPEC = re.compile(r"^([A-Za-z_]+)=([-+0-9.eE]+)$")
+_PARAM_SPEC = re.compile(r"^([A-Za-z_]+)=(.+)$")
+_NUMBER = re.compile(r"[-+0-9.eE]+")
 
 
 def _parse_params(spec: str) -> dict[str, float]:
@@ -338,6 +356,8 @@ def _parse_params(spec: str) -> dict[str, float]:
         key, value = mt.groups()
         if key in params:
             raise ValueError(f"parameter {key} given twice in {spec!r}")
+        if not _NUMBER.fullmatch(value):
+            raise ValueError(f"value {value!r} of parameter {key} is not a number")
         try:
             params[key] = float(value)
         except ValueError:

@@ -28,7 +28,6 @@ from .transform import _SUM_CHUNK, _corner_sums, _exact_sum, _mean_field_pass, s
 from .oscillation import (
     DecisionProfile,
     LimitEstimate,
-    WindowDirection,
     _bound_profiles,
     _limit_estimate,
     build_window_profiles,
@@ -175,7 +174,7 @@ def _corner_means(seq, p, q, corners):
     return [s / (p.prefix(i) * q.prefix(j)) for s, (i, j) in zip(sums[:: 1 if mu > m else -1], corners)], window
 
 
-def _lemma(direction, seq, p, q, m, n, mu, eta) -> tuple[LemmaDecomposition, np.ndarray]:
+def _lemma(forward, seq, p, q, m, n, mu, eta) -> tuple[LemmaDecomposition, np.ndarray]:
     """Split against the block between the anchor (m, n) and (mu, eta), and
     u on that block with its first row and column: [min(m, mu)..max(m, mu)]
     x [min(n, eta)..max(n, eta)].
@@ -184,7 +183,6 @@ def _lemma(direction, seq, p, q, m, n, mu, eta) -> tuple[LemmaDecomposition, np.
     backward block (mu..m] x (eta..n] needs mu < m and eta < n and flips the
     sign of each mean difference and of the window term.
     """
-    forward = direction is WindowDirection.FORWARD
     for a, b, x, y in (("m", "mu", m, mu), ("n", "eta", n, eta)):
         if forward and not 0 <= x < y:
             raise ValueError(f"forward split needs {b} > {a} >= 0, got {a}={x}, {b}={y}")
@@ -207,7 +205,7 @@ def _lemma(direction, seq, p, q, m, n, mu, eta) -> tuple[LemmaDecomposition, np.
     residual = _exact_sum(np.array([lhs, -t1, -t2, -t3, t_window if forward else -t_window]))
     scale = max(1.0, abs(lhs), abs(t1), abs(t2), abs(t3), abs(t_window))
     return LemmaDecomposition(
-        direction=direction.value,
+        direction="forward" if forward else "backward",
         m=m,
         n=n,
         mu=mu,
@@ -226,14 +224,14 @@ def lemma_forward(
     seq: DoubleSequence, p: WeightSequence, q: WeightSequence, m: int, n: int, mu: int, eta: int
 ) -> LemmaDecomposition:
     """Split against the forward block (m..mu] x (n..eta]."""
-    return _lemma(WindowDirection.FORWARD, seq, p, q, m, n, mu, eta)[0]
+    return _lemma(True, seq, p, q, m, n, mu, eta)[0]
 
 
 def lemma_backward(
     seq: DoubleSequence, p: WeightSequence, q: WeightSequence, m: int, n: int, mu: int, eta: int
 ) -> LemmaDecomposition:
     """Split against the backward block (mu..m] x (eta..n]."""
-    return _lemma(WindowDirection.BACKWARD, seq, p, q, m, n, mu, eta)[0]
+    return _lemma(False, seq, p, q, m, n, mu, eta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +263,7 @@ class ProofInequality:
     bound_line: float
 
 
-def _proof_inequality(direction, seq, p, q, m, n, lam, kappa, delta, gamma) -> ProofInequality:
+def _proof_inequality(forward, seq, p, q, m, n, lam, kappa, delta, gamma) -> ProofInequality:
     """Bound u - sigma by corner-mean terms plus worst window drops or gains.
 
     Forward: the windowed average of u(i,j) - u(m,n) over the forward block
@@ -282,7 +280,6 @@ def _proof_inequality(direction, seq, p, q, m, n, lam, kappa, delta, gamma) -> P
     whether it did: P_mu <= lam*P_m forward or P_mu > lam*P_m backward, and
     the same for Q_eta against kappa*Q_n.
     """
-    forward = direction is WindowDirection.FORWARD
     if seq.kind is not ScalarKind.REAL:
         raise ScalarKindError(f"proof inequality is order-sensitive; {seq.name} is complex")
     if forward and (lam <= 1.0 or kappa <= 1.0):
@@ -298,7 +295,7 @@ def _proof_inequality(direction, seq, p, q, m, n, lam, kappa, delta, gamma) -> P
         raise ValueError(
             f"backward block is empty at (m={m}, n={n}) with delta={delta}, gamma={gamma}"
         )
-    dec, block = _lemma(direction, seq, p, q, m, n, mu, eta)
+    dec, block = _lemma(forward, seq, p, q, m, n, mu, eta)
     # bound_rect: the worst drop of u(i, j) below u(i, n), or gain up to it;
     # bound_line: the same for u(i, n) against u(m, n).
     if forward:
@@ -326,7 +323,7 @@ def _proof_inequality(direction, seq, p, q, m, n, lam, kappa, delta, gamma) -> P
     # the bare term sum would suggest
     slack = 1024.0 * _EPS * scale
     return ProofInequality(
-        direction=direction.value,
+        direction="forward" if forward else "backward",
         m=m,
         n=n,
         mu=mu,
@@ -354,7 +351,7 @@ def proof_inequality_forward(
     lam: float, kappa: float, delta: float, gamma: float,
 ) -> ProofInequality:
     """Bound u - sigma from above over the forward chooser block; lam, kappa > 1."""
-    return _proof_inequality(WindowDirection.FORWARD, seq, p, q, m, n, lam, kappa, delta, gamma)
+    return _proof_inequality(True, seq, p, q, m, n, lam, kappa, delta, gamma)
 
 
 def proof_inequality_backward(
@@ -362,7 +359,7 @@ def proof_inequality_backward(
     lam: float, kappa: float, delta: float, gamma: float,
 ) -> ProofInequality:
     """Bound u - sigma from below over the backward chooser block; lam, kappa in (0, 1)."""
-    return _proof_inequality(WindowDirection.BACKWARD, seq, p, q, m, n, lam, kappa, delta, gamma)
+    return _proof_inequality(False, seq, p, q, m, n, lam, kappa, delta, gamma)
 
 
 # ---------------------------------------------------------------------------

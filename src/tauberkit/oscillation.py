@@ -69,28 +69,24 @@ def _check_finite(seq: DoubleSequence, *arrays: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
-def window_upper_index(p: WeightSequence, m: int, lam: float) -> int:
-    """Largest i with P_i <= lam * P_m, for lam > 1.
+def window_upper_index(p: WeightSequence, m, lam: float):
+    """Largest i with P_i <= lam * P_m, for lam > 1: an int for one anchor
+    m, an int64 array for an array of anchors.
 
-    Works on the already-published prefix only; extend with
-    ensure_sum_exceeds first.  Raises HorizonError when the cached sums do
-    not yet reach the window edge, carrying the threshold that must be
-    exceeded.
+    Grows the prefix past the edge of the last anchor's window first.  A
+    HorizonError from max_index carries what was needed: the anchor, or the
+    threshold lam * P_m the sums had to exceed.
     """
-    if lam <= 1.0:
+    if not lam > 1.0:
         raise ValueError(f"forward window needs lam > 1, got {lam}")
-    if m < 0:
-        raise ValueError(f"window anchor must be >= 0, got {m}")
+    anchors = np.asarray(m, dtype=np.int64)
+    top = int(anchors.max())
+    if anchors.min() < 0:
+        raise ValueError(f"window anchor must be >= 0, got {int(anchors.min())}")
+    p.ensure_sum_exceeds(lam * p.prefix(top))
     sums = p.prefix_snapshot()
-    if m >= len(sums):
-        raise HorizonError(f"{p.name}: prefix not evaluated at {m}", needed=m)
-    target = lam * float(sums[m])
-    if sums[-1] < target:
-        raise HorizonError(
-            f"{p.name}: prefix reaches {float(sums[-1])!r}, window needs > {target!r}",
-            needed=target,
-        )
-    return int(np.searchsorted(sums, target, side="right")) - 1
+    edges = np.searchsorted(sums, lam * sums[anchors], side="right") - 1
+    return int(edges) if edges.ndim == 0 else edges.astype(np.int64)
 
 
 def backward_window_lower_index(p: WeightSequence, m: int, lam: float) -> int:
@@ -113,11 +109,6 @@ def backward_window_lower_index(p: WeightSequence, m: int, lam: float) -> int:
 # ---------------------------------------------------------------------------
 # Window descriptors
 # ---------------------------------------------------------------------------
-
-
-class WindowDirection(Enum):
-    FORWARD = "forward"
-    BACKWARD = "backward"
 
 
 class TrendSense(Enum):
@@ -163,7 +154,7 @@ def window_functional_names() -> list[str]:
     return list(_FUNCTIONALS)
 
 
-def _functional(name: str, seq: DoubleSequence, what: str | None = None) -> _Functional:
+def _functional(name: str, seq: DoubleSequence) -> _Functional:
     """Descriptor of a named functional, refusing drops on complex sequences."""
     try:
         spec = _FUNCTIONALS[name]
@@ -172,7 +163,7 @@ def _functional(name: str, seq: DoubleSequence, what: str | None = None) -> _Fun
             f"unknown functional {name!r}; known: {', '.join(_FUNCTIONALS)}"
         ) from None
     if spec.reduction == "drop":
-        _require_real(seq, what or name)
+        _require_real(seq, name)
     return spec
 
 
@@ -181,30 +172,24 @@ def _functional(name: str, seq: DoubleSequence, what: str | None = None) -> _Fun
 # ---------------------------------------------------------------------------
 
 
-def _axis_window(w, anchor, scale, direction, known) -> tuple[int, int]:
+def _axis_window(w, anchor, scale, forward, known) -> tuple[int, int]:
     """(lo, hi) of one axis's window, cached in known: the prefix only grows
     (past a forward window's edge first), so a resolved window is final."""
     key = (id(w), anchor, scale)
-    if key not in known and direction is WindowDirection.BACKWARD:
-        known[key] = backward_window_lower_index(w, anchor, scale), anchor
-    elif key not in known:
-        if scale <= 1.0:
-            raise ValueError(f"forward window needs lam > 1, got {scale}")
-        if anchor < 0:
-            raise ValueError(f"window anchor must be >= 0, got {anchor}")
-        w.ensure_sum_exceeds(scale * w.prefix(anchor))
-        known[key] = anchor, window_upper_index(w, anchor, scale)
+    if key not in known:
+        known[key] = ((anchor, window_upper_index(w, anchor, scale)) if forward
+                      else (backward_window_lower_index(w, anchor, scale), anchor))
     return known[key]
 
 
-def _resolve(spec, direction, p, q, m, n, lam, kappa, known):
+def _resolve(spec, forward, p, q, m, n, lam, kappa, known):
     """Row and column window (lo, hi) of one anchor, axis windows cached in
     known.  Grows the prefixes as needed; HorizonError propagates when
     max_index is hit first, and a rectangle over MAX_WINDOW_CELLS raises
     ResourceLimitError.
     """
-    rows = (m, m) if spec.shape == "q" else _axis_window(p, m, lam, direction, known)
-    cols = (n, n) if spec.shape == "p" else _axis_window(q, n, kappa, direction, known)
+    rows = (m, m) if spec.shape == "q" else _axis_window(p, m, lam, forward, known)
+    cols = (n, n) if spec.shape == "p" else _axis_window(q, n, kappa, forward, known)
     if spec.shape == "pq":
         cells = (rows[1] - rows[0] + 1) * (cols[1] - cols[0] + 1)
         if cells > MAX_WINDOW_CELLS:
@@ -242,7 +227,7 @@ def _compare(reduction, forward, lo, hi, ref):
     return lo - ref if forward else ref - hi
 
 
-def _window_values(seq, direction, wins) -> list[float]:
+def _window_values(seq, forward, wins) -> list[float]:
     """Each window's functional value, from one pass over their union.
 
     The window edges cut rows and columns into segments; a row segment
@@ -257,7 +242,6 @@ def _window_values(seq, direction, wins) -> list[float]:
     r - min x) is max |x - r|.  Complex bands take |x - r| once per
     reference a row segment needs.
     """
-    forward = direction is WindowDirection.FORWARD
     real = seq.kind is ScalarKind.REAL
     redges, rspans = _cuts([w.rows for w in wins])
     cedges, cspans = _cuts([w.cols for w in wins])
@@ -349,7 +333,6 @@ def _rung_values(seq, p, q, functionals, horizons, lambda_ladder, kappa_ladder,
     resolution, raised after evaluating the windows resolved before it.
     """
     kappa_ladder = list(lambda_ladder if kappa_ladder is None else kappa_ladder)
-    fwd = WindowDirection.FORWARD
     rungs, failure, known = [], None, {}
     try:
         for name in functionals:
@@ -364,7 +347,7 @@ def _rung_values(seq, p, q, functionals, horizons, lambda_ladder, kappa_ladder,
                 rungs.append((name, spec, lam, kap, h, cells, slots))
                 for m, n in itertools.product(cells, cells):
                     try:
-                        win = _resolve(spec, fwd, p, q, m, n, lam, kap, known)
+                        win = _resolve(spec, True, p, q, m, n, lam, kap, known)
                     except HorizonError as exc:
                         slots.append(("horizon", exc.needed))
                     except ResourceLimitError as exc:
@@ -379,7 +362,7 @@ def _rung_values(seq, p, q, functionals, horizons, lambda_ladder, kappa_ladder,
     wins = {}
     for *_, h, _, slots in rungs:
         wins.setdefault(h, []).extend(w for w in slots if isinstance(w, _Window))
-    values = {h: iter(_window_values(seq, fwd, ws)) for h, ws in wins.items() if ws}
+    values = {h: iter(_window_values(seq, True, ws)) for h, ws in wins.items() if ws}
     if failure is not None:
         raise failure
     return [
@@ -396,23 +379,27 @@ def _rung_values(seq, p, q, functionals, horizons, lambda_ladder, kappa_ladder,
 def window_functional(
     name: str, seq: DoubleSequence, p: WeightSequence | None, q: WeightSequence | None,
     m: int, n: int, lam: float | None, kappa: float | None,
-    direction: WindowDirection = WindowDirection.FORWARD,
 ) -> float:
     """One named window functional at the anchor (m, n).
 
-    Forward windows (lam, kappa > 1) start at the anchor: the drops read
-    min of x - ref, e.g. sd_P is min over the row window of u(i, n) - u(m, n).
-    Backward windows (lam, kappa in (0, 1)) end at it: the drops read min of
-    ref - x, e.g. sd_both is min over the rectangle of u(m, n) - u(i, j).
-    The spreads read max |x - ref| either way.  A line functional ignores
-    the other axis, so the P forms need no q or kappa and the Q forms no p
-    or lam.  A rectangle over MAX_WINDOW_CELLS raises ResourceLimitError
-    before any cell is evaluated.
+    The scales say the direction.  Backward windows (lam, kappa in (0, 1))
+    end at the anchor: the drops read min of ref - x, e.g. sd_both is min
+    over the rectangle of u(m, n) - u(i, j).  Any other scale is forward
+    and must exceed 1: such windows start at the anchor and the drops read
+    min of x - ref, e.g. sd_P is min over the row window of u(i, n) -
+    u(m, n).  The spreads read max |x - ref| either way.  A line functional
+    ignores the other axis, so the P forms need no q or kappa and the Q
+    forms no p or lam; a rectangle whose scales sit on opposite sides of 1
+    raises ValueError.  A rectangle over MAX_WINDOW_CELLS raises
+    ResourceLimitError before any cell is evaluated.
     """
-    what = name if direction is WindowDirection.FORWARD else f"backward {name}"
-    spec = _functional(name, seq, what)
-    rows, cols = _resolve(spec, direction, p, q, m, n, lam, kappa, {})
-    return _window_values(seq, direction, [_Window(spec, rows, cols, m)])[0]
+    spec = _functional(name, seq)
+    backward = {0.0 < s < 1.0 for s, axis in ((lam, "p"), (kappa, "q")) if axis in spec.shape}
+    if len(backward) > 1:
+        raise ValueError(f"window scales lam={lam} and kappa={kappa} sit on opposite sides of 1")
+    forward = not backward.pop()
+    rows, cols = _resolve(spec, forward, p, q, m, n, lam, kappa, {})
+    return _window_values(seq, forward, [_Window(spec, rows, cols, m)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -645,44 +632,6 @@ def _bound_profiles(which, rungs) -> tuple[DecisionProfile, DecisionProfile]:
 # ---------------------------------------------------------------------------
 
 
-def window_upper_indices(p: WeightSequence, m_max: int, lam: float) -> np.ndarray:
-    """window_upper_index for every anchor 0..m_max at once, extending the
-    prefix as required."""
-    if lam <= 1.0:
-        raise ValueError(f"forward window needs lam > 1, got {lam}")
-    p.ensure_sum_exceeds(lam * p.prefix(m_max))
-    sums = p.prefix_snapshot()
-    targets = lam * sums[: m_max + 1]
-    return np.searchsorted(sums, targets, side="right").astype(np.int64) - 1
-
-
-def _windowed_min_axis1(arr: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """out[:, c] = arr[:, lo[c]..hi[c]].min(axis=1) via a doubling table.
-
-    Only two table levels are alive at a time, so memory stays at twice
-    the input.  Exact: the result is a min of original entries.
-    """
-    lengths = hi - lo + 1
-    if (lengths < 1).any():
-        raise ValueError("windowed min needs lo <= hi")
-    if hi.max() >= arr.shape[1]:
-        raise ValueError("windowed min boundary outside array")
-    ks = np.floor(np.log2(lengths)).astype(np.int64)
-    out = np.empty((arr.shape[0], len(lo)), dtype=arr.dtype)
-    level = arr
-    max_k = int(ks.max())
-    for k in range(max_k + 1):
-        sel = np.nonzero(ks == k)[0]
-        if sel.size:
-            left = lo[sel]
-            right = hi[sel] - (1 << k) + 1
-            out[:, sel] = np.minimum(level[:, left], level[:, right])
-        if k < max_k:
-            shift = 1 << k
-            level = np.minimum(level[:, : level.shape[1] - shift], level[:, shift:])
-    return out
-
-
 def sd_field_components(
     seq: DoubleSequence,
     p: WeightSequence,
@@ -694,28 +643,38 @@ def sd_field_components(
 ) -> dict[str, np.ndarray]:
     """Whole-grid sd_q, sd_strong_p, sd_both and the decomposition margin.
 
-    Matches the scalar functionals bit for bit: every output cell is a min
-    of the same value set followed by the same single subtraction.  The
-    margin field is sd_both - sd_strong_p - sd_q.
+    Matches the scalar functionals bit for bit, but for the sign of a zero:
+    every output cell is a min of the same value set followed by the same
+    single subtraction, and the fields read -0.0 as 0.0, so no minimum
+    depends on the order its zeros are reduced in.  The margin field is
+    sd_both - sd_strong_p - sd_q.
     """
     _require_real(seq, "sd field")
-    w_rows = window_upper_indices(p, m_max, lam)
-    w_cols = window_upper_indices(q, n_max, kappa)
-    mi_ext = int(w_rows[-1])
-    ni_ext = int(w_cols[-1])
-    cells = (mi_ext + 1) * (ni_ext + 1)
+    w_rows = window_upper_index(p, np.arange(m_max + 1), lam)
+    w_cols = window_upper_index(q, np.arange(n_max + 1), kappa)
+    cells = (int(w_rows[-1]) + 1) * (int(w_cols[-1]) + 1)
     if cells > MAX_WINDOW_CELLS:
         raise ResourceLimitError(f"field needs {cells} extended cells", cells=cells)
-    u_ext = seq.block(np.arange(mi_ext + 1), np.arange(ni_ext + 1))
-    _check_finite(seq, u_ext)
-    rows = np.arange(m_max + 1, dtype=np.int64)
-    cols = np.arange(n_max + 1, dtype=np.int64)
+    u = seq.block(np.arange(w_rows[-1] + 1), np.arange(w_cols[-1] + 1))
+    _check_finite(seq, u)
+    # Each window [lo..hi] is one reduceat slice from the interleaved starts
+    # (lo, hi + 1); the slices from hi + 1 to the next lo are dropped, and a
+    # zero row and column past the last edges keep every start in range.
+    # Adding 0.0 maps -0.0 to 0.0.
+    u = np.pad(u + 0.0, ((0, 1), (0, 1)))
+
+    def window_min(a, hi):
+        """a[:, k..hi[k]].min(axis=1) for each k, along the fast axis."""
+        starts = np.column_stack([np.arange(hi.size), hi + 1]).ravel()
+        return np.minimum.reduceat(a, starts, axis=1)[:, ::2]
+
     # col_min[m, j] = min over i in [m .. w_rows[m]] of u[i, j]
-    col_min = _windowed_min_axis1(u_ext.T, rows, w_rows).T
-    u0 = u_ext[: m_max + 1, : n_max + 1]
-    sd_q_field = _windowed_min_axis1(u_ext[: m_max + 1, :], cols, w_cols) - u0
-    strong_p_field = _windowed_min_axis1(col_min - u_ext[: m_max + 1, :], cols, w_cols)
-    both_field = _windowed_min_axis1(col_min, cols, w_cols) - u0
+    col_min = np.ascontiguousarray(window_min(np.ascontiguousarray(u.T), w_rows).T)
+    u_rows = u[: m_max + 1]
+    u0 = u[: m_max + 1, : n_max + 1]
+    sd_q_field = window_min(u_rows, w_cols) - u0
+    strong_p_field = window_min(col_min - u_rows, w_cols)
+    both_field = window_min(col_min, w_cols) - u0
     return {
         "sd_Q": sd_q_field,
         "sd_strong_P": strong_p_field,

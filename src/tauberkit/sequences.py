@@ -237,15 +237,17 @@ class WeightSequence:
             c = np.empty(n + 1)
             c[0] = self._comp
             c[1:] = err
+            del err
             np.add.accumulate(c, out=c)
             c = c[1:]
             published = t + c
             bad_domain = ~np.isfinite(w) | (w <= 0.0)
             bad_overflow = ~np.isfinite(published)
-            prev = np.empty(n)
-            prev[:1] = self._sums[k0 - 1] if k0 > 0 else -np.inf
-            prev[1:] = published[:-1]
-            bad = bad_domain | bad_overflow | (published <= prev)
+            bad = bad_domain | bad_overflow
+            # Each sum must exceed the one before it, the first the stored last.
+            bad[1:] |= published[1:] <= published[:-1]
+            if n and k0:
+                bad[0] |= published[0] <= self._sums[k0 - 1]
         j = int(bad.argmax()) if bad.any() else n
         if j:
             end = k0 + j

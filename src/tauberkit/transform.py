@@ -48,11 +48,8 @@ _LOW_PART = (1 << 26) - 1
 
 @dataclass(frozen=True)
 class MeanField:
-    """sigma over a full grid, with the names of its sequence and weights."""
+    """sigma over a full grid."""
 
-    sequence_name: str
-    weights_p: str
-    weights_q: str
     sigma: Grid
 
 
@@ -77,12 +74,7 @@ def weighted_mean_field(
     dtype = np.complex128 if seq.kind is ScalarKind.COMPLEX else np.float64
     sigma = np.empty((m_max + 1, n_max + 1), dtype)
     _mean_field_pass(seq, p, q, m_max, n_max, keep_sigma=[(0, sigma)])
-    return MeanField(
-        sequence_name=seq.name,
-        weights_p=p.name,
-        weights_q=q.name,
-        sigma=Grid(m_max, n_max, sigma, seq.kind),
-    )
+    return MeanField(sigma=Grid(m_max, n_max, sigma, seq.kind))
 
 
 def _mean_field_pass(seq, p, q, m_max, n_max, keep_u=(), keep_sigma=()):

@@ -205,6 +205,16 @@ def test_weights_that_overflow_before_their_sums_back_off(tmp_path, args, code):
             "error: unexpected end of expression in ' '",
         ),
         (
+            ("transform", "--horizon", "64", "--weights-p", "power:beta=nan"),
+            2,
+            "error: value 'nan' of parameter beta is not a number",
+        ),
+        (
+            ("transform", "--horizon", "64", "--weights-p", "power:beta=inf"),
+            2,
+            "error: value 'inf' of parameter beta is not a number",
+        ),
+        (
             ("transform", "--horizon", "64", "--weights-p", "power:beta=1e999"),
             2,
             "error: power weights need a finite beta > -1, got inf",
@@ -577,6 +587,15 @@ def test_expressions_may_end_in_whitespace(text):
 
     want = tk.eval_grid(expression_sequence(text.strip()), 5, 5).values
     assert tk.eval_grid(expression_sequence(text), 5, 5).values.tobytes() == want.tobytes()
+
+
+def test_expression_operands_broadcast_and_divide_by_zero_quietly():
+    import numpy as np
+
+    assert expression_sequence("1/0").evaluate(2, 3) == INF
+    got = expression_sequence("m - 2*n + pi").block(np.arange(4), np.arange(3))
+    want = np.arange(4.0)[:, None] - 2.0 * np.arange(3.0)[None, :] + np.pi
+    assert got.shape == (4, 3) and got.tobytes() == want.tobytes()
 
 
 def test_spec_parameters_must_belong_to_the_factory():

@@ -10,8 +10,6 @@ import tauberkit as tk
 ADD = tk.corpus_sequence("additive_convergent")
 EPS = float(np.finfo(np.float64).eps)
 ALT = tk.corpus_sequence("alternating")
-FORWARD = tk.WindowDirection.FORWARD
-BACKWARD = tk.WindowDirection.BACKWARD
 
 
 # ---------------------------------------------------------------------------
@@ -25,15 +23,29 @@ def test_forward_window_upper_index_anchor():
     assert tk.window_upper_index(p, 100, 1.5) == 150
 
 
-def test_forward_window_requires_evaluated_prefix():
-    with pytest.raises(tk.HorizonError) as exc:
-        tk.window_upper_index(tk.ones(), 100, 1.5)
-    assert exc.value.needed == 100
+def test_forward_window_grows_the_prefix_past_its_edge():
+    p = tk.ones()
+    assert tk.window_upper_index(p, 100, 1.5) == 150
+    assert p.evaluated_count > 150
     p = tk.ones()
     p.ensure(1000)  # one chunk: P_0..P_1023
+    assert tk.window_upper_index(p, 1000, 1.5) == 1500
+    # max_index comes first: needed is the anchor, then the window's threshold
     with pytest.raises(tk.HorizonError) as exc:
-        tk.window_upper_index(p, 1000, 1.5)
-    assert str(exc.value) == "ones: prefix reaches 1024.0, window needs > 1501.5"
+        tk.window_upper_index(tk.WeightSequence(lambda k: 1.0, "short", max_index=90), 100, 1.5)
+    assert exc.value.needed == 100
+    with pytest.raises(tk.HorizonError) as exc:
+        tk.window_upper_index(tk.WeightSequence(lambda k: 1.0, "short", max_index=90), 80, 1.5)
+    assert exc.value.needed == 1.5 * 81.0
+
+
+def test_forward_window_upper_index_takes_an_array_of_anchors():
+    for make, lam in ((tk.ones, 1.5), (tk.harmonic, 1.1), (lambda: tk.power(1.5), 2.0)):
+        anchors = np.arange(0, 300, 7)
+        got = tk.window_upper_index(make(), anchors, lam)
+        p = make()
+        expect = [tk.window_upper_index(p, int(m), lam) for m in anchors]
+        assert got.dtype == np.int64 and got.tolist() == expect
 
 
 def test_forward_window_rejects_unit_scale():
@@ -113,19 +125,19 @@ def test_row_functional_minimum_decreases_as_the_window_grows():
 
 def test_backward_functionals_anchor_values():
     args = (ALT, tk.ones(), tk.ones())
-    assert tk.window_functional("sd_P", *args, 9, 0, 0.5, 0.5, BACKWARD) == -2.0
-    assert tk.window_functional("sd_P", *args, 9, 9, 0.5, 0.5, BACKWARD) == 0.0
-    assert tk.window_functional("so_both", *args, 9, 9, 0.5, 0.5, BACKWARD) == 2.0
+    assert tk.window_functional("sd_P", *args, 9, 0, 0.5, 0.5) == -2.0
+    assert tk.window_functional("sd_P", *args, 9, 9, 0.5, 0.5) == 0.0
+    assert tk.window_functional("so_both", *args, 9, 9, 0.5, 0.5) == 2.0
 
 
 def test_backward_functionals_vanish_on_empty_windows():
-    args = (ALT, tk.ones(), tk.ones(), 0, 0, 0.5, 0.5, BACKWARD)
+    args = (ALT, tk.ones(), tk.ones(), 0, 0, 0.5, 0.5)
     assert tk.window_functional("sd_P", *args) == 0.0
 
 
 def test_backward_dispatch_rejects_unknown_names():
     with pytest.raises(KeyError, match="unknown functional"):
-        tk.window_functional("nope", ALT, tk.ones(), tk.ones(), 5, 5, 0.5, 0.5, BACKWARD)
+        tk.window_functional("nope", ALT, tk.ones(), tk.ones(), 5, 5, 0.5, 0.5)
 
 
 def test_functional_name_registry():
@@ -146,11 +158,17 @@ def test_functional_name_registry():
 def test_window_functional_validates_scales_by_direction():
     args = (ADD, tk.ones(), tk.ones(), 20, 20)
     assert tk.window_functional("sd_both", *args, 1.5, 1.25) <= 0.0
-    with pytest.raises(ValueError, match="lam > 1"):
-        tk.window_functional("sd_both", *args, 0.9, 1.5)
-    assert tk.window_functional("sd_both", *args, 0.5, 0.5, BACKWARD) <= 0.0
-    with pytest.raises(ValueError, match="0 < lam < 1"):
-        tk.window_functional("sd_both", *args, 1.5, 1.5, BACKWARD)
+    assert tk.window_functional("sd_both", *args, 0.5, 0.5) <= 0.0
+    for lam, kappa in ((0.9, 1.5), (1.5, 0.5)):
+        with pytest.raises(ValueError, match="opposite sides of 1"):
+            tk.window_functional("sd_both", *args, lam, kappa)
+    for lam in (1.0, 0.0, -0.5):
+        with pytest.raises(ValueError, match="lam > 1"):
+            tk.window_functional("sd_both", *args, lam, lam)
+    # a line functional reads its own axis's scale only
+    assert tk.window_functional("sd_P", *args, 0.5, 1.5) == tk.window_functional(
+        "sd_P", ADD, tk.ones(), None, 20, 20, 0.5, None
+    )
 
 
 def test_window_functionals_at_one_anchor_hang_together():
@@ -206,8 +224,7 @@ def test_window_functional_keeps_the_values_of_the_per_name_functions():
     for (seq_name, name, direction), expect in _PINNED.items():
         lam, kappa = _PINNED_ANCHORS[direction]
         got = tk.window_functional(
-            name, tk.corpus_sequence(seq_name), tk.harmonic(), tk.ones(), 100, 50, lam, kappa,
-            tk.WindowDirection(direction),
+            name, tk.corpus_sequence(seq_name), tk.harmonic(), tk.ones(), 100, 50, lam, kappa
         )
         assert repr(got) == expect, (seq_name, name, direction)
 
@@ -236,6 +253,42 @@ def test_field_margin_is_the_component_surplus(name):
     # sin(m)*cos(n)/(m+1) here to -5.6e-18
     scale = np.maximum.reduce([np.ones_like(comp["margin"]), *map(np.abs, parts)])
     assert (comp["margin"] >= -EPS * scale).all()
+
+
+def _signed_zeros():
+    """A block of -1, 0.5 and 1 with about 30 % +0.0 and 30 % -0.0 cells."""
+    rng = np.random.default_rng(21)
+    u = rng.choice([-1.0, 0.5, 1.0], size=(80, 80))
+    zeros = rng.random(u.shape)
+    u[zeros < 0.6] = 0.0
+    u[zeros < 0.3] = -0.0
+    return tk.array_sequence(u, "signed_zeros")
+
+
+# Plain per-window formulas.  The fields read -0.0 as 0.0, since a min over
+# zeros of both signs keeps whichever its reduction order meets last, so
+# the reference windows do too.
+_FIELD_REFS = {
+    "sd_Q": lambda b: b[0].min() - b[0, 0],
+    "sd_strong_P": lambda b: (b.min(axis=0) - b[0]).min(),
+    "sd_both": lambda b: b.min() - b[0, 0],
+}
+
+
+@pytest.mark.parametrize("weights", ["ones", "power"])
+@pytest.mark.parametrize("seq", [ADD, ALT, _signed_zeros()], ids=lambda s: s.name)
+def test_field_components_match_a_per_cell_minimum_bytewise(seq, weights):
+    lam, kappa = 1.5, 1.25
+    comp = tk.sd_field_components(seq, _WEIGHTS[weights](), tk.ones(), 39, 39, lam, kappa)
+    p, q = _WEIGHTS[weights](), tk.ones()
+    rows = [tk.window_upper_index(p, m, lam) for m in range(40)]
+    cols = [tk.window_upper_index(q, n, kappa) for n in range(40)]
+    for name, ref in _FIELD_REFS.items():
+        expect = np.array([
+            [ref(seq.block(np.arange(m, rows[m] + 1), np.arange(n, cols[n] + 1)) + 0.0) for n in range(40)]
+            for m in range(40)
+        ])
+        assert comp[name].tobytes() == expect.tobytes(), name
 
 
 @pytest.mark.parametrize("name, expect", [("additive_convergent", 0.0), ("alternating", 2.0)])
@@ -567,11 +620,11 @@ _REF_BACKWARD = {
 }
 
 
-@pytest.mark.parametrize("direction", list(tk.WindowDirection))
+@pytest.mark.parametrize("direction", ["forward", "backward"])
 @pytest.mark.parametrize("name", list(_REF_BACKWARD))
 def test_window_functional_matches_the_per_anchor_reference_bitwise(band_cells, name, direction):
     shape = _REF_SHAPES.get(name, "pq")
-    forward = direction is FORWARD
+    forward = direction == "forward"
     scales = ((1.5, 1.5), (1.1, 2.0)) if forward else ((0.5, 0.5), (0.9, 0.3))
     for seq_name in _SEQUENCES:
         seq = tk.corpus_sequence(seq_name)
@@ -587,16 +640,16 @@ def test_window_functional_matches_the_per_anchor_reference_bitwise(band_cells, 
                     lo_q = n if shape == "p" else tk.backward_window_lower_index(q, n, kappa)
                     block = seq.block(np.arange(lo_p, m + 1), np.arange(lo_q, n + 1))
                     expect = float(_REF_BACKWARD[name](block))
-                got = tk.window_functional(name, seq, p, q, m, n, lam, kappa, direction)
+                got = tk.window_functional(name, seq, p, q, m, n, lam, kappa)
                 assert repr(got) == repr(expect), (seq_name, m, n, lam, kappa)
 
 
-@pytest.mark.parametrize("direction", list(tk.WindowDirection))
+@pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_window_functional_checks_the_budget_before_reading_cells(monkeypatch, direction):
     # the anchor's own cell is infinite, but the rectangle is over budget
     seq = _poisoned((100, 50))
-    lam = 1.5 if direction is FORWARD else 0.5
-    args = (seq, tk.ones(), tk.ones(), 100, 50, lam, lam, direction)
+    lam = 1.5 if direction == "forward" else 0.5
+    args = (seq, tk.ones(), tk.ones(), 100, 50, lam, lam)
     with monkeypatch.context() as mp:
         mp.setattr(tk.oscillation, "MAX_WINDOW_CELLS", 100)
         with pytest.raises(tk.ResourceLimitError):

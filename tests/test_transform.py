@@ -54,12 +54,6 @@ def test_single_cell_mean_on_unbounded_example():
     assert tk.sigma_single(paper, tk.ones(), tk.ones(), 1, 1) == 3.0
 
 
-def test_mean_field_records_prefixes():
-    p, q = tk.harmonic(), tk.ones()
-    fld = tk.weighted_mean_field(tk.corpus_sequence("constant"), p, q, 15, 10)
-    assert fld.sequence_name == "constant(c=1)"
-
-
 def test_non_finite_sequence_cell_is_named():
     with pytest.raises(tk.NonFiniteValueError, match=r"non-finite value at \(1, 365\)"):
         tk.eval_grid(tk.corpus_sequence("paper_unbounded"), 400, 400)
