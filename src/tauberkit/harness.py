@@ -4,7 +4,8 @@ The lemma decompositions split u(m, n) - sigma(m, n) into four terms built
 from corner means and a windowed average, exactly; their residuals are the
 package's strongest internal check, since the left side and the terms are
 computed by completely different routes.  A split streams its block in row
-bands through one transform._corner_sums pass and holds only its window;
+bands through transform._corner_sums, once, or twice when a sum cannot be
+certified and integer bins sum the bands again, and holds only its window;
 its four corner means keep the bits of four sigma_single calls, the
 math.fsum oracle, which still run where a band raises, is not finite or
 could overflow.  The proof inequalities replace the windowed average with
@@ -136,9 +137,10 @@ def _corner_means(seq, p, q, corners):
     (mu, eta), with its bits, and u on the window [min(m, mu)..] x
     [min(n, eta)..] of the block [0..max(m, mu)] x [0..max(n, eta)].
 
-    u is evaluated once, in row bands of about _SUM_CHUNK cells that go
-    through one _corner_sums pass and leave their window rows behind.  The
-    means are None where _corner_sums finds that a sum could overflow, and
+    u is evaluated once, twice when a sum cannot be certified, in row bands
+    of about _SUM_CHUNK cells that go through _corner_sums and leave their
+    window rows behind, again on the second pass.  The means are None
+    where _corner_sums finds that a sum could overflow, and
     both are None when the block is over budget or a band or the weights
     raise: the four sigma_single calls then decide, with their special
     values and errors, in their order.  The last of them sums the whole
@@ -164,7 +166,7 @@ def _corner_means(seq, p, q, corners):
 
     try:
         pw, qw = p.weights_array(rows - 1), q.weights_array(cols - 1)
-        sums = _corner_sums(bands(), r0, c0)
+        sums = _corner_sums(bands, r0, c0)
     except Exception:
         # Whatever the rule or the weights raise, sigma_single raises again.
         return None, None

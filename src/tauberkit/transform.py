@@ -6,8 +6,12 @@ grid, and fills only the rectangles of u and sigma its caller keeps; the
 single-cell evaluator recomputes one mean by direct exact summation
 (math.fsum) and exists so the fast path can be checked against an
 independently rounded route.  The lemma splits need the exact sums of four
-nested rectangles of one block: _corner_sums bins them band by band, with
-math.fsum's bits, and sigma_single stays their oracle.
+nested rectangles of one block: _corner_sums adds them band by band as
+double-doubles built from error-free TwoSum steps and certifies each
+rounding against a proven error bound; where it cannot (a sum on a tie, or
+one that cancels below the bound), integer bins sum the bands again
+exactly.  Either way the sums keep math.fsum's bits, and sigma_single
+stays their oracle.
 export_grid_csv writes a grid as text through an exact numpy kernel for
 %.17g (_decimal, _text_words); b"%.17g" % x formats what it cannot certify.
 """
@@ -162,42 +166,168 @@ def _exact_sum(arr: np.ndarray) -> float | complex:
 
 def _corner_sums(bands, r0: int, c0: int) -> list[float | complex] | None:
     """Exact sums of the rectangles [0..r0] x [0..c0], [0..] x [0..c0],
-    [0..r0] x [0..] and [0..] x [0..] of one block from its row bands,
-    (top, terms) pairs in any grouping and order, each rounded once as
-    math.fsum rounds; None where one could overflow, that is where a part
-    of a term, or NaN, is not below 2^1022 / cells in magnitude.
+    [0..r0] x [0..] and [0..] x [0..] of one block, each rounded once as
+    math.fsum rounds (+0.0 for zero); None where one could overflow, that
+    is where a part of a term, or NaN, is not below 2^1022 / cells in
+    magnitude.  bands() returns the block's row bands, (top, terms) pairs
+    in any grouping and order; every band is read, also once None is
+    certain, and bands() is called again for _binned_corner_sums when a
+    sum cannot be certified.
+
+    The certified pass keeps, per lane (a column, or a complex column's
+    re or im part) and per row group (rows <= r0 and rows > r0), a
+    double-double (S, C): error-free TwoSum steps s + e = a + b add the
+    high parts and one rounded add per step gathers their errors in the
+    low parts, as in Ogita, Rump and Oishi, "Accurate sum and dot
+    product", SIAM J. Sci. Comput. 26(6), 2005.  _dd_tree sums each band's
+    rows pairwise, the band folds into (S, C), and _dd_tree sums each
+    quadrant's lanes.  _rounded takes math.fsum of a rectangle's quadrant
+    parts, r, and of the parts and -r, the residual rho.  r is the
+    correctly rounded sum when no TwoSum erred anywhere: then every low
+    part is zero and every step exact, zero sums included.  Otherwise r
+    is certified when |rho| (1 + 2^-50) + B < g / 2, g the smaller gap
+    from r to a neighbouring double: the exact sum then lies strictly
+    nearer to r than to any other double.  Any other sum sends the whole block to
+    _binned_corner_sums.
+
+    The error bound B, with u = 2^-53.  The guard keeps every partial sum
+    below 2^1022, so nothing overflows, and an add whose exact result is
+    below 2^-1021 is exact: each rounding is within u of its result.
+    Take a node v of height h over cells of absolute sum A_v, with
+    S_v = fl(S_1 + S_2), e_v its TwoSum error and C_v = fl(fl(C_1 + C_2)
+    + e_v).  By induction |S_v| <= c A_v, |e_v| <= c u A_v and
+    |C_v| <= c h u A_v, where c = (1 + u)^(3H) <= 1.01 for a tree of
+    height H.  So the two roundings at v err by at most 2 c h u^2 A_v.
+    Nodes at one depth share no cells, so over the at most H depths
+    |S + C - exact| <= 2 c u^2 H^2 A, and A <= peak * cells.  A row tree
+    has height at most the bit length of its rows (zero rows padding a
+    split band change nothing), each fold adds one level and the lane tree
+    the bit length of its lanes; H adds two more.  B = 4 u^2 H^2 peak
+    cells + 2^-1073 covers the bound with room for rho's own rounding
+    (within u of it, or 2^-1075 below the normal range) and for the
+    rounding of the test itself.
+    """
+    peak = cells = count = depth = 0
+    exact = True
+    for top, terms in bands():
+        cells += terms.size
+        peak = np.maximum(peak, np.abs(terms.view(np.float64)).max())
+        if peak < 2.0**1022 / cells:  # NaN fails too, and summing stops
+            flat = terms.view(np.float64)  # a complex cell is its re, im lanes side by side
+            rows, lanes = flat.shape
+            if not count:
+                acc = np.zeros((2, 2 * lanes))  # S, C: lanes of rows <= r0, then of rows > r0
+            cut = min(max(r0 + 1 - top, 0), rows)
+            at = slice(0 if cut else lanes, lanes if cut == rows else 2 * lanes)
+            if 0 < cut < rows:  # both groups side by side, the shorter padded with zeros
+                pad = np.zeros((max(cut, rows - cut), 2 * lanes))
+                pad[:cut, :lanes], pad[: rows - cut, lanes:] = flat[:cut], flat[cut:]
+                flat = pad
+            h, lo, erred = _dd_tree(flat, None, exact)
+            exact = exact and not erred
+            if count:  # the first band's sums are the lanes' sums so far
+                h, lo, erred = _dd_tree(np.stack([acc[0, at], h]), np.stack([acc[1, at], lo]), exact)
+                exact = exact and not erred
+            acc[0, at], acc[1, at] = h, lo
+            count += 1
+            depth = max(depth, len(flat).bit_length())
+    if not peak < 2.0**1022 / cells:
+        return None
+    width = 2 if np.iscomplexobj(terms) else 1
+    # The quadrants q00, q01, q10, q11 side by side, their lanes down axis 0.
+    edges = [0, width * (c0 + 1), lanes, lanes + width * (c0 + 1), 2 * lanes]
+    quads = np.zeros((2, max(c0 + 1, lanes // width - c0 - 1), 4, width))
+    for q, (i, j) in enumerate(zip(edges, edges[1:])):
+        quads[:, : (j - i) // width, q] = acc[:, i:j].reshape(2, -1, width)
+    h, lo, erred = _dd_tree(quads[0], quads[1], exact)
+    height = count + depth + len(quads[0]).bit_length() + 2
+    bound = 4.0 * height**2 * 2.0**-106 * float(peak) * cells + 2.0**-1073
+    sums = []
+    for rect in ((0,), (0, 2), (0, 1), (0, 1, 2, 3)):
+        parts = [_rounded([float(x) for q in rect for x in (h[q, k], lo[q, k])], exact and not erred, bound)
+                 for k in range(width)]
+        if None in parts:
+            return _binned_corner_sums(bands(), r0, c0)
+        sums.append(complex(*parts) if width == 2 else parts[0])
+    return sums
+
+
+def _rounded(vals: list[float], exact: bool, bound: float) -> float | None:
+    """math.fsum(vals) when it is the rounding of vals' exact sum plus an
+    error of at most bound (none where exact), +0.0 for zero; else None."""
+    r = math.fsum(vals)
+    if not exact:
+        a = abs(r)
+        gap = min(a - math.nextafter(a, 0.0), math.nextafter(a, math.inf) - a)
+        if not abs(math.fsum([*vals, -r])) * (1 + 2.0**-50) + bound < gap / 2:
+            return None
+    return r + 0.0
+
+
+def _dd_tree(h, lo, check):
+    """Double-double sums (S, C) along axis 0 of the leaves (h, lo), lo
+    None for zeros: a pairwise tree of TwoSum steps whose height is the bit
+    length of len(h) at most, an odd row carried up a level as it is.
+    erred says whether a TwoSum erred, looked at only while check."""
+    erred = False
+    rows, shape = len(h), h.shape[1:]
+    # Levels alternate between two (S, C) buffers, so no level allocates.
+    levels = np.empty((2, -(-rows // 2), *shape)), np.empty((2, -(-rows // 4), *shape))
+    bb, e = np.empty((2, rows // 2, *shape))
+    while len(h) > 1:
+        half, odd = divmod(len(h), 2)
+        s, new = levels[0][:, : half + odd]
+        levels = levels[::-1]
+        a, b, sh, nh, bh, eh = h[:half], h[half : 2 * half], s[:half], new[:half], bb[:half], e[:half]
+        np.add(a, b, out=sh)
+        np.subtract(sh, a, out=bh)
+        np.subtract(sh, bh, out=eh)
+        np.subtract(a, eh, out=eh)
+        np.subtract(b, bh, out=bh)
+        if lo is None:
+            eh = np.add(eh, bh, out=nh)
+        else:
+            np.add(eh, bh, out=eh)
+            np.add(lo[:half], lo[half : 2 * half], out=nh)
+            nh += eh
+        if odd:
+            s[half] = h[-1]
+            new[half] = 0.0 if lo is None else lo[-1]
+        erred = erred or (check and eh.any())
+        h, lo = s, new
+    return h[0], np.zeros(shape) if lo is None else lo[0], erred
+
+
+def _binned_corner_sums(bands, r0: int, c0: int) -> list[float | complex]:
+    """_corner_sums by integer bins, exact whatever the data, for sums the
+    certified pass leaves open; the caller has checked the overflow bound.
 
     A double is s * mant * 2^(e - 1075) with a 53-bit integer mant (a
     subnormal takes e = 1 and no implicit bit).  Each chunk of _SUM_CHUNK
     words adds the 27 high and 26 low bits of its signed mantissas in one
     float64 bincount per part, keyed by 2048 * (4 * imaginary + 2 * (below
-    r0) + (right of c0)) + e: every bin total stays below 2^53, so exact.
-    The chunks add up in int64, Python integers in units of 2^-1074 add the
-    quadrants, and int true division rounds as fsum does, +0.0 for zero.
+    r0) + (right of c0)) + e: every bin total stays below 2^53, so exact
+    (Demmel and Hida, 2003).  The chunks add up in int64, Python integers in
+    units of 2^-1074 add the quadrants, and int true division rounds as fsum
+    does, +0.0 for zero.
     """
     hi, lo = np.zeros((2, 8 * 2048), np.int64)
-    peak = cells = 0
     for top, terms in bands:
-        cells += terms.size
-        peak = np.maximum(peak, np.abs(terms.view(np.float64)).max())
-        if peak < 2.0**1022 / cells:  # NaN fails too, and binning stops
-            words = terms.view(np.int64).reshape(*terms.shape, -1)  # a complex cell's re, im
-            e = (words >> 52) & 0x7FF
-            mant = (words & _FRACTION) | (np.minimum(e, 1) << 52)
-            sign = words >> 63
-            mant ^= sign
-            mant -= sign
-            np.maximum(e, 1, out=e)
-            e[max(r0 + 1 - top, 0) :] += 4096
-            e[:, c0 + 1 :] += 2048
-            e[..., 1:] += 8192
-            bins = 4 * 2048 * words.shape[2]
-            for i in range(0, e.size, _SUM_CHUNK):
-                k, v = e.ravel()[i : i + _SUM_CHUNK], mant.ravel()[i : i + _SUM_CHUNK]
-                hi[:bins] += np.bincount(k, v >> 26, bins).astype(np.int64)
-                lo[:bins] += np.bincount(k, v & _LOW_PART, bins).astype(np.int64)
-    if not peak < 2.0**1022 / cells:
-        return None
+        words = terms.view(np.int64).reshape(*terms.shape, -1)  # a complex cell's re, im
+        e = (words >> 52) & 0x7FF
+        mant = (words & _FRACTION) | (np.minimum(e, 1) << 52)
+        sign = words >> 63
+        mant ^= sign
+        mant -= sign
+        np.maximum(e, 1, out=e)
+        e[max(r0 + 1 - top, 0) :] += 4096
+        e[:, c0 + 1 :] += 2048
+        e[..., 1:] += 8192
+        bins = 4 * 2048 * words.shape[2]
+        for i in range(0, e.size, _SUM_CHUNK):
+            k, v = e.ravel()[i : i + _SUM_CHUNK], mant.ravel()[i : i + _SUM_CHUNK]
+            hi[:bins] += np.bincount(k, v >> 26, bins).astype(np.int64)
+            lo[:bins] += np.bincount(k, v & _LOW_PART, bins).astype(np.int64)
     totals = [[sum(((int(h[k]) << 26) + int(l[k])) << (k - 1) for k in np.flatnonzero(h | l).tolist())
                for h, l in zip(hp, lp)] for hp, lp in zip(hi.reshape(2, 4, 2048), lo.reshape(2, 4, 2048))]
     sums = [[x / 2**1074 for x in (q00, q00 + q10, q00 + q01, q00 + q01 + q10 + q11)] for q00, q01, q10, q11 in totals]

@@ -1,4 +1,5 @@
-"""Shared test code: slow, obviously-correct reference paths and the CLI runner."""
+"""Shared test code: slow, obviously-correct reference paths, the CLI runner
+and a call counter."""
 
 import math
 import os
@@ -47,3 +48,17 @@ def direct_sigma_grid(u: np.ndarray, pw: np.ndarray, qw: np.ndarray) -> np.ndarr
         for n in range(cols):
             out[m, n] = direct_sigma(u, pw, qw, m, n)
     return out
+
+
+def bin_pass_calls(monkeypatch) -> list:
+    """Count the integer-bin passes of transform._corner_sums: each call's
+    arguments are appended to the list returned."""
+    calls = []
+    binned = tauberkit.transform._binned_corner_sums
+
+    def counted(*args):
+        calls.append(args)
+        return binned(*args)
+
+    monkeypatch.setattr(tauberkit.transform, "_binned_corner_sums", counted)
+    return calls

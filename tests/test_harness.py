@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tauberkit as tk
+from helpers import bin_pass_calls
 from tauberkit import harness, transform
 from tauberkit.cli import expression_sequence
 from tauberkit.transform import _exact_sum
@@ -405,6 +406,40 @@ def test_trouble_in_a_later_band_keeps_the_outcome_of_four_sigma_single_calls(mo
         else:
             rows, cols = np.arange(min(m, mu), max(m, mu) + 1), np.arange(min(n, eta), max(n, eta) + 1)
             assert np.array_equal(window, seq.block(rows, cols), equal_nan=True)
+
+
+def _refuse_certification(monkeypatch):
+    """Make every corner sum fall back to the bins; return their calls."""
+    monkeypatch.setattr(transform, "_rounded", lambda *args: None)
+    return bin_pass_calls(monkeypatch)
+
+
+@pytest.mark.parametrize("band", ["row", "r0", "default"])
+@pytest.mark.parametrize("name, w, split", [("additive_convergent", "power", (40, 30, 55, 47)),
+                                            ("alternating", "harmonic", (40, 30, 25, 12)),
+                                            ("complex_convergent", "ones", (3, 5, 4, 6))])
+def test_bin_pass_refills_the_window_and_keeps_the_oracle_means(monkeypatch, band, name, w, split):
+    calls = _refuse_certification(monkeypatch)
+    _set_band(monkeypatch, band, *split)
+    m, n, mu, eta = split
+    seq, p, q = tk.corpus_sequence(name), _WEIGHTS[w](), _WEIGHTS[w]()
+    corners = ((m, n), (mu, n), (m, eta), (mu, eta))
+    means, window = harness._corner_means(seq, p, q, corners)
+    assert len(calls) == 1
+    grid = tk.eval_grid(seq, max(m, mu), max(n, eta)).values
+    assert np.array_equal(window, grid[min(m, mu) :, min(n, eta) :])
+    assert [repr(x) for x in means] == [repr(tk.sigma_single(seq, p, q, i, j)) for i, j in corners]
+
+
+def test_tripped_guard_reads_every_band_and_skips_the_bins(monkeypatch):
+    calls = _refuse_certification(monkeypatch)
+    m, n, mu, eta = 150, 150, 152, 153
+    _set_band(monkeypatch, "row", m, n, mu, eta)
+    seq = tk.constant(1.5)
+    corners = ((m, n), (mu, n), (m, eta), (mu, eta))
+    means, window = harness._corner_means(seq, _WEIGHTS["geometric:r=10"](), _WEIGHTS["geometric:r=10"](), corners)
+    assert means is None and calls == []
+    assert np.array_equal(window, tk.eval_grid(seq, mu, eta).values[m:, n:])
 
 
 def test_split_keeps_the_intermediate_overflow_of_fsum():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tauberkit as tk
-from helpers import direct_sigma, direct_sigma_grid
+from helpers import bin_pass_calls, direct_sigma, direct_sigma_grid
 from tauberkit import transform
 from tauberkit.cli import parse_sequence_spec
 from tauberkit.sequences import _first_nonfinite
@@ -309,6 +309,15 @@ def _random_doubles(rng, size, top_exponent):
     return bits.view(np.float64)
 
 
+def _tie(rng, size):
+    """size integers below 2^53, so doubles, of one sign and summing to
+    2^53 + 1: the sum lies halfway between the doubles 2^53 and 2^53 + 2,
+    and some TwoSum on the way to it errs."""
+    rest = rng.integers(2**52 // (size - 1) + 1, 2**53 // (size - 1), size - 1)
+    vals = np.append(rest, 2**53 + 1 - int(rest.sum())).astype(np.float64)
+    return vals if rng.integers(2) else -vals
+
+
 @st.composite
 def corner_blocks(draw):
     """A block, a split (r0, c0), a seed-built value pattern and the
@@ -316,14 +325,16 @@ def corner_blocks(draw):
 
     The fill keeps each rectangle's sum of magnitudes below 2^1018, inside
     the kernel's contract.  Some shapes hold more than one chunk of cells,
-    or a single row or column longer than one chunk.
+    or a single row or column longer than one chunk.  The "tie" fill puts
+    the whole block's sum exactly halfway between two doubles, which no
+    error bound can round: the certified pass must leave it to the bins.
     """
     rows, cols = draw(
         st.tuples(st.integers(1, 40), st.integers(1, 40))
         | st.sampled_from([(1, _SUM_CHUNK + 3), (_SUM_CHUNK + 3, 1), (2, 40000), (300, 300)])
     )
     r0, c0 = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
-    fills = ["spread", "cancel", "subnormal", "zero", "negzero", "zero_corner"]
+    fills = ["spread", "cancel", "subnormal", "zero", "negzero", "zero_corner", "tie"]
     fill = draw(st.sampled_from(fills))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     size = rows * cols
@@ -332,6 +343,8 @@ def corner_blocks(draw):
     def part():
         if fill in ("zero", "negzero"):
             return np.full(size, 0.0 if fill == "zero" else -0.0)
+        if fill == "tie" and size > 1:
+            return _tie(rng, size) * 2.0 ** int(rng.integers(-60, 60))
         vals = _random_doubles(rng, size, 0 if fill == "subnormal" else top)
         if fill == "cancel":
             # half the cells cancel another cell exactly, and the rest are
@@ -363,8 +376,50 @@ def test_corner_sums_equal_fsum_of_each_rectangle(case):
         _exact_sum(terms),
     ]
     # repr tells -0.0 from 0.0 as well as every other pair of doubles apart
-    assert [repr(x) for x in _corner_sums([(0, terms)], r0, c0)] == [repr(x) for x in want]
-    assert [repr(x) for x in _corner_sums(bands, r0, c0)] == [repr(x) for x in want]
+    assert [repr(x) for x in _corner_sums(lambda: [(0, terms)], r0, c0)] == [repr(x) for x in want]
+    assert [repr(x) for x in _corner_sums(lambda: bands, r0, c0)] == [repr(x) for x in want]
+
+
+def _rectangle_sums(terms, r0, c0):
+    return [_exact_sum(terms[: r0 + 1, : c0 + 1]), _exact_sum(terms[:, : c0 + 1]),
+            _exact_sum(terms[: r0 + 1]), _exact_sum(terms)]
+
+
+def test_positive_power_weighted_block_certifies_without_the_bins(monkeypatch):
+    calls = bin_pass_calls(monkeypatch)
+    u = tk.corpus_sequence("additive_convergent").block(np.arange(300), np.arange(300))
+    w = tk.power(1.5).weights_array(299)
+    terms = w[:, None] * w[None, :] * u
+    step = _SUM_CHUNK // 300
+    bands = [(top, terms[top : top + step]) for top in range(0, 300, step)]
+    for r0, c0 in ((0, 0), (149, 211), (299, 299)):
+        got = _corner_sums(lambda: bands, r0, c0)
+        assert [repr(x) for x in got] == [repr(x) for x in _rectangle_sums(terms, r0, c0)]
+    assert calls == []
+
+
+@pytest.mark.parametrize("terms, r0, c0, falls_back", [
+    # 1 + 2^-53 and 2 + 2^-52 lie halfway between two doubles: ties
+    ([[1.0], [2.0**-53]], 1, 0, True),
+    ([[1.0, 2.0**-53], [2.0**-53, 1.0]], 1, 1, True),
+    # cancellations to zero after an inexact TwoSum: +0.0 from the bins
+    ([[1.0, 2.0**-60], [-1.0, -(2.0**-60)]], 0, 1, True),
+    ([[-1.0, -(2.0**-60)], [1.0, 2.0**-60]], 0, 1, True),
+    # the same cancellation in a complex block's imaginary part
+    ([[1.0 + 1.0j, 2.0**-60 * 1j], [-1.0j, -(2.0**-60) * 1j]], 0, 1, True),
+    # no TwoSum errs: exact, whatever the sign of zero
+    ([[-0.0, -0.0], [-0.0, -0.0]], 1, 1, False),
+    ([[1.0, -1.0], [-0.0, 3.0]], 1, 1, False),
+    # each rectangle's parts meet only in fsum, which rounds the tie itself
+    ([[1.0, 2.0**-53]], 0, 0, False),
+])
+def test_ties_and_cancellations_fall_back_to_the_bins(monkeypatch, terms, r0, c0, falls_back):
+    calls = bin_pass_calls(monkeypatch)
+    terms = np.array(terms)
+    got = _corner_sums(lambda: [(0, terms)], r0, c0)
+    # repr tells -0.0 from 0.0 as well as every other pair of doubles apart
+    assert [repr(x) for x in got] == [repr(x) for x in _rectangle_sums(terms, r0, c0)]
+    assert len(calls) == falls_back
 
 
 def test_export_grid_csv_layout(tmp_path):
