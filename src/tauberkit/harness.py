@@ -12,7 +12,9 @@ could overflow.  The proof inequalities replace the windowed average with
 worst-case window drops, which is the step the limit theorems live on.
 verify_theorem runs the full pipeline for one sequence/weight
 configuration and returns a verdict that is honest about being
-finite-sample.
+finite-sample.  Its limits and T42/T52 bound profiles are reduced from the
+mean-field pass's bands as they go by, so for a real sequence it holds no
+tail square, only the pass's bands.
 """
 from __future__ import annotations
 
@@ -25,12 +27,15 @@ import numpy as np
 from .errors import NonFiniteValueError, PrefixOverflowError, ResourceLimitError, ScalarKindError
 from .sequences import DoubleSequence, ScalarKind, WeightSequence, _check_grid, array_sequence
 from .sequences import MAX_GRID_CELLS, geometric, harmonic, ones, power
-from .transform import _SUM_CHUNK, _corner_sums, _exact_sum, _mean_field_pass, sigma_single
+from .transform import _SUM_CHUNK, _corner_sums, _divide, _exact_sum, _mean_field_pass, sigma_single
 from .oscillation import (
     DecisionProfile,
     LimitEstimate,
     _bound_profiles,
+    _difference_stats,
+    _extrema_residual,
     _limit_estimate,
+    _square_residual,
     build_window_profiles,
 )
 from .variation import VariationClass, VariationKind, classify_adaptive
@@ -486,33 +491,115 @@ class TauberianReport:
     horizon_note: str | None = None
 
 
-def _limits(seq, p, q, cfg):
-    """The grid horizon, its ladder, u on [t - 1..k]^2 for each rung k,
-    t = ceil(tf * k), and the limits of u and sigma on [t..k]^2.
+def _limits(seq, p, q, cfg, bound=None):
+    """The grid horizon, its ladder, the limits of u and sigma on the tail
+    squares [t..k]^2 of each rung k, t = ceil(tf * k), and, for bound
+    "landau" or "hardy", that statistic's two profiles over the same
+    squares (else None).
 
-    One mean-field pass fills only those squares of u, with the row and
-    column before each that the difference bounds read, and of sigma.
-    While u or the numerator is not finite in doubles, the horizon halves.
+    One mean-field pass hands its bands to a _TailStats, which reduces them
+    rung by rung.  While u or the numerator is not finite in doubles, the
+    horizon halves and the statistics start again.
     """
     h = cfg.horizon
-    dtype = np.complex128 if seq.kind is ScalarKind.COMPLEX else np.float64
     while True:
         ladder = horizon_ladder(h)
-        starts = [math.ceil(cfg.tail_fraction * k) for k in ladder]
-        _check_grid(seq, h, h)  # before the squares are allocated
-        keep_u = [(t - 1, np.empty((k + 2 - t,) * 2, dtype)) for t, k in zip(starts, ladder)]
-        keep_sigma = [(t, np.empty((k + 1 - t,) * 2, dtype)) for t, k in zip(starts, ladder)]
+        _check_grid(seq, h, h)  # before a complex sequence's squares are allocated
+        tails = _TailStats(seq, p, q, ladder, cfg.tail_fraction, bound)
         try:
-            _mean_field_pass(seq, p, q, h, h, keep_u, keep_sigma)
+            _mean_field_pass(seq, p, q, h, h, tails.visit)
             break
         except (NonFiniteValueError, PrefixOverflowError):
             if h // 2 < 64:
                 raise
             h //= 2
-    u_squares = [sq for _, sq in keep_u]
-    u_limit = _limit_estimate([sq[1:, 1:] for sq in u_squares], ladder, cfg.tail_fraction, cfg.eps_dec)
-    sigma_limit = _limit_estimate([sq for _, sq in keep_sigma], ladder, cfg.tail_fraction, cfg.eps_dec)
-    return h, ladder, u_squares, u_limit, sigma_limit
+    u_limit, sigma_limit = (_limit_estimate(lhat, residuals, ladder, cfg.tail_fraction, cfg.eps_dec)
+                            for lhat, residuals in tails.residuals())
+    profiles = bound and _bound_profiles(bound, tails.bound_rungs())
+    return h, ladder, u_limit, sigma_limit, profiles
+
+
+class _TailStats:
+    """What the limits and bound profiles read of u and sigma on each tail
+    square [t..k]^2, gathered band by band from one mean-field pass.
+
+    A real square leaves only its extrema: they give max |x - estimate|
+    with its bits (_extrema_residual), and the estimate, the top corner,
+    arrives with the last band.  A complex square is kept whole, since
+    |x - estimate| needs the estimate first.  Squares of different rungs
+    may overlap.  For a bound, _difference_stats reduces each band's rows
+    of each square with the row before them, over columns [t - 1..k]; a
+    band's first row takes the previous band's last as the row before.
+    Minima and maxima are exact and _difference_stats reports a zero as
+    +0.0, so any cut of a square into bands gives its one-block statistics.
+    """
+
+    def __init__(self, seq, p, q, ladder, tail_fraction, bound):
+        self.p, self.q, self.bound = p, q, bound
+        self.tails = [(math.ceil(tail_fraction * k), k) for k in ladder]
+        self.squares = None
+        if seq.kind is ScalarKind.COMPLEX:  # u, then sigma
+            self.squares = [np.empty((2, k + 1 - t, k + 1 - t), np.complex128) for t, k in self.tails]
+        self.lo = np.full((len(ladder), 2), np.inf)  # per rung, of u and of sigma
+        self.hi = -self.lo
+        self.stats = [None] * len(ladder)
+        self.corner = self.cp = self.above = None
+
+    def visit(self, r0, u, s, pp, qp):
+        if self.cp is None:  # the first band, the largest: the pass has evaluated the weights
+            self.cp = pp / self.p.weights_array(len(pp) - 1)
+            self.cq = qp / self.q.weights_array(len(qp) - 1)
+            self.scratch = np.empty(u.size if self.squares is None else 0)
+        r1 = r0 + len(u)
+        for i, (t, k) in enumerate(self.tails):
+            lo, hi = max(r0, t), min(r1, k + 1)
+            if lo >= hi:
+                continue
+            rows, cols = slice(lo - r0, hi - r0), slice(t, k + 1)
+            if self.squares is not None:
+                sq = self.squares[i][:, lo - t : hi - t]
+                sq[0] = u[rows, cols]
+                _divide(s[rows, cols], pp[lo:hi], qp[cols], sq[1])
+            else:
+                sigma = self.scratch[: (hi - lo) * (k + 1 - t)].reshape(hi - lo, -1)
+                _divide(s[rows, cols], pp[lo:hi], qp[cols], sigma)
+                for j, x in enumerate((u[rows, cols], sigma)):
+                    self.lo[i, j] = np.minimum(self.lo[i, j], x.min())
+                    self.hi[i, j] = np.maximum(self.hi[i, j], x.max())
+            if self.bound:
+                self._fold_bounds(i, u, r0, lo, hi)
+        if r1 == len(pp) and self.squares is None:  # correctly rounded, as _divide rounds them
+            self.corner = u[-1, -1].item(), (s[-1, -1] / (pp[-1] * qp[-1])).item()
+        self.above = u[-1].copy() if self.bound else None
+
+    def _fold_bounds(self, i, u, r0, lo, hi):
+        """Fold the bound statistics of rows [lo, hi) of square i into its own."""
+        t, k = self.tails[i]
+        cols = slice(t - 1, k + 1)
+        top = max(lo - 1, r0)
+        pieces = [(top, u[top - r0 : hi - r0, cols])]  # (first row, u rows)
+        if lo == r0:
+            pieces.append((lo - 1, np.stack([self.above[cols], u[0, cols]])))
+        pick = min if self.bound == "landau" else max
+        for a, block in pieces:
+            if len(block) > 1:  # differences on rows a + 1 ..
+                st = _difference_stats(block, self.cp[a + 1 : a + len(block)], self.cq[t : k + 1],
+                                       signed=self.bound == "landau")
+                self.stats[i] = st if self.stats[i] is None else tuple(map(pick, self.stats[i], st))
+
+    def residuals(self):
+        """(estimate, residual per rung) of u, then of sigma."""
+        for j in range(2):
+            if self.squares is not None:
+                lhat = self.squares[-1][j, -1, -1].item()
+                yield lhat, [_square_residual(sq[j], lhat) for sq in self.squares]
+            else:
+                lhat = self.corner[j]
+                yield lhat, [_extrema_residual(lo, hi, lhat) for lo, hi in zip(self.lo[:, j], self.hi[:, j])]
+
+    def bound_rungs(self):
+        """(k, cells, (stat_p, stat_q)) per rung, as _bound_profiles reads them."""
+        return [(k, (k + 1 - t) ** 2, st) for (t, k), st in zip(self.tails, self.stats)]
 
 
 def verify_theorem(
@@ -541,21 +628,18 @@ def verify_theorem(
     vc_p, _, note_p = class_p
     vc_q, _, note_q = class_q
 
-    h, ladder, u_squares, u_limit, sigma_limit = _limits(seq, p, q, cfg)
+    names = _THEOREM_FUNCTIONALS[theorem]
+    bound = names[0] if names[0] in ("landau", "hardy") else None
+    h, ladder, u_limit, sigma_limit, bound_profiles = _limits(seq, p, q, cfg, bound)
     horizon_note = (
         None
         if h == cfg.horizon
         else f"grid overflows doubles at horizon {cfg.horizon}; evaluated at {h}"
     )
 
-    names = _THEOREM_FUNCTIONALS[theorem]
-    if names[0] in ("landau", "hardy"):
-        cp, cq = (w.prefix_array(h) / w.weights_array(h) for w in (p, q))
-        tails = [slice(math.ceil(cfg.tail_fraction * k), k + 1) for k in ladder]
-        rungs = [(k, sq, cp[t], cq[t]) for k, sq, t in zip(ladder, u_squares, tails)]
-        profiles = {prof.functional: prof for prof in _bound_profiles(names[0], rungs)}
+    if bound:
+        profiles = {prof.functional: prof for prof in bound_profiles}
     else:
-        del u_squares  # the window profiles evaluate their own windows
         profiles = build_window_profiles(
             seq,
             p,

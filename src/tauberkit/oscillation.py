@@ -444,12 +444,17 @@ def _difference_stats(u, cp, cq, signed) -> tuple[float, float]:
     """The min of cp (x) D10 u and of cq (x) D01 u over u[1:, 1:] (signed),
     or the max of cp (x) |D10 u| and cq (x) |D01 u|, for u a block with one
     row and one column before the range.  One difference array at a time,
-    made real in place (by a fresh abs if u is complex)."""
+    made real in place (by a fresh abs if u is complex).
+
+    A zero minimum is +0.0: numpy's min over zeros of both signs keeps
+    whichever its reduction order (even its SIMD layout) meets last, so
+    only a sign-free zero lets blocks cut any way give one result.  A
+    maximum of absolute values is never -0.0."""
     def stat(d, c):
         if not signed:
             d = np.abs(d, out=None if np.iscomplexobj(d) else d)
         d *= c
-        return float(d.min() if signed else d.max())
+        return float(d.min() + 0.0 if signed else d.max())
 
     return stat(u[1:, 1:] - u[:-1, 1:], cp[:, None]), stat(u[1:, 1:] - u[1:, :-1], cq[None, :])
 
@@ -499,30 +504,44 @@ def empirical_limit(
         )
     vals = grid.values
     starts = [math.ceil(tail_fraction * h) for h in ladder]
-    squares = [vals[t0 : h + 1, t0 : h + 1] for t0, h in zip(starts, ladder)]
-    return _limit_estimate(squares, ladder, tail_fraction, eps_dec)
+    lhat = vals[top, top].item()
+    residuals = [_square_residual(vals[t0 : h + 1, t0 : h + 1], lhat) for t0, h in zip(starts, ladder)]
+    return _limit_estimate(lhat, residuals, ladder, tail_fraction, eps_dec)
 
 
-def _limit_estimate(squares, ladder, tail_fraction, eps_dec) -> LimitEstimate:
-    """empirical_limit from the tail square [ceil(tf*h), h]^2 of each rung h."""
-    lhat = squares[-1][-1, -1].item()
-    profile = []
-    for h, sub in zip(ladder, squares):
-        if np.iscomplexobj(sub):
-            r = np.abs(sub - lhat).max()
-        else:
-            # Rounded subtraction is monotone and sign-symmetric, and abs
-            # maps -0.0 to 0.0: the bits of |sub - lhat|.max(), no temporary.
-            r = np.maximum(abs(sub.max() - lhat), abs(lhat - sub.min()))
-        profile.append((h, float(r)))
-    r = [v for _, v in profile]
+# Cells of a complex square whose |x - estimate| is taken at once: 384 KiB
+# of temporaries, where the whole top square of a 1024 grid took 6.3 MiB.
+_RESIDUAL_CELLS = 1 << 14
+
+
+def _square_residual(sub, lhat) -> float:
+    """max |sub - lhat| over a square: from its extrema when real, else
+    _RESIDUAL_CELLS cells at a time; max is exact, so the bits are one
+    reduction's."""
+    if not np.iscomplexobj(sub):
+        return _extrema_residual(sub.min(), sub.max(), lhat)
+    step = max(1, _RESIDUAL_CELLS // sub.shape[1])
+    return float(np.max([np.abs(sub[i : i + step] - lhat).max() for i in range(0, len(sub), step)]))
+
+
+def _extrema_residual(lo, hi, lhat) -> float:
+    """max |x - lhat| over real values x with extrema lo and hi.  Rounded
+    subtraction is monotone and sign-symmetric, and abs maps -0.0 to 0.0:
+    the bits of |x - lhat|.max(), whatever the sign of a zero lo or hi."""
+    return float(np.maximum(abs(hi - lhat), abs(lhat - lo)))
+
+
+def _limit_estimate(lhat, residuals, ladder, tail_fraction, eps_dec) -> LimitEstimate:
+    """empirical_limit from the estimate lhat and the residual of each rung."""
+    profile = tuple(zip(ladder, residuals))
+    r = residuals
     decreasing = r[-3] > r[-2] > r[-1]
     noise_floor = 64.0 * float(np.finfo(np.float64).eps) * max(1.0, abs(lhat))
     converged = r[-1] < eps_dec and (decreasing or r[-1] <= noise_floor)
     return LimitEstimate(
         value=lhat,
         tail_start=math.ceil(tail_fraction * ladder[-1]),
-        residual_profile=tuple(profile),
+        residual_profile=profile,
         converged=converged,
         eps_dec=eps_dec,
     )
@@ -617,14 +636,14 @@ def build_window_profiles(
 
 def _bound_profiles(which, rungs) -> tuple[DecisionProfile, DecisionProfile]:
     """The tail profiles of landau_stat or hardy_stat, one per axis, from
-    rungs (h, u, cp, cq): u on [t - 1..h]^2 and cp, cq = P_i/p_i, Q_j/q_j
-    over [t..h], as _difference_stats reads them."""
+    rungs (h, cells, (stat_p, stat_q)) of _difference_stats over [t..h]^2."""
     sense = TrendSense.INF if which == "landau" else TrendSense.SUP
-    axes = ([], [])
-    for h, u, cp, cq in rungs:
-        for axis, stat in zip(axes, _difference_stats(u, cp, cq, signed=which == "landau")):
-            axis.append(ProfileRung(lam=None, kappa=None, horizon=h, stat=stat, cells=cp.size * cq.size))
-    return tuple(DecisionProfile(f"{which}_{a}", sense, tuple(rs)) for a, rs in zip("pq", axes))
+    return tuple(
+        DecisionProfile(f"{which}_{a}", sense,
+                        tuple(ProfileRung(lam=None, kappa=None, horizon=h, stat=stats[axis], cells=cells)
+                              for h, cells, stats in rungs))
+        for axis, a in enumerate("pq")
+    )
 
 
 # ---------------------------------------------------------------------------

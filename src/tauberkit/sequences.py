@@ -27,8 +27,8 @@ from .errors import (
 
 # Hard ceiling on the cells of one grid, ~2 GiB of float64.  Only eval_grid
 # (u) and weighted_mean_field (sigma) hold a whole grid, one each; analyze
-# refuses the same horizons but holds only row bands and the ladder's tail
-# squares.
+# refuses the same horizons but holds only row bands, and for a complex
+# sequence the ladder's tail squares of u and sigma.
 MAX_GRID_CELLS = 1 << 28
 
 

@@ -2,7 +2,8 @@
 
 The field pass accumulates sigma(m, n) over a grid in row bands of
 _SUM_CHUNK words, with the bits of one double cumulative sum of the whole
-grid, and fills only the rectangles of u and sigma its caller keeps; the
+grid, and hands each band of u and of the numerator to its caller, which
+divides sigma (_divide) only where it reads it; the
 single-cell evaluator recomputes one mean by direct exact summation
 (math.fsum) and exists so the fast path can be checked against an
 independently rounded route.  The lemma splits need the exact sums of four
@@ -71,34 +72,50 @@ def weighted_mean_field(
     S(m, n) = S(m-1, n) + S(m, n-1) - S(m-1, n-1) + p_m q_n u(m, n)
     without storing intermediate corners.  Raises on non-finite sequence
     values or an overflowing accumulation, naming the first offending cell.
-    The sigma grid is the one rectangle _mean_field_pass fills, so the
-    peak stays within that one grid and a band's u and numerator.
+    Each band of _mean_field_pass is divided straight into the sigma grid,
+    so the peak stays within that one grid and a band's u and numerator.
     """
     _check_grid(seq, m_max, n_max)  # before the grid is allocated
     dtype = np.complex128 if seq.kind is ScalarKind.COMPLEX else np.float64
     sigma = np.empty((m_max + 1, n_max + 1), dtype)
-    _mean_field_pass(seq, p, q, m_max, n_max, keep_sigma=[(0, sigma)])
+
+    def visit(r0, u, s, pp, qp):
+        _divide(s, pp[r0 : r0 + len(s)], qp, sigma[r0 : r0 + len(s)])
+
+    _mean_field_pass(seq, p, q, m_max, n_max, visit)
     return MeanField(sigma=Grid(m_max, n_max, sigma, seq.kind))
 
 
-def _mean_field_pass(seq, p, q, m_max, n_max, keep_u=(), keep_sigma=()):
-    """Fill each kept rectangle (t, dst) of u or of sigma with the grid's
-    values on [t..] x [t..], dst's shape giving the extent, in one pass over
-    row bands [r0, r0 + rows) x [0..n_max] of at most _SUM_CHUNK float64
-    words (a complex cell is two), or one row, top to bottom.  sigma is
-    divided straight into the kept cells and made nowhere else.
+def _divide(s, pp, qp, out):
+    """sigma = s / (pp (x) qp) into out, which is returned, for a block s of
+    the numerator and the prefix sums pp, qp of its rows and columns: every
+    cell has the bits of the whole grid's division."""
+    np.multiply(pp[:, None], qp[None, :], out=out)
+    return np.divide(s, out, out=out)
+
+
+def _mean_field_pass(seq, p, q, m_max, n_max, visit):
+    """Call visit(r0, u, s, pp, qp) on each row band [r0, r0 + rows) x
+    [0..n_max] of the grid, top to bottom, with u and the numerator s on it
+    and the prefix sums pp, qp of p over [0..m_max] and of q over
+    [0..n_max]; a band holds at most _SUM_CHUNK float64 words (a complex
+    cell is two), or one row.  Bands are views of buffers the next band
+    reuses, so visit copies what it keeps; _divide makes sigma from them.
 
     A band's first row of products takes the previous band's last row of
     sums down the columns, and each later row the row above it, one row-wise
     add at a time along numpy's fast axis: the additions, in order, of one
     cumsum of the whole grid each way, so every bit is the whole grid's.
     So is the error order: bounds and cell budget, checked by the caller
-    before it allocates the keeps; a rule error or non-finite u cell
-    anywhere; p's weights, then q's; the row-major first overflowed
-    numerator cell.  An error is held while later bands of u are checked.
-    Weights are positive and finite, so a non-finite u cell makes its
-    numerator cell non-finite: u is checked only in a band whose numerator
-    is not finite, or once an error is held.  A raise leaves keeps part filled.
+    before it allocates; a rule error or non-finite u cell anywhere; p's
+    weights, then q's; the row-major first overflowed numerator cell.  An
+    error is held while later bands of u are checked, and visit sees only
+    bands before the first error.  Weights are positive and finite, so a
+    non-finite u cell makes its numerator cell non-finite, and a
+    non-finite numerator cell makes the rest of its row non-finite after
+    the cumsum along it (inf + x, inf - inf and nan + x are not finite):
+    the last column tells whether a band is finite, and u is checked only
+    in a band whose numerator is not, or once an error is held.
     """
     nonfinite = late = None
     try:
@@ -127,13 +144,10 @@ def _mean_field_pass(seq, p, q, m_max, n_max, keep_u=(), keep_sigma=()):
                     np.add(s[i - 1], s[i], out=s[i])
                 down = s[-1].copy()
                 np.cumsum(s, axis=1, out=s)
-            bad = _first_nonfinite(s)
-            if bad is None:
-                for rows, cells, rect in _band_overlaps(keep_u, r0, r1):
-                    rect[...] = u[rows, cells]
-                for rows, cells, rect in _band_overlaps(keep_sigma, r0, r1):
-                    np.multiply(pp[r0:r1][rows, None], qp[None, cells], out=rect)
-                    np.divide(s[rows, cells], rect, out=rect)
+            if not np.isfinite(s[:, -1]).all():
+                bad = _first_nonfinite(s)
+            else:
+                visit(r0, u, s, pp, qp)
         if nonfinite is None and (late or bad) and (at := _first_nonfinite(u)) is not None:
             m, n = r0 + at[0], at[1]
             nonfinite = NonFiniteValueError(f"{seq.name}: non-finite value at {(m, n)}", m=m, n=n)
@@ -142,13 +156,6 @@ def _mean_field_pass(seq, p, q, m_max, n_max, keep_u=(), keep_sigma=()):
         del u
     if nonfinite or late:
         raise nonfinite or late
-
-
-def _band_overlaps(keeps, r0, r1):
-    """(band rows, columns, dst rows) of each keep (t, dst) meeting grid rows [r0, r1)."""
-    for t, dst in keeps:
-        if (lo := max(r0, t)) < (hi := min(r1, t + len(dst))):
-            yield slice(lo - r0, hi - r0), slice(t, t + dst.shape[1]), dst[lo - t : hi - t]
 
 
 def _exact_sum(arr: np.ndarray) -> float | complex:

@@ -1,10 +1,11 @@
-"""Shared test code: slow, obviously-correct reference paths, the CLI runner
-and a call counter."""
+"""Shared test code: slow, obviously-correct reference paths, the CLI runner,
+a call counter and a peak-memory probe."""
 
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -62,3 +63,13 @@ def bin_pass_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(tauberkit.transform, "_binned_corner_sums", counted)
     return calls
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import re
-import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -17,7 +16,7 @@ from tauberkit.cli import (
     parse_sequence_spec,
     parse_weight_spec,
 )
-from helpers import run_tauberkit
+from helpers import run_tauberkit, traced_peak
 
 NAN, INF = float("nan"), float("inf")
 
@@ -383,12 +382,9 @@ def test_transform_peak_memory_stays_near_two_grids(tmp_path, sequence, weights,
     argv = ["transform", "--sequence", sequence, "--weights-p", weights,
             "--horizon", "1024", "--out", str(tmp_path)]
     main(argv)  # imports and lazily built tables are not part of the peak
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    codes = []
+    peak = traced_peak(lambda: codes.append(main(argv)))
+    assert codes == [0]
     assert peak < 1.7 * grid_bytes
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tauberkit as tk
+from helpers import traced_peak
 
 ADD = tk.corpus_sequence("additive_convergent")
 EPS = float(np.finfo(np.float64).eps)
@@ -306,6 +307,20 @@ def test_decomposition_margin_sample(name, expect):
 # ---------------------------------------------------------------------------
 
 
+def test_complex_limit_residuals_keep_one_reduction_bits_in_row_chunks():
+    # |x - estimate| a few rows at a time: the whole top square of this grid
+    # took a 6.3 MiB temporary; the chunks cut each square's rows unevenly
+    grid = tk.eval_grid(tk.corpus_sequence("complex_convergent"), 1024, 1024)
+    ladder = [100, 256, 700, 1024]
+    peak = traced_peak(lambda: tk.empirical_limit(grid, ladder, 0.3))
+    est = tk.empirical_limit(grid, ladder, 0.3)
+    lhat = grid.values[1024, 1024]
+    want = [float(np.abs(grid.values[t : h + 1, t : h + 1] - lhat).max()) for t, h in
+            ((30, 100), (77, 256), (210, 700), (308, 1024))]
+    assert repr(est.residual_profile) == repr(tuple(zip(ladder, want)))
+    assert peak <= 2**20
+
+
 def test_empirical_limit_on_slowly_converging_grid():
     est = tk.empirical_limit(tk.eval_grid(ADD, 512, 512), [64, 128, 256, 512])
     assert est.value == pytest.approx(1.3203986648584198, rel=1e-12)
@@ -365,7 +380,8 @@ def test_absolute_difference_stat_grows_on_checkerboard():
 
 def _whole_range_bound(seq, p, q, m_range, n_range, signed):
     """landau_stat (signed) or hardy_stat as the one-block _difference_bound
-    of commit f5b4103 computed them, before the row bands replaced it."""
+    of commit f5b4103 computed them, before the row bands replaced it, with
+    a zero minimum read as +0.0."""
     (m0, m1), (n0, n1) = m_range, n_range
     u = seq.block(np.arange(m0 - 1, m1 + 1), np.arange(n0 - 1, n1 + 1))
     if not np.isfinite(u).all():
@@ -375,7 +391,7 @@ def _whole_range_bound(seq, p, q, m_range, n_range, signed):
     cp = p.prefix_array(m1)[m0:] / p.weights_array(m1)[m0:]
     cq = q.prefix_array(n1)[n0:] / q.weights_array(n1)[n0:]
     if signed:
-        return float((cp[:, None] * d10).min()), float((cq[None, :] * d01).min())
+        return float((cp[:, None] * d10).min() + 0.0), float((cq[None, :] * d01).min() + 0.0)
     return (
         float((cp[:, None] * np.abs(d10)).max()),
         float((cq[None, :] * np.abs(d01)).max()),

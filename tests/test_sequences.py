@@ -1,12 +1,12 @@
 """Corpus sequences and weight families: definitions, prefixes, guard rails."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import tauberkit as tk
+from helpers import traced_peak
 
 
 def test_sequence_names_are_sorted_and_complete():
@@ -342,15 +342,6 @@ def test_an_array_rule_that_raises_mid_chunk_leaves_the_scalar_error():
     assert p.evaluated_count == 3000
 
 
-def _peak_bytes(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("name", ["ones", "harmonic", "power"])
 def test_one_prefix_chunk_stays_small(name):
     # Three chunks of 2^16 fill the cache to 3/4 of its capacity, so the
@@ -363,8 +354,8 @@ def test_one_prefix_chunk_stays_small(name):
     p = tk.corpus_weight(name)
     chunk = 1 << 16
     p.ensure(3 * chunk - 1)
-    assert _peak_bytes(p._weights_over, 3 * chunk, 4 * chunk) <= 2.5 * 8 * chunk
-    assert _peak_bytes(p.ensure, 4 * chunk - 1) <= 4.7 * 8 * chunk
+    assert traced_peak(lambda: p._weights_over(3 * chunk, 4 * chunk)) <= 2.5 * 8 * chunk
+    assert traced_peak(lambda: p.ensure(4 * chunk - 1)) <= 4.7 * 8 * chunk
     assert p.evaluated_count == 4 * chunk
 
 

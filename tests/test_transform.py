@@ -4,7 +4,6 @@ import contextlib
 import dataclasses
 import decimal
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tauberkit as tk
-from helpers import bin_pass_calls, direct_sigma, direct_sigma_grid
+from helpers import bin_pass_calls, direct_sigma, direct_sigma_grid, traced_peak
 from tauberkit import transform
 from tauberkit.cli import parse_sequence_spec
 from tauberkit.sequences import _first_nonfinite
@@ -95,13 +94,8 @@ def test_mean_field_peak_memory_stays_within_one_grid(name):
     p, q = tk.ones(), tk.harmonic()
     p.ensure(1100)  # the prefix caches are not part of the field's peak
     q.ensure(1100)
-    tracemalloc.start()
-    try:
-        fld = tk.weighted_mean_field(seq, p, q, 1023, 1023)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * fld.sigma.values.nbytes
+    peak = traced_peak(lambda: tk.weighted_mean_field(seq, p, q, 1023, 1023))
+    assert peak <= 1.25 * 1024 * 1024 * (16 if seq.kind is tk.ScalarKind.COMPLEX else 8)
 
 
 def _whole_grid_mean_field(seq, p, q, m_max, n_max):
@@ -186,27 +180,38 @@ def test_banded_mean_field_keeps_the_whole_grid_bits(monkeypatch, rows, family):
             assert fld.sigma.values.tobytes() == sigma.tobytes(), (seq.name, m_max, n_max)
 
 
-# Squares [t..k]^2 of sigma with u's squares [t - 1..k]^2 over them: some
-# start and end inside one band, some span bands, one reaches the last row.
+# Squares [t..k]^2 that callers reduce from the bands: some start and end
+# inside one band, some span bands, one reaches the last row.
 _SQUARES = [(1, 7), (3, 6), (5, 5), (6, 7), (9, 11)]
 
 
 @pytest.mark.parametrize("rows", _BAND_ROWS, ids=lambda r: f"band_rows={r}")
-def test_mean_field_pass_fills_the_kept_rectangles_with_the_grid_bits(monkeypatch, rows):
+def test_mean_field_pass_hands_over_each_band_with_the_grid_bits(monkeypatch, rows):
     p, q = tk.harmonic(), tk.power(1.5)
     for seq in _sequences():
         for m_max, n_max in ((11, 11), (11, 7)):
             u = tk.eval_grid(seq, m_max, n_max).values
             sigma = tk.weighted_mean_field(seq, p, q, m_max, n_max).sigma.values
             squares = [(t, k) for t, k in _SQUARES if k <= n_max]
-            keep_u = [(t - 1, np.empty((k + 2 - t,) * 2, u.dtype)) for t, k in squares]
-            keep_sigma = [(t, np.empty((k + 1 - t,) * 2, u.dtype)) for t, k in squares]
+            got_u, got_sigma = np.empty_like(u), [np.empty((k + 1 - t,) * 2, u.dtype) for t, k in squares]
+            tops = []
+
+            def visit(r0, band, s, pp, qp):
+                tops.append(r0)
+                got_u[r0 : r0 + len(band)] = band
+                # each square's rows in this band, divided on their own
+                for (t, k), dst in zip(squares, got_sigma):
+                    if (lo := max(r0, t)) < (hi := min(r0 + len(s), k + 1)):
+                        transform._divide(s[lo - r0 : hi - r0, t : k + 1], pp[lo:hi], qp[t : k + 1],
+                                          dst[lo - t : hi - t])
+
             with _bands(monkeypatch, seq, rows, m_max, n_max) as banded:
-                transform._mean_field_pass(banded, p, q, m_max, n_max, keep_u, keep_sigma)
-            for (t, k), (_, got_u), (_, got_sigma) in zip(squares, keep_u, keep_sigma):
-                where = (seq.name, m_max, n_max, t, k)
-                assert got_u.tobytes() == u[t - 1 : k + 1, t - 1 : k + 1].tobytes(), where
-                assert got_sigma.tobytes() == sigma[t : k + 1, t : k + 1].tobytes(), where
+                transform._mean_field_pass(banded, p, q, m_max, n_max, visit)
+            where = (seq.name, m_max, n_max)
+            assert tops == list(range(0, m_max + 1, rows or m_max + 1)), where
+            assert got_u.tobytes() == u.tobytes(), where
+            for (t, k), got in zip(squares, got_sigma):
+                assert got.tobytes() == sigma[t : k + 1, t : k + 1].tobytes(), (*where, t, k)
 
 
 def _raised(fn, *args):
@@ -215,13 +220,22 @@ def _raised(fn, *args):
     return exc.value
 
 
-def _overflowing(nan_at=None, rows=12):
-    """u = 1 on a rows x 8 array but for two cells of 1e308 in row 1, whose
-    sum overflows the numerator there, and a nan at nan_at."""
+def _overflowing(nan_at=None, rows=12, at=1):
+    """u = 1 on a rows x 8 array but for two cells of 1e308 in row ``at``,
+    whose sum overflows the numerator there, and a nan at nan_at."""
     u = np.ones((rows, 8))
-    u[1, 2:4] = 1e308
+    u[at, 2:4] = 1e308
     if nan_at is not None:
         u[nan_at] = np.nan
+    return tk.array_sequence(u, "overflowing")
+
+
+def _overflowing_to_nan():
+    """Numerator columns that overflow to +inf (column 2) and to -inf
+    (column 5) in row 6: the cumsum along the row turns inf into nan."""
+    u = np.ones((12, 8))
+    u[5:7, 2] = 1e308
+    u[5:7, 5] = -1e308
     return tk.array_sequence(u, "overflowing")
 
 
@@ -231,22 +245,27 @@ def _sign_flip(at):
 
 @pytest.mark.parametrize("rows", [None, 2, 3], ids=lambda r: f"band_rows={r}")
 @pytest.mark.parametrize(
-    "case",
+    "case, first_bad_row",
     [
         # an overflow in an early band, a non-finite u cell in a later one
-        lambda: (_overflowing((9, 3)), tk.ones(), tk.ones()),
+        (lambda: (_overflowing((9, 3)), tk.ones(), tk.ones()), 1),
         # a weight error, then a non-finite u cell in a later band
-        lambda: (_overflowing((9, 3)), _sign_flip(2), tk.ones()),
+        (lambda: (_overflowing((9, 3)), _sign_flip(2), tk.ones()), 0),
         # p's weight error before q's, both before the overflow
-        lambda: (_overflowing(), _sign_flip(4), _sign_flip(3)),
+        (lambda: (_overflowing(), _sign_flip(4), _sign_flip(3)), 0),
         # an overflow alone
-        lambda: (_overflowing(), tk.ones(), tk.ones()),
+        (lambda: (_overflowing(), tk.ones(), tk.ones()), 1),
         # a nan in an early band, then rows past the array: the rule's error
-        lambda: (_overflowing((2, 3), rows=9), tk.ones(), tk.ones()),
+        (lambda: (_overflowing((2, 3), rows=9), tk.ones(), tk.ones()), 1),
+        # a nan in an early band, then an overflow in a later one
+        (lambda: (_overflowing((2, 3), at=8), tk.ones(), tk.ones()), 2),
+        # an overflow in the middle of a row, which ends it in nan
+        (lambda: (_overflowing_to_nan(), tk.ones(), tk.ones()), 6),
     ],
-    ids=["overflow_then_nan", "weights_then_nan", "p_then_q", "overflow_alone", "nan_then_rule"],
+    ids=["overflow_then_nan", "weights_then_nan", "p_then_q", "overflow_alone", "nan_then_rule",
+         "nan_then_overflow", "overflow_to_nan"],
 )
-def test_banded_mean_field_raises_the_whole_grid_error(monkeypatch, rows, case):
+def test_banded_mean_field_raises_the_whole_grid_error(monkeypatch, rows, case, first_bad_row):
     seq, p, q = case()
     want = _raised(_whole_grid_mean_field, seq, p, q, 11, 7)
     seq, p, q = case()
@@ -255,14 +274,17 @@ def test_banded_mean_field_raises_the_whole_grid_error(monkeypatch, rows, case):
     with _bands(monkeypatch, seq, rows, 11, 7, last_row) as banded:
         got = _raised(tk.weighted_mean_field, banded, p, q, 11, 7)
     assert (type(got), str(got)) == (type(want), str(want))
-    # kept rectangles change nothing of what the pass raises
+    # the pass raises the same, and hands over only the bands above the
+    # first weight error, non-finite numerator cell or rule error
     seq, p, q = case()
-    keeps = [(1, np.empty((6, 6))), (5, np.empty((3, 3)))]
+    tops = []
     with _bands(monkeypatch, seq, rows, 11, 7, last_row) as banded:
-        kept = _raised(transform._mean_field_pass, banded, p, q, 11, 7, keeps, keeps)
-    assert (type(kept), str(kept)) == (type(want), str(want))
+        passed = _raised(transform._mean_field_pass, banded, p, q, 11, 7, lambda r0, *band: tops.append(r0))
+    assert (type(passed), str(passed)) == (type(want), str(want))
+    step = rows or 12
+    assert tops == list(range(0, first_bad_row - first_bad_row % step, step))
     if isinstance(want, tk.NonFiniteValueError):
-        assert (got.m, got.n) == (want.m, want.n) == (9, 3)
+        assert (got.m, got.n) == (want.m, want.n)
 
 
 @pytest.mark.parametrize("name", ["additive_convergent", "complex_convergent"])
@@ -271,12 +293,7 @@ def test_single_mean_peak_memory_stays_within_three_blocks(name):
     p, q = tk.ones(), tk.harmonic()
     p.ensure(1000)  # the prefix caches are not part of the mean's peak
     q.ensure(1000)
-    tracemalloc.start()
-    try:
-        tk.sigma_single(seq, p, q, 999, 999)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: tk.sigma_single(seq, p, q, 999, 999))
     assert peak < 3.0 * tk.eval_grid(seq, 999, 999).values.nbytes
 
 
