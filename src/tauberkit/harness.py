@@ -3,13 +3,13 @@
 The lemma decompositions split u(m, n) - sigma(m, n) into four terms built
 from corner means and a windowed average, exactly; their residuals are the
 package's strongest internal check, since the left side and the terms are
-computed by completely different routes.  A split streams its block in row
-bands through transform._corner_sums, once, or twice when a sum cannot be
-certified and integer bins sum the bands again, and holds only its window;
+computed by completely different routes.  A split streams its block once,
+in row bands, through transform._corner_sums and holds only its window;
 its four corner means keep the bits of four sigma_single calls, the
-math.fsum oracle, which still run where a band raises, is not finite or
-could overflow.  The proof inequalities replace the windowed average with
-worst-case window drops, which is the step the limit theorems live on.
+math.fsum oracle, which run instead where that one pass cannot certify a
+sum, or a band raises, is not finite or could overflow.  The proof
+inequalities replace the windowed average with worst-case window drops,
+which is the step the limit theorems live on.
 verify_theorem runs the full pipeline for one sequence/weight
 configuration and returns a verdict that is honest about being
 finite-sample.  Its limits and T42/T52 bound profiles are reduced from the
@@ -142,14 +142,13 @@ def _corner_means(seq, p, q, corners):
     (mu, eta), with its bits, and u on the window [min(m, mu)..] x
     [min(n, eta)..] of the block [0..max(m, mu)] x [0..max(n, eta)].
 
-    u is evaluated once, twice when a sum cannot be certified, in row bands
-    of about _SUM_CHUNK cells that go through _corner_sums and leave their
-    window rows behind, again on the second pass.  The means are None
-    where _corner_sums finds that a sum could overflow, and
-    both are None when the block is over budget or a band or the weights
-    raise: the four sigma_single calls then decide, with their special
-    values and errors, in their order.  The last of them sums the whole
-    block, so it raises wherever the block was not evaluated.
+    u is evaluated once, in row bands of about _SUM_CHUNK cells that go
+    through _corner_sums and leave their window rows behind.  The means are
+    None where _corner_sums cannot certify a sum or finds that one could
+    overflow, and both are None when the block is over budget or a band or
+    the weights raise: the four sigma_single calls then decide, with their
+    special values and errors, in their order.  The last of them sums the
+    whole block, so it raises wherever the block was not evaluated.
     """
     (m, n), _, _, (mu, eta) = corners
     rows, cols = max(m, mu) + 1, max(n, eta) + 1
@@ -171,7 +170,7 @@ def _corner_means(seq, p, q, corners):
 
     try:
         pw, qw = p.weights_array(rows - 1), q.weights_array(cols - 1)
-        sums = _corner_sums(bands, r0, c0)
+        sums = _corner_sums(bands(), r0, c0)
     except Exception:
         # Whatever the rule or the weights raise, sigma_single raises again.
         return None, None

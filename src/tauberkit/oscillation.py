@@ -14,12 +14,13 @@ resolves every window it samples -- by functional, then scale, horizon
 and 3x3 tail anchor -- under the per-anchor index and cell budgets.  It
 then makes one pass per horizon: u is evaluated once on the union of
 that horizon's windows, for all functionals and scales, in row bands of
-at most _BAND_CELLS cells.  The window edges cut the union into
-segments, and each window is reduced from per-segment extrema (of x, or
-of |x - r| for complex u).  Min and max are exact and every value is
-still one subtraction of the same two doubles, so the results match a
-per-anchor evaluation bit for bit.  window_functional, one functional at
-one anchor, is the engine's single-window case.
+_BAND_CELLS cells, or of one row where a row of the union is wider (a
+far-reaching line window; ROADMAP.md, item 3).  The window edges cut the
+union into segments, and each window is reduced from per-segment extrema
+(of x, or of |x - r| for complex u).  Min and max are exact and every
+value is still one subtraction of the same two doubles, so the results
+match a per-anchor evaluation bit for bit.  window_functional, one
+functional at one anchor, is the engine's single-window case.
 """
 from __future__ import annotations
 
@@ -47,10 +48,10 @@ from .sequences import DoubleSequence, Grid, ScalarKind, WeightSequence
 MAX_WINDOW_CELLS = 30_000_000
 
 # Cells of u the window engine evaluates at once: 1 MiB of float64, so a
-# band and the rule's temporaries stay near a 2 MiB L2 cache and the
-# engine's memory is bounded whatever the horizon and window scale.  On a
-# 2-vCPU Xeon, bands of 2**17 to 2**19 cells ran profiles about 30 % faster
-# than bands of 2**21.
+# band and the rule's temporaries stay near a 2 MiB L2 cache.  A band is at
+# least one union row, so line windows can exceed it (ROADMAP.md, item 3).
+# On a 2-vCPU Xeon, bands of 2**17 to 2**19 cells ran profiles about 30 %
+# faster than bands of 2**21.
 _BAND_CELLS = 1 << 17
 
 
@@ -232,7 +233,7 @@ def _window_values(seq, forward, wins) -> list[float]:
 
     The window edges cut rows and columns into segments; a row segment
     reads only the column segments some window pairs it with, in bands of
-    at most _BAND_CELLS cells, and any non-finite cell raises
+    _BAND_CELLS cells or of one row, and any non-finite cell raises
     NonFiniteValueError.  Each reference (reduction and corner u(m, n),
     anchor row u(m, .) or anchor column u(., n)) keeps its worst comparison
     per pair of segments; a window takes the worst over its segments.  Real

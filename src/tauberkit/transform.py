@@ -7,12 +7,12 @@ divides sigma (_divide) only where it reads it; the
 single-cell evaluator recomputes one mean by direct exact summation
 (math.fsum) and exists so the fast path can be checked against an
 independently rounded route.  The lemma splits need the exact sums of four
-nested rectangles of one block: _corner_sums adds them band by band as
-double-doubles built from error-free TwoSum steps and certifies each
-rounding against a proven error bound; where it cannot (a sum on a tie, or
-one that cancels below the bound), integer bins sum the bands again
-exactly.  Either way the sums keep math.fsum's bits, and sigma_single
-stays their oracle.
+nested rectangles of one block: _corner_sums adds them in one pass, band by
+band, as double-doubles built from error-free TwoSum steps and certifies
+each rounding against a proven error bound, so a certified sum keeps
+math.fsum's bits.  Where it cannot vouch for a sum (a sum on a tie, or one
+that cancels below the bound), it returns None and sigma_single, the
+oracle, gives the means.
 export_grid_csv writes a grid as text through an exact numpy kernel for
 %.17g (_decimal, _text_words); b"%.17g" % x formats what it cannot certify.
 """
@@ -45,10 +45,6 @@ _SUM_CHUNK = 1 << 16
 
 # Cells per band of the text kernel, whose scratch arrays stay near 4 MiB.
 _TEXT_BAND = 1 << 14
-
-# Bits of a double below its exponent field, and of a mantissa's low part.
-_FRACTION = (1 << 52) - 1
-_LOW_PART = (1 << 26) - 1
 
 
 @dataclass(frozen=True)
@@ -176,10 +172,10 @@ def _corner_sums(bands, r0: int, c0: int) -> list[float | complex] | None:
     [0..r0] x [0..] and [0..] x [0..] of one block, each rounded once as
     math.fsum rounds (+0.0 for zero); None where one could overflow, that
     is where a part of a term, or NaN, is not below 2^1022 / cells in
-    magnitude.  bands() returns the block's row bands, (top, terms) pairs
-    in any grouping and order; every band is read, also once None is
-    certain, and bands() is called again for _binned_corner_sums when a
-    sum cannot be certified.
+    magnitude, and None where a sum cannot be certified: the caller's
+    oracle, sigma_single, decides those.  bands yields the block's row
+    bands once, (top, terms) pairs in any grouping and order; every band is
+    read, also once None is certain.
 
     The certified pass keeps, per lane (a column, or a complex column's
     re or im part) and per row group (rows <= r0 and rows > r0), a
@@ -194,8 +190,7 @@ def _corner_sums(bands, r0: int, c0: int) -> list[float | complex] | None:
     part is zero and every step exact, zero sums included.  Otherwise r
     is certified when |rho| (1 + 2^-50) + B < g / 2, g the smaller gap
     from r to a neighbouring double: the exact sum then lies strictly
-    nearer to r than to any other double.  Any other sum sends the whole block to
-    _binned_corner_sums.
+    nearer to r than to any other double.  Otherwise the result is None.
 
     The error bound B, with u = 2^-53.  The guard keeps every partial sum
     below 2^1022, so nothing overflows, and an add whose exact result is
@@ -216,7 +211,7 @@ def _corner_sums(bands, r0: int, c0: int) -> list[float | complex] | None:
     """
     peak = cells = count = depth = 0
     exact = True
-    for top, terms in bands():
+    for top, terms in bands:
         cells += terms.size
         peak = np.maximum(peak, np.abs(terms.view(np.float64)).max())
         if peak < 2.0**1022 / cells:  # NaN fails too, and summing stops
@@ -254,7 +249,7 @@ def _corner_sums(bands, r0: int, c0: int) -> list[float | complex] | None:
         parts = [_rounded([float(x) for q in rect for x in (h[q, k], lo[q, k])], exact and not erred, bound)
                  for k in range(width)]
         if None in parts:
-            return _binned_corner_sums(bands(), r0, c0)
+            return None
         sums.append(complex(*parts) if width == 2 else parts[0])
     return sums
 
@@ -303,42 +298,6 @@ def _dd_tree(h, lo, check):
         erred = erred or (check and eh.any())
         h, lo = s, new
     return h[0], np.zeros(shape) if lo is None else lo[0], erred
-
-
-def _binned_corner_sums(bands, r0: int, c0: int) -> list[float | complex]:
-    """_corner_sums by integer bins, exact whatever the data, for sums the
-    certified pass leaves open; the caller has checked the overflow bound.
-
-    A double is s * mant * 2^(e - 1075) with a 53-bit integer mant (a
-    subnormal takes e = 1 and no implicit bit).  Each chunk of _SUM_CHUNK
-    words adds the 27 high and 26 low bits of its signed mantissas in one
-    float64 bincount per part, keyed by 2048 * (4 * imaginary + 2 * (below
-    r0) + (right of c0)) + e: every bin total stays below 2^53, so exact
-    (Demmel and Hida, 2003).  The chunks add up in int64, Python integers in
-    units of 2^-1074 add the quadrants, and int true division rounds as fsum
-    does, +0.0 for zero.
-    """
-    hi, lo = np.zeros((2, 8 * 2048), np.int64)
-    for top, terms in bands:
-        words = terms.view(np.int64).reshape(*terms.shape, -1)  # a complex cell's re, im
-        e = (words >> 52) & 0x7FF
-        mant = (words & _FRACTION) | (np.minimum(e, 1) << 52)
-        sign = words >> 63
-        mant ^= sign
-        mant -= sign
-        np.maximum(e, 1, out=e)
-        e[max(r0 + 1 - top, 0) :] += 4096
-        e[:, c0 + 1 :] += 2048
-        e[..., 1:] += 8192
-        bins = 4 * 2048 * words.shape[2]
-        for i in range(0, e.size, _SUM_CHUNK):
-            k, v = e.ravel()[i : i + _SUM_CHUNK], mant.ravel()[i : i + _SUM_CHUNK]
-            hi[:bins] += np.bincount(k, v >> 26, bins).astype(np.int64)
-            lo[:bins] += np.bincount(k, v & _LOW_PART, bins).astype(np.int64)
-    totals = [[sum(((int(h[k]) << 26) + int(l[k])) << (k - 1) for k in np.flatnonzero(h | l).tolist())
-               for h, l in zip(hp, lp)] for hp, lp in zip(hi.reshape(2, 4, 2048), lo.reshape(2, 4, 2048))]
-    sums = [[x / 2**1074 for x in (q00, q00 + q10, q00 + q01, q00 + q01 + q10 + q11)] for q00, q01, q10, q11 in totals]
-    return [complex(re, im) for re, im in zip(*sums)] if np.iscomplexobj(terms) else sums[0]
 
 
 def sigma_single(

@@ -1,5 +1,5 @@
 """Shared test code: slow, obviously-correct reference paths, the CLI runner,
-a call counter and a peak-memory probe."""
+the corner-sum cases, a call counter and a peak-memory probe."""
 
 import math
 import os
@@ -51,17 +51,37 @@ def direct_sigma_grid(u: np.ndarray, pw: np.ndarray, qw: np.ndarray) -> np.ndarr
     return out
 
 
-def bin_pass_calls(monkeypatch) -> list:
-    """Count the integer-bin passes of transform._corner_sums: each call's
+# Blocks, a split (r0, c0) of each, and whether transform._corner_sums
+# leaves the block to the oracle.
+TIES_AND_CANCELLATIONS = [
+    # 1 + 2^-53 and 2 + 2^-52 lie halfway between two doubles: ties
+    ([[1.0], [2.0**-53]], 1, 0, True),
+    ([[1.0, 2.0**-53], [2.0**-53, 1.0]], 1, 1, True),
+    # cancellations to zero after an inexact TwoSum: +0.0 from the oracle
+    ([[1.0, 2.0**-60], [-1.0, -(2.0**-60)]], 0, 1, True),
+    ([[-1.0, -(2.0**-60)], [1.0, 2.0**-60]], 0, 1, True),
+    # the same cancellation in a complex block's imaginary part
+    ([[1.0 + 1.0j, 2.0**-60 * 1j], [-1.0j, -(2.0**-60) * 1j]], 0, 1, True),
+    # no TwoSum errs: exact, whatever the sign of zero
+    ([[-0.0, -0.0], [-0.0, -0.0]], 1, 1, False),
+    ([[1.0, -1.0], [-0.0, 3.0]], 1, 1, False),
+    # each rectangle's parts meet only in fsum, which rounds the tie itself
+    ([[1.0, 2.0**-53]], 0, 0, False),
+]
+
+
+def oracle_calls(monkeypatch) -> list:
+    """Count the sigma_single calls of the lemma splits, the oracle that
+    decides the corner means the certified pass leaves open: each call's
     arguments are appended to the list returned."""
     calls = []
-    binned = tauberkit.transform._binned_corner_sums
+    single = tauberkit.harness.sigma_single
 
     def counted(*args):
         calls.append(args)
-        return binned(*args)
+        return single(*args)
 
-    monkeypatch.setattr(tauberkit.transform, "_binned_corner_sums", counted)
+    monkeypatch.setattr(tauberkit.harness, "sigma_single", counted)
     return calls
 
 

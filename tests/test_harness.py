@@ -1,13 +1,14 @@
 """Split choosers, exact decompositions, proof inequalities, and verdicts."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 import tauberkit as tk
-from helpers import bin_pass_calls, traced_peak
+from helpers import TIES_AND_CANCELLATIONS, oracle_calls, traced_peak
 from tauberkit import harness, transform
 from tauberkit.cli import expression_sequence
 from tauberkit.transform import _exact_sum
@@ -408,37 +409,93 @@ def test_trouble_in_a_later_band_keeps_the_outcome_of_four_sigma_single_calls(mo
 
 
 def _refuse_certification(monkeypatch):
-    """Make every corner sum fall back to the bins; return their calls."""
+    """Make every corner sum uncertified; return the oracle's calls."""
     monkeypatch.setattr(transform, "_rounded", lambda *args: None)
-    return bin_pass_calls(monkeypatch)
+    return oracle_calls(monkeypatch)
 
 
 @pytest.mark.parametrize("band", ["row", "r0", "default"])
 @pytest.mark.parametrize("name, w, split", [("additive_convergent", "power", (40, 30, 55, 47)),
                                             ("alternating", "harmonic", (40, 30, 25, 12)),
                                             ("complex_convergent", "ones", (3, 5, 4, 6))])
-def test_bin_pass_refills_the_window_and_keeps_the_oracle_means(monkeypatch, band, name, w, split):
+def test_uncertified_split_fills_the_window_and_keeps_the_oracle_means(monkeypatch, band, name, w, split):
     calls = _refuse_certification(monkeypatch)
     _set_band(monkeypatch, band, *split)
     m, n, mu, eta = split
-    seq, p, q = tk.corpus_sequence(name), _WEIGHTS[w](), _WEIGHTS[w]()
+    seq = tk.corpus_sequence(name)
     corners = ((m, n), (mu, n), (m, eta), (mu, eta))
-    means, window = harness._corner_means(seq, p, q, corners)
-    assert len(calls) == 1
+    blocks = _counting_blocks(monkeypatch)
+    means, window = harness._corner_means(seq, _WEIGHTS[w](), _WEIGHTS[w](), corners)
+    assert means is None
+    # one pass: every row of the block evaluated once, and the window held
+    assert np.array_equal(np.concatenate([a for a, _ in blocks]), np.arange(max(m, mu) + 1))
     grid = tk.eval_grid(seq, max(m, mu), max(n, eta)).values
     assert np.array_equal(window, grid[min(m, mu) :, min(n, eta) :])
-    assert [repr(x) for x in means] == [repr(tk.sigma_single(seq, p, q, i, j)) for i, j in corners]
+    new, old = _both_outcomes(seq, _WEIGHTS[w], _WEIGHTS[w], *split)
+    assert new == old
+    assert [args[3:] for args in calls] == list(corners)
 
 
-def test_tripped_guard_reads_every_band_and_skips_the_bins(monkeypatch):
-    calls = _refuse_certification(monkeypatch)
+def test_tripped_guard_reads_every_band(monkeypatch):
+    _refuse_certification(monkeypatch)
     m, n, mu, eta = 150, 150, 152, 153
     _set_band(monkeypatch, "row", m, n, mu, eta)
     seq = tk.constant(1.5)
     corners = ((m, n), (mu, n), (m, eta), (mu, eta))
+    blocks = _counting_blocks(monkeypatch)
     means, window = harness._corner_means(seq, _WEIGHTS["geometric:r=10"](), _WEIGHTS["geometric:r=10"](), corners)
-    assert means is None and calls == []
+    assert means is None
+    assert np.array_equal(np.concatenate([a for a, _ in blocks]), np.arange(mu + 1))
     assert np.array_equal(window, tk.eval_grid(seq, mu, eta).values[m:, n:])
+
+
+@pytest.mark.parametrize("terms, r0, c0", [case[:3] for case in TIES_AND_CANCELLATIONS if case[3]])
+@pytest.mark.parametrize("forward", [True, False])
+def test_tied_and_cancelling_splits_keep_the_bits_of_the_oracle(monkeypatch, terms, r0, c0, forward):
+    # a zero row and column below and right of the block: the split
+    # (r0, c0) against its far corner sums the block's own rectangles
+    u = np.pad(np.array(terms), ((0, 1), (0, 1)))
+    far = u.shape[0] - 1, u.shape[1] - 1
+    split = (r0, c0, *far) if forward else (*far, r0, c0)
+    calls = oracle_calls(monkeypatch)
+    new, old = _both_outcomes(tk.array_sequence(u, name="tie"), tk.ones, tk.ones, *split)
+    assert new == old
+    assert len(calls) == 4
+
+
+# Captured while a corner sum the certified pass could not vouch for went
+# through a second, binned pass of the block; the splits now defer such sums
+# to sigma_single and must keep every bit.
+_SUITE_MD5 = {0: "3f0b0f4fca6f203faa5f49939e71fff3", 1: "41635983de1854ae4518994de9a1817c",
+              2: "d15616e5864851b720b80e738b5940a1"}
+_TIE_REPRS = {
+    "forward": "LemmaDecomposition(direction='forward', m=10, n=10, mu=199, eta=199, "
+               "lhs=-74439663262322.25, term_corner=74439663262322.25, term_rows=-74439663262322.25, "
+               "term_cols=-74439663262322.25, term_window=0.0, residual=0.0, rel_residual=0.0)",
+    "backward": "LemmaDecomposition(direction='backward', m=199, n=199, mu=10, eta=10, "
+                "lhs=-225179981368.5248, term_corner=225179981368.5248, term_rows=-225179981368.52478, "
+                "term_cols=-225179981368.52478, term_window=0.0, residual=-6.103515625e-05, "
+                "rel_residual=2.710505431213761e-16)",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_SUITE_MD5))
+def test_suite_keeps_its_golden_reprs(monkeypatch, seed):
+    calls = oracle_calls(monkeypatch)
+    reprs = "\n".join(repr(x) for x in tk.lemma_residual_suite(100, 20, seed))
+    assert hashlib.md5(reprs.encode()).hexdigest() == _SUITE_MD5[seed]
+    assert calls  # some of the suite's splits are ties the oracle decides
+
+
+def test_tie_inside_one_quadrant_keeps_its_golden_reprs(monkeypatch):
+    # 2^53 + 1 is exactly halfway between the doubles 2^53 and 2^53 + 2
+    u = np.zeros((200, 200))
+    u[0, 0], u[1, 0] = 2.0**53, 1.0
+    seq = tk.array_sequence(u, name="tie")
+    calls = oracle_calls(monkeypatch)
+    assert repr(tk.lemma_forward(seq, tk.ones(), tk.ones(), 10, 10, 199, 199)) == _TIE_REPRS["forward"]
+    assert repr(tk.lemma_backward(seq, tk.ones(), tk.ones(), 199, 199, 10, 10)) == _TIE_REPRS["backward"]
+    assert len(calls) == 8
 
 
 def test_split_keeps_the_intermediate_overflow_of_fsum():
