@@ -57,7 +57,6 @@ from .variation import (
 from .oscillation import (
     DecisionProfile,
     LimitEstimate,
-    backward_window_lower_index,
     build_window_profiles,
     empirical_limit,
     export_profiles_csv,
@@ -66,9 +65,9 @@ from .oscillation import (
     landau_stat,
     profile_samples,
     sd_field_components,
+    window_edge,
     window_functional,
     window_functional_names,
-    window_upper_index,
 )
 from .harness import (
     HarnessConfig,

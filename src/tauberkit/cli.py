@@ -55,7 +55,7 @@ class RunConfig:
     """Every setting a subcommand can consume, named as in config files.
 
     harness() maps the harness settings onto a HarnessConfig, which owns
-    their rules, under the same names except that ``tol`` is ``class_tol``.
+    their defaults and rules, under the same names but ``tol`` (``class_tol``).
     """
 
     sequence: str = "additive_convergent"
@@ -63,16 +63,16 @@ class RunConfig:
     weights_q: str = "ones"
     theorem: str = "T41"
     functional: str = "sd_P"
-    horizon: int = 512
-    lambda_ladder: tuple[float, ...] = (2.0, 1.5, 1.25, 1.1, 1.05)
-    kappa_ladder: tuple[float, ...] | None = None
+    horizon: int = HarnessConfig.horizon
+    lambda_ladder: tuple[float, ...] = HarnessConfig.lambda_ladder
+    kappa_ladder: tuple[float, ...] | None = HarnessConfig.kappa_ladder
     delta: float = 0.5
     gamma: float = 0.5
-    tail_fraction: float = 0.5
-    tol: float = 0.05
-    eps_dec: float = 0.05
-    eps_agree: float | None = None
-    class_horizon: int = 10**5
+    tail_fraction: float = HarnessConfig.tail_fraction
+    tol: float = HarnessConfig.class_tol
+    eps_dec: float = HarnessConfig.eps_dec
+    eps_agree: float | None = HarnessConfig.eps_agree
+    class_horizon: int = HarnessConfig.class_horizon
     seed: int = 0
     count: int = 100
     grid: int = 20
@@ -491,8 +491,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         q,
         cfg.functional,
         ladder,
-        list(cfg.lambda_ladder),
-        kappa_ladder=list(cfg.kappa_ladder) if cfg.kappa_ladder else None,
+        cfg.lambda_ladder,
+        kappa_ladder=cfg.kappa_ladder,
         tail_fraction=cfg.tail_fraction,
     )
     out = _out_dir(cfg) / "sweep.csv"
@@ -525,8 +525,16 @@ def _add_scale_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--tail-fraction", dest="tail_fraction", type=float)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors take main's one error path;
+    its subcommand parsers are of its class too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="tauberkit",
         description="Weighted means of double sequences and their limit checks",
     )
@@ -602,16 +610,14 @@ _EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = _build_parser().parse_args(argv)
         cfg = resolve_config(args)
         if args.command == "verify-lemma":
             return cmd_verify_lemma(cfg, m=args.m, n=args.n, mu=args.mu, eta=args.eta)
         return _COMMANDS[args.command](cfg)
+    except SystemExit as exc:  # --help, after printing its text
+        return exc.code
     except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))

@@ -38,7 +38,7 @@ from .oscillation import (
     _square_residual,
     build_window_profiles,
 )
-from .variation import VariationClass, VariationKind, classify_adaptive
+from .variation import VariationClass, VariationKind, classification_report, classify_adaptive
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -387,13 +387,14 @@ def lemma_residual_suite(trials: int = 100, grid: int = 20, seed: int = 0) -> li
         raise ResourceLimitError(f"suite grid of {grid * grid} cells exceeds budget {MAX_GRID_CELLS}",
                                  cells=grid * grid)
     rng = np.random.default_rng(seed)
-    pool = [ones, harmonic, lambda: power(1.0), lambda: geometric(1.5)]
+    # Built once: a split reads the same prefixes from a shared sequence.
+    pool = [ones(), harmonic(), power(1.0), geometric(1.5)]
     out = []
     for t in range(trials):
         u = rng.uniform(-1.0, 1.0, size=(grid, grid))
         seq = array_sequence(u, name=f"random_{t}")
-        p = pool[t % len(pool)]()
-        q = pool[(t // len(pool)) % len(pool)]()
+        p = pool[t % len(pool)]
+        q = pool[(t // len(pool)) % len(pool)]
         m = int(rng.integers(1, grid - 2))
         n = int(rng.integers(1, grid - 2))
         mu = int(rng.integers(m + 1, grid))
@@ -461,11 +462,15 @@ def horizon_ladder(h: int) -> list[int]:
     return sorted({h // 8, h // 4, h // 2, h})
 
 
-_THEOREM_FUNCTIONALS = {
-    Theorem.T41: ("sd_P", "sd_Q", "sd_strong_P", "sd_strong_Q"),
-    Theorem.T42: ("landau",),
-    Theorem.T51: ("so_P", "so_Q", "so_strong_P", "so_strong_Q"),
-    Theorem.T52: ("hardy",),
+# What each theorem asks of its condition profiles: all of the first group
+# trend, and one of the second if it names any.  T42 and T52 read the p and
+# q profiles of the weighted difference bound named third; T41 and T51 read
+# window functionals.
+_THEOREMS = {
+    Theorem.T41: (("sd_P", "sd_Q"), ("sd_strong_P", "sd_strong_Q"), None),
+    Theorem.T42: (("landau_p", "landau_q"), (), "landau"),
+    Theorem.T51: (("so_P", "so_Q"), ("so_strong_P", "so_strong_Q"), None),
+    Theorem.T52: (("hardy_p", "hardy_q"), (), "hardy"),
 }
 
 
@@ -627,8 +632,7 @@ def verify_theorem(
     vc_p, _, note_p = class_p
     vc_q, _, note_q = class_q
 
-    names = _THEOREM_FUNCTIONALS[theorem]
-    bound = names[0] if names[0] in ("landau", "hardy") else None
+    every, one_of, bound = _THEOREMS[theorem]
     h, ladder, u_limit, sigma_limit, bound_profiles = _limits(seq, p, q, cfg, bound)
     horizon_note = (
         None
@@ -643,22 +647,15 @@ def verify_theorem(
             seq,
             p,
             q,
-            list(names),
+            [*every, *one_of],
             ladder,
-            list(cfg.lambda_ladder),
-            None if cfg.kappa_ladder is None else list(cfg.kappa_ladder),
+            cfg.lambda_ladder,
+            cfg.kappa_ladder,
             cfg.tail_fraction,
         )
 
     tr = {name: prof.trend_holds(cfg.eps_dec) for name, prof in profiles.items()}
-    if theorem is Theorem.T41:
-        conditions = tr["sd_P"] and tr["sd_Q"] and (tr["sd_strong_P"] or tr["sd_strong_Q"])
-    elif theorem is Theorem.T42:
-        conditions = tr["landau_p"] and tr["landau_q"]
-    elif theorem is Theorem.T51:
-        conditions = tr["so_P"] and tr["so_Q"] and (tr["so_strong_P"] or tr["so_strong_Q"])
-    else:
-        conditions = tr["hardy_p"] and tr["hardy_q"]
+    conditions = all(tr[name] for name in every) and (not one_of or any(tr[name] for name in one_of))
 
     weights_ok = (
         vc_p.kind is VariationKind.REGULARLY_VARYING
@@ -742,8 +739,6 @@ def _profile_json(prof: DecisionProfile) -> dict:
 
 def report_json(report: TauberianReport) -> dict:
     """JSON-ready dict with a stable key order for byte-identical dumps."""
-    from .variation import classification_report
-
     return {
         "theorem": report.theorem.value,
         "verdict": report.verdict.value,

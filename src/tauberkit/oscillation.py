@@ -39,6 +39,7 @@ from .errors import (
     ScalarKindError,
 )
 from .sequences import DoubleSequence, Grid, ScalarKind, WeightSequence
+from .transform import format_float
 
 # Rectangle windows larger than this are refused (scalar ops) or recorded
 # as unsampled rungs (profiles), though the window engine never holds a
@@ -70,41 +71,33 @@ def _check_finite(seq: DoubleSequence, *arrays: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
-def window_upper_index(p: WeightSequence, m, lam: float):
-    """Largest i with P_i <= lam * P_m, for lam > 1: an int for one anchor
-    m, an int64 array for an array of anchors.
+def window_edge(p: WeightSequence, m, lam: float):
+    """The far edge of the window anchored at m, direction read from the
+    scale: for lam > 1 the last index of the forward window, the largest i
+    with P_i <= lam * P_m; for 0 < lam < 1 the first index of the backward
+    window, the smallest i with P_i > lam * P_m.  An int for one anchor m,
+    an int64 array for an array of anchors.
 
-    Grows the prefix past the edge of the last anchor's window first.  A
-    HorizonError from max_index carries what was needed: the anchor, or the
-    threshold lam * P_m the sums had to exceed.
+    A forward window grows the prefix past the edge of the last anchor's
+    window first.  A HorizonError from max_index carries what was needed:
+    the anchor, or the threshold lam * P_m the sums had to exceed.
     """
-    if not lam > 1.0:
+    if not (lam > 1.0 or 0.0 < lam < 1.0):
         raise ValueError(f"forward window needs lam > 1, got {lam}")
     anchors = np.asarray(m, dtype=np.int64)
     top = int(anchors.max())
     if anchors.min() < 0:
         raise ValueError(f"window anchor must be >= 0, got {int(anchors.min())}")
-    p.ensure_sum_exceeds(lam * p.prefix(top))
-    sums = p.prefix_snapshot()
-    edges = np.searchsorted(sums, lam * sums[anchors], side="right") - 1
+    if lam > 1.0:
+        p.ensure_sum_exceeds(lam * p.prefix(top))
+        sums = p.prefix_snapshot()
+        edges = np.searchsorted(sums, lam * sums[anchors], side="right") - 1
+    else:
+        sums = p.prefix_array(top)
+        # lam < 1 puts m itself in the window in exact arithmetic; keep that
+        # guarantee even if lam*P_m rounds up onto P_m.
+        edges = np.minimum(np.searchsorted(sums, lam * sums[anchors], side="right"), anchors)
     return int(edges) if edges.ndim == 0 else edges.astype(np.int64)
-
-
-def backward_window_lower_index(p: WeightSequence, m: int, lam: float) -> int:
-    """Smallest i with P_i > lam * P_m, for 0 < lam < 1.
-
-    Needs nothing past the anchor, so the prefix extends on demand.
-    """
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"backward window needs 0 < lam < 1, got {lam}")
-    if m < 0:
-        raise ValueError(f"window anchor must be >= 0, got {m}")
-    sums = p.prefix_array(m)
-    target = lam * float(sums[m])
-    lo = int(np.searchsorted(sums, target, side="right"))
-    # lam < 1 puts m itself in the window in exact arithmetic; keep that
-    # guarantee even if lam*P_m rounds up onto P_m.
-    return min(lo, m)
 
 
 # ---------------------------------------------------------------------------
@@ -173,24 +166,24 @@ def _functional(name: str, seq: DoubleSequence) -> _Functional:
 # ---------------------------------------------------------------------------
 
 
-def _axis_window(w, anchor, scale, forward, known) -> tuple[int, int]:
+def _axis_window(w, anchor, scale, known) -> tuple[int, int]:
     """(lo, hi) of one axis's window, cached in known: the prefix only grows
     (past a forward window's edge first), so a resolved window is final."""
     key = (id(w), anchor, scale)
     if key not in known:
-        known[key] = ((anchor, window_upper_index(w, anchor, scale)) if forward
-                      else (backward_window_lower_index(w, anchor, scale), anchor))
+        edge = window_edge(w, anchor, scale)
+        known[key] = (anchor, edge) if scale > 1.0 else (edge, anchor)
     return known[key]
 
 
-def _resolve(spec, forward, p, q, m, n, lam, kappa, known):
+def _resolve(spec, p, q, m, n, lam, kappa, known):
     """Row and column window (lo, hi) of one anchor, axis windows cached in
     known.  Grows the prefixes as needed; HorizonError propagates when
     max_index is hit first, and a rectangle over MAX_WINDOW_CELLS raises
     ResourceLimitError.
     """
-    rows = (m, m) if spec.shape == "q" else _axis_window(p, m, lam, forward, known)
-    cols = (n, n) if spec.shape == "p" else _axis_window(q, n, kappa, forward, known)
+    rows = (m, m) if spec.shape == "q" else _axis_window(p, m, lam, known)
+    cols = (n, n) if spec.shape == "p" else _axis_window(q, n, kappa, known)
     if spec.shape == "pq":
         cells = (rows[1] - rows[0] + 1) * (cols[1] - cols[0] + 1)
         if cells > MAX_WINDOW_CELLS:
@@ -342,13 +335,16 @@ def _rung_values(seq, p, q, functionals, horizons, lambda_ladder, kappa_ladder,
                 raise ValueError("kappa ladder must pair one-for-one with the lambda ladder")
             for (lam, kap), h in itertools.product(zip(lambda_ladder, kappa_ladder),
                                                    sorted(horizons)):
+                bad = [s for s, axis in ((lam, "p"), (kap, "q")) if axis in spec.shape and not s > 1.0]
+                if bad:  # profiles sample forward windows only
+                    raise ValueError(f"forward window needs lam > 1, got {bad[0]}")
                 t0 = math.ceil(tail_fraction * h)
                 cells = sorted({t0, (t0 + h) // 2, h})
                 slots = []
                 rungs.append((name, spec, lam, kap, h, cells, slots))
                 for m, n in itertools.product(cells, cells):
                     try:
-                        win = _resolve(spec, True, p, q, m, n, lam, kap, known)
+                        win = _resolve(spec, p, q, m, n, lam, kap, known)
                     except HorizonError as exc:
                         slots.append(("horizon", exc.needed))
                     except ResourceLimitError as exc:
@@ -399,7 +395,7 @@ def window_functional(
     if len(backward) > 1:
         raise ValueError(f"window scales lam={lam} and kappa={kappa} sit on opposite sides of 1")
     forward = not backward.pop()
-    rows, cols = _resolve(spec, forward, p, q, m, n, lam, kappa, {})
+    rows, cols = _resolve(spec, p, q, m, n, lam, kappa, {})
     return _window_values(seq, forward, [_Window(spec, rows, cols, m)])[0]
 
 
@@ -670,8 +666,8 @@ def sd_field_components(
     sd_both - sd_strong_p - sd_q.
     """
     _require_real(seq, "sd field")
-    w_rows = window_upper_index(p, np.arange(m_max + 1), lam)
-    w_cols = window_upper_index(q, np.arange(n_max + 1), kappa)
+    w_rows = window_edge(p, np.arange(m_max + 1), lam)
+    w_cols = window_edge(q, np.arange(n_max + 1), kappa)
     cells = (int(w_rows[-1]) + 1) * (int(w_cols[-1]) + 1)
     if cells > MAX_WINDOW_CELLS:
         raise ResourceLimitError(f"field needs {cells} extended cells", cells=cells)
@@ -711,8 +707,6 @@ def sd_field_components(
 def export_profiles_csv(profiles: list[DecisionProfile], path: str) -> None:
     """Decision profiles, one row per rung.  Unsampled rungs keep their
     row with an empty tail_stat so ladders stay visibly aligned."""
-    from .transform import format_float
-
     with open(path, "w", newline="") as fh:
         fh.write("functional,lambda,kappa,horizon,tail_stat\n")
         for prof in profiles:
@@ -742,8 +736,6 @@ def profile_samples(
 
 def export_samples_csv(samples, path: str, functional: str) -> None:
     """Per-cell sweep rows as functional,lambda,kappa,horizon,m,n,value."""
-    from .transform import format_float
-
     with open(path, "w", newline="") as fh:
         fh.write("functional,lambda,kappa,horizon,m,n,value\n")
         for lam, kap, h, m, n, v in samples:

@@ -8,7 +8,6 @@ horizon.  All estimates are finite-sample and say so in their names.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,10 +51,7 @@ def ratio_profile(
 
 
 def _doubling_samples(horizon: int) -> list[int]:
-    ms = sorted({horizon // 16, horizon // 8, horizon // 4, horizon // 2})
-    if ms[0] < 2:
-        raise ValueError(f"classification horizon {horizon} too small to sample")
-    return ms
+    return sorted({horizon // 16, horizon // 8, horizon // 4, horizon // 2})
 
 
 def estimate_rv_index(p: WeightSequence, horizon: int) -> tuple[float, float]:
@@ -79,7 +75,8 @@ def estimate_rv_index(p: WeightSequence, horizon: int) -> tuple[float, float]:
     sxx = sum((x - xbar) ** 2 for x in xs)
     slope = sum((x - xbar) * (s - sbar) for x, s in zip(xs, ss)) / sxx
     intercept = sbar - slope * xbar
-    med = statistics.median(ss)
+    ordered, k = sorted(ss), len(ss) // 2
+    med = ordered[k] if len(ss) % 2 else (ordered[k - 1] + ordered[k]) / 2
     fit_residual = max(abs(s - med) for s in ss)
     return max(intercept, 0.0), fit_residual
 

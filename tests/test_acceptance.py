@@ -197,7 +197,7 @@ def test_criterion_10_window_machinery_against_linear_scans():
         i = m
         while i + 1 < len(sums) and sums[i + 1] <= bound:
             i += 1
-        assert tk.window_upper_index(p, m, lam) == i
+        assert tk.window_edge(p, m, lam) == i
 
         mu = tk.choose_mu(p, m, delta)
         target = (1.0 + delta / 2.0) * p.prefix(m)
@@ -229,7 +229,7 @@ def test_criterion_11_lower_bound_bridges_to_the_window_functional():
             grid_cache = None
             for lam in (2.0, 1.5, 1.25, 1.1, 1.05):
                 p.ensure_sum_exceeds(lam * p.prefix(m))
-                mu = tk.window_upper_index(p, m, lam)
+                mu = tk.window_edge(p, m, lam)
                 pref = p.prefix_array(mu)
                 w = p.weights_array(mu)
                 if grid_cache is None or grid_cache.m_max < mu:

@@ -229,6 +229,16 @@ def test_weights_that_overflow_before_their_sums_back_off(tmp_path, args, code):
             1,
             "error: power(beta=1000): partial sum overflowed at index 2",
         ),
+        # flag errors take the same path as any other bad input
+        (("analyze", "--horizon", "abc"), 2, "error: argument --horizon: invalid int value: 'abc'"),
+        (("analyze", "--lambdas", "2,x"), 2, "error: argument --lambdas: bad ladder '2,x'"),
+        (("analyze", "--bogus"), 2, "error: unrecognized arguments: --bogus"),
+        (
+            ("analyze", "--theorem", "T99"),
+            2,
+            "error: argument --theorem: invalid choice: 'T99' (choose from 'T41', 'T42', 'T51', 'T52')",
+        ),
+        ((), 2, "error: the following arguments are required: command"),
     ],
 )
 def test_failures_exit_with_one_error_line(tmp_path, args, code, message):
@@ -237,6 +247,11 @@ def test_failures_exit_with_one_error_line(tmp_path, args, code, message):
     assert res.returncode == code, res.stderr
     assert "Traceback" not in res.stderr
     assert res.stderr.splitlines() == [message]
+
+
+def test_help_exits_zero(capsys):
+    assert main(["analyze", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: tauberkit analyze")
 
 
 # One case per row of the README exit-code table; bad usage has three.
@@ -488,6 +503,7 @@ def test_unknown_config_key_exits_two(tmp_path):
     cfg.write_text(json.dumps({"horizon": 128, "no_such_knob": 1}))
     res = run_cli("transform", "--config", "cfg.json", cwd=tmp_path)
     assert res.returncode == 2, res.stderr
+    assert res.stderr.splitlines() == ["error: unknown config keys: no_such_knob"]
 
 
 def test_malformed_config_exits_two(tmp_path):
@@ -501,6 +517,15 @@ def test_malformed_config_exits_two(tmp_path):
     [
         ({"horizon": "abc"}, 'error: config key horizon must be an integer, got "abc"'),
         ({"lambda_ladder": 3}, "error: config key lambda_ladder must be a list of numbers, got 3"),
+        ([1, 2], "error: config file cfg.json must hold a JSON object"),
+        ({"sequence": 5}, "error: config key sequence must be a string, got 5"),
+        ({"eps_agree": "x"}, 'error: config key eps_agree must be a number or null, got "x"'),
+        ({"theorem": "T99"}, "error: theorem must be one of T41, T42, T51, T52, got T99"),
+        (
+            {"functional": "sd_X"},
+            "error: functional must be one of sd_P, sd_Q, sd_strong_P, sd_strong_Q, sd_both, "
+            "so_P, so_Q, so_strong_P, so_strong_Q, so_both, got sd_X",
+        ),
     ],
 )
 def test_wrong_typed_config_values_exit_two(tmp_path, doc, message):
@@ -592,6 +617,22 @@ def test_expression_operands_broadcast_and_divide_by_zero_quietly():
     got = expression_sequence("m - 2*n + pi").block(np.arange(4), np.arange(3))
     want = np.arange(4.0)[:, None] - 2.0 * np.arange(3.0)[None, :] + np.pi
     assert got.shape == (4, 3) and got.tobytes() == want.tobytes()
+
+
+def test_powers_keep_the_bits_of_full_shape_operands():
+    import numpy as np
+
+    # numpy may take its sqrt or reciprocal path for an exponent of 0.5 or -1
+    # that repeats with stride 0, and round differently from pow
+    rows, cols = np.arange(3000), np.arange(3)
+    base = np.arange(1.0, 3001.0)[:, None]
+    for text, exponent in (("(m+1)^0.5", 0.5), ("(m+1)^-1", -1.0), ("pow(m+1, n)", cols * 1.0)):
+        shape = np.broadcast_shapes(base.shape, np.shape(exponent))
+        want = np.power(np.full(shape, base), np.full(shape, exponent))
+        got = expression_sequence(text).block(rows, cols)
+        assert got.tobytes() == np.broadcast_to(want, got.shape).tobytes(), text
+    assert expression_sequence("2^3^2").evaluate(0, 0) == 512.0
+    assert expression_sequence("-m^2").evaluate(3, 0) == -9.0
 
 
 def test_spec_parameters_must_belong_to_the_factory():

@@ -21,31 +21,32 @@ ALT = tk.corpus_sequence("alternating")
 def test_forward_window_upper_index_anchor():
     p = tk.ones()
     p.ensure_sum_exceeds(1.5 * p.prefix(100))
-    assert tk.window_upper_index(p, 100, 1.5) == 150
+    assert tk.window_edge(p, 100, 1.5) == 150
 
 
 def test_forward_window_grows_the_prefix_past_its_edge():
     p = tk.ones()
-    assert tk.window_upper_index(p, 100, 1.5) == 150
+    assert tk.window_edge(p, 100, 1.5) == 150
     assert p.evaluated_count > 150
     p = tk.ones()
     p.ensure(1000)  # one chunk: P_0..P_1023
-    assert tk.window_upper_index(p, 1000, 1.5) == 1500
+    assert tk.window_edge(p, 1000, 1.5) == 1500
     # max_index comes first: needed is the anchor, then the window's threshold
     with pytest.raises(tk.HorizonError) as exc:
-        tk.window_upper_index(tk.WeightSequence(lambda k: 1.0, "short", max_index=90), 100, 1.5)
+        tk.window_edge(tk.WeightSequence(lambda k: 1.0, "short", max_index=90), 100, 1.5)
     assert exc.value.needed == 100
     with pytest.raises(tk.HorizonError) as exc:
-        tk.window_upper_index(tk.WeightSequence(lambda k: 1.0, "short", max_index=90), 80, 1.5)
+        tk.window_edge(tk.WeightSequence(lambda k: 1.0, "short", max_index=90), 80, 1.5)
     assert exc.value.needed == 1.5 * 81.0
 
 
 def test_forward_window_upper_index_takes_an_array_of_anchors():
-    for make, lam in ((tk.ones, 1.5), (tk.harmonic, 1.1), (lambda: tk.power(1.5), 2.0)):
+    for make, lam in ((tk.ones, 1.5), (tk.harmonic, 1.1), (lambda: tk.power(1.5), 2.0),
+                      (tk.ones, 0.5), (tk.harmonic, 0.9), (lambda: tk.power(1.5), 0.5)):
         anchors = np.arange(0, 300, 7)
-        got = tk.window_upper_index(make(), anchors, lam)
+        got = tk.window_edge(make(), anchors, lam)
         p = make()
-        expect = [tk.window_upper_index(p, int(m), lam) for m in anchors]
+        expect = [tk.window_edge(p, int(m), lam) for m in anchors]
         assert got.dtype == np.int64 and got.tolist() == expect
 
 
@@ -53,19 +54,23 @@ def test_forward_window_rejects_unit_scale():
     p = tk.ones()
     p.ensure(10)
     with pytest.raises(ValueError, match="lam > 1"):
-        tk.window_upper_index(p, 5, 1.0)
+        tk.window_edge(p, 5, 1.0)
+    # profiles sample forward windows only
+    for ladder in ([1.0], [0.5]):
+        with pytest.raises(ValueError, match="lam > 1"):
+            tk.build_window_profiles(ADD, p, p, ["sd_P"], [64], ladder)
 
 
 def test_backward_window_lower_index_anchor():
-    assert tk.backward_window_lower_index(tk.ones(), 10, 0.5) == 5
-    assert tk.backward_window_lower_index(tk.ones(), 0, 0.5) == 0
+    assert tk.window_edge(tk.ones(), 10, 0.5) == 5
+    assert tk.window_edge(tk.ones(), 0, 0.5) == 0
 
 
 def test_window_widens_with_the_scale():
     p = tk.harmonic()
     p.ensure_sum_exceeds(2.0 * p.prefix(50))
-    narrow = tk.window_upper_index(p, 50, 1.1)
-    wide = tk.window_upper_index(p, 50, 2.0)
+    narrow = tk.window_edge(p, 50, 1.1)
+    wide = tk.window_edge(p, 50, 2.0)
     assert narrow <= wide
 
 
@@ -282,8 +287,8 @@ def test_field_components_match_a_per_cell_minimum_bytewise(seq, weights):
     lam, kappa = 1.5, 1.25
     comp = tk.sd_field_components(seq, _WEIGHTS[weights](), tk.ones(), 39, 39, lam, kappa)
     p, q = _WEIGHTS[weights](), tk.ones()
-    rows = [tk.window_upper_index(p, m, lam) for m in range(40)]
-    cols = [tk.window_upper_index(q, n, kappa) for n in range(40)]
+    rows = [tk.window_edge(p, m, lam) for m in range(40)]
+    cols = [tk.window_edge(q, n, kappa) for n in range(40)]
     for name, ref in _FIELD_REFS.items():
         expect = np.array([
             [ref(seq.block(np.arange(m, rows[m] + 1), np.arange(n, cols[n] + 1)) + 0.0) for n in range(40)]
@@ -515,7 +520,7 @@ _REF_SHAPES = {"sd_P": "p", "so_P": "p", "sd_Q": "q", "so_Q": "q"}
 
 def _ref_upper(w, anchor, scale):
     w.ensure_sum_exceeds(scale * w.prefix(anchor))
-    return tk.window_upper_index(w, anchor, scale)
+    return tk.window_edge(w, anchor, scale)
 
 
 def _ref_value(seq, p, q, name, m, n, lam, kappa, budget):
@@ -652,8 +657,8 @@ def test_window_functional_matches_the_per_anchor_reference_bitwise(band_cells, 
                 if forward:
                     expect = _ref_value(seq, p, q, name, m, n, lam, kappa, 10**6)
                 else:
-                    lo_p = m if shape == "q" else tk.backward_window_lower_index(p, m, lam)
-                    lo_q = n if shape == "p" else tk.backward_window_lower_index(q, n, kappa)
+                    lo_p = m if shape == "q" else tk.window_edge(p, m, lam)
+                    lo_q = n if shape == "p" else tk.window_edge(q, n, kappa)
                     block = seq.block(np.arange(lo_p, m + 1), np.arange(lo_q, n + 1))
                     expect = float(_REF_BACKWARD[name](block))
                 got = tk.window_functional(name, seq, p, q, m, n, lam, kappa)
