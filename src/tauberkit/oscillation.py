@@ -82,8 +82,8 @@ def window_edge(p: WeightSequence, m, lam: float):
     window first.  A HorizonError from max_index carries what was needed:
     the anchor, or the threshold lam * P_m the sums had to exceed.
     """
-    if not (lam > 1.0 or 0.0 < lam < 1.0):
-        raise ValueError(f"forward window needs lam > 1, got {lam}")
+    if not 0.0 < lam < 1.0:
+        _require_forward(lam)
     anchors = np.asarray(m, dtype=np.int64)
     top = int(anchors.max())
     if anchors.min() < 0:
@@ -98,6 +98,14 @@ def window_edge(p: WeightSequence, m, lam: float):
         # guarantee even if lam*P_m rounds up onto P_m.
         edges = np.minimum(np.searchsorted(sums, lam * sums[anchors], side="right"), anchors)
     return int(edges) if edges.ndim == 0 else edges.astype(np.int64)
+
+
+def _require_forward(*scales) -> None:
+    """Raise ValueError for the first scale at or below 1: the scale of a
+    forward window, the only kind profiles and whole-grid fields sample."""
+    for s in scales:
+        if not s > 1.0:
+            raise ValueError(f"forward window needs lam > 1, got {s}")
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +332,9 @@ def _rung_values(seq, p, q, functionals, horizons, lambda_ladder, kappa_ladder,
     With stop_at_gap the first such anchor ends its rung.  Every window is
     resolved before any is evaluated, one pass per horizon.  Raises what
     evaluating the rungs in turn would raise: any other error ends the
-    resolution, raised after evaluating the windows resolved before it.
+    resolution, raised after evaluating the windows resolved before it.  A
+    scale at or below 1 on an axis a functional samples is refused before
+    any of that functional's windows is resolved.
     """
     kappa_ladder = list(lambda_ladder if kappa_ladder is None else kappa_ladder)
     rungs, failure, known = [], None, {}
@@ -333,11 +343,10 @@ def _rung_values(seq, p, q, functionals, horizons, lambda_ladder, kappa_ladder,
             spec = _functional(name, seq)
             if len(kappa_ladder) != len(lambda_ladder):
                 raise ValueError("kappa ladder must pair one-for-one with the lambda ladder")
+            _require_forward(*(s for pair in zip(lambda_ladder, kappa_ladder)
+                               for s, axis in zip(pair, "pq") if axis in spec.shape))
             for (lam, kap), h in itertools.product(zip(lambda_ladder, kappa_ladder),
                                                    sorted(horizons)):
-                bad = [s for s, axis in ((lam, "p"), (kap, "q")) if axis in spec.shape and not s > 1.0]
-                if bad:  # profiles sample forward windows only
-                    raise ValueError(f"forward window needs lam > 1, got {bad[0]}")
                 t0 = math.ceil(tail_fraction * h)
                 cells = sorted({t0, (t0 + h) // 2, h})
                 slots = []
@@ -574,17 +583,11 @@ class DecisionProfile:
     rungs: tuple[ProfileRung, ...]
 
     def narrowest_series(self) -> list[ProfileRung]:
-        """Rungs of the narrowest sampled window scale, ordered by horizon."""
-        lams = sorted({r.lam for r in self.rungs if r.stat is not None}, key=lambda x: (x is None, x))
-        if not lams:
-            return []
-        if lams[0] is None:
-            pick = None
-        else:
-            above = [x for x in lams if x > 1.0]
-            pick = min(above) if above else max(lams)
-        series = [r for r in self.rungs if r.lam == pick and r.stat is not None]
-        return sorted(series, key=lambda r: r.horizon)
+        """Rungs of the narrowest sampled window scale, ordered by horizon:
+        the smallest lam, as profiles sample forward windows only."""
+        sampled = [r for r in self.rungs if r.stat is not None]
+        pick = min((r.lam for r in sampled), key=lambda x: (x is None, x), default=None)
+        return sorted((r for r in sampled if r.lam == pick), key=lambda r: r.horizon)
 
     def trend_holds(self, eps_dec: float) -> bool:
         """Finite stand-in for the iterated limit: at the narrowest sampled
@@ -594,15 +597,11 @@ class DecisionProfile:
         series = self.narrowest_series()
         if len(series) < 3:
             return False
-        stats = [r.stat for r in series][-3:]
+        # A sup-sense stat is read as its negation, which rounds alike.
+        sign = 1.0 if self.sense is TrendSense.INF else -1.0
+        stats = [sign * r.stat for r in series][-3:]
         slack = 1e-12 * (1.0 + max(abs(s) for s in stats))
-        if self.sense is TrendSense.INF:
-            monotone = all(b >= a - slack for a, b in zip(stats, stats[1:]))
-            small = stats[-1] >= -eps_dec
-        else:
-            monotone = all(b <= a + slack for a, b in zip(stats, stats[1:]))
-            small = stats[-1] <= eps_dec
-        return monotone and small
+        return all(b >= a - slack for a, b in zip(stats, stats[1:])) and stats[-1] >= -eps_dec
 
 
 def build_window_profiles(
@@ -663,9 +662,10 @@ def sd_field_components(
     every output cell is a min of the same value set followed by the same
     single subtraction, and the fields read -0.0 as 0.0, so no minimum
     depends on the order its zeros are reduced in.  The margin field is
-    sd_both - sd_strong_p - sd_q.
+    sd_both - sd_strong_p - sd_q.  Both scales must exceed 1.
     """
     _require_real(seq, "sd field")
+    _require_forward(lam, kappa)
     w_rows = window_edge(p, np.arange(m_max + 1), lam)
     w_cols = window_edge(q, np.arange(n_max + 1), kappa)
     cells = (int(w_rows[-1]) + 1) * (int(w_cols[-1]) + 1)

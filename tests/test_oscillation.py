@@ -59,6 +59,10 @@ def test_forward_window_rejects_unit_scale():
     for ladder in ([1.0], [0.5]):
         with pytest.raises(ValueError, match="lam > 1"):
             tk.build_window_profiles(ADD, p, p, ["sd_P"], [64], ladder)
+    # the whole-grid fields read both scales as upper edges
+    for lam, kappa in ((0.99, 1.5), (1.5, 0.99), (0.5, 0.5), (1.0, 1.5)):
+        with pytest.raises(ValueError, match="lam > 1"):
+            tk.sd_field_components(ADD, tk.ones(), tk.ones(), 39, 39, lam, kappa)
 
 
 def test_backward_window_lower_index_anchor():
