@@ -4,12 +4,13 @@ The lemma decompositions split u(m, n) - sigma(m, n) into four terms built
 from corner means and a windowed average, exactly; their residuals are the
 package's strongest internal check, since the left side and the terms are
 computed by completely different routes.  A split streams its block once,
-in row bands, through transform._corner_sums and holds only its window;
-its four corner means keep the bits of four sigma_single calls, the
-math.fsum oracle, which run instead where that one pass cannot certify a
-sum, or a band raises, is not finite or could overflow.  The proof
-inequalities replace the windowed average with worst-case window drops,
-which is the step the limit theorems live on.
+in row bands, through transform._corner_sums, whose error-free extraction
+makes each band's partial sums exact, and holds only its window; its four
+corner means keep the bits of four sigma_single calls, the math.fsum
+oracle, which run instead where that one pass cannot certify a sum, or a
+band raises, is not finite or could overflow.  The proof inequalities
+replace the windowed average with worst-case window drops, which is the
+step the limit theorems live on.
 verify_theorem runs the full pipeline for one sequence/weight
 configuration and returns a verdict that is honest about being
 finite-sample.  Its limits and T42/T52 bound profiles are reduced from the
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .transform import _SUM_CHUNK, _corner_sums, _divide, _exact_sum, _mean_fiel
 from .oscillation import (
     DecisionProfile,
     LimitEstimate,
+    TrendSense,
     _bound_profiles,
     _difference_stats,
     _extrema_residual,
@@ -462,15 +465,25 @@ def horizon_ladder(h: int) -> list[int]:
     return sorted({h // 8, h // 4, h // 2, h})
 
 
-# What each theorem asks of its condition profiles: all of the first group
-# trend, and one of the second if it names any.  T42 and T52 read the p and
-# q profiles of the weighted difference bound named third; T41 and T51 read
-# window functionals.
+class _Rule(NamedTuple):
+    """What a theorem asks of its condition profiles: all of every trend,
+    and one of one_of if it names any.  order_sensitive: its conditions
+    compare values, so they need a real sequence.  bound: for T42 and T52, the
+    weighted difference bound whose p and q profiles they read, and its
+    sense: INF, the least signed difference, or SUP, the largest |difference|.
+    T41 and T51 read window functionals."""
+
+    every: tuple[str, ...]
+    one_of: tuple[str, ...]
+    order_sensitive: bool
+    bound: tuple[str, TrendSense] | None = None
+
+
 _THEOREMS = {
-    Theorem.T41: (("sd_P", "sd_Q"), ("sd_strong_P", "sd_strong_Q"), None),
-    Theorem.T42: (("landau_p", "landau_q"), (), "landau"),
-    Theorem.T51: (("so_P", "so_Q"), ("so_strong_P", "so_strong_Q"), None),
-    Theorem.T52: (("hardy_p", "hardy_q"), (), "hardy"),
+    Theorem.T41: _Rule(("sd_P", "sd_Q"), ("sd_strong_P", "sd_strong_Q"), True),
+    Theorem.T42: _Rule(("landau_p", "landau_q"), (), True, ("landau", TrendSense.INF)),
+    Theorem.T51: _Rule(("so_P", "so_Q"), ("so_strong_P", "so_strong_Q"), False),
+    Theorem.T52: _Rule(("hardy_p", "hardy_q"), (), False, ("hardy", TrendSense.SUP)),
 }
 
 
@@ -497,8 +510,8 @@ class TauberianReport:
 
 def _limits(seq, p, q, cfg, bound=None):
     """The grid horizon, its ladder, the limits of u and sigma on the tail
-    squares [t..k]^2 of each rung k, t = ceil(tf * k), and, for bound
-    "landau" or "hardy", that statistic's two profiles over the same
+    squares [t..k]^2 of each rung k, t = ceil(tf * k), and, for a bound
+    (name, sense) of _THEOREMS, that statistic's two profiles over the same
     squares (else None).
 
     One mean-field pass hands its bands to a _TailStats, which reduces them
@@ -584,11 +597,11 @@ class _TailStats:
         pieces = [(top, u[top - r0 : hi - r0, cols])]  # (first row, u rows)
         if lo == r0:
             pieces.append((lo - 1, np.stack([self.above[cols], u[0, cols]])))
-        pick = min if self.bound == "landau" else max
+        signed = self.bound[1] is TrendSense.INF
+        pick = min if signed else max
         for a, block in pieces:
             if len(block) > 1:  # differences on rows a + 1 ..
-                st = _difference_stats(block, self.cp[a + 1 : a + len(block)], self.cq[t : k + 1],
-                                       signed=self.bound == "landau")
+                st = _difference_stats(block, self.cp[a + 1 : a + len(block)], self.cq[t : k + 1], signed)
                 self.stats[i] = st if self.stats[i] is None else tuple(map(pick, self.stats[i], st))
 
     def residuals(self):
@@ -623,7 +636,8 @@ def verify_theorem(
     until it is, and the report says so.
     """
     cfg = config or HarnessConfig()
-    if theorem in (Theorem.T41, Theorem.T42) and seq.kind is not ScalarKind.REAL:
+    rule = _THEOREMS[theorem]
+    if rule.order_sensitive and seq.kind is not ScalarKind.REAL:
         raise ScalarKindError(
             f"{theorem.value} uses order-sensitive conditions; {seq.name} is complex"
         )
@@ -632,22 +646,21 @@ def verify_theorem(
     vc_p, _, note_p = class_p
     vc_q, _, note_q = class_q
 
-    every, one_of, bound = _THEOREMS[theorem]
-    h, ladder, u_limit, sigma_limit, bound_profiles = _limits(seq, p, q, cfg, bound)
+    h, ladder, u_limit, sigma_limit, bound_profiles = _limits(seq, p, q, cfg, rule.bound)
     horizon_note = (
         None
         if h == cfg.horizon
         else f"grid overflows doubles at horizon {cfg.horizon}; evaluated at {h}"
     )
 
-    if bound:
+    if rule.bound:
         profiles = {prof.functional: prof for prof in bound_profiles}
     else:
         profiles = build_window_profiles(
             seq,
             p,
             q,
-            [*every, *one_of],
+            [*rule.every, *rule.one_of],
             ladder,
             cfg.lambda_ladder,
             cfg.kappa_ladder,
@@ -655,7 +668,8 @@ def verify_theorem(
         )
 
     tr = {name: prof.trend_holds(cfg.eps_dec) for name, prof in profiles.items()}
-    conditions = all(tr[name] for name in every) and (not one_of or any(tr[name] for name in one_of))
+    conditions = all(tr[name] for name in rule.every) and (
+        not rule.one_of or any(tr[name] for name in rule.one_of))
 
     weights_ok = (
         vc_p.kind is VariationKind.REGULARLY_VARYING

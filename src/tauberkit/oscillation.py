@@ -630,10 +630,11 @@ def build_window_profiles(
     }
 
 
-def _bound_profiles(which, rungs) -> tuple[DecisionProfile, DecisionProfile]:
-    """The tail profiles of landau_stat or hardy_stat, one per axis, from
-    rungs (h, cells, (stat_p, stat_q)) of _difference_stats over [t..h]^2."""
-    sense = TrendSense.INF if which == "landau" else TrendSense.SUP
+def _bound_profiles(bound, rungs) -> tuple[DecisionProfile, DecisionProfile]:
+    """The tail profiles of a bound (name, sense), landau_stat or hardy_stat,
+    one per axis, from rungs (h, cells, (stat_p, stat_q)) of
+    _difference_stats over [t..h]^2."""
+    which, sense = bound
     return tuple(
         DecisionProfile(f"{which}_{a}", sense,
                         tuple(ProfileRung(lam=None, kappa=None, horizon=h, stat=stats[axis], cells=cells)

@@ -8,10 +8,11 @@ single-cell evaluator recomputes one mean by direct exact summation
 (math.fsum) and exists so the fast path can be checked against an
 independently rounded route.  The lemma splits need the exact sums of four
 nested rectangles of one block: _corner_sums adds them in one pass, band by
-band, as double-doubles built from error-free TwoSum steps and certifies
-each rounding against a proven error bound, so a certified sum keeps
-math.fsum's bits.  Where it cannot vouch for a sum (a sum on a tie, or one
-that cancels below the bound), it returns None and sigma_single, the
+band, splitting each band's terms by error-free extraction into parts
+whose plain numpy sums are exact, so math.fsum of a rectangle's parts keeps
+its bits, ties included.  Where the extractions leave a remainder, an error
+bound certifies the rounding; where it cannot vouch for a sum (a tie or a
+cancellation below the bound), it returns None and sigma_single, the
 oracle, gives the means.
 export_grid_csv writes a grid as text through an exact numpy kernel for
 %.17g (_decimal, _text_words); b"%.17g" % x formats what it cannot certify.
@@ -171,86 +172,92 @@ def _corner_sums(bands, r0: int, c0: int) -> list[float | complex] | None:
     """Exact sums of the rectangles [0..r0] x [0..c0], [0..] x [0..c0],
     [0..r0] x [0..] and [0..] x [0..] of one block, each rounded once as
     math.fsum rounds (+0.0 for zero); None where one could overflow, that
-    is where a part of a term, or NaN, is not below 2^1022 / cells in
-    magnitude, and None where a sum cannot be certified: the caller's
-    oracle, sigma_single, decides those.  bands yields the block's row
-    bands once, (top, terms) pairs in any grouping and order; every band is
-    read, also once None is certain.
+    is where peak * cells, the largest |x| over the bands so far (or NaN),
+    x a term or a complex term's re or im part, times the cells so far, is
+    not below 2^1018, and None where a sum cannot be certified: the
+    caller's oracle, sigma_single, decides those.  bands yields the block's
+    row bands once, (top, terms) pairs in any grouping and order; every
+    band is read, also once None is certain, and none is written.
 
-    The certified pass keeps, per lane (a column, or a complex column's
-    re or im part) and per row group (rows <= r0 and rows > r0), a
-    double-double (S, C): error-free TwoSum steps s + e = a + b add the
-    high parts and one rounded add per step gathers their errors in the
-    low parts, as in Ogita, Rump and Oishi, "Accurate sum and dot
-    product", SIAM J. Sci. Comput. 26(6), 2005.  _dd_tree sums each band's
-    rows pairwise, the band folds into (S, C), and _dd_tree sums each
-    quadrant's lanes.  _rounded takes math.fsum of a rectangle's quadrant
-    parts, r, and of the parts and -r, the residual rho.  r is the
-    correctly rounded sum when no TwoSum erred anywhere: then every low
-    part is zero and every step exact, zero sums included.  Otherwise r
-    is certified when |rho| (1 + 2^-50) + B < g / 2, g the smaller gap
-    from r to a neighbouring double: the exact sum then lies strictly
-    nearer to r than to any other double.  Otherwise the result is None.
+    Each band is split by error-free extraction (ExtractVector in Rump,
+    Ogita and Oishi, "Accurate floating-point summation part I: faithful
+    rounding", SIAM J. Sci. Comput. 31(1), 2008), on its n values x (a
+    complex cell is its re and im lanes side by side, which share the
+    extraction).  Take 2^M >= n + 2 and the power of two sigma >=
+    2^M max|x|.  Then q = fl(fl(sigma + x) - sigma) and x' = x - q are
+    exact, |x'| <= 2^-53 sigma, every q is a multiple of 2^-53 sigma and
+    |q| <= 2^-M sigma.  So every sum of a subset of the q's, in any order,
+    is a multiple of 2^-53 sigma below n 2^-M sigma < sigma in magnitude:
+    a double, and exact.  Underflow changes none of this, since adds below
+    the normal range are exact.  The q's are summed down the rows of each
+    row group (rows <= r0 and rows > r0) and then across each quadrant's
+    lanes, plain numpy sums.
+    x' is extracted again with sigma' = 2^M 2^-53 sigma, which bounds it
+    with no pass over it, and leaves x'' = x' - q'.  Where every x'' is
+    zero the quadrant parts are exact, and _rounded takes math.fsum of a
+    rectangle's parts, the correctly rounded sum, ties included.
+    Otherwise the parts include plain sums of x'', which err by at most
+    gamma_(n-1) A, A = sum |x''| over the band, whatever the order
+    (Higham, "Accuracy and Stability of Numerical Algorithms", 4.2).
+    With S = fl(A) >= (1 - gamma_(n-1)) A and n < 2^33, twice n 2^-53 S
+    covers it with room for its own roundings.  B, the sum of those over
+    the bands plus 2^-1073 for the rounding of _rounded's residual and
+    test, is the bound under which _rounded certifies a rectangle or gives
+    None.
 
-    The error bound B, with u = 2^-53.  The guard keeps every partial sum
-    below 2^1022, so nothing overflows, and an add whose exact result is
-    below 2^-1021 is exact: each rounding is within u of its result.
-    Take a node v of height h over cells of absolute sum A_v, with
-    S_v = fl(S_1 + S_2), e_v its TwoSum error and C_v = fl(fl(C_1 + C_2)
-    + e_v).  By induction |S_v| <= c A_v, |e_v| <= c u A_v and
-    |C_v| <= c h u A_v, where c = (1 + u)^(3H) <= 1.01 for a tree of
-    height H.  So the two roundings at v err by at most 2 c h u^2 A_v.
-    Nodes at one depth share no cells, so over the at most H depths
-    |S + C - exact| <= 2 c u^2 H^2 A, and A <= peak * cells.  A row tree
-    has height at most the bit length of its rows (zero rows padding a
-    split band change nothing), each fold adds one level and the lane tree
-    the bit length of its lanes; H adds two more.  B = 4 u^2 H^2 peak
-    cells + 2^-1073 covers the bound with room for rho's own rounding
-    (within u of it, or 2^-1075 below the normal range) and for the
-    rounding of the test itself.
+    The guard, from sigma <= 2^1023.  A band of c cells has n <= 2c
+    values, and n + 2 <= 3n, so 2^M < 2 (n + 2) <= 12c and sigma <
+    2^(M+1) max|x| < 24 peak cells < 24 2^1018 < 2^1023: no sigma + x
+    overflows.  No part exceeds 2n max|x|, so the parts of all bands,
+    and every partial sum of math.fsum over them, stay below 4 peak cells
+    < 2^1020.
     """
-    peak = cells = count = depth = 0
-    exact = True
+    cells = peak = 0
+    parts = [[] for _ in range(4)]  # width-vectors, per quadrant q00, q01, q10, q11
+    exact, bound, scratch = True, 2.0**-1073, np.empty(0)
     for top, terms in bands:
         cells += terms.size
-        peak = np.maximum(peak, np.abs(terms.view(np.float64)).max())
-        if peak < 2.0**1022 / cells:  # NaN fails too, and summing stops
-            flat = terms.view(np.float64)  # a complex cell is its re, im lanes side by side
-            rows, lanes = flat.shape
-            if not count:
-                acc = np.zeros((2, 2 * lanes))  # S, C: lanes of rows <= r0, then of rows > r0
-            cut = min(max(r0 + 1 - top, 0), rows)
-            at = slice(0 if cut else lanes, lanes if cut == rows else 2 * lanes)
-            if 0 < cut < rows:  # both groups side by side, the shorter padded with zeros
-                pad = np.zeros((max(cut, rows - cut), 2 * lanes))
-                pad[:cut, :lanes], pad[: rows - cut, lanes:] = flat[:cut], flat[cut:]
-                flat = pad
-            h, lo, erred = _dd_tree(flat, None, exact)
-            exact = exact and not erred
-            if count:  # the first band's sums are the lanes' sums so far
-                h, lo, erred = _dd_tree(np.stack([acc[0, at], h]), np.stack([acc[1, at], lo]), exact)
-                exact = exact and not erred
-            acc[0, at], acc[1, at] = h, lo
-            count += 1
-            depth = max(depth, len(flat).bit_length())
-    if not peak < 2.0**1022 / cells:
+        flat = terms.view(np.float64)
+        top_abs = max(flat.max(), -flat.min())  # NaN when any x is NaN
+        peak = np.maximum(peak, top_abs)
+        if not peak < 2.0**1018 / cells:
+            continue
+        rows, n, width = len(flat), flat.size, 2 if np.iscomplexobj(terms) else 1
+        if scratch.size < 2 * n:
+            scratch = np.empty(2 * n)
+        t, x = scratch[:n].reshape(flat.shape), scratch[n : 2 * n].reshape(flat.shape)
+        cut = min(max(r0 + 1 - top, 0), rows)
+
+        def add(v):
+            for q, group in ((0, v[:cut]), (2, v[cut:])):
+                if len(group):
+                    lanes = group.sum(axis=0).reshape(-1, width)
+                    parts[q].append(lanes[: c0 + 1].sum(axis=0))
+                    parts[q + 1].append(lanes[c0 + 1 :].sum(axis=0))
+
+        bits = (n + 1).bit_length()  # M
+        sigma = math.ldexp(1.0, math.frexp(top_abs)[1] + bits)
+        np.add(flat, sigma, out=t)
+        t -= sigma
+        add(t)
+        np.subtract(flat, t, out=x)
+        sigma = math.ldexp(sigma, bits - 53)
+        np.add(x, sigma, out=t)
+        t -= sigma
+        add(t)
+        x -= t
+        if x.any():
+            exact = False
+            add(x)
+            bound += 2.0 * n * 2.0**-53 * np.abs(x, out=x).sum()
+    if not peak < 2.0**1018 / cells:
         return None
-    width = 2 if np.iscomplexobj(terms) else 1
-    # The quadrants q00, q01, q10, q11 side by side, their lanes down axis 0.
-    edges = [0, width * (c0 + 1), lanes, lanes + width * (c0 + 1), 2 * lanes]
-    quads = np.zeros((2, max(c0 + 1, lanes // width - c0 - 1), 4, width))
-    for q, (i, j) in enumerate(zip(edges, edges[1:])):
-        quads[:, : (j - i) // width, q] = acc[:, i:j].reshape(2, -1, width)
-    h, lo, erred = _dd_tree(quads[0], quads[1], exact)
-    height = count + depth + len(quads[0]).bit_length() + 2
-    bound = 4.0 * height**2 * 2.0**-106 * float(peak) * cells + 2.0**-1073
     sums = []
     for rect in ((0,), (0, 2), (0, 1), (0, 1, 2, 3)):
-        parts = [_rounded([float(x) for q in rect for x in (h[q, k], lo[q, k])], exact and not erred, bound)
-                 for k in range(width)]
-        if None in parts:
+        got = [_rounded([float(v[k]) for q in rect for v in parts[q]], exact, bound) for k in range(width)]
+        if None in got:
             return None
-        sums.append(complex(*parts) if width == 2 else parts[0])
+        sums.append(complex(*got) if width == 2 else got[0])
     return sums
 
 
@@ -264,40 +271,6 @@ def _rounded(vals: list[float], exact: bool, bound: float) -> float | None:
         if not abs(math.fsum([*vals, -r])) * (1 + 2.0**-50) + bound < gap / 2:
             return None
     return r + 0.0
-
-
-def _dd_tree(h, lo, check):
-    """Double-double sums (S, C) along axis 0 of the leaves (h, lo), lo
-    None for zeros: a pairwise tree of TwoSum steps whose height is the bit
-    length of len(h) at most, an odd row carried up a level as it is.
-    erred says whether a TwoSum erred, looked at only while check."""
-    erred = False
-    rows, shape = len(h), h.shape[1:]
-    # Levels alternate between two (S, C) buffers, so no level allocates.
-    levels = np.empty((2, -(-rows // 2), *shape)), np.empty((2, -(-rows // 4), *shape))
-    bb, e = np.empty((2, rows // 2, *shape))
-    while len(h) > 1:
-        half, odd = divmod(len(h), 2)
-        s, new = levels[0][:, : half + odd]
-        levels = levels[::-1]
-        a, b, sh, nh, bh, eh = h[:half], h[half : 2 * half], s[:half], new[:half], bb[:half], e[:half]
-        np.add(a, b, out=sh)
-        np.subtract(sh, a, out=bh)
-        np.subtract(sh, bh, out=eh)
-        np.subtract(a, eh, out=eh)
-        np.subtract(b, bh, out=bh)
-        if lo is None:
-            eh = np.add(eh, bh, out=nh)
-        else:
-            np.add(eh, bh, out=eh)
-            np.add(lo[:half], lo[half : 2 * half], out=nh)
-            nh += eh
-        if odd:
-            s[half] = h[-1]
-            new[half] = 0.0 if lo is None else lo[-1]
-        erred = erred or (check and eh.any())
-        h, lo = s, new
-    return h[0], np.zeros(shape) if lo is None else lo[0], erred
 
 
 def sigma_single(

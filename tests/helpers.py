@@ -54,19 +54,23 @@ def direct_sigma_grid(u: np.ndarray, pw: np.ndarray, qw: np.ndarray) -> np.ndarr
 # Blocks, a split (r0, c0) of each, and whether transform._corner_sums
 # leaves the block to the oracle.
 TIES_AND_CANCELLATIONS = [
-    # 1 + 2^-53 and 2 + 2^-52 lie halfway between two doubles: ties
-    ([[1.0], [2.0**-53]], 1, 0, True),
-    ([[1.0, 2.0**-53], [2.0**-53, 1.0]], 1, 1, True),
-    # cancellations to zero after an inexact TwoSum: +0.0 from the oracle
-    ([[1.0, 2.0**-60], [-1.0, -(2.0**-60)]], 0, 1, True),
-    ([[-1.0, -(2.0**-60)], [1.0, 2.0**-60]], 0, 1, True),
+    # 1 + 2^-53 and 2 + 2^-52 lie halfway between two doubles: ties whose
+    # parts are exact, so math.fsum rounds them itself
+    ([[1.0], [2.0**-53]], 1, 0, False),
+    ([[1.0, 2.0**-53], [2.0**-53, 1.0]], 1, 1, False),
+    # cancellations to zero of terms 60 binades apart: exact parts, +0.0
+    ([[1.0, 2.0**-60], [-1.0, -(2.0**-60)]], 0, 1, False),
+    ([[-1.0, -(2.0**-60)], [1.0, 2.0**-60]], 0, 1, False),
     # the same cancellation in a complex block's imaginary part
-    ([[1.0 + 1.0j, 2.0**-60 * 1j], [-1.0j, -(2.0**-60) * 1j]], 0, 1, True),
-    # no TwoSum errs: exact, whatever the sign of zero
+    ([[1.0 + 1.0j, 2.0**-60 * 1j], [-1.0j, -(2.0**-60) * 1j]], 0, 1, False),
+    # exact, whatever the sign of zero
     ([[-0.0, -0.0], [-0.0, -0.0]], 1, 1, False),
     ([[1.0, -1.0], [-0.0, 3.0]], 1, 1, False),
     # each rectangle's parts meet only in fsum, which rounds the tie itself
     ([[1.0, 2.0**-53]], 0, 0, False),
+    # 2^-200 lies below both extractions, so the parts are not exact and no
+    # bound can round the tie above it, nor the near-tie of the whole block
+    ([[1.0], [2.0**-53], [2.0**-200]], 1, 0, True),
 ]
 
 

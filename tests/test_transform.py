@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import decimal
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -329,7 +330,7 @@ def _random_doubles(rng, size, top_exponent):
 def _tie(rng, size):
     """size integers below 2^53, so doubles, of one sign and summing to
     2^53 + 1: the sum lies halfway between the doubles 2^53 and 2^53 + 2,
-    and some TwoSum on the way to it errs."""
+    and some plain sum on the way to it rounds."""
     rest = rng.integers(2**52 // (size - 1) + 1, 2**53 // (size - 1), size - 1)
     vals = np.append(rest, 2**53 + 1 - int(rest.sum())).astype(np.float64)
     return vals if rng.integers(2) else -vals
@@ -344,10 +345,12 @@ def corner_blocks(draw):
     the kernel's contract.  Some shapes hold more than one chunk of cells,
     or a single row or column longer than one chunk.  The "tie" fill puts
     the whole block's sum exactly halfway between two doubles.  No error
-    bound can round a tie inside one quadrant, but a tie split across
-    quadrants meets only in math.fsum, which rounds it itself, so few tie
-    blocks are left to the oracle; "spread", "subnormal", "zero_corner" and
-    "cancel" leave most of theirs to it.
+    bound can round a tie, but the extraction leaves the parts of a tie
+    block's integers exact, and math.fsum rounds exact parts itself, so no
+    real tie block is left to the oracle.  Complex blocks whose re and im
+    parts are scaled far apart, since the two share one extraction, and the
+    "spread", "subnormal" and "cancel" fills, whose values span more
+    binades than two extractions take, leave many of theirs to it.
     """
     rows, cols = draw(
         st.tuples(st.integers(1, 40), st.integers(1, 40))
@@ -403,8 +406,70 @@ def test_corner_sums_equal_fsum_of_each_rectangle(case):
     whole, banded = _corner_sums([(0, terms)], r0, c0), _corner_sums(bands, r0, c0)
     assert _certified_or_none(whole, terms, r0, c0)
     assert _certified_or_none(banded, terms, r0, c0)
-    if not terms.any():  # the "zero" and "negzero" fills: every TwoSum is exact
+    if not terms.any():  # the "zero" and "negzero" fills: every part is exact
         assert whole is not None and banded is not None
+
+
+def _row_bands(terms, rng):
+    """terms cut into row bands at up to five drawn rows, in a drawn order."""
+    cuts = sorted(set(rng.integers(1, len(terms), 5).tolist())) if len(terms) > 1 else []
+    edges = [0, *cuts, len(terms)]
+    return [(edges[i], terms[edges[i] : edges[i + 1]]) for i in rng.permutation(len(edges) - 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 30), st.integers(-1074, 950), st.integers(0, 2**32 - 1),
+       st.booleans(), st.booleans())
+def test_multiples_of_one_power_of_two_certify(rows, cols, k, seed, cplx, tie):
+    # times 2^k, integers below 2^53 over a drawn number of binades whose
+    # magnitudes sum below 2^53, so every sum is a double, or a tie whose
+    # whole sum lies halfway between two: both extractions leave nothing
+    # over, so math.fsum rounds exact parts, ties included
+    rng = np.random.default_rng(seed)
+    size = rows * cols
+
+    def part():
+        if tie and size > 1:
+            ints = _tie(rng, size)
+        else:
+            ints = rng.integers(-(2**53 // size), 2**53 // size + 1, size) >> rng.integers(0, 53, size)
+        return np.ldexp(ints.astype(np.float64), k).reshape(rows, cols)
+
+    terms = part() + 1j * part() if cplx else part()
+    r0, c0 = int(rng.integers(rows)), int(rng.integers(cols))
+    for bands in ([(0, terms)], _row_bands(terms, rng)):
+        got = _corner_sums(bands, r0, c0)
+        assert got is not None
+        assert [repr(x) for x in got] == [repr(x) for x in _rectangle_sums(terms, r0, c0)]
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("rows, cols", [(1, 1), (3, 7), (300, 300)])
+def test_corner_sums_at_the_overflow_guard(rows, cols, cplx):
+    # peak * cells just below 2^1018 is summed and keeps fsum's bits; at
+    # 2^1018, at the top of the doubles and past them it is None, and no
+    # case warns of an overflow
+    rng = np.random.default_rng(rows * cols)
+    edge = 2.0**1018 / (rows * cols)
+
+    def part(peak):
+        vals = rng.choice([-1.0, 1.0], (rows, cols)) * rng.uniform(0.5, 1.0, (rows, cols)) * peak
+        vals.flat[rng.integers(vals.size)] = peak
+        return vals
+
+    for peak, summed in ((math.nextafter(edge, 0.0), True), (edge, False), (2.0**1023, False),
+                         (math.inf, False), (math.nan, False)):
+        terms = part(peak).astype(complex if cplx else float)
+        if cplx:  # assigned, since 1j * inf has a NaN real part
+            terms.imag = part(peak / 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bands in ([(0, terms)], _row_bands(terms, rng)):
+                got = _corner_sums(bands, rows // 2, cols // 2)
+                if summed:
+                    assert [repr(x) for x in got] == [repr(x) for x in _rectangle_sums(terms, rows // 2, cols // 2)]
+                else:
+                    assert got is None
 
 
 def test_positive_power_weighted_block_certifies_every_sum():
