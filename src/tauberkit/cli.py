@@ -606,6 +606,7 @@ _EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
     (OSError, 2),
     (ScalarKindError, 2),
     (TauberkitError, 1),
+    (ArithmeticError, 1),  # math.fsum's intermediate overflow in the oracle
 )
 
 

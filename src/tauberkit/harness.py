@@ -7,8 +7,8 @@ computed by completely different routes.  A split streams its block once,
 in row bands, through transform._corner_sums, whose error-free extraction
 makes each band's partial sums exact, and holds only its window; its four
 corner means keep the bits of four sigma_single calls, the math.fsum
-oracle, which run instead where that one pass cannot certify a sum, or a
-band raises, is not finite or could overflow.  The proof inequalities
+oracle, which run instead where the block is over budget, a band raises,
+or a term is not finite or could overflow.  The proof inequalities
 replace the windowed average with worst-case window drops, which is the
 step the limit theorems live on.
 verify_theorem runs the full pipeline for one sequence/weight
@@ -147,7 +147,7 @@ def _corner_means(seq, p, q, corners):
 
     u is evaluated once, in row bands of about _SUM_CHUNK cells that go
     through _corner_sums and leave their window rows behind.  The means are
-    None where _corner_sums cannot certify a sum or finds that one could
+    None where _corner_sums finds a term that is not finite or could
     overflow, and both are None when the block is over budget or a band or
     the weights raise: the four sigma_single calls then decide, with their
     special values and errors, in their order.  The last of them sums the

@@ -8,12 +8,9 @@ single-cell evaluator recomputes one mean by direct exact summation
 (math.fsum) and exists so the fast path can be checked against an
 independently rounded route.  The lemma splits need the exact sums of four
 nested rectangles of one block: _corner_sums adds them in one pass, band by
-band, splitting each band's terms by error-free extraction into parts
-whose plain numpy sums are exact, so math.fsum of a rectangle's parts keeps
-its bits, ties included.  Where the extractions leave a remainder, an error
-bound certifies the rounding; where it cannot vouch for a sum (a tie or a
-cancellation below the bound), it returns None and sigma_single, the
-oracle, gives the means.
+band, splitting each band's terms by repeated error-free extraction into
+parts whose plain numpy sums are exact, so math.fsum of a rectangle's parts
+keeps its bits, ties included; sigma_single decides sums that could overflow.
 export_grid_csv writes a grid as text through an exact numpy kernel for
 %.17g (_decimal, _text_words); b"%.17g" % x formats what it cannot certify.
 """
@@ -174,47 +171,47 @@ def _corner_sums(bands, r0: int, c0: int) -> list[float | complex] | None:
     math.fsum rounds (+0.0 for zero); None where one could overflow, that
     is where peak * cells, the largest |x| over the bands so far (or NaN),
     x a term or a complex term's re or im part, times the cells so far, is
-    not below 2^1018, and None where a sum cannot be certified: the
-    caller's oracle, sigma_single, decides those.  bands yields the block's
-    row bands once, (top, terms) pairs in any grouping and order; every
-    band is read, also once None is certain, and none is written.
+    not below 2^1018: the caller's oracle, sigma_single, decides those.
+    bands yields the block's row bands once, (top, terms) pairs in any
+    grouping and order; every band is read, also once None is certain, and
+    none is written.
 
     Each band is split by error-free extraction (ExtractVector in Rump,
     Ogita and Oishi, "Accurate floating-point summation part I: faithful
     rounding", SIAM J. Sci. Comput. 31(1), 2008), on its n values x (a
     complex cell is its re and im lanes side by side, which share the
-    extraction).  Take 2^M >= n + 2 and the power of two sigma >=
-    2^M max|x|.  Then q = fl(fl(sigma + x) - sigma) and x' = x - q are
-    exact, |x'| <= 2^-53 sigma, every q is a multiple of 2^-53 sigma and
-    |q| <= 2^-M sigma.  So every sum of a subset of the q's, in any order,
-    is a multiple of 2^-53 sigma below n 2^-M sigma < sigma in magnitude:
-    a double, and exact.  Underflow changes none of this, since adds below
+    extraction).  Take 2^M >= n + 2 and a power of two sigma >= 2^M max|x|.
+    Then q = fl(fl(sigma + x) - sigma) and x' = x - q are exact, |x'| <=
+    2^-53 sigma, every q is a multiple of 2^-53 sigma and |q| <= 2^-M
+    sigma.  So every sum of a subset of the q's, in any order, is a
+    multiple of 2^-53 sigma below n 2^-M sigma < sigma in magnitude: a
+    double, and exact.  Underflow changes none of this, since adds below
     the normal range are exact.  The q's are summed down the rows of each
     row group (rows <= r0 and rows > r0) and then across each quadrant's
-    lanes, plain numpy sums.
-    x' is extracted again with sigma' = 2^M 2^-53 sigma, which bounds it
-    with no pass over it, and leaves x'' = x' - q'.  Where every x'' is
-    zero the quadrant parts are exact, and _rounded takes math.fsum of a
-    rectangle's parts, the correctly rounded sum, ties included.
-    Otherwise the parts include plain sums of x'', which err by at most
-    gamma_(n-1) A, A = sum |x''| over the band, whatever the order
-    (Higham, "Accuracy and Stability of Numerical Algorithms", 4.2).
-    With S = fl(A) >= (1 - gamma_(n-1)) A and n < 2^33, twice n 2^-53 S
-    covers it with room for its own roundings.  B, the sum of those over
-    the bands plus 2^-1073 for the rounding of _rounded's residual and
-    test, is the bound under which _rounded certifies a rectangle or gives
-    None.
+    lanes, plain numpy sums.  x' is extracted in turn with sigma' =
+    2^(M-53) sigma, which bounds it with no pass over it, and so on until
+    no remainder is left (tested from the second level on, which is
+    cheaper): then each rectangle is exactly the sum of its parts, and
+    math.fsum rounds that once, ties included.  The loop ends: the guard
+    keeps NaN and inf out of it; n <= 2^29 (a block has at most
+    MAX_GRID_CELLS = 2^28 cells), so M <= 30 and each level takes 53 - M
+    >= 23 binades off sigma; and every x is a multiple of 2^-1074, so a
+    level whose 2^-53 sigma is below 2^-1074 leaves no remainder (nor
+    does a sigma that underflowed to 0).
 
     The guard, from sigma <= 2^1023.  A band of c cells has n <= 2c
-    values, and n + 2 <= 3n, so 2^M < 2 (n + 2) <= 12c and sigma <
-    2^(M+1) max|x| < 24 peak cells < 24 2^1018 < 2^1023: no sigma + x
-    overflows.  No part exceeds 2n max|x|, so the parts of all bands,
-    and every partial sum of math.fsum over them, stay below 4 peak cells
-    < 2^1020.
+    values, and n + 2 <= 3n, so 2^M < 2 (n + 2) <= 12c and the first
+    sigma < 2^(M+1) max|x| < 24 peak cells < 24 2^1018 < 2^1023: no sigma
+    + x overflows, nor does a later, smaller one.  A value's q's over all
+    levels sum in magnitude to at most |x| + 2 sum_(k>=2) |x_k|, where
+    |x_k| <= 2^-53 sigma_(k-1) starts below 2^(M-52) max|x| and falls by
+    2^(53-M) a level: below 2 max|x|.  So a band's parts sum in magnitude
+    below 2n max|x| <= 4c peak, and the parts of all bands, and every
+    partial sum of math.fsum over them, stay below 4 peak cells < 2^1020.
     """
     cells = peak = 0
     parts = [[] for _ in range(4)]  # width-vectors, per quadrant q00, q01, q10, q11
-    exact, bound, scratch = True, 2.0**-1073, np.empty(0)
+    scratch = np.empty(0)
     for top, terms in bands:
         cells += terms.size
         flat = terms.view(np.float64)
@@ -225,52 +222,29 @@ def _corner_sums(bands, r0: int, c0: int) -> list[float | complex] | None:
         rows, n, width = len(flat), flat.size, 2 if np.iscomplexobj(terms) else 1
         if scratch.size < 2 * n:
             scratch = np.empty(2 * n)
-        t, x = scratch[:n].reshape(flat.shape), scratch[n : 2 * n].reshape(flat.shape)
+        t, rest = scratch[:n].reshape(flat.shape), scratch[n : 2 * n].reshape(flat.shape)
         cut = min(max(r0 + 1 - top, 0), rows)
-
-        def add(v):
-            for q, group in ((0, v[:cut]), (2, v[cut:])):
+        bits = (n + 1).bit_length()  # M
+        sigma = math.ldexp(1.0, math.frexp(top_abs)[1] + bits)
+        x, levels = flat, 0
+        while levels < 2 or x.any():
+            np.add(x, sigma, out=t)
+            t -= sigma
+            for q, group in ((0, t[:cut]), (2, t[cut:])):
                 if len(group):
                     lanes = group.sum(axis=0).reshape(-1, width)
                     parts[q].append(lanes[: c0 + 1].sum(axis=0))
                     parts[q + 1].append(lanes[c0 + 1 :].sum(axis=0))
-
-        bits = (n + 1).bit_length()  # M
-        sigma = math.ldexp(1.0, math.frexp(top_abs)[1] + bits)
-        np.add(flat, sigma, out=t)
-        t -= sigma
-        add(t)
-        np.subtract(flat, t, out=x)
-        sigma = math.ldexp(sigma, bits - 53)
-        np.add(x, sigma, out=t)
-        t -= sigma
-        add(t)
-        x -= t
-        if x.any():
-            exact = False
-            add(x)
-            bound += 2.0 * n * 2.0**-53 * np.abs(x, out=x).sum()
+            x = np.subtract(x, t, out=rest)
+            sigma = math.ldexp(sigma, bits - 53)
+            levels += 1
     if not peak < 2.0**1018 / cells:
         return None
     sums = []
     for rect in ((0,), (0, 2), (0, 1), (0, 1, 2, 3)):
-        got = [_rounded([float(v[k]) for q in rect for v in parts[q]], exact, bound) for k in range(width)]
-        if None in got:
-            return None
+        got = [math.fsum([float(v[k]) for q in rect for v in parts[q]]) + 0.0 for k in range(width)]
         sums.append(complex(*got) if width == 2 else got[0])
     return sums
-
-
-def _rounded(vals: list[float], exact: bool, bound: float) -> float | None:
-    """math.fsum(vals) when it is the rounding of vals' exact sum plus an
-    error of at most bound (none where exact), +0.0 for zero; else None."""
-    r = math.fsum(vals)
-    if not exact:
-        a = abs(r)
-        gap = min(a - math.nextafter(a, 0.0), math.nextafter(a, math.inf) - a)
-        if not abs(math.fsum([*vals, -r])) * (1 + 2.0**-50) + bound < gap / 2:
-            return None
-    return r + 0.0
 
 
 def sigma_single(

@@ -229,6 +229,9 @@ def test_weights_that_overflow_before_their_sums_back_off(tmp_path, args, code):
             1,
             "error: power(beta=1000): partial sum overflowed at index 2",
         ),
+        # every term is finite, but the oracle's sum of a corner overflows
+        (("verify-lemma", "--sequence", "1e307", "--m", "5", "--n", "5"), 1,
+         "error: intermediate overflow in fsum"),
         # flag errors take the same path as any other bad input
         (("analyze", "--horizon", "abc"), 2, "error: argument --horizon: invalid int value: 'abc'"),
         (("analyze", "--lambdas", "2,x"), 2, "error: argument --lambdas: bad ladder '2,x'"),

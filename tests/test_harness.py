@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import tauberkit as tk
-from helpers import TIES_AND_CANCELLATIONS, oracle_calls, traced_peak
+from helpers import TIES_AND_CANCELLATIONS, oracle_calls, oracle_route, traced_peak
 from tauberkit import harness, transform
 from tauberkit.cli import expression_sequence
 from tauberkit.transform import _exact_sum
@@ -408,18 +408,12 @@ def test_trouble_in_a_later_band_keeps_the_outcome_of_four_sigma_single_calls(mo
             assert np.array_equal(window, seq.block(rows, cols), equal_nan=True)
 
 
-def _refuse_certification(monkeypatch):
-    """Make every corner sum uncertified; return the oracle's calls."""
-    monkeypatch.setattr(transform, "_rounded", lambda *args: None)
-    return oracle_calls(monkeypatch)
-
-
 @pytest.mark.parametrize("band", ["row", "r0", "default"])
 @pytest.mark.parametrize("name, w, split", [("additive_convergent", "power", (40, 30, 55, 47)),
                                             ("alternating", "harmonic", (40, 30, 25, 12)),
                                             ("complex_convergent", "ones", (3, 5, 4, 6))])
 def test_uncertified_split_fills_the_window_and_keeps_the_oracle_means(monkeypatch, band, name, w, split):
-    calls = _refuse_certification(monkeypatch)
+    calls = oracle_route(monkeypatch)
     _set_band(monkeypatch, band, *split)
     m, n, mu, eta = split
     seq = tk.corpus_sequence(name)
@@ -437,7 +431,6 @@ def test_uncertified_split_fills_the_window_and_keeps_the_oracle_means(monkeypat
 
 
 def test_tripped_guard_reads_every_band(monkeypatch):
-    _refuse_certification(monkeypatch)
     m, n, mu, eta = 150, 150, 152, 153
     _set_band(monkeypatch, "row", m, n, mu, eta)
     seq = tk.constant(1.5)
@@ -513,6 +506,34 @@ def test_tie_in_a_banded_block_keeps_its_golden_repr(monkeypatch):
     calls = oracle_calls(monkeypatch)
     dec = tk.lemma_forward(tk.array_sequence(u, name="tie"), tk.ones(), tk.ones(), 10, 10, 1599, 1599)
     assert repr(dec) == _BANDED_TIE_REPR
+    assert calls == []
+
+
+# Captured while two levels of extraction and an error bound certified these
+# sums.  geometric(1.5) products at m = 600 span some 740 binades, which
+# take about twenty levels of extraction.
+_GEOMETRIC_REPRS = {
+    "alternating": "LemmaDecomposition(direction='forward', m=600, n=600, mu=640, eta=620, lhs=0.96, "
+                   "term_corner=2.082294565087436e-17, term_rows=-2.775557812578031e-17, "
+                   "term_cols=-3.4704906279490807e-17, term_window=-0.9600000000000001, "
+                   "residual=-6.938476370811889e-17, rel_residual=6.938476370811889e-17)",
+    "complex_convergent": "LemmaDecomposition(direction='forward', m=600, n=600, mu=640, eta=620, "
+                          "lhs=(0.0008234148765142724+5.409278045254151e-05j), "
+                          "term_corner=(-0.00024182012353447815-5.3082960616192824e-05j), "
+                          "term_rows=(8.327085690714269e-05+0.00021366949506253704j), "
+                          "term_cols=(0.00011139964386765451+8.111416493622399e-05j), "
+                          "term_window=(-0.000870564499274038+0.00018760791893007286j), "
+                          "residual=(-8.470329472543003e-17+4.615990749357035e-17j), "
+                          "rel_residual=9.646442451576662e-17)",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GEOMETRIC_REPRS))
+def test_geometric_split_keeps_its_golden_repr(monkeypatch, name):
+    calls = oracle_calls(monkeypatch)
+    w = tk.geometric(1.5)
+    dec = tk.lemma_forward(tk.corpus_sequence(name), w, w, 600, 600, 640, 620)
+    assert repr(dec) == _GEOMETRIC_REPRS[name]
     assert calls == []
 
 

@@ -342,15 +342,13 @@ def corner_blocks(draw):
     block cut into row bands, in a drawn order.
 
     The fill keeps each rectangle's sum of magnitudes below 2^1018, inside
-    the kernel's contract.  Some shapes hold more than one chunk of cells,
-    or a single row or column longer than one chunk.  The "tie" fill puts
-    the whole block's sum exactly halfway between two doubles.  No error
-    bound can round a tie, but the extraction leaves the parts of a tie
-    block's integers exact, and math.fsum rounds exact parts itself, so no
-    real tie block is left to the oracle.  Complex blocks whose re and im
-    parts are scaled far apart, since the two share one extraction, and the
-    "spread", "subnormal" and "cancel" fills, whose values span more
-    binades than two extractions take, leave many of theirs to it.
+    the kernel's overflow guard, so no block is left to the oracle.  Some
+    shapes hold more than one chunk of cells, or a single row or column
+    longer than one chunk.  The "tie" fill puts the whole block's sum
+    exactly halfway between two doubles, and complex blocks scale their re
+    and im parts apart, though the two share one extraction.  The "spread",
+    "subnormal" and "cancel" fills span more binades than two extractions
+    take.
     """
     rows, cols = draw(
         st.tuples(st.integers(1, 40), st.integers(1, 40))
@@ -404,10 +402,9 @@ def _certified_or_none(got, terms, r0, c0):
 def test_corner_sums_equal_fsum_of_each_rectangle(case):
     terms, r0, c0, bands = case
     whole, banded = _corner_sums([(0, terms)], r0, c0), _corner_sums(bands, r0, c0)
+    assert whole is not None and banded is not None
     assert _certified_or_none(whole, terms, r0, c0)
     assert _certified_or_none(banded, terms, r0, c0)
-    if not terms.any():  # the "zero" and "negzero" fills: every part is exact
-        assert whole is not None and banded is not None
 
 
 def _row_bands(terms, rng):
@@ -436,11 +433,44 @@ def test_multiples_of_one_power_of_two_certify(rows, cols, k, seed, cplx, tie):
         return np.ldexp(ints.astype(np.float64), k).reshape(rows, cols)
 
     terms = part() + 1j * part() if cplx else part()
-    r0, c0 = int(rng.integers(rows)), int(rng.integers(cols))
-    for bands in ([(0, terms)], _row_bands(terms, rng)):
-        got = _corner_sums(bands, r0, c0)
-        assert got is not None
-        assert [repr(x) for x in got] == [repr(x) for x in _rectangle_sums(terms, r0, c0)]
+    _assert_fsum_bits(terms, int(rng.integers(rows)), int(rng.integers(cols)), rng)
+
+
+def _assert_fsum_bits(terms, r0, c0, rng):
+    """_corner_sums of terms, whole and in drawn row bands, gives fsum's
+    four sums to the bit, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bands in ([(0, terms)], _row_bands(terms, rng)):
+            got = _corner_sums(bands, r0, c0)
+            assert got is not None
+            assert [repr(x) for x in got] == [repr(x) for x in _rectangle_sums(terms, r0, c0)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("rows, cols", [(2, 3), (37, 53), (300, 200)])
+def test_values_from_subnormals_to_2_1000_sum_exactly(rows, cols, seed):
+    # every binade from the subnormals to 2^1000: forty to sixty levels of
+    # extraction, each taking at least 23 binades, before nothing is left
+    rng = np.random.default_rng(seed)
+    terms = _random_doubles(rng, rows * cols, 2023).reshape(rows, cols)
+    terms[0, 0] = 2.0**1000
+    _assert_fsum_bits(terms, int(rng.integers(rows)), int(rng.integers(cols)), rng)
+
+
+def test_complex_ties_with_parts_scaled_apart_sum_exactly():
+    # the "tie" fill of corner_blocks, each part of a complex block scaled by
+    # its own 2^k: the re and im lanes share one extraction, set by the
+    # larger part, and the later levels take the smaller part's bits
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        rows, cols = int(rng.integers(1, 41)), int(rng.integers(2, 41))
+
+        def part():
+            return _tie(rng, rows * cols) * 2.0 ** int(rng.integers(-60, 60))
+
+        terms = (part() + 1j * part()).reshape(rows, cols)
+        _assert_fsum_bits(terms, int(rng.integers(rows)), int(rng.integers(cols)), rng)
 
 
 @pytest.mark.parametrize("cplx", [False, True])
