@@ -46,7 +46,7 @@ from .sequences import (
     sequence_names,
     weight_names,
 )
-from .transform import export_grid_csv, format_float, weighted_mean_field
+from .transform import _write_csv, export_grid_csv, format_float, weighted_mean_field
 from .variation import VariationKind, classification_report, classify_adaptive
 
 
@@ -468,13 +468,8 @@ def cmd_verify_lemma(
     else:
         results = lemma_residual_suite(cfg.count, cfg.grid, cfg.seed)
     out = _out_dir(cfg) / "lemma_residuals.csv"
-    with open(out, "w", newline="") as fh:
-        fh.write("m,n,mu,eta,direction,residual\n")
-        for dec in results:
-            fh.write(
-                f"{dec.m},{dec.n},{dec.mu},{dec.eta},{dec.direction},"
-                f"{format_float(dec.rel_residual)}\n"
-            )
+    _write_csv(out, "m,n,mu,eta,direction,residual",
+               ((dec.m, dec.n, dec.mu, dec.eta, dec.direction, dec.rel_residual) for dec in results))
     worst = max(dec.rel_residual for dec in results)
     print(f"wrote {out}")
     print(f"max relative residual {format_float(worst)} over {len(results)} splits")

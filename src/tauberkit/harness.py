@@ -14,8 +14,8 @@ step the limit theorems live on.
 verify_theorem runs the full pipeline for one sequence/weight
 configuration and returns a verdict that is honest about being
 finite-sample.  Its limits and T42/T52 bound profiles are reduced from the
-mean-field pass's bands as they go by, so for a real sequence it holds no
-tail square, only the pass's bands.
+mean-field pass's bands as they go by, by oscillation._TailStats, so for a
+real sequence it holds no tail square, only the pass's bands.
 """
 from __future__ import annotations
 
@@ -29,18 +29,8 @@ import numpy as np
 from .errors import NonFiniteValueError, PrefixOverflowError, ResourceLimitError, ScalarKindError
 from .sequences import DoubleSequence, ScalarKind, WeightSequence, _check_grid, array_sequence
 from .sequences import MAX_GRID_CELLS, geometric, harmonic, ones, power
-from .transform import _SUM_CHUNK, _corner_sums, _divide, _exact_sum, _mean_field_pass, sigma_single
-from .oscillation import (
-    DecisionProfile,
-    LimitEstimate,
-    TrendSense,
-    _bound_profiles,
-    _difference_stats,
-    _extrema_residual,
-    _limit_estimate,
-    _square_residual,
-    build_window_profiles,
-)
+from .transform import _SUM_CHUNK, _corner_sums, _exact_sum, _mean_field_pass, sigma_single
+from .oscillation import DecisionProfile, LimitEstimate, TrendSense, _TailStats, build_window_profiles
 from .variation import VariationClass, VariationKind, classification_report, classify_adaptive
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -291,7 +281,7 @@ def _proof_inequality(forward, seq, p, q, m, n, lam, kappa, delta, gamma) -> Pro
     """
     if seq.kind is not ScalarKind.REAL:
         raise ScalarKindError(f"proof inequality is order-sensitive; {seq.name} is complex")
-    if forward and (lam <= 1.0 or kappa <= 1.0):
+    if forward and not (lam > 1.0 and kappa > 1.0):
         raise ValueError(f"forward scales must exceed 1, got ({lam}, {kappa})")
     if not forward and not (0.0 < lam < 1.0 and 0.0 < kappa < 1.0):
         raise ValueError(f"backward scales must lie in (0, 1), got ({lam}, {kappa})")
@@ -514,9 +504,9 @@ def _limits(seq, p, q, cfg, bound=None):
     (name, sense) of _THEOREMS, that statistic's two profiles over the same
     squares (else None).
 
-    One mean-field pass hands its bands to a _TailStats, which reduces them
-    rung by rung.  While u or the numerator is not finite in doubles, the
-    horizon halves and the statistics start again.
+    One mean-field pass hands its bands to an oscillation._TailStats,
+    which reduces them rung by rung.  While u or the numerator is not
+    finite in doubles, the horizon halves and the statistics start again.
     """
     h = cfg.horizon
     while True:
@@ -530,93 +520,8 @@ def _limits(seq, p, q, cfg, bound=None):
             if h // 2 < 64:
                 raise
             h //= 2
-    u_limit, sigma_limit = (_limit_estimate(lhat, residuals, ladder, cfg.tail_fraction, cfg.eps_dec)
-                            for lhat, residuals in tails.residuals())
-    profiles = bound and _bound_profiles(bound, tails.bound_rungs())
-    return h, ladder, u_limit, sigma_limit, profiles
-
-
-class _TailStats:
-    """What the limits and bound profiles read of u and sigma on each tail
-    square [t..k]^2, gathered band by band from one mean-field pass.
-
-    A real square leaves only its extrema: they give max |x - estimate|
-    with its bits (_extrema_residual), and the estimate, the top corner,
-    arrives with the last band.  A complex square is kept whole, since
-    |x - estimate| needs the estimate first.  Squares of different rungs
-    may overlap.  For a bound, _difference_stats reduces each band's rows
-    of each square with the row before them, over columns [t - 1..k]; a
-    band's first row takes the previous band's last as the row before.
-    Minima and maxima are exact and _difference_stats reports a zero as
-    +0.0, so any cut of a square into bands gives its one-block statistics.
-    """
-
-    def __init__(self, seq, p, q, ladder, tail_fraction, bound):
-        self.p, self.q, self.bound = p, q, bound
-        self.tails = [(math.ceil(tail_fraction * k), k) for k in ladder]
-        self.squares = None
-        if seq.kind is ScalarKind.COMPLEX:  # u, then sigma
-            self.squares = [np.empty((2, k + 1 - t, k + 1 - t), np.complex128) for t, k in self.tails]
-        self.lo = np.full((len(ladder), 2), np.inf)  # per rung, of u and of sigma
-        self.hi = -self.lo
-        self.stats = [None] * len(ladder)
-        self.corner = self.cp = self.above = None
-
-    def visit(self, r0, u, s, pp, qp):
-        if self.cp is None:  # the first band, the largest: the pass has evaluated the weights
-            self.cp = pp / self.p.weights_array(len(pp) - 1)
-            self.cq = qp / self.q.weights_array(len(qp) - 1)
-            self.scratch = np.empty(u.size if self.squares is None else 0)
-        r1 = r0 + len(u)
-        for i, (t, k) in enumerate(self.tails):
-            lo, hi = max(r0, t), min(r1, k + 1)
-            if lo >= hi:
-                continue
-            rows, cols = slice(lo - r0, hi - r0), slice(t, k + 1)
-            if self.squares is not None:
-                sq = self.squares[i][:, lo - t : hi - t]
-                sq[0] = u[rows, cols]
-                _divide(s[rows, cols], pp[lo:hi], qp[cols], sq[1])
-            else:
-                sigma = self.scratch[: (hi - lo) * (k + 1 - t)].reshape(hi - lo, -1)
-                _divide(s[rows, cols], pp[lo:hi], qp[cols], sigma)
-                for j, x in enumerate((u[rows, cols], sigma)):
-                    self.lo[i, j] = np.minimum(self.lo[i, j], x.min())
-                    self.hi[i, j] = np.maximum(self.hi[i, j], x.max())
-            if self.bound:
-                self._fold_bounds(i, u, r0, lo, hi)
-        if r1 == len(pp) and self.squares is None:  # correctly rounded, as _divide rounds them
-            self.corner = u[-1, -1].item(), (s[-1, -1] / (pp[-1] * qp[-1])).item()
-        self.above = u[-1].copy() if self.bound else None
-
-    def _fold_bounds(self, i, u, r0, lo, hi):
-        """Fold the bound statistics of rows [lo, hi) of square i into its own."""
-        t, k = self.tails[i]
-        cols = slice(t - 1, k + 1)
-        top = max(lo - 1, r0)
-        pieces = [(top, u[top - r0 : hi - r0, cols])]  # (first row, u rows)
-        if lo == r0:
-            pieces.append((lo - 1, np.stack([self.above[cols], u[0, cols]])))
-        signed = self.bound[1] is TrendSense.INF
-        pick = min if signed else max
-        for a, block in pieces:
-            if len(block) > 1:  # differences on rows a + 1 ..
-                st = _difference_stats(block, self.cp[a + 1 : a + len(block)], self.cq[t : k + 1], signed)
-                self.stats[i] = st if self.stats[i] is None else tuple(map(pick, self.stats[i], st))
-
-    def residuals(self):
-        """(estimate, residual per rung) of u, then of sigma."""
-        for j in range(2):
-            if self.squares is not None:
-                lhat = self.squares[-1][j, -1, -1].item()
-                yield lhat, [_square_residual(sq[j], lhat) for sq in self.squares]
-            else:
-                lhat = self.corner[j]
-                yield lhat, [_extrema_residual(lo, hi, lhat) for lo, hi in zip(self.lo[:, j], self.hi[:, j])]
-
-    def bound_rungs(self):
-        """(k, cells, (stat_p, stat_q)) per rung, as _bound_profiles reads them."""
-        return [(k, (k + 1 - t) ** 2, st) for (t, k), st in zip(self.tails, self.stats)]
+    u_limit, sigma_limit = tails.limits(cfg.eps_dec)
+    return h, ladder, u_limit, sigma_limit, bound and tails.bound_profiles()
 
 
 def verify_theorem(

@@ -3,10 +3,11 @@
 Forward windows collect indices i with P_m <= P_i <= lam * P_m (lam > 1);
 backward windows collect lam * P_m < P_i <= P_m (0 < lam < 1).  A window
 functional is described by its shape (the axes its window extends along),
-its reference cell and its reduction: the sd_* functionals take one-sided
-drops from the reference (real sequences only), the so_* functionals
-absolute spreads max |u - ref| (complex welcome).  Decision profiles sample
-the functionals on a tail ladder of horizons so a caller can see whether a
+its reference cell and its TrendSense, the one word for which way a
+statistic is worse: the sd_* functionals (INF) take one-sided drops from
+the reference (real sequences only), the so_* functionals (SUP) absolute
+spreads max |u - ref| (complex welcome).  Decision profiles sample the
+functionals on a tail ladder of horizons so a caller can see whether a
 condition is trending the way the limit theory needs it to.
 
 One window engine computes every functional.  A set of profiles first
@@ -21,6 +22,11 @@ union into segments, and each window is reduced from per-segment extrema
 value is still one subtraction of the same two doubles, so the results
 match a per-anchor evaluation bit for bit.  window_functional, one
 functional at one anchor, is the engine's single-window case.
+
+verify_theorem's limits of u and sigma and its T42/T52 bound profiles are
+reduced here too, by _TailStats from the bands of harness's mean-field
+pass, beside the whole-square oracles whose bits they keep: empirical_limit,
+landau_stat and hardy_stat.
 """
 from __future__ import annotations
 
@@ -39,7 +45,7 @@ from .errors import (
     ScalarKindError,
 )
 from .sequences import DoubleSequence, Grid, ScalarKind, WeightSequence
-from .transform import format_float
+from .transform import _divide, _write_csv
 
 # Rectangle windows larger than this are refused (scalar ops) or recorded
 # as unsampled rungs (profiles), though the window engine never holds a
@@ -114,6 +120,8 @@ def _require_forward(*scales) -> None:
 
 
 class TrendSense(Enum):
+    """Which way a statistic is worse: INF watched from below, SUP from above."""
+
     INF = "inf"
     SUP = "sup"
 
@@ -124,31 +132,27 @@ class _Functional(NamedTuple):
     shape: the axes the window extends along -- "p" rows i (column n only),
     "q" columns j (row m only), "pq" both.  reference: the value each cell
     x = u(i, j) is compared with -- "corner" u(m, n), "row" u(m, j), "col"
-    u(i, n).  reduction: "drop" is min of x - ref on forward windows and min
-    of ref - x on backward ones (real sequences only); "spread" is max of
-    |x - ref|.  A drop is watched from below, a spread from above.
+    u(i, n).  sense: INF, a drop watched from below, is min of x - ref on
+    forward windows and min of ref - x on backward ones (real sequences
+    only); SUP, a spread watched from above, is max of |x - ref|.
     """
 
     shape: str
     reference: str
-    reduction: str
-
-    @property
-    def sense(self) -> TrendSense:
-        return TrendSense.INF if self.reduction == "drop" else TrendSense.SUP
+    sense: TrendSense
 
 
 _FUNCTIONALS = {
-    "sd_P": _Functional("p", "corner", "drop"),
-    "sd_Q": _Functional("q", "corner", "drop"),
-    "sd_strong_P": _Functional("pq", "row", "drop"),
-    "sd_strong_Q": _Functional("pq", "col", "drop"),
-    "sd_both": _Functional("pq", "corner", "drop"),
-    "so_P": _Functional("p", "corner", "spread"),
-    "so_Q": _Functional("q", "corner", "spread"),
-    "so_strong_P": _Functional("pq", "row", "spread"),
-    "so_strong_Q": _Functional("pq", "col", "spread"),
-    "so_both": _Functional("pq", "corner", "spread"),
+    "sd_P": _Functional("p", "corner", TrendSense.INF),
+    "sd_Q": _Functional("q", "corner", TrendSense.INF),
+    "sd_strong_P": _Functional("pq", "row", TrendSense.INF),
+    "sd_strong_Q": _Functional("pq", "col", TrendSense.INF),
+    "sd_both": _Functional("pq", "corner", TrendSense.INF),
+    "so_P": _Functional("p", "corner", TrendSense.SUP),
+    "so_Q": _Functional("q", "corner", TrendSense.SUP),
+    "so_strong_P": _Functional("pq", "row", TrendSense.SUP),
+    "so_strong_Q": _Functional("pq", "col", TrendSense.SUP),
+    "so_both": _Functional("pq", "corner", TrendSense.SUP),
 }
 
 
@@ -164,7 +168,7 @@ def _functional(name: str, seq: DoubleSequence) -> _Functional:
         raise KeyError(
             f"unknown functional {name!r}; known: {', '.join(_FUNCTIONALS)}"
         ) from None
-    if spec.reduction == "drop":
+    if spec.sense is TrendSense.INF:
         _require_real(seq, name)
     return spec
 
@@ -219,12 +223,12 @@ def _cuts(spans):
     return edges, [(at[lo], at[hi + 1]) for lo, hi in spans]
 
 
-_WORSE = {"drop": np.minimum, "spread": np.maximum}
+_WORSE = {TrendSense.INF: np.minimum, TrendSense.SUP: np.maximum}
 
 
-def _compare(reduction, forward, lo, hi, ref):
+def _compare(sense, forward, lo, hi, ref):
     """A functional's value from the minima lo and maxima hi of its window."""
-    if reduction == "spread":
+    if sense is TrendSense.SUP:
         return np.maximum(hi - ref, ref - lo)
     return lo - ref if forward else ref - hi
 
@@ -235,7 +239,7 @@ def _window_values(seq, forward, wins) -> list[float]:
     The window edges cut rows and columns into segments; a row segment
     reads only the column segments some window pairs it with, in bands of
     _BAND_CELLS cells or of one row, and any non-finite cell raises
-    NonFiniteValueError.  Each reference (reduction and corner u(m, n),
+    NonFiniteValueError.  Each reference (sense and corner u(m, n),
     anchor row u(m, .) or anchor column u(., n)) keeps its worst comparison
     per pair of segments; a window takes the worst over its segments.  Real
     bands compare extrema: column min/max over the row segment for corner
@@ -259,13 +263,13 @@ def _window_values(seq, forward, wins) -> list[float]:
     for w, (s0, s1), (t0, t1) in zip(wins, rspans, cspans):
         ref = w.spec.reference
         at = int(cpos[t0] if forward else cpos[t1] - 1)
-        key = (w.spec.reduction, ref, None if ref == "col" else w.m, None if ref == "row" else at)
+        key = (w.spec.sense, ref, None if ref == "col" else w.m, None if ref == "row" else at)
         keys.append(key)
         for s in range(s0, s1):
             a, b = need[s].get(key, (t0, t1))
             need[s][key] = (min(a, t0), max(b, t1))
     ref_rows = {key[2]: None for key in keys if key[2] is not None}
-    fill = {"drop": np.inf, "spread": -np.inf}
+    fill = {TrendSense.INF: np.inf, TrendSense.SUP: -np.inf}
     tables = {key: np.full(cover.shape, fill[key[0]]) for key in dict.fromkeys(keys)}
     for s in range(nseg) if forward else range(nseg - 1, -1, -1):
         ts = np.flatnonzero(cover[s])
@@ -297,8 +301,8 @@ def _window_values(seq, forward, wins) -> list[float]:
             else:
                 _check_finite(seq, u)
             for key, k0, k1 in jobs:
-                reduction, ref, m, at = key
-                worse, c0, c1 = _WORSE[reduction], bounds[k0], bounds[k1]
+                sense, ref, m, at = key
+                worse, c0, c1 = _WORSE[sense], bounds[k0], bounds[k1]
                 if ref == "col":
                     r = u[:, c0 if forward else c1 - 1, None]
                 else:
@@ -309,12 +313,12 @@ def _window_values(seq, forward, wins) -> list[float]:
                     top = np.maximum.reduceat(np.abs(u[:, c0:c1] - r), bounds[k0:k1] - c0, axis=1)
                     top = top.max(axis=0)
                 elif ref == "corner":
-                    top = _compare(reduction, forward, seg_lo[k0:k1], seg_hi[k0:k1], r)
+                    top = _compare(sense, forward, seg_lo[k0:k1], seg_hi[k0:k1], r)
                 elif ref == "row":
-                    d = _compare(reduction, forward, col_lo[c0:c1], col_hi[c0:c1], r)
+                    d = _compare(sense, forward, col_lo[c0:c1], col_hi[c0:c1], r)
                     top = worse.reduceat(d, bounds[k0:k1] - c0)
                 else:
-                    d = _compare(reduction, forward, row_lo[:, k0:k1], row_hi[:, k0:k1], r)
+                    d = _compare(sense, forward, row_lo[:, k0:k1], row_hi[:, k0:k1], r)
                     top = worse.reduce(d, axis=0)
                 row = tables[key][s]
                 row[ts[k0:k1]] = worse(row[ts[k0:k1]], top)
@@ -421,15 +425,15 @@ def landau_stat(seq, p, q, m_range, n_range) -> tuple[float, float]:
     must start at 1 or later so the backward difference exists.
     """
     _require_real(seq, "signed difference bound")
-    return _difference_bound(seq, p, q, m_range, n_range, signed=True)
+    return _difference_bound(seq, p, q, m_range, n_range, TrendSense.INF)
 
 
 def hardy_stat(seq, p, q, m_range, n_range) -> tuple[float, float]:
     """sup of |weighted one-step differences| over a range; complex allowed."""
-    return _difference_bound(seq, p, q, m_range, n_range, signed=False)
+    return _difference_bound(seq, p, q, m_range, n_range, TrendSense.SUP)
 
 
-def _difference_bound(seq, p, q, m_range, n_range, signed):
+def _difference_bound(seq, p, q, m_range, n_range, sense):
     m0, m1 = m_range
     n0, n1 = n_range
     if m0 < 1 or n0 < 1:
@@ -443,30 +447,30 @@ def _difference_bound(seq, p, q, m_range, n_range, signed):
     _check_finite(seq, u)
     cp = p.prefix_array(m1)[m0:] / p.weights_array(m1)[m0:]
     cq = q.prefix_array(n1)[n0:] / q.weights_array(n1)[n0:]
-    return _difference_stats(u, cp, cq, signed)
+    return _difference_stats(u, cp, cq, sense)
 
 
-def _difference_stats(u, cp, cq, signed) -> tuple[float, float]:
-    """The min of cp (x) D10 u and of cq (x) D01 u over u[1:, 1:] (signed),
-    or the max of cp (x) |D10 u| and cq (x) |D01 u|, for u a block with one
-    row and one column before the range.  One difference array at a time,
-    made real in place (by a fresh abs if u is complex).
+def _difference_stats(u, cp, cq, sense) -> tuple[float, float]:
+    """The min of cp (x) D10 u and of cq (x) D01 u over u[1:, 1:] (sense
+    INF), or the max of cp (x) |D10 u| and cq (x) |D01 u| (SUP), for u a
+    block with one row and one column before the range.  One difference
+    array at a time, made real in place (by a fresh abs if u is complex).
 
     A zero minimum is +0.0: numpy's min over zeros of both signs keeps
     whichever its reduction order (even its SIMD layout) meets last, so
     only a sign-free zero lets blocks cut any way give one result.  A
     maximum of absolute values is never -0.0."""
     def stat(d, c):
-        if not signed:
+        if sense is TrendSense.SUP:
             d = np.abs(d, out=None if np.iscomplexobj(d) else d)
         d *= c
-        return float(d.min() + 0.0 if signed else d.max())
+        return float(d.max() if sense is TrendSense.SUP else d.min() + 0.0)
 
     return stat(u[1:, 1:] - u[:-1, 1:], cp[:, None]), stat(u[1:, 1:] - u[1:, :-1], cq[None, :])
 
 
 # ---------------------------------------------------------------------------
-# Empirical limits
+# Empirical limits and tail statistics
 # ---------------------------------------------------------------------------
 
 
@@ -509,10 +513,10 @@ def empirical_limit(
             f"ladder rung {top} outside grid ({grid.m_max}, {grid.n_max})", needed=top
         )
     vals = grid.values
-    starts = [math.ceil(tail_fraction * h) for h in ladder]
+    tails = [(math.ceil(tail_fraction * h), h) for h in ladder]
     lhat = vals[top, top].item()
-    residuals = [_square_residual(vals[t0 : h + 1, t0 : h + 1], lhat) for t0, h in zip(starts, ladder)]
-    return _limit_estimate(lhat, residuals, ladder, tail_fraction, eps_dec)
+    residuals = [_square_residual(vals[t0 : h + 1, t0 : h + 1], lhat) for t0, h in tails]
+    return _limit_estimate(lhat, residuals, tails, eps_dec)
 
 
 # Cells of a complex square whose |x - estimate| is taken at once: 384 KiB
@@ -537,20 +541,113 @@ def _extrema_residual(lo, hi, lhat) -> float:
     return float(np.maximum(abs(hi - lhat), abs(lhat - lo)))
 
 
-def _limit_estimate(lhat, residuals, ladder, tail_fraction, eps_dec) -> LimitEstimate:
-    """empirical_limit from the estimate lhat and the residual of each rung."""
-    profile = tuple(zip(ladder, residuals))
+def _limit_estimate(lhat, residuals, tails, eps_dec) -> LimitEstimate:
+    """empirical_limit from lhat and the residual of each tail (t, k), [t..k]^2."""
     r = residuals
     decreasing = r[-3] > r[-2] > r[-1]
     noise_floor = 64.0 * float(np.finfo(np.float64).eps) * max(1.0, abs(lhat))
     converged = r[-1] < eps_dec and (decreasing or r[-1] <= noise_floor)
     return LimitEstimate(
         value=lhat,
-        tail_start=math.ceil(tail_fraction * ladder[-1]),
-        residual_profile=profile,
+        tail_start=tails[-1][0],
+        residual_profile=tuple((k, x) for (_, k), x in zip(tails, r)),
         converged=converged,
         eps_dec=eps_dec,
     )
+
+
+class _TailStats:
+    """The limits of u and sigma, and a bound's profiles, on each tail
+    square [t..k]^2 of a ladder, t = ceil(tf * k), gathered band by band
+    from one mean-field pass (visit is its callback); they keep the bits of
+    empirical_limit on the whole grids and of landau_stat or hardy_stat on
+    each square.
+
+    A real square leaves only its extrema: they give max |x - estimate|
+    with its bits (_extrema_residual), and the estimate, the top corner,
+    arrives with the last band.  A complex square is kept whole, since
+    |x - estimate| needs the estimate first.  Squares of different rungs
+    may overlap.  For a bound (name, sense) of landau_stat or hardy_stat,
+    _difference_stats reduces each band's rows of each square with the row
+    before them, over columns [t - 1..k]; a band's first row takes the
+    previous band's last as the row before.  Minima and maxima are exact
+    and _difference_stats reports a zero as +0.0, so any cut of a square
+    into bands gives its one-block statistics.
+    """
+
+    def __init__(self, seq, p, q, ladder, tail_fraction, bound):
+        self.p, self.q, self.bound = p, q, bound
+        self.tails = [(math.ceil(tail_fraction * k), k) for k in ladder]
+        self.squares = None
+        if seq.kind is ScalarKind.COMPLEX:  # u, then sigma
+            self.squares = [np.empty((2, k + 1 - t, k + 1 - t), np.complex128) for t, k in self.tails]
+        self.lo = np.full((len(ladder), 2), np.inf)  # per rung, of u and of sigma
+        self.hi = -self.lo
+        self.stats = [None] * len(ladder)
+        self.corner = self.cp = self.above = None
+
+    def visit(self, r0, u, s, pp, qp):
+        if self.cp is None:  # the first band, the largest: the pass has evaluated the weights
+            self.cp = pp / self.p.weights_array(len(pp) - 1)
+            self.cq = qp / self.q.weights_array(len(qp) - 1)
+            self.scratch = np.empty(u.size if self.squares is None else 0)
+        r1 = r0 + len(u)
+        for i, (t, k) in enumerate(self.tails):
+            lo, hi = max(r0, t), min(r1, k + 1)
+            if lo >= hi:
+                continue
+            rows, cols = slice(lo - r0, hi - r0), slice(t, k + 1)
+            if self.squares is not None:
+                sq = self.squares[i][:, lo - t : hi - t]
+                sq[0] = u[rows, cols]
+                _divide(s[rows, cols], pp[lo:hi], qp[cols], sq[1])
+            else:
+                sigma = self.scratch[: (hi - lo) * (k + 1 - t)].reshape(hi - lo, -1)
+                _divide(s[rows, cols], pp[lo:hi], qp[cols], sigma)
+                for j, x in enumerate((u[rows, cols], sigma)):
+                    self.lo[i, j] = np.minimum(self.lo[i, j], x.min())
+                    self.hi[i, j] = np.maximum(self.hi[i, j], x.max())
+            if self.bound:
+                self._fold_bounds(i, u, r0, lo, hi)
+        if r1 == len(pp) and self.squares is None:  # correctly rounded, as _divide rounds them
+            self.corner = u[-1, -1].item(), (s[-1, -1] / (pp[-1] * qp[-1])).item()
+        self.above = u[-1].copy() if self.bound else None
+
+    def _fold_bounds(self, i, u, r0, lo, hi):
+        """Fold the bound statistics of rows [lo, hi) of square i into its own."""
+        t, k = self.tails[i]
+        cols = slice(t - 1, k + 1)
+        top = max(lo - 1, r0)
+        pieces = [(top, u[top - r0 : hi - r0, cols])]  # (first row, u rows)
+        if lo == r0:
+            pieces.append((lo - 1, np.stack([self.above[cols], u[0, cols]])))
+        sense = self.bound[1]
+        pick = min if sense is TrendSense.INF else max  # builtins: Python floats stay Python floats
+        for a, block in pieces:
+            if len(block) > 1:  # differences on rows a + 1 ..
+                st = _difference_stats(block, self.cp[a + 1 : a + len(block)], self.cq[t : k + 1], sense)
+                self.stats[i] = st if self.stats[i] is None else tuple(map(pick, self.stats[i], st))
+
+    def limits(self, eps_dec):
+        """The LimitEstimate of u, then of sigma, as empirical_limit gives them."""
+        for j in range(2):
+            if self.squares is not None:
+                lhat = self.squares[-1][j, -1, -1].item()
+                residuals = [_square_residual(sq[j], lhat) for sq in self.squares]
+            else:
+                lhat = self.corner[j]
+                residuals = [_extrema_residual(lo, hi, lhat) for lo, hi in zip(self.lo[:, j], self.hi[:, j])]
+            yield _limit_estimate(lhat, residuals, self.tails, eps_dec)
+
+    def bound_profiles(self) -> tuple[DecisionProfile, DecisionProfile]:
+        """The bound's p and q profiles, a rung per tail square."""
+        which, sense = self.bound
+        return tuple(
+            DecisionProfile(f"{which}_{a}", sense, tuple(
+                ProfileRung(lam=None, kappa=None, horizon=k, stat=st[axis], cells=(k + 1 - t) ** 2)
+                for (t, k), st in zip(self.tails, self.stats)))
+            for axis, a in enumerate("pq")
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +718,7 @@ def build_window_profiles(
     rungs = {name: [] for name in functionals}
     for name, spec, lam, kap, h, _, slots in ladder:
         gap = next((s for s in slots if isinstance(s, tuple)), None)
+        # The builtins keep the first of two zeros; numpy picks by its layout.
         worst = min if spec.sense is TrendSense.INF else max
         stat, cells = (None, 0) if gap else (worst(slots), len(slots))
         rungs[name].append(ProfileRung(lam, kap, h, stat, cells, reason=gap))
@@ -628,19 +726,6 @@ def build_window_profiles(
         name: DecisionProfile(name, _functional(name, seq).sense, tuple(rs))
         for name, rs in rungs.items()
     }
-
-
-def _bound_profiles(bound, rungs) -> tuple[DecisionProfile, DecisionProfile]:
-    """The tail profiles of a bound (name, sense), landau_stat or hardy_stat,
-    one per axis, from rungs (h, cells, (stat_p, stat_q)) of
-    _difference_stats over [t..h]^2."""
-    which, sense = bound
-    return tuple(
-        DecisionProfile(f"{which}_{a}", sense,
-                        tuple(ProfileRung(lam=None, kappa=None, horizon=h, stat=stats[axis], cells=cells)
-                              for h, cells, stats in rungs))
-        for axis, a in enumerate("pq")
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -708,14 +793,9 @@ def sd_field_components(
 def export_profiles_csv(profiles: list[DecisionProfile], path: str) -> None:
     """Decision profiles, one row per rung.  Unsampled rungs keep their
     row with an empty tail_stat so ladders stay visibly aligned."""
-    with open(path, "w", newline="") as fh:
-        fh.write("functional,lambda,kappa,horizon,tail_stat\n")
-        for prof in profiles:
-            for r in prof.rungs:
-                lam = "" if r.lam is None else format_float(r.lam)
-                kap = "" if r.kappa is None else format_float(r.kappa)
-                stat = "" if r.stat is None else format_float(r.stat)
-                fh.write(f"{prof.functional},{lam},{kap},{r.horizon},{stat}\n")
+    _write_csv(path, "functional,lambda,kappa,horizon,tail_stat", (
+        (prof.functional, *(None if s is None else float(s) for s in (r.lam, r.kappa)), r.horizon, r.stat)
+        for prof in profiles for r in prof.rungs))
 
 
 def profile_samples(
@@ -737,10 +817,5 @@ def profile_samples(
 
 def export_samples_csv(samples, path: str, functional: str) -> None:
     """Per-cell sweep rows as functional,lambda,kappa,horizon,m,n,value."""
-    with open(path, "w", newline="") as fh:
-        fh.write("functional,lambda,kappa,horizon,m,n,value\n")
-        for lam, kap, h, m, n, v in samples:
-            value = "" if v is None else format_float(v)
-            fh.write(
-                f"{functional},{format_float(lam)},{format_float(kap)},{h},{m},{n},{value}\n"
-            )
+    _write_csv(path, "functional,lambda,kappa,horizon,m,n,value",
+               ((functional, float(lam), float(kap), *rest) for lam, kap, *rest in samples))

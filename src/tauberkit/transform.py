@@ -275,6 +275,16 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _write_csv(path, header: str, rows) -> None:
+    """A header line, then a line per row of cells: floats as format_float
+    gives them, None as an empty field, anything else through str."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(format_float(x) if isinstance(x, float) else "" if x is None else str(x)
+                              for x in row) + "\n")
+
+
 # The kernel certifies |x| in (_TINY, _HUGE): every decimal exponent k of
 # such an x, and k - 1 and k + 2, index the tables below, and no step of
 # Dekker's product on them overflows or loses bits below the normal range.

@@ -40,7 +40,7 @@ def ratio_profile(
     """Rows (lambda, m, P_floor(lambda m) / P_m) for every pair requested."""
     rows = []
     for lam in lambdas:
-        if lam <= 0:
+        if not lam > 0:
             raise ValueError(f"ratio scale must be > 0, got {lam}")
         for m in m_samples:
             if m < 1:

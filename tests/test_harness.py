@@ -145,6 +145,11 @@ def test_backward_inequality_holds_on_convergent_input():
 def test_forward_inequality_validates_scales():
     with pytest.raises(ValueError, match="exceed 1"):
         tk.proof_inequality_forward(ADD, tk.ones(), tk.ones(), 40, 40, 0.9, 1.5, 0.5, 0.5)
+    # NaN fails every comparison, so it must fail the rule and not slip past it
+    for lam, kappa in ((math.nan, 1.5), (1.5, math.nan)):
+        with pytest.raises(ValueError) as exc:
+            tk.proof_inequality_forward(ADD, tk.ones(), tk.ones(), 100, 100, lam, kappa, 0.5, 0.5)
+        assert str(exc.value) == f"forward scales must exceed 1, got ({lam}, {kappa})"
     with pytest.raises(ValueError, match=r"in \(0, 1\)"):
         tk.proof_inequality_backward(ADD, tk.ones(), tk.ones(), 40, 40, 1.5, 0.5, 0.5, 0.5)
 

@@ -7,6 +7,8 @@ import pytest
 
 import tauberkit as tk
 from helpers import traced_peak
+from tauberkit import harness, oscillation
+from tauberkit.cli import expression_sequence
 
 ADD = tk.corpus_sequence("additive_convergent")
 EPS = float(np.finfo(np.float64).eps)
@@ -484,6 +486,9 @@ def test_export_samples_csv_layout(tmp_path):
     assert lines[0] == "functional,lambda,kappa,horizon,m,n,value"
     assert len(lines) == 1 + len(rows)
     assert lines[1].startswith("sd_P,1.5,1.5,32,")
+    # a scale passed as an int is written as the float it stands for
+    tk.export_samples_csv([(10**17, 2, 32, 16, 16, None)], str(out), "sd_P")
+    assert out.read_text().splitlines()[1] == "sd_P,1e+17,2,32,16,16,"
 
 
 def test_window_profile_and_csv_layout(tmp_path):
@@ -499,6 +504,26 @@ def test_window_profile_and_csv_layout(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "functional,lambda,kappa,horizon,tail_stat"
     assert lines[1].startswith("sd_P,1.5,1.5,64,")
+    rung = oscillation.ProfileRung(lam=10**17, kappa=2, horizon=64, stat=None, cells=0)
+    tk.export_profiles_csv([tk.DecisionProfile("sd_P", oscillation.TrendSense.INF, (rung,))], str(out))
+    assert out.read_text().splitlines()[1] == "sd_P,1e+17,2,64,"
+
+
+def test_profile_rungs_pick_signed_zeros_as_the_builtins_do():
+    # u holds +0.0 and -0.0, so a rung's nine anchor values can hold zeros
+    # of both signs; builtin min and max keep the first of them, where
+    # numpy's reductions pick by their layout and flipped the sign of 35
+    # of these rungs
+    seq = expression_sequence("-(0*m)+0*sin(n)")
+    names = [n for n in tk.window_functional_names() if not n.endswith("_both")]
+    p, q, ladder = tk.ones(), tk.ones(), harness.horizon_ladder(64)
+    lams = list(tk.HarnessConfig().lambda_ladder)
+    profiles = tk.build_window_profiles(seq, p, q, names, ladder, lams)
+    rungs = oscillation._rung_values(seq, p, q, names, ladder, lams, None, 0.5, stop_at_gap=True)
+    got = [r.stat for name in names for r in profiles[name].rungs]
+    want = [(min if name.startswith("sd") else max)(slots) for name, *_, slots in rungs]
+    assert len(got) == 160 and repr(got) == repr(want)
+    assert "-0.0" in map(repr, got) and "0.0" in map(repr, got)
 
 
 # ---------------------------------------------------------------------------

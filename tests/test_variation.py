@@ -1,5 +1,7 @@
 """Growth classification of weight prefixes: index fits and the rapid test."""
 
+import math
+
 import pytest
 
 import tauberkit as tk
@@ -97,6 +99,18 @@ def test_ratio_profile_covers_the_sample_grid():
         assert lam in (2.0, 1.5)
         # for linear prefixes the dilation ratio approaches lam itself
         assert ratio == pytest.approx(lam, rel=0.05)
+
+
+@pytest.mark.parametrize("lam, m, message", [
+    (0.0, 64, "ratio scale must be > 0, got 0.0"),
+    (-1.0, 64, "ratio scale must be > 0, got -1.0"),
+    (math.nan, 64, "ratio scale must be > 0, got nan"),
+    (2.0, 0, "ratio sample index must be >= 1, got 0"),
+])
+def test_ratio_profile_refuses_bad_scales_and_samples(lam, m, message):
+    with pytest.raises(ValueError) as exc:
+        tk.ratio_profile(tk.ones(), [lam], [m])
+    assert str(exc.value) == message
 
 
 def test_lemma23_tail_for_geometric_growth():
