@@ -14,8 +14,8 @@ step the limit theorems live on.
 verify_theorem runs the full pipeline for one sequence/weight
 configuration and returns a verdict that is honest about being
 finite-sample.  Its limits and T42/T52 bound profiles are reduced from the
-mean-field pass's bands as they go by, by oscillation._TailStats, so for a
-real sequence it holds no tail square, only the pass's bands.
+mean-field pass's bands as they go by (a second pass for a complex
+sequence's residuals), by oscillation._TailStats, so it holds no tail square.
 """
 from __future__ import annotations
 
@@ -502,16 +502,15 @@ def _limits(seq, p, q, cfg, bound=None):
     """The grid horizon, its ladder, the limits of u and sigma on the tail
     squares [t..k]^2 of each rung k, t = ceil(tf * k), and, for a bound
     (name, sense) of _THEOREMS, that statistic's two profiles over the same
-    squares (else None).
-
-    One mean-field pass hands its bands to an oscillation._TailStats,
-    which reduces them rung by rung.  While u or the numerator is not
-    finite in doubles, the horizon halves and the statistics start again.
+    squares (else None), reduced by oscillation._TailStats from the bands
+    of a mean-field pass; for a complex sequence it only finds the
+    estimates a second pass needs.  While u or the numerator is not finite
+    in doubles, the horizon halves and the statistics start again.
     """
     h = cfg.horizon
     while True:
         ladder = horizon_ladder(h)
-        _check_grid(seq, h, h)  # before a complex sequence's squares are allocated
+        _check_grid(seq, h, h)  # the pass checks no cell budget
         tails = _TailStats(seq, p, q, ladder, cfg.tail_fraction, bound)
         try:
             _mean_field_pass(seq, p, q, h, h, tails.visit)
@@ -520,6 +519,9 @@ def _limits(seq, p, q, cfg, bound=None):
             if h // 2 < 64:
                 raise
             h //= 2
+    if seq.kind is ScalarKind.COMPLEX:
+        tails = _TailStats(seq, p, q, ladder, cfg.tail_fraction, bound, tails.corner)
+        _mean_field_pass(seq, p, q, h, h, tails.visit)
     u_limit, sigma_limit = tails.limits(cfg.eps_dec)
     return h, ladder, u_limit, sigma_limit, bound and tails.bound_profiles()
 

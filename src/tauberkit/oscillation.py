@@ -340,6 +340,8 @@ def _rung_values(seq, p, q, functionals, horizons, lambda_ladder, kappa_ladder,
     scale at or below 1 on an axis a functional samples is refused before
     any of that functional's windows is resolved.
     """
+    if not 0.0 < tail_fraction < 1.0:
+        raise ValueError(f"tail fraction must lie in (0, 1), got {tail_fraction}")
     kappa_ladder = list(lambda_ladder if kappa_ladder is None else kappa_ladder)
     rungs, failure, known = [], None, {}
     try:
@@ -558,16 +560,16 @@ def _limit_estimate(lhat, residuals, tails, eps_dec) -> LimitEstimate:
 
 class _TailStats:
     """The limits of u and sigma, and a bound's profiles, on each tail
-    square [t..k]^2 of a ladder, t = ceil(tf * k), gathered band by band
-    from one mean-field pass (visit is its callback); they keep the bits of
-    empirical_limit on the whole grids and of landau_stat or hardy_stat on
-    each square.
+    square [t..k]^2 of a ladder, t = ceil(tf * k), folded band by band into
+    running statistics per rung from a mean-field pass (visit is its
+    callback); they keep the bits of empirical_limit on the whole grids
+    and of landau_stat or hardy_stat on each square.
 
-    A real square leaves only its extrema: they give max |x - estimate|
-    with its bits (_extrema_residual), and the estimate, the top corner,
-    arrives with the last band.  A complex square is kept whole, since
-    |x - estimate| needs the estimate first.  Squares of different rungs
-    may overlap.  For a bound (name, sense) of landau_stat or hardy_stat,
+    A real square's extrema give max |x - estimate| with its bits
+    (_extrema_residual), so the estimate, the top corner, may arrive with
+    the last band.  A complex x needs it first: a pass without estimates
+    only finds them, and a pass given them folds the extrema of
+    |x - estimate|, which are exact.  For a bound (name, sense),
     _difference_stats reduces each band's rows of each square with the row
     before them, over columns [t - 1..k]; a band's first row takes the
     previous band's last as the row before.  Minima and maxima are exact
@@ -575,42 +577,40 @@ class _TailStats:
     into bands gives its one-block statistics.
     """
 
-    def __init__(self, seq, p, q, ladder, tail_fraction, bound):
+    def __init__(self, seq, p, q, ladder, tail_fraction, bound, estimates=None):
         self.p, self.q, self.bound = p, q, bound
         self.tails = [(math.ceil(tail_fraction * k), k) for k in ladder]
-        self.squares = None
-        if seq.kind is ScalarKind.COMPLEX:  # u, then sigma
-            self.squares = [np.empty((2, k + 1 - t, k + 1 - t), np.complex128) for t, k in self.tails]
+        self.real = seq.kind is ScalarKind.REAL
+        self.folds = self.real or estimates is not None  # a complex first pass only finds them
         self.lo = np.full((len(ladder), 2), np.inf)  # per rung, of u and of sigma
-        self.hi = -self.lo
+        self.hi = -self.lo  # complex: of |x - estimate|
         self.stats = [None] * len(ladder)
-        self.corner = self.cp = self.above = None
+        self.corner, self.cp, self.above = estimates, None, None
 
     def visit(self, r0, u, s, pp, qp):
+        r1 = r0 + len(u)
+        if r1 == len(pp) and self.corner is None:  # correctly rounded, as _divide rounds them
+            self.corner = u[-1, -1].item(), (s[-1, -1] / (pp[-1] * qp[-1])).item()
+        if not self.folds:
+            return
         if self.cp is None:  # the first band, the largest: the pass has evaluated the weights
             self.cp = pp / self.p.weights_array(len(pp) - 1)
             self.cq = qp / self.q.weights_array(len(qp) - 1)
-            self.scratch = np.empty(u.size if self.squares is None else 0)
-        r1 = r0 + len(u)
+            self.scratch = np.empty(u.size, s.dtype)
         for i, (t, k) in enumerate(self.tails):
             lo, hi = max(r0, t), min(r1, k + 1)
             if lo >= hi:
                 continue
             rows, cols = slice(lo - r0, hi - r0), slice(t, k + 1)
-            if self.squares is not None:
-                sq = self.squares[i][:, lo - t : hi - t]
-                sq[0] = u[rows, cols]
-                _divide(s[rows, cols], pp[lo:hi], qp[cols], sq[1])
-            else:
-                sigma = self.scratch[: (hi - lo) * (k + 1 - t)].reshape(hi - lo, -1)
-                _divide(s[rows, cols], pp[lo:hi], qp[cols], sigma)
-                for j, x in enumerate((u[rows, cols], sigma)):
-                    self.lo[i, j] = np.minimum(self.lo[i, j], x.min())
-                    self.hi[i, j] = np.maximum(self.hi[i, j], x.max())
+            sigma = self.scratch[: (hi - lo) * (k + 1 - t)].reshape(hi - lo, -1)
+            _divide(s[rows, cols], pp[lo:hi], qp[cols], sigma)
+            for j, x in enumerate((u[rows, cols], sigma)):
+                if not self.real:
+                    x = np.abs(x - self.corner[j])
+                self.lo[i, j] = np.minimum(self.lo[i, j], x.min())
+                self.hi[i, j] = np.maximum(self.hi[i, j], x.max())
             if self.bound:
                 self._fold_bounds(i, u, r0, lo, hi)
-        if r1 == len(pp) and self.squares is None:  # correctly rounded, as _divide rounds them
-            self.corner = u[-1, -1].item(), (s[-1, -1] / (pp[-1] * qp[-1])).item()
         self.above = u[-1].copy() if self.bound else None
 
     def _fold_bounds(self, i, u, r0, lo, hi):
@@ -630,13 +630,9 @@ class _TailStats:
 
     def limits(self, eps_dec):
         """The LimitEstimate of u, then of sigma, as empirical_limit gives them."""
-        for j in range(2):
-            if self.squares is not None:
-                lhat = self.squares[-1][j, -1, -1].item()
-                residuals = [_square_residual(sq[j], lhat) for sq in self.squares]
-            else:
-                lhat = self.corner[j]
-                residuals = [_extrema_residual(lo, hi, lhat) for lo, hi in zip(self.lo[:, j], self.hi[:, j])]
+        for j, lhat in enumerate(self.corner):
+            residuals = [_extrema_residual(lo, hi, lhat) if self.real else float(hi)
+                         for lo, hi in zip(self.lo[:, j], self.hi[:, j])]
             yield _limit_estimate(lhat, residuals, self.tails, eps_dec)
 
     def bound_profiles(self) -> tuple[DecisionProfile, DecisionProfile]:
@@ -818,4 +814,5 @@ def profile_samples(
 def export_samples_csv(samples, path: str, functional: str) -> None:
     """Per-cell sweep rows as functional,lambda,kappa,horizon,m,n,value."""
     _write_csv(path, "functional,lambda,kappa,horizon,m,n,value",
-               ((functional, float(lam), float(kap), *rest) for lam, kap, *rest in samples))
+               ((functional, *(None if s is None else float(s) for s in (lam, kap)), *rest)
+                for lam, kap, *rest in samples))

@@ -28,8 +28,7 @@ from .errors import (
 # Hard ceiling on the cells of one grid, ~2 GiB of float64.  eval_grid (u)
 # and weighted_mean_field (sigma) hold one whole grid each, sigma_single two
 # (u and its products; a lemma split runs it where its band pass fails).
-# analyze refuses the same horizons but holds only row bands, and for a
-# complex sequence the ladder's tail squares of u and sigma.
+# analyze refuses the same horizons but holds only row bands.
 MAX_GRID_CELLS = 1 << 28
 
 

@@ -42,6 +42,8 @@ def ratio_profile(
     for lam in lambdas:
         if not lam > 0:
             raise ValueError(f"ratio scale must be > 0, got {lam}")
+        if lam == math.inf:
+            raise ValueError(f"ratio scale must be finite, got {lam}")
         for m in m_samples:
             if m < 1:
                 raise ValueError(f"ratio sample index must be >= 1, got {m}")

@@ -376,6 +376,29 @@ def test_banded_analyze_keeps_the_whole_grid_bytes(
     assert hashlib.md5((tmp_path / "profiles.csv").read_bytes()).hexdigest() == profiles_digest
 
 
+# md5 of report.json and profiles.csv of complex analyze runs whose limits
+# take two mean-field passes, captured at commit 41c9385, when one pass kept
+# the complex tail squares whole.  With geometric row weights the numerator
+# overflows at horizon 1024, so both passes run at the halved horizon 512.
+@pytest.mark.parametrize(
+    "flags, code, report_digest, profiles_digest",
+    [
+        (["--theorem", "T52", "--horizon", "1024", "--weights-p", "geometric"], 5,
+         "08ce642840c426ee7d14d6c31829699a", "f010be6ac2f796191641936ce1fb542b"),
+        (["--theorem", "T51", "--horizon", "1024", "--weights-p", "geometric"], 5,
+         "cd00f5857ff719feb3e0e25e557e74fe", "7e9b86bc26575b4574b945f7000fa1b2"),
+        (["--theorem", "T52", "--horizon", "300", "--tail-fraction", "0.9"], 0,
+         "4c66094691afee5c17c10a54db83a793", "e38dacca9432b24cf2138b95f48fb774"),
+        (["--theorem", "T51", "--horizon", "256", "--tail-fraction", "0.3"], 0,
+         "85eafb10d0983531c10184c13d023711", "ccbb04a9329cf6e5027f2fe47a8e8042"),
+    ],
+)
+def test_complex_analyze_keeps_its_golden_bytes(tmp_path, flags, code, report_digest, profiles_digest):
+    assert main(["analyze", "--sequence", "complex_convergent", *flags, "--out", str(tmp_path)]) == code
+    assert hashlib.md5((tmp_path / "report.json").read_bytes()).hexdigest() == report_digest
+    assert hashlib.md5((tmp_path / "profiles.csv").read_bytes()).hexdigest() == profiles_digest
+
+
 def test_transform_failing_in_a_later_band_leaves_sigma_csv_alone(tmp_path):
     # 217 rows a band at horizon 300 (2^16 words of 301 columns), so row 250
     # lies in the second band

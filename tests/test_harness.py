@@ -834,15 +834,31 @@ def test_landau_profiles_at_a_large_horizon_stay_near_the_bare_pass():
     assert traced_peak(lambda: tk.verify_theorem(ADD, p, q, tk.Theorem.T42, cfg)) <= bare + 2 * 2**20
 
 
-def test_complex_limits_keep_only_their_tail_squares():
-    # u and sigma on each [t..k]^2, 10.7 MiB at H = 1024, plus the pass's
-    # bands and residual chunks; each square of u also kept a row and a
-    # column before it, and |x - estimate| took a square-sized temporary
+@pytest.mark.parametrize("bound", [None, "hardy"])
+@pytest.mark.parametrize("h", [1024, 2048])
+def test_limits_hold_no_square_of_a_complex_sequence(h, bound):
+    # two passes over bands of 2^16 words; kept whole, the tail squares of u
+    # and sigma peaked at 12.0 (H = 1024) and 44.0 MiB (H = 2048)
+    cfg = tk.HarnessConfig(horizon=h, class_horizon=4096)
+    seq, p, q, bound = tk.corpus_sequence("complex_convergent"), tk.ones(), tk.ones(), _BOUNDS.get(bound)
+    harness._limits(seq, p, q, cfg, bound)  # the prefix caches are not part of the peak
+    assert traced_peak(lambda: harness._limits(seq, p, q, cfg, bound)) <= 3 * 2**20
+
+
+def test_complex_limits_at_a_halved_horizon_match_their_oracles():
+    # geometric row weights overflow the numerator at H = 1024: the first
+    # pass halves the horizon to 512, where the second folds the residuals
+    seq, p, q = tk.corpus_sequence("complex_convergent"), tk.geometric(), tk.ones()
     cfg = tk.HarnessConfig(horizon=1024, class_horizon=4096)
-    seq, p, q = tk.corpus_sequence("complex_convergent"), tk.ones(), tk.ones()
-    squares = sum(2 * 16 * (k + 1 - math.ceil(k / 2)) ** 2 for k in harness.horizon_ladder(1024))
-    tk.verify_theorem(seq, p, q, tk.Theorem.T51, cfg)  # the prefix caches are not part of the peak
-    assert traced_peak(lambda: tk.verify_theorem(seq, p, q, tk.Theorem.T51, cfg)) <= squares + 2 * 2**20
+    h, ladder, u_limit, sigma_limit, profiles = harness._limits(seq, p, q, cfg, _BOUNDS["hardy"])
+    assert h == 512
+    sigma = tk.weighted_mean_field(seq, p, q, h, h).sigma
+    assert repr(u_limit) == repr(tk.empirical_limit(tk.eval_grid(seq, h, h), ladder))
+    assert repr(sigma_limit) == repr(tk.empirical_limit(sigma, ladder))
+    tails = [(math.ceil(k / 2), k) for k in ladder]
+    for axis, prof in enumerate(profiles):
+        want = [tk.hardy_stat(seq, p, q, (t, k), (t, k))[axis] for t, k in tails]
+        assert repr([r.stat for r in prof.rungs]) == repr(want)
 
 
 @pytest.mark.parametrize("theorem", [tk.Theorem.T41, tk.Theorem.T52])

@@ -1,6 +1,7 @@
 """Window indexing, the one-sided and absolute window functionals, and limits."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -489,6 +490,26 @@ def test_export_samples_csv_layout(tmp_path):
     # a scale passed as an int is written as the float it stands for
     tk.export_samples_csv([(10**17, 2, 32, 16, 16, None)], str(out), "sd_P")
     assert out.read_text().splitlines()[1] == "sd_P,1e+17,2,32,16,16,"
+    # a line functional's other scale is missing, and written as an empty field
+    for functional, lam, kappa, line in [
+        ("sd_Q", None, 1.5, b"sd_Q,,1.5,64,32,32,-0.027956273416001931\n"),
+        ("sd_P", 1.5, None, b"sd_P,1.5,,64,32,32,-0.027956273416001931\n"),
+    ]:
+        rows = tk.profile_samples(ADD, tk.ones(), tk.ones(), functional, [64], [lam], [kappa])
+        tk.export_samples_csv(rows[:1], str(out), functional)
+        assert out.read_bytes() == b"functional,lambda,kappa,horizon,m,n,value\n" + line
+
+
+@pytest.mark.parametrize("tail_fraction", [math.nan, math.inf, 0.0, 1.0, 1.5, -0.5])
+def test_profile_builders_refuse_tail_fractions_outside_the_unit_interval(tail_fraction):
+    # empirical_limit's rule, checked before any window is resolved: NaN and
+    # inf raised from math.ceil, -0.5 a negative anchor, and 1.5 sampled
+    # anchors past the horizon
+    message = f"tail fraction must lie in (0, 1), got {tail_fraction}"
+    for build, functionals in [(tk.build_window_profiles, ["sd_P"]), (tk.profile_samples, "sd_P")]:
+        with pytest.raises(ValueError) as exc:
+            build(ADD, tk.ones(), tk.ones(), functionals, [64], [1.5], tail_fraction=tail_fraction)
+        assert str(exc.value) == message
 
 
 def test_window_profile_and_csv_layout(tmp_path):

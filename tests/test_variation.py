@@ -105,6 +105,7 @@ def test_ratio_profile_covers_the_sample_grid():
     (0.0, 64, "ratio scale must be > 0, got 0.0"),
     (-1.0, 64, "ratio scale must be > 0, got -1.0"),
     (math.nan, 64, "ratio scale must be > 0, got nan"),
+    (math.inf, 64, "ratio scale must be finite, got inf"),
     (2.0, 0, "ratio sample index must be >= 1, got 0"),
 ])
 def test_ratio_profile_refuses_bad_scales_and_samples(lam, m, message):
