@@ -10,18 +10,22 @@ spreads max |u - ref| (complex welcome).  Decision profiles sample the
 functionals on a tail ladder of horizons so a caller can see whether a
 condition is trending the way the limit theory needs it to.
 
-One window engine computes every functional.  A set of profiles first
-resolves every window it samples -- by functional, then scale, horizon
-and 3x3 tail anchor -- under the per-anchor index and cell budgets.  It
-then makes one pass per horizon: u is evaluated once on the union of
-that horizon's windows, for all functionals and scales, in row bands of
-_BAND_CELLS cells, or of one row where a row of the union is wider (a
-far-reaching line window; ROADMAP.md, item 3).  The window edges cut the
-union into segments, and each window is reduced from per-segment extrema
-(of x, or of |x - r| for complex u).  Min and max are exact and every
-value is still one subtraction of the same two doubles, so the results
-match a per-anchor evaluation bit for bit.  window_functional, one
-functional at one anchor, is the engine's single-window case.
+One window engine computes every functional, on forward windows.  A set
+of profiles first resolves every window it samples -- by functional, then
+scale, horizon and 3x3 tail anchor -- under the per-anchor index and cell
+budgets.  It then makes one pass per horizon: u is evaluated once on the
+union of that horizon's windows, for all functionals and scales, in bands
+of at most 1 MiB, a row wider than a band in chunks of columns.  The
+window edges cut the union into segments.  Each reference (an anchor's
+cell, row or column) gets an integer id, and the bands fold, per id and
+pair of segments, the extrema of x - ref into small tables; each window
+then reduces its slice of its id's tables once.  Min and max are exact
+and rounding is monotone, so every value is still one subtraction of the
+same two doubles and matches a per-window evaluation bit for bit, a zero
+drop being -0.0 exactly when some x - ref is, as IEEE 754's minimum orders
+zeros.  window_functional, one functional at one anchor, is the engine's
+single-window case; it reads a backward window as the forward window of
+the mirrored, negated block.
 
 verify_theorem's limits of u and sigma and its T42/T52 bound profiles are
 reduced here too, by _TailStats from the bands of harness's mean-field
@@ -54,11 +58,12 @@ from .transform import _divide, _write_csv
 # one block in memory: ~240 MB of float64 at the default.
 MAX_WINDOW_CELLS = 30_000_000
 
-# Cells of u the window engine evaluates at once: 1 MiB of float64, so a
-# band and the rule's temporaries stay near a 2 MiB L2 cache.  A band is at
-# least one union row, so line windows can exceed it (ROADMAP.md, item 3).
-# On a 2-vCPU Xeon, bands of 2**17 to 2**19 cells ran profiles about 30 %
-# faster than bands of 2**21.
+# Float64 cells of u the window engine evaluates at once: a band is 1 MiB,
+# so it and the rule's temporaries stay near a 2 MiB L2 cache, and a
+# complex band holds half as many cells.  A union row wider than a band is
+# read in chunks of columns, so no read exceeds it.  On a 2-vCPU Xeon,
+# bands of 2**17 to 2**19 cells ran profiles about 30 % faster than bands
+# of 2**21.
 _BAND_CELLS = 1 << 17
 
 
@@ -207,125 +212,257 @@ def _resolve(spec, p, q, m, n, lam, kappa, known):
 
 
 class _Window(NamedTuple):
-    """A functional's inclusive row and column window, anchored on row m."""
+    """A functional's inclusive forward row and column window: it starts at
+    its anchor (m, n) = (rows[0], cols[0])."""
 
     spec: _Functional
     rows: tuple[int, int]
     cols: tuple[int, int]
-    m: int
 
 
 def _cuts(spans):
-    """Edges cutting an axis at both ends of every span, and each span's
-    (first, last + 1) segment: every span is a run of whole segments."""
-    edges = sorted({e for lo, hi in spans for e in (lo, hi + 1)})
-    at = {e: k for k, e in enumerate(edges)}
-    return edges, [(at[lo], at[hi + 1]) for lo, hi in spans]
+    """Edges cutting an axis at both ends of every (lo, hi) span, and each
+    span's (first, last + 1) segment: every span is a run of whole segments."""
+    ends = np.fromiter(itertools.chain.from_iterable(spans), np.int64).reshape(-1, 2) + [0, 1]
+    edges = np.unique(ends)
+    return edges, np.searchsorted(edges, ends)
 
 
-_WORSE = {TrendSense.INF: np.minimum, TrendSense.SUP: np.maximum}
+_REFERENCES = ("corner", "row", "col")
 
 
-def _compare(sense, forward, lo, hi, ref):
-    """A functional's value from the minima lo and maxima hi of its window."""
-    if sense is TrendSense.SUP:
-        return np.maximum(hi - ref, ref - lo)
-    return lo - ref if forward else ref - hi
+def _references(wins, real, rspan, cspan, nseg, ncs):
+    """Reference ids and what they need: (keys, ids, first, last, cover).
+    keys[k] is (kind, anchor row segment, anchor column segment), kind an
+    index into _REFERENCES, -1 where it does not apply: keys[0], all -1, is
+    the plain extrema that every real corner reads.  ids[i] is window i's
+    id, [first[k, s], last[k, s]) the column segments id k needs on row
+    segment s, and cover[s, t] whether some window pairs segments s and t.
+    """
+    kind = np.array([_REFERENCES.index(w.spec.reference) for w in wins])
+    key = np.column_stack([kind, np.where(kind == 2, -1, rspan[:, 0]), np.where(kind == 1, -1, cspan[:, 0])])
+    key[(kind == 0) & real] = -1
+    radix = [(nseg + 1) * (ncs + 1), ncs + 1, 1]
+    codes, ids = np.unique(np.r_[0, (key + 1) @ radix], return_inverse=True)
+    keys, ids = codes[:, None] // radix % [4, nseg + 1, ncs + 1] - 1, ids[1:]
+    # Each (window, row segment) pair.
+    reps = rspan[:, 1] - rspan[:, 0]
+    pw = np.repeat(np.arange(len(wins)), reps)
+    ps = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps - rspan[:, 0], reps)
+    first, last = np.full((len(keys), nseg), ncs), np.zeros((len(keys), nseg), int)
+    np.minimum.at(first, (ids[pw], ps), cspan[pw, 0])
+    np.maximum.at(last, (ids[pw], ps), cspan[pw, 1])
+    cover = [np.bincount(ps * (ncs + 1) + cspan[pw, e], minlength=nseg * (ncs + 1)) for e in (0, 1)]
+    return keys, ids, first, last, (cover[0] - cover[1]).reshape(nseg, -1).cumsum(axis=1)[:, :-1] > 0
 
 
-def _window_values(seq, forward, wins) -> list[float]:
-    """Each window's functional value, from one pass over their union.
+class _Chunk(NamedTuple):
+    """Columns read together by a run of row segments: cols, the column
+    segments ts[k0:k1] they meet, their starts in cols (bounds), the
+    segments ts[ks:k1] that begin in them and where (heads), and the
+    reference rows' columns cols[ja:jb], whole segments from ts[kr] on
+    that start at rbounds within them."""
+
+    cols: np.ndarray
+    k0: int
+    ks: int
+    k1: int
+    bounds: np.ndarray
+    heads: np.ndarray
+    ja: int
+    jb: int
+    rbounds: np.ndarray
+    kr: int
+
+
+def _chunks(ts, cedges, cells, ra, rb):
+    """The column segments ts in chunks of at most cells columns, each made
+    as it is reached; [ra, rb) holds the reference rows' columns."""
+    width = cedges[ts + 1] - cedges[ts]
+    starts = np.cumsum(width) - width
+    for c0 in range(0, int(width.sum()), cells):
+        k0, ks, k1 = np.searchsorted(starts, [c0 + 1, c0, c0 + cells]) - [1, 0, 0]
+        lo = np.maximum(starts[k0:k1], c0) - c0
+        n = np.minimum(starts[k0:k1] + width[k0:k1] - c0, cells) - lo
+        cols = np.arange(c0, c0 + n.sum()) + np.repeat(cedges[ts[k0:k1]] - starts[k0:k1], n)
+        ja, jb = np.searchsorted(cols, [ra, rb])
+        inner = (lo >= ja) & (lo < jb)
+        yield _Chunk(cols, k0, ks, k1, lo, starts[ks:k1] - c0, ja, jb, lo[inner] - ja, k0 + np.argmax(inner))
+
+
+def _fold(acc, new, k0):
+    """Fold new into the columns k0.. of acc's first rows by their minimum."""
+    part = acc[..., : new.shape[-2], k0 : k0 + new.shape[-1]]
+    np.minimum(part, new, out=part)
+
+
+def _plus_zero(x):
+    """Where x is +0.0."""
+    return (x == 0) & ~np.signbit(x)
+
+
+def _fold_band(seq, u, ch, fc, ext, neg0, acc, sup, zeros):
+    """Fold a real band u: its column minima of x and of -x into ext; for
+    the column references, anchor columns fc, the min of x - ref and of
+    ref - x per row and column segment into the last rows of acc; and, with
+    zeros (some reference is 0), where a cell is -0.0 into neg0 and where
+    some x - ref is -0.0 into acc[2] as -1.0."""
+    lo, hi = u.min(axis=0), u.max(axis=0)
+    _check_finite(seq, lo, hi)
+    np.minimum(ext, (lo, -hi), out=ext)
+    rc, n = fc[:, :, None], len(acc[0]) - fc.shape[1]
+    if fc.shape[1]:
+        _fold(acc[0][n:], (np.minimum.reduceat(u, ch.bounds, axis=1)[:, None] - rc).min(axis=0), ch.k0)
+        if sup:
+            _fold(acc[1][n:], (rc - np.maximum.reduceat(u, ch.bounds, axis=1)[:, None]).min(axis=0), ch.k0)
+    if zeros:
+        z = np.signbit(u) & (u == 0)
+        neg0 |= z.any(axis=0)
+        tied = np.logical_or.reduceat(z, ch.bounds, axis=1)[:, None] & _plus_zero(rc)
+        _fold(acc[2][n:], -1.0 * tied.any(axis=0), ch.k0)
+
+
+def _fold_segments(ch, signed, ext, neg0, acc, zeros):
+    """Fold real row segments' column minima of x and -x, ext, into their
+    acc: per column segment for id 0, and for the ids after it against each
+    reference row over cols[ja:jb], signed = (-refs, refs) (x - ref is
+    x + -ref, and ref - x is -x + ref); with zeros, their -0.0 columns
+    neg0 too."""
+    _fold(acc[:, :2, 0], np.minimum.reduceat(ext, ch.bounds, axis=2), ch.k0)
+    if zeros:
+        _fold(acc[:, 2, :1], -1.0 * np.logical_or.reduceat(neg0, ch.bounds, axis=1)[:, None], ch.k0)
+    part = slice(ch.ja, ch.jb)
+    for k, ref in enumerate(signed.transpose(1, 0, 2) if ch.ja < ch.jb else ()):
+        _fold(acc[:, :2, 1 + k], np.minimum.reduceat(ext[:, :, part] + ref, ch.rbounds, axis=2), ch.kr)
+        if zeros:
+            tied = np.logical_or.reduceat(neg0[:, part] & _plus_zero(ref[1]), ch.rbounds, axis=1)
+            _fold(acc[:, 2, 1 + k], -1.0 * tied, ch.kr)
+
+
+def _fold_spreads(u, ch, jobs, fc, corner, ref_rows, ra, highs):
+    """Fold max |x - ref| of a complex band u into highs, as its negation,
+    for each job: (kind, anchor segments, reference row or column, and
+    the [a, b) column segments it needs)."""
+    for i, (kind, s0, t0, c, a, b) in enumerate(jobs):
+        a, b = max(a, ch.k0), min(b, ch.k1)
+        if a < b:
+            x0, x1 = ch.bounds[a - ch.k0], ch.bounds[b - ch.k0] if b < ch.k1 else ch.cols.size
+            r = corner[s0, t0] if kind == 0 else ref_rows[c, ch.cols[x0:x1] - ra] if kind == 1 else fc[:, c, None]
+            top = np.maximum.reduceat(np.abs(u[:, x0:x1] - r), ch.bounds[a - ch.k0 : b - ch.k0] - x0, axis=1)
+            np.minimum(highs[i, a:b], -top.max(axis=0), out=highs[i, a:b])
+
+
+def _box(tables, ids, rspan, cspan):
+    """The minimum of tables[t0:t1, s0:s1, :, k] for each window's column
+    and row segment spans and reference id k, a row per window: prefix
+    minima over the column segments from each distinct t0 (an anchor's),
+    then a masked minimum over the row segments."""
+    out = np.empty((len(ids), tables.shape[2]))
+    seg = np.arange(tables.shape[1])[:, None]
+    for t0 in np.unique(cspan[:, 0]):
+        w = np.flatnonzero(cspan[:, 0] == t0)
+        prefix = tables[t0:].copy()
+        for a, b in itertools.pairwise(prefix):
+            np.minimum(a, b, out=b)
+        part = prefix[cspan[w, 1] - t0 - 1, :, :, ids[w]].transpose(1, 0, 2)
+        inside = (seg >= rspan[w, 0]) & (seg < rspan[w, 1])
+        out[w] = np.where(inside[:, :, None], part, np.inf).min(axis=0)
+    return out
+
+
+def _window_values(seq, wins) -> list[float]:
+    """Each forward window's functional value, from one pass over their union.
 
     The window edges cut rows and columns into segments; a row segment
     reads only the column segments some window pairs it with, in bands of
-    _BAND_CELLS cells or of one row, and any non-finite cell raises
-    NonFiniteValueError.  Each reference (sense and corner u(m, n),
-    anchor row u(m, .) or anchor column u(., n)) keeps its worst comparison
-    per pair of segments; a window takes the worst over its segments.  Real
-    bands compare extrema: column min/max over the row segment for corner
-    and row references, row min/max per column segment for column ones.
-    Rounding is monotone, so min x - r is min (x - r) and max(max x - r,
-    r - min x) is max |x - r|.  Complex bands take |x - r| once per
-    reference a row segment needs.
+    at most 1 MiB (_BAND_CELLS float64 cells), a wider row in chunks of
+    columns, and any non-finite cell raises NonFiniteValueError.  Each
+    reference has an integer id (_references), and per id and pair of
+    segments the bands fold the min of x - ref and of ref - x into tables
+    that every window reduces once, at the end (_box).  Real bands fold
+    extrema: of columns over each row segment, for id 0 (every real corner:
+    min x - r is min (x - r), rounding being monotone) and the row
+    references, a band's worth of row segments at a time (_fold_segments),
+    and of rows per column segment for the column ones (_fold_band).
+    Complex bands take |x - ref| (_fold_spreads).  A zero drop is -0.0 when
+    some x - ref is, as IEEE 754's minimum orders zeros: once a reference
+    is zero, a third table records where.  Row segments that read the same
+    columns share one layout.
     """
     real = seq.kind is ScalarKind.REAL
-    redges, rspans = _cuts([w.rows for w in wins])
-    cedges, cspans = _cuts([w.cols for w in wins])
-    nseg = len(redges) - 1
-    cover = np.zeros((nseg, len(cedges) - 1), dtype=bool)
-    for (s0, s1), (t0, t1) in zip(rspans, cspans):
-        cover[s0:s1, t0:t1] = True
-    # Column segment t of the union sits at positions cpos[t]..cpos[t + 1].
-    cpos = np.concatenate([[0], np.cumsum(np.diff(cedges) * cover.any(axis=0))])
-    # Each row segment's references, with the column segments their windows
-    # span there; the anchor opens a forward window and closes a backward one.
-    keys, need = [], [{} for _ in range(nseg)]
-    for w, (s0, s1), (t0, t1) in zip(wins, rspans, cspans):
-        ref = w.spec.reference
-        at = int(cpos[t0] if forward else cpos[t1] - 1)
-        key = (w.spec.sense, ref, None if ref == "col" else w.m, None if ref == "row" else at)
-        keys.append(key)
-        for s in range(s0, s1):
-            a, b = need[s].get(key, (t0, t1))
-            need[s][key] = (min(a, t0), max(b, t1))
-    ref_rows = {key[2]: None for key in keys if key[2] is not None}
-    fill = {TrendSense.INF: np.inf, TrendSense.SUP: -np.inf}
-    tables = {key: np.full(cover.shape, fill[key[0]]) for key in dict.fromkeys(keys)}
-    for s in range(nseg) if forward else range(nseg - 1, -1, -1):
-        ts = np.flatnonzero(cover[s])
+    dtype = np.dtype(np.float64 if real else np.complex128)
+    cells = _BAND_CELLS * 8 // dtype.itemsize
+    inf = np.array([w.spec.sense is TrendSense.INF for w in wins])
+    sup = not inf.all()
+    redges, rspan = _cuts([w.rows for w in wins])
+    cedges, cspan = _cuts([w.cols for w in wins])
+    nseg, ncs = len(redges) - 1, len(cedges) - 1
+    keys, ids, first, last, cover = _references(wins, real, rspan, cspan, nseg, ncs)
+    # Reference rows, held over their windows' columns [ra, rb) only.
+    rows_k = np.flatnonzero(keys[:, 0] == 1)
+    ra, rb = (cedges[first[rows_k].min()], cedges[last[rows_k].max()]) if rows_k.size else (0, 0)
+    ref_rows, anchors = np.full((rows_k.size, rb - ra), np.nan, dtype), set(keys[rows_k, 1])
+    corner = np.full((nseg, ncs), np.nan, dtype)  # each segment pair's first cell
+    # Per column segment, row segment, channel and id: the min of x - ref,
+    # the min of ref - x, and -1.0 where some x - ref is -0.0.
+    tables, zeros = np.full((ncs, nseg, 3 if real else 1, len(keys)), np.inf), False
+    group = np.flatnonzero(np.r_[True, (cover[1:] != cover[:-1]).any(axis=1), True])
+    for sa, sb in zip(group[:-1], group[1:]):
+        ts = np.flatnonzero(cover[sa])
         if ts.size == 0:
             continue
-        cols = np.concatenate([np.arange(cedges[t], cedges[t + 1]) for t in ts])
-        pos = np.concatenate([np.arange(cpos[t], cpos[t + 1]) for t in ts])
-        bounds = np.append(np.searchsorted(pos, cpos[ts]), pos.size)
-        jobs = [(key, *np.searchsorted(ts, span)) for key, span in need[s].items()]
-        col_refs = any(key[1] == "col" for key in need[s])
-        step = max(1, _BAND_CELLS // cols.size)
-        bands = range(redges[s], redges[s + 1], step)
-        for b0 in bands if forward else reversed(bands):
-            b1 = min(b0 + step, redges[s + 1])
-            u = seq.block(np.arange(b0, b1), cols)
-            for m in ref_rows:
-                if b0 <= m < b1:
-                    ref_rows[m] = np.full(int(cpos[-1]), np.nan, dtype=u.dtype)
-                    ref_rows[m][pos] = u[m - b0]
-            if real:
-                # Extrema carry any nan or infinity of the band.
-                col_lo, col_hi = u.min(axis=0), u.max(axis=0)
-                _check_finite(seq, col_lo, col_hi)
-                seg_lo = np.minimum.reduceat(col_lo, bounds[:-1])
-                seg_hi = np.maximum.reduceat(col_hi, bounds[:-1])
-                if col_refs:
-                    row_lo = np.minimum.reduceat(u, bounds[:-1], axis=1)
-                    row_hi = np.maximum.reduceat(u, bounds[:-1], axis=1)
-            else:
-                _check_finite(seq, u)
-            for key, k0, k1 in jobs:
-                sense, ref, m, at = key
-                worse, c0, c1 = _WORSE[sense], bounds[k0], bounds[k1]
-                if ref == "col":
-                    r = u[:, c0 if forward else c1 - 1, None]
-                else:
-                    # A row reference's windows may leave column gaps its
-                    # own row did not read; their nan entries go unused.
-                    r = ref_rows[m][pos[c0:c1] if at is None else at]
-                if not real:
-                    top = np.maximum.reduceat(np.abs(u[:, c0:c1] - r), bounds[k0:k1] - c0, axis=1)
-                    top = top.max(axis=0)
-                elif ref == "corner":
-                    top = _compare(sense, forward, seg_lo[k0:k1], seg_hi[k0:k1], r)
-                elif ref == "row":
-                    d = _compare(sense, forward, col_lo[c0:c1], col_hi[c0:c1], r)
-                    top = worse.reduceat(d, bounds[k0:k1] - c0)
-                else:
-                    d = _compare(sense, forward, row_lo[:, k0:k1], row_hi[:, k0:k1], r)
-                    top = worse.reduce(d, axis=0)
-                row = tables[key][s]
-                row[ts[k0:k1]] = worse(row[ts[k0:k1]], top)
-    return [
-        float(_WORSE[key[0]].reduce(tables[key][s0:s1, t0:t1], axis=None))
-        for key, (s0, s1), (t0, t1) in zip(keys, rspans, cspans)
-    ]
+        act = np.flatnonzero((first[:, sa:sb] < last[:, sa:sb]).any(axis=1))
+        kd, spans = keys[act, 0], np.searchsorted(ts, np.stack([first[act, sa:sb], last[act, sa:sb]], axis=-1))
+        at = np.where(kd == 1, np.searchsorted(rows_k, act), np.cumsum(kd == 2) - 1)
+        rk, ct = at[kd == 1], np.searchsorted(ts, keys[act[kd == 2], 2])  # ref_rows rows; anchor segments
+        sid = np.concatenate([[0], act[kd == 1], act[kd == 2]]) if real else act
+        acc = np.full((sb - sa, 3, sid.size, ts.size), np.inf)
+        w = int((cedges[ts + 1] - cedges[ts]).sum())
+        # Rows per band, and row segments whose column extrema fold together in one band's bytes.
+        step, batch, base = max(1, cells // w), max(1, cells // w // 2), redges[sa] if w > cells else None
+        # The column references' anchor columns, of a band, or of the group
+        # when its columns come in chunks.
+        held = np.full((redges[sb] - redges[sa] if base is not None else step, ct.size), np.nan, dtype)
+        for ch in _chunks(ts, cedges, cells, ra, rb):
+            mine = np.flatnonzero((ct >= ch.ks) & (ct < ch.k1))
+            mine_cols = ch.heads[ct[mine] - ch.ks]
+            signed = np.multiply.outer([-1.0, 1.0], ref_rows[rk][:, ch.cols[ch.ja : ch.jb] - ra].real)
+            for s in range(sa, sb):
+                b = (s - sa) % batch
+                if real and b == 0:  # column minima of x and -x, and -0.0 columns
+                    ext = np.full((min(batch, sb - s), 2, ch.cols.size), np.inf)
+                    neg0 = np.zeros((len(ext), ch.cols.size), bool)
+                for r0 in range(redges[s], redges[s + 1], step):
+                    rows = np.arange(r0, min(r0 + step, redges[s + 1]))
+                    u = seq.block(rows, ch.cols)
+                    fc = held[r0 - base :][: rows.size] if base is not None else held[: rows.size]
+                    fc[:, mine] = u[:, mine_cols]
+                    if r0 == redges[s]:
+                        corner[s, ts[ch.ks : ch.k1]] = u[0, ch.heads]
+                        if s in anchors:
+                            new = np.flatnonzero(keys[rows_k, 1] == s)
+                            ref_rows[np.ix_(new, ch.cols[ch.ja : ch.jb] - ra)] = u[0, ch.ja : ch.jb]
+                            signed = np.multiply.outer([-1.0, 1.0], ref_rows[rk][:, ch.cols[ch.ja : ch.jb] - ra].real)
+                        zeros = zeros or not u[0].all()
+                    if real:
+                        zeros = zeros or not fc.all()
+                        _fold_band(seq, u, ch, fc, ext[b], neg0[b], acc[s - sa], sup, zeros)
+                    else:
+                        _check_finite(seq, u)
+                        jobs = zip(kd, *keys[act, 1:].T, at, *spans[:, s - sa].T)
+                        _fold_spreads(u, ch, jobs, fc, corner, ref_rows, ra, acc[s - sa, 1])
+                if real and b == len(ext) - 1:
+                    _fold_segments(ch, signed, ext, neg0, acc[s - sa - b : s - sa + 1], zeros)
+        for c in range(tables.shape[2]):
+            tables[:, :, c][np.ix_(ts, range(sa, sb), sid)] = acc[:, c if real else 1].transpose(2, 0, 1)
+    box = _box(tables, ids, rspan, cspan)
+    if not real:
+        return (-box[:, 0]).tolist()
+    low, high, tied = box[:, 0], -box[:, 1], box[:, 2] < 0
+    r = np.where(keys[ids, 0] == -1, corner[rspan[:, 0], cspan[:, 0]], 0.0)
+    drop, tie = low - r, low == r
+    drop[tie] = np.where(tied[tie] & _plus_zero(r[tie]), -0.0, 0.0)
+    return np.where(inf, drop, np.maximum(abs(high - r), abs(low - r))).tolist()
 
 
 def _rung_values(seq, p, q, functionals, horizons, lambda_ladder, kappa_ladder,
@@ -365,7 +502,7 @@ def _rung_values(seq, p, q, functionals, horizons, lambda_ladder, kappa_ladder,
                     except ResourceLimitError as exc:
                         slots.append(("budget", exc.cells))
                     else:
-                        slots.append(_Window(spec, *win, m))
+                        slots.append(_Window(spec, *win))
                         continue
                     if stop_at_gap:
                         break
@@ -374,7 +511,7 @@ def _rung_values(seq, p, q, functionals, horizons, lambda_ladder, kappa_ladder,
     wins = {}
     for *_, h, _, slots in rungs:
         wins.setdefault(h, []).extend(w for w in slots if isinstance(w, _Window))
-    values = {h: iter(_window_values(seq, True, ws)) for h, ws in wins.items() if ws}
+    values = {h: iter(_window_values(seq, ws)) for h, ws in wins.items() if ws}
     if failure is not None:
         raise failure
     return [
@@ -409,9 +546,14 @@ def window_functional(
     backward = {0.0 < s < 1.0 for s, axis in ((lam, "p"), (kappa, "q")) if axis in spec.shape}
     if len(backward) > 1:
         raise ValueError(f"window scales lam={lam} and kappa={kappa} sit on opposite sides of 1")
-    forward = not backward.pop()
     rows, cols = _resolve(spec, p, q, m, n, lam, kappa, {})
-    return _window_values(seq, forward, [_Window(spec, rows, cols, m)])[0]
+    if backward.pop():
+        # The forward window of v(i, j) = -u(m - i, n - j): fl(r - x) is
+        # fl(-x - -r) and |r - x| is |-x - -r|, signed zeros included.
+        u = seq
+        seq = DoubleSequence(u.name, lambda i, j: -u.block(m - i[:, 0], n - j[0]), u.kind)
+        rows, cols = (0, m - rows[0]), (0, n - cols[0])
+    return _window_values(seq, [_Window(spec, rows, cols)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,8 @@ def ratio_profile(
         for m in m_samples:
             if m < 1:
                 raise ValueError(f"ratio sample index must be >= 1, got {m}")
+            if not math.isfinite(lam * m):
+                raise ValueError(f"ratio scale times sample index must be finite, got {lam} * {m}")
             idx = int(math.floor(lam * m))
             rows.append((lam, m, p.prefix(idx) / p.prefix(m)))
     return rows

@@ -875,6 +875,35 @@ def test_errors_of_a_later_functional_are_raised_where_per_profile_evaluation_do
     assert _outcome(_engine_profiles, seq, make(), tk.ones(), *args) == expect
 
 
+def test_no_engine_read_exceeds_a_band(monkeypatch):
+    # With harmonic weights the sd_Q windows of horizon 512 end near column
+    # 512**2, so one union row is wider than a band: it is read in chunks.
+    sizes, widest, inside = [], [0], [False]
+    block, values = tk.DoubleSequence.block, tk.oscillation._window_values
+
+    def counted_block(self, i, j):
+        out = block(self, i, j)
+        if inside[0]:
+            sizes.append(out.size)
+        return out
+
+    def flagged_values(seq, wins):
+        inside[0], widest[0] = True, max(widest[0], *(w.cols[1] for w in wins))
+        try:
+            return values(seq, wins)
+        finally:
+            inside[0] = False
+
+    args = (ADD, tk.harmonic(), tk.harmonic(), _THEOREM_SETS["T41"], [64, 128, 256, 512], [2.0, 1.25])
+    monkeypatch.setattr(tk.DoubleSequence, "block", counted_block)
+    monkeypatch.setattr(tk.oscillation, "_window_values", flagged_values)
+    profiles = tk.build_window_profiles(*args)
+    assert widest[0] > tk.oscillation._BAND_CELLS >= max(sizes)
+    # chunks keep the values of one-band reads
+    monkeypatch.setattr(tk.oscillation, "_BAND_CELLS", 1 << 22)
+    assert tk.build_window_profiles(*args) == profiles
+
+
 def test_verify_theorem_reads_each_window_cell_of_a_horizon_once(monkeypatch):
     cells, inside = [0], [False]
     block, values = tk.DoubleSequence.block, tk.oscillation._window_values

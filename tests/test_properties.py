@@ -175,3 +175,76 @@ def test_limit_estimate_invariant(top, eps_dec):
         assert final < eps_dec
     else:
         assert final >= eps_dec or final > est.residual_profile[-2][1]
+
+
+# Window engine against a per-window reference.  Cells repeat and hold
+# zeros of both signs, so extrema tie: the engine must then give what one
+# reduction per window gives, with IEEE 754's minimum ordering -0.0 below
+# +0.0 (numpy's own min picks between tied zeros by its reduction layout).
+_CELLS = [0.0, -0.0, 0.0, -0.0, 1.0, 0.5, -1.0]
+_COMPLEX_CELLS = [0.0, -0.0, 1.0, -1.0j, 0.5 + 0.5j, complex(-0.0, 0.0)]
+_FORWARD_REFERENCE = {"corner": lambda b: b[0, 0], "row": lambda b: b[:1, :], "col": lambda b: b[:, :1]}
+_BACKWARD_REFERENCE = {"corner": lambda b: b[-1, -1], "row": lambda b: b[-1:, :], "col": lambda b: b[:, -1:]}
+
+
+def _least(d):
+    lo = d.min()
+    return lo if lo != 0 else (-0.0 if np.signbit(d[d == 0]).any() else 0.0)
+
+
+def _window_reference(spec, block, forward):
+    ref = (_FORWARD_REFERENCE if forward else _BACKWARD_REFERENCE)[spec.reference](block)
+    d = block - ref if forward else ref - block
+    return repr(float(_least(d) if spec.sense is tk.oscillation.TrendSense.INF else np.abs(d).max()))
+
+
+@st.composite
+def _window_sets(draw):
+    rows, cols = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    complex_ = draw(st.booleans())
+    u = np.array(draw(st.lists(st.sampled_from(_COMPLEX_CELLS if complex_ else _CELLS),
+                               min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+    names = [n for n in tk.window_functional_names() if not (complex_ and n.startswith("sd"))]
+    wins = []
+    for _ in range(draw(st.integers(1, 8))):
+        spec = tk.oscillation._FUNCTIONALS[draw(st.sampled_from(names))]
+        m, n = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        r1 = m if spec.shape == "q" else draw(st.integers(m, rows - 1))
+        c1 = n if spec.shape == "p" else draw(st.integers(n, cols - 1))
+        wins.append(tk.oscillation._Window(spec, (m, r1), (n, c1)))
+    return u, wins
+
+
+@pytest.mark.parametrize("band_cells", [None, 64, 4], ids=["default_bands", "64_cells", "4_cells"])
+@settings(max_examples=300, deadline=None)
+@given(case=_window_sets())
+def test_window_engine_matches_a_per_window_reference_bitwise(band_cells, case):
+    u, wins = case
+    want = [_window_reference(w.spec, u[w.rows[0] : w.rows[1] + 1, w.cols[0] : w.cols[1] + 1], True)
+            for w in wins]
+    with pytest.MonkeyPatch.context() as mp:
+        if band_cells is not None:
+            mp.setattr(tk.oscillation, "_BAND_CELLS", band_cells)
+        got = tk.oscillation._window_values(tk.array_sequence(u), wins)
+    assert [repr(v) for v in got] == want
+
+
+@pytest.mark.parametrize("band_cells", [None, 64, 4], ids=["default_bands", "64_cells", "4_cells"])
+@settings(max_examples=100, deadline=None)
+@given(case=_window_sets(), scales=st.lists(st.floats(0.01, 0.99), min_size=16, max_size=16))
+def test_backward_windows_match_a_per_window_reference_bitwise(band_cells, case, scales):
+    # window_functional evaluates a backward window as the forward window
+    # of the mirrored, negated block
+    u, wins = case
+    seq, ones = tk.array_sequence(u), tk.ones()
+    for w, lam, kappa in zip(wins, scales[::2], scales[1::2]):
+        name = next(k for k, v in tk.oscillation._FUNCTIONALS.items() if v == w.spec)
+        (m, n), shape = (w.rows[1], w.cols[1]), w.spec.shape
+        r0 = m if shape == "q" else tk.window_edge(ones, m, lam)
+        c0 = n if shape == "p" else tk.window_edge(ones, n, kappa)
+        want = _window_reference(w.spec, u[r0 : m + 1, c0 : n + 1], False)
+        with pytest.MonkeyPatch.context() as mp:
+            if band_cells is not None:
+                mp.setattr(tk.oscillation, "_BAND_CELLS", band_cells)
+            got = tk.window_functional(name, seq, ones, ones, m, n, lam, kappa)
+        assert repr(got) == want

@@ -114,6 +114,13 @@ def test_ratio_profile_refuses_bad_scales_and_samples(lam, m, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("lam, m", [(1e308, 10), (1.5e308, 2), (2.0, 10**308)])
+def test_ratio_profile_refuses_scales_whose_product_overflows(lam, m):
+    with pytest.raises(ValueError) as exc:
+        tk.ratio_profile(tk.ones(), [lam], [m])
+    assert str(exc.value) == f"ratio scale times sample index must be finite, got {lam} * {m}"
+
+
 def test_lemma23_tail_for_geometric_growth():
     rows = tk.lemma23_check(tk.geometric(2.0), 512)
     assert all(0.0 < v < 1.0 for _, v in rows)
