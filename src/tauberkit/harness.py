@@ -262,6 +262,19 @@ class ProofInequality:
     bound_line: float
 
 
+def _least_drop(x, ref) -> float:
+    """min of x - ref over a block x, with ref a column of one value per row
+    of x or one value for all, and zeros ordered as IEEE 754's minimum
+    orders them, as the window functionals do: a zero drop is -0.0 exactly
+    when some x - ref is, a -0.0 cell against a +0.0 ref.  Rounding is
+    monotone, so the row minima give the value."""
+    low = float((x.min(axis=1) - ref[:, 0]).min())
+    if low == 0.0:
+        tied = (x == 0.0) & np.signbit(x) & (ref == 0.0) & ~np.signbit(ref)
+        low = -0.0 if tied.any() else 0.0
+    return low
+
+
 def _proof_inequality(forward, seq, p, q, m, n, lam, kappa, delta, gamma) -> ProofInequality:
     """Bound u - sigma by corner-mean terms plus worst window drops or gains.
 
@@ -295,16 +308,17 @@ def _proof_inequality(forward, seq, p, q, m, n, lam, kappa, delta, gamma) -> Pro
             f"backward block is empty at (m={m}, n={n}) with delta={delta}, gamma={gamma}"
         )
     dec, block = _lemma(forward, seq, p, q, m, n, mu, eta)
-    # bound_rect: the worst drop of u(i, j) below u(i, n), or gain up to it;
-    # bound_line: the same for u(i, n) against u(m, n).
     if forward:
         contained = p.prefix(mu) <= lam * p.prefix(m) and q.prefix(eta) <= kappa * q.prefix(n)
-        bound_rect = float((block.min(axis=1) - block[:, 0]).min())
-        bound_line = float(block[:, 0].min() - block[0, 0])
     else:
         contained = p.prefix(mu) > lam * p.prefix(m) and q.prefix(eta) > kappa * q.prefix(n)
-        bound_rect = float((block[:, -1] - block.max(axis=1)).min())
-        bound_line = float(block[-1, -1] - block[:, -1].max())
+    # bound_rect: the worst drop of u(i, j) below u(i, n), or gain up to it;
+    # bound_line: the same for u(i, n) against u(m, n).  A backward block is
+    # read as the forward block of its mirrored negation, as
+    # window_functional reads a backward window: fl(r - x) is fl(-x - -r).
+    drops = block if forward else -block[::-1, ::-1]
+    bound_rect = _least_drop(drops, drops[:, :1])
+    bound_line = _least_drop(drops[:, :1], drops[:1, :1])
     bounds = [-bound_rect, -bound_line] if forward else [bound_rect, bound_line]
     rhs = float(_exact_sum(np.array([dec.term_corner, dec.term_rows, dec.term_cols, *bounds])))
     lhs = float(dec.lhs)

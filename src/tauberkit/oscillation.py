@@ -539,10 +539,14 @@ def window_functional(
     u(m, n).  The spreads read max |x - ref| either way.  A line functional
     ignores the other axis, so the P forms need no q or kappa and the Q
     forms no p or lam; a rectangle whose scales sit on opposite sides of 1
-    raises ValueError.  A rectangle over MAX_WINDOW_CELLS raises
+    raises ValueError, as does a missing weight or scale on an axis the
+    functional samples.  A rectangle over MAX_WINDOW_CELLS raises
     ResourceLimitError before any cell is evaluated.
     """
     spec = _functional(name, seq)
+    for arg, value, axis in (("p", p, "p"), ("lam", lam, "p"), ("q", q, "q"), ("kappa", kappa, "q")):
+        if value is None and axis in spec.shape:
+            raise ValueError(f"{name} samples the {axis} axis and needs {arg}, got None")
     backward = {0.0 < s < 1.0 for s, axis in ((lam, "p"), (kappa, "q")) if axis in spec.shape}
     if len(backward) > 1:
         raise ValueError(f"window scales lam={lam} and kappa={kappa} sit on opposite sides of 1")

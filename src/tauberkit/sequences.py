@@ -141,7 +141,9 @@ class WeightSequence:
     caller needed it (``ensure``: an index at or below its target;
     ``ensure_sum_exceeds``: no earlier sum exceeds the threshold);
     otherwise growth stops just before it and a later request that needs
-    it raises there.  Extension is idempotent.
+    it raises there.  Extension is idempotent.  Only the sums are kept:
+    ``weights_array`` evaluates ``weights`` again, which is elementwise, so
+    it returns the bits the chunks summed.
     """
 
     # Indices a growth step evaluates: at least the first, at most the
@@ -162,7 +164,6 @@ class WeightSequence:
         self._weights_over = weights or (
             lambda k0, k1: np.fromiter(map(weight, range(k0, k1)), np.float64, k1 - k0)
         )
-        self._weights = np.empty(1024, dtype=np.float64)
         self._sums = np.empty(1024, dtype=np.float64)
         self._count = 0
         self._acc = 0.0
@@ -264,9 +265,10 @@ class WeightSequence:
         j = int(bad.argmax()) if bad.any() else n
         if j:
             end = k0 + j
-            if end > len(self._weights):
-                self._grow(end)
-            self._weights[k0:end] = w[:j]
+            if end > len(self._sums):
+                sums = np.empty(max(end, 2 * len(self._sums)), dtype=np.float64)
+                sums[:k0] = self._sums[:k0]
+                self._sums = sums
             self._sums[k0:end] = published[:j]
             self._acc, self._comp = float(t[j - 1]), float(c[j - 1])
             self._count = end
@@ -290,14 +292,6 @@ class WeightSequence:
             f"{self.name}: partial sum failed to increase at index {k} "
             f"(P_{k - 1} = {float(self._sums[k - 1])!r}, P_{k} = {float(published[j])!r})"
         )
-
-    def _grow(self, size: int) -> None:
-        new_w = np.empty(max(size, 2 * len(self._weights)), dtype=np.float64)
-        new_s = np.empty_like(new_w)
-        new_w[: self._count] = self._weights[: self._count]
-        new_s[: self._count] = self._sums[: self._count]
-        self._weights = new_w
-        self._sums = new_s
 
     @property
     def evaluated_count(self) -> int:
@@ -325,8 +319,9 @@ class WeightSequence:
         return self._sums[: m + 1].copy()
 
     def weights_array(self, m: int) -> np.ndarray:
+        """Weights p_0..p_m as a fresh array, extending the sums as needed."""
         self.ensure(m)
-        return self._weights[: m + 1].copy()
+        return self._weights_over(0, m + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,18 +14,23 @@ import tauberkit
 
 
 def run_tauberkit(*args, cwd):
-    """Run ``python -m tauberkit *args`` in ``cwd`` and capture its output.
+    """Run ``python -m tauberkit *args`` in ``cwd`` and capture its output."""
+    return run_python("-m", "tauberkit", *args, cwd=cwd)
 
-    The child gets the parent's environment with the directory holding the
-    imported ``tauberkit`` package first on ``PYTHONPATH``, so it runs the
-    same code as the in-process tests whether or not the package is
-    installed and whatever ``cwd`` is.
+
+def run_python(*args, cwd, env=None):
+    """Run ``python *args`` in ``cwd`` and capture its output.
+
+    The child gets the parent's environment, updated from ``env``, with the
+    directory holding the imported ``tauberkit`` package first on
+    ``PYTHONPATH``, so it runs the same code as the in-process tests whether
+    or not the package is installed and whatever ``cwd`` is.
     """
-    env = dict(os.environ)
+    env = {**os.environ, **(env or {})}
     root = str(Path(tauberkit.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "tauberkit", *args],
+        [sys.executable, *args],
         cwd=cwd,
         env=env,
         capture_output=True,

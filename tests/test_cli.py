@@ -7,7 +7,7 @@ from dataclasses import fields
 
 import pytest
 
-from tauberkit import HarnessConfig
+from tauberkit import HarnessConfig, sequence_names
 from tauberkit.cli import (
     RunConfig,
     _load_config_file,
@@ -16,7 +16,7 @@ from tauberkit.cli import (
     parse_sequence_spec,
     parse_weight_spec,
 )
-from helpers import run_tauberkit, traced_peak
+from helpers import run_python, run_tauberkit, traced_peak
 
 NAN, INF = float("nan"), float("inf")
 
@@ -808,3 +808,48 @@ def test_analyze_accepts_an_agreement_threshold_above_one_half(tmp_path):
     res = run_cli("analyze", "--eps-agree", "0.7", "--horizon", "64", cwd=tmp_path)
     assert res.returncode == 0, res.stderr
     assert json.loads((tmp_path / "report.json").read_text())["agreement_threshold"] == 0.7
+
+
+# One child process prints, per corpus sequence, command and horizon, the
+# exit code and the md5 of every artifact.
+_ARTIFACT_DIGESTS = """
+import contextlib, hashlib, io
+from pathlib import Path
+import tauberkit as tk
+from tauberkit.cli import main
+for name in tk.sequence_names():
+    theorem = "T51" if name == "complex_convergent" else "T41"
+    for horizon in ("64", "300"):
+        for cmd in (["transform"], ["analyze", "--theorem", theorem]):
+            out = Path(name, cmd[0], horizon)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main([*cmd, "--sequence", name, "--horizon", horizon, "--out", str(out)])
+            files = sorted(out.iterdir()) if out.exists() else []
+            print(name, cmd[0], horizon, code, *(f"{f.name}:{hashlib.md5(f.read_bytes()).hexdigest()}" for f in files))
+"""
+
+
+def test_corpus_artifacts_keep_their_bits_without_avx512_kernels(tmp_path):
+    # numpy dispatches AVX-512 kernels at run time where the CPU has them,
+    # and some of them round transcendental functions differently from the
+    # baseline ones.  The corpus artifacts must not depend on that, except
+    # paper_unbounded's: its rule evaluates np.power(7.0, k), which the
+    # AVX-512 kernel rounds differently at some k (with numpy 2.4.6 on an
+    # AVX-512 Xeon, sigma.csv at horizons 64 and 300).  Expressions through
+    # cli._FUNCTIONS depend on it too and are not checked.
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    groups = [g for g in ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+              if g in umath.__cpu_dispatch__ and umath.__cpu_features__.get(g)]
+    if not groups:
+        pytest.skip("numpy dispatches no AVX-512 kernels on this CPU")
+    runs = []
+    for disabled in (None, " ".join(groups)):
+        cwd = tmp_path / ("without" if disabled else "with")
+        cwd.mkdir()
+        res = run_python("-c", _ARTIFACT_DIGESTS, cwd=cwd, env={"NPY_DISABLE_CPU_FEATURES": disabled or ""})
+        assert res.returncode == 0, res.stderr
+        runs.append(res.stdout.splitlines())
+    with_avx512, without = runs
+    assert len(with_avx512) == len(without) == 2 * 2 * len(sequence_names())
+    differ = {a.split()[0] for a, b in zip(with_avx512, without) if a != b}
+    assert differ <= {"paper_unbounded"}

@@ -184,6 +184,17 @@ def test_window_functional_validates_scales_by_direction():
     )
 
 
+@pytest.mark.parametrize("missing", ["p", "lam", "q", "kappa"])
+def test_window_functional_names_a_missing_weight_or_scale(missing):
+    p = tk.ones()
+    args = {"p": p, "q": p, "lam": 1.5, "kappa": 1.5, missing: None}
+    name = "sd_P" if missing in ("p", "lam") else "sd_Q"
+    for fn in (name, "sd_both"):
+        with pytest.raises(ValueError, match=f"needs {missing}, got None"):
+            tk.window_functional(fn, ADD, args["p"], args["q"], 10, 10, args["lam"], args["kappa"])
+    assert p.evaluated_count == 0  # refused before any prefix grows
+
+
 def test_window_functionals_at_one_anchor_hang_together():
     fns = {
         name: tk.window_functional(name, ADD, tk.ones(), tk.ones(), 100, 50, 1.5, 1.5)

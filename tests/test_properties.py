@@ -248,3 +248,28 @@ def test_backward_windows_match_a_per_window_reference_bitwise(band_cells, case,
                 mp.setattr(tk.oscillation, "_BAND_CELLS", band_cells)
             got = tk.window_functional(name, seq, ones, ones, m, n, lam, kappa)
         assert repr(got) == want
+
+
+# Proof-step drops against the same reference: bound_rect is the
+# sd_strong_Q drop of the chooser block and bound_line the sd_P drop of its
+# anchor column, on the forward block or, backward, as ref - x.
+@settings(max_examples=100, deadline=None)
+@given(cells=st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0]), min_size=256, max_size=256),
+       forward=st.booleans(), m=st.integers(0, 7), n=st.integers(0, 7),
+       delta=st.floats(0.05, 2.0), gamma=st.floats(0.05, 2.0))
+def test_proof_step_drops_match_a_per_window_reference_bitwise(cells, forward, m, n, delta, gamma):
+    u = np.array(cells).reshape(16, 16)
+    if forward:
+        got = tk.proof_inequality_forward(tk.array_sequence(u), tk.ones(), tk.ones(), m, n, 2.0, 2.0, delta, gamma)
+    else:
+        m, n = m + 8, n + 8
+        try:
+            got = tk.proof_inequality_backward(tk.array_sequence(u), tk.ones(), tk.ones(), m, n, 0.5, 0.5, delta, gamma)
+        except ValueError:  # the backward chooser block is empty
+            return
+    block = u[min(m, got.mu) : max(m, got.mu) + 1, min(n, got.eta) : max(n, got.eta) + 1]
+    refs = _FORWARD_REFERENCE if forward else _BACKWARD_REFERENCE
+    col = refs["col"](block)
+    drop = (lambda x, r: x - r) if forward else (lambda x, r: r - x)
+    assert repr(got.bound_rect) == repr(float(_least(drop(block, col))))
+    assert repr(got.bound_line) == repr(float(_least(drop(col, refs["corner"](block)))))

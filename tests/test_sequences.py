@@ -1,6 +1,7 @@
 """Corpus sequences and weight families: definitions, prefixes, guard rails."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -357,6 +358,20 @@ def test_one_prefix_chunk_stays_small(name):
     assert traced_peak(lambda: p._weights_over(3 * chunk, 4 * chunk)) <= 2.5 * 8 * chunk
     assert traced_peak(lambda: p.ensure(4 * chunk - 1)) <= 4.7 * 8 * chunk
     assert p.evaluated_count == 4 * chunk
+
+
+def test_the_prefix_cache_keeps_one_array():
+    # Weights come from their rule, so a grown sequence retains its array of
+    # partial sums and nothing of the same size beside it.
+    tracemalloc.start()
+    try:
+        p = tk.harmonic()
+        p.ensure(1 << 21)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert p._sums.dtype == np.float64
+    assert retained <= p._sums.nbytes + (1 << 20)
 
 
 def test_geometric_prefix_below_the_overflow_index_succeeds():
