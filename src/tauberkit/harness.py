@@ -27,9 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonFiniteValueError, PrefixOverflowError, ResourceLimitError, ScalarKindError
-from .sequences import DoubleSequence, ScalarKind, WeightSequence, _check_grid, array_sequence
+from .sequences import DoubleSequence, ScalarKind, WeightSequence, _check_grid, _row_bands, array_sequence
 from .sequences import MAX_GRID_CELLS, geometric, harmonic, ones, power
-from .transform import _SUM_CHUNK, _corner_sums, _exact_sum, _mean_field_pass, sigma_single
+from .transform import _corner_sums, _exact_sum, _mean_field_pass, _weighted, sigma_single
 from .oscillation import DecisionProfile, LimitEstimate, TrendSense, _TailStats, build_window_profiles
 from .variation import VariationClass, VariationKind, classification_report, classify_adaptive
 
@@ -124,7 +124,7 @@ def _window_average(window, p, q, r0, c0, anchor, flip):
     pw = p.weights_array(r0 + len(window) - 1)[r0 + 1 :]
     qw = q.weights_array(c0 + window.shape[1] - 1)[c0 + 1 :]
     diff = (anchor - window[1:, 1:]) if flip else (window[1:, 1:] - anchor)
-    num = _exact_sum((pw[:, None] * qw[None, :]) * diff)
+    num = _exact_sum(_weighted(pw, qw, diff, np.empty_like(diff)))
     dp = _exact_sum(pw)
     dq = _exact_sum(qw)
     return num / (dp * dq), dp, dq
@@ -135,8 +135,8 @@ def _corner_means(seq, p, q, corners):
     (mu, eta), with its bits, and u on the window [min(m, mu)..] x
     [min(n, eta)..] of the block [0..max(m, mu)] x [0..max(n, eta)].
 
-    u is evaluated once, in row bands of about _SUM_CHUNK cells that go
-    through _corner_sums and leave their window rows behind.  The means are
+    u is evaluated once, in the row bands of _row_bands, which go through
+    _corner_sums and leave their window rows behind.  The means are
     None where _corner_sums finds a term that is not finite or could
     overflow, and both are None when the block is over budget or a band or
     the weights raise: the four sigma_single calls then decide, with their
@@ -148,18 +148,12 @@ def _corner_means(seq, p, q, corners):
     if rows * cols > MAX_GRID_CELLS:
         return None, None
     r0, c0 = min(m, mu), min(n, eta)
-    window = np.empty((rows - r0, cols - c0), np.complex128 if seq.kind is ScalarKind.COMPLEX else np.float64)
+    window = np.empty((rows - r0, cols - c0), seq.kind.dtype)
 
     def bands():
-        step = max(1, _SUM_CHUNK // cols)
-        for top in range(0, rows, step):
-            u = seq.block(np.arange(top, min(top + step, rows)), np.arange(cols))
+        for top, u in _row_bands(seq, range(rows), np.arange(cols)):
             window[max(top - r0, 0) : max(top + len(u) - r0, 0)] = u[max(r0 - top, 0) :, c0:]
-            # sigma_single's products, with u multiplied into them in place
-            with np.errstate(over="ignore", invalid="ignore"):
-                terms = np.multiply(pw[top : top + len(u), None], qw[None, :], out=np.empty_like(u))
-                np.multiply(terms, u, out=terms)
-            yield top, terms
+            yield top, _weighted(pw[top : top + len(u)], qw, u, np.empty_like(u))  # sigma_single's terms
 
     try:
         pw, qw = p.weights_array(rows - 1), q.weights_array(cols - 1)
@@ -422,11 +416,12 @@ def lemma_residual_suite(trials: int = 100, grid: int = 20, seed: int = 0) -> li
 class HarnessConfig:
     """Settings of one verify_theorem run, each checked once, when built.
 
-    horizon, class_horizon >= 64; each ladder non-empty, finite, > 1 and
-    strictly decreasing, kappa_ladder (None: lambda_ladder) one-for-one with
-    lambda_ladder; tail_fraction in (0, 1); eps_dec, eps_agree (None: 0.02 *
-    (1 + |sigma limit|)) finite and > 0; class_tol in (0, 0.5).  NaN fails
-    every rule, and each error names its field.
+    horizon, class_horizon integers >= 64, stored as int; each ladder
+    non-empty, finite, > 1 and strictly decreasing, kappa_ladder (None:
+    lambda_ladder) one-for-one with lambda_ladder; tail_fraction in (0, 1);
+    eps_dec, eps_agree (None: 0.02 * (1 + |sigma limit|)) finite and > 0;
+    class_tol in (0, 0.5).  NaN fails every rule, and each error names its
+    field.
     """
 
     horizon: int = 512
@@ -440,8 +435,12 @@ class HarnessConfig:
 
     def __post_init__(self):
         for name in ("horizon", "class_horizon"):
-            if not getattr(self, name) >= 64:
-                raise ValueError(f"{name} must be >= 64, got {getattr(self, name)}")
+            v = getattr(self, name)
+            if not v >= 64:
+                raise ValueError(f"{name} must be >= 64, got {v}")
+            if not isinstance(v, (int, np.integer)):  # a bool is below 64
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, int(v))  # a numpy integer, as reports write it
         for name in ("lambda_ladder", "kappa_ladder"):
             ladder = getattr(self, name)
             if ladder is None:

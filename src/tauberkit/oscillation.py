@@ -14,12 +14,13 @@ One window engine computes every functional, on forward windows.  A set
 of profiles first resolves every window it samples -- by functional, then
 scale, horizon and 3x3 tail anchor -- under the per-anchor index and cell
 budgets.  It then makes one pass per horizon: u is evaluated once on the
-union of that horizon's windows, for all functionals and scales, in bands
-of at most 1 MiB, a row wider than a band in chunks of columns.  The
-window edges cut the union into segments.  Each reference (an anchor's
-cell, row or column) gets an integer id, and the bands fold, per id and
-pair of segments, the extrema of x - ref into small tables; each window
-then reduces its slice of its id's tables once.  Min and max are exact
+union of that horizon's windows, for all functionals and scales, in the
+row bands of sequences._row_bands, a row wider than their byte budget in
+chunks of columns.  The window edges cut the union into segments.  Each
+reference (an anchor's cell, row or column) gets an integer id, and the
+bands fold, per id and pair of segments, the extrema of x - ref into
+small tables; each window then reduces its slice of its id's tables
+once.  Min and max are exact
 and rounding is monotone, so every value is still one subtraction of the
 same two doubles and matches a per-window evaluation bit for bit, a zero
 drop being -0.0 exactly when some x - ref is, as IEEE 754's minimum orders
@@ -48,6 +49,7 @@ from .errors import (
     ResourceLimitError,
     ScalarKindError,
 )
+from . import sequences
 from .sequences import DoubleSequence, Grid, ScalarKind, WeightSequence
 from .transform import _divide, _write_csv
 
@@ -57,14 +59,6 @@ from .transform import _divide, _write_csv
 # blocks, and sd_field_components fields, larger than this, since each is
 # one block in memory: ~240 MB of float64 at the default.
 MAX_WINDOW_CELLS = 30_000_000
-
-# Float64 cells of u the window engine evaluates at once: a band is 1 MiB,
-# so it and the rule's temporaries stay near a 2 MiB L2 cache, and a
-# complex band holds half as many cells.  A union row wider than a band is
-# read in chunks of columns, so no read exceeds it.  On a 2-vCPU Xeon,
-# bands of 2**17 to 2**19 cells ran profiles about 30 % faster than bands
-# of 2**21.
-_BAND_CELLS = 1 << 17
 
 
 def _require_real(seq: DoubleSequence, what: str) -> None:
@@ -374,10 +368,10 @@ def _window_values(seq, wins) -> list[float]:
     """Each forward window's functional value, from one pass over their union.
 
     The window edges cut rows and columns into segments; a row segment
-    reads only the column segments some window pairs it with, in bands of
-    at most 1 MiB (_BAND_CELLS float64 cells), a wider row in chunks of
-    columns, and any non-finite cell raises NonFiniteValueError.  Each
-    reference has an integer id (_references), and per id and pair of
+    reads only the column segments some window pairs it with, in the bands
+    of _row_bands, a row wider than their budget, sequences._BAND_BYTES, in
+    chunks of columns, and any non-finite cell raises NonFiniteValueError.
+    Each reference has an integer id (_references), and per id and pair of
     segments the bands fold the min of x - ref and of ref - x into tables
     that every window reduces once, at the end (_box).  Real bands fold
     extrema: of columns over each row segment, for id 0 (every real corner:
@@ -389,9 +383,8 @@ def _window_values(seq, wins) -> list[float]:
     is zero, a third table records where.  Row segments that read the same
     columns share one layout.
     """
-    real = seq.kind is ScalarKind.REAL
-    dtype = np.dtype(np.float64 if real else np.complex128)
-    cells = _BAND_CELLS * 8 // dtype.itemsize
+    real, dtype = seq.kind is ScalarKind.REAL, seq.kind.dtype
+    cells = sequences._BAND_BYTES // dtype.itemsize
     inf = np.array([w.spec.sense is TrendSense.INF for w in wins])
     sup = not inf.all()
     redges, rspan = _cuts([w.rows for w in wins])
@@ -418,11 +411,11 @@ def _window_values(seq, wins) -> list[float]:
         sid = np.concatenate([[0], act[kd == 1], act[kd == 2]]) if real else act
         acc = np.full((sb - sa, 3, sid.size, ts.size), np.inf)
         w = int((cedges[ts + 1] - cedges[ts]).sum())
-        # Rows per band, and row segments whose column extrema fold together in one band's bytes.
-        step, batch, base = max(1, cells // w), max(1, cells // w // 2), redges[sa] if w > cells else None
-        # The column references' anchor columns, of a band, or of the group
-        # when its columns come in chunks.
-        held = np.full((redges[sb] - redges[sa] if base is not None else step, ct.size), np.nan, dtype)
+        # Row segments whose column extrema fold together in one band's bytes.
+        batch = max(1, cells // w // 2)
+        # The column references' anchor columns, of the group when its
+        # columns come in chunks, else of each band.
+        held = np.full((redges[sb] - redges[sa], ct.size), np.nan, dtype) if w > cells else None
         for ch in _chunks(ts, cedges, cells, ra, rb):
             mine = np.flatnonzero((ct >= ch.ks) & (ct < ch.k1))
             mine_cols = ch.heads[ct[mine] - ch.ks]
@@ -432,10 +425,8 @@ def _window_values(seq, wins) -> list[float]:
                 if real and b == 0:  # column minima of x and -x, and -0.0 columns
                     ext = np.full((min(batch, sb - s), 2, ch.cols.size), np.inf)
                     neg0 = np.zeros((len(ext), ch.cols.size), bool)
-                for r0 in range(redges[s], redges[s + 1], step):
-                    rows = np.arange(r0, min(r0 + step, redges[s + 1]))
-                    u = seq.block(rows, ch.cols)
-                    fc = held[r0 - base :][: rows.size] if base is not None else held[: rows.size]
+                for r0, u in sequences._row_bands(seq, range(redges[s], redges[s + 1]), ch.cols):
+                    fc = held[r0 - redges[sa] :][: len(u)] if w > cells else np.full((len(u), ct.size), np.nan, dtype)
                     fc[:, mine] = u[:, mine_cols]
                     if r0 == redges[s]:
                         corner[s, ts[ch.ks : ch.k1]] = u[0, ch.heads]
@@ -667,18 +658,14 @@ def empirical_limit(
     return _limit_estimate(lhat, residuals, tails, eps_dec)
 
 
-# Cells of a complex square whose |x - estimate| is taken at once: 384 KiB
-# of temporaries, where the whole top square of a 1024 grid took 6.3 MiB.
-_RESIDUAL_CELLS = 1 << 14
-
-
 def _square_residual(sub, lhat) -> float:
-    """max |sub - lhat| over a square: from its extrema when real, else
-    _RESIDUAL_CELLS cells at a time; max is exact, so the bits are one
-    reduction's."""
+    """max |sub - lhat| over a square: from its extrema when real, else in
+    row chunks of at most sequences._BAND_BYTES, or one row, where the whole
+    top square of a 1024 grid took a 6.3 MiB temporary; max is exact, so
+    the bits are one reduction's."""
     if not np.iscomplexobj(sub):
         return _extrema_residual(sub.min(), sub.max(), lhat)
-    step = max(1, _RESIDUAL_CELLS // sub.shape[1])
+    step = max(1, sequences._BAND_BYTES // (sub.itemsize * sub.shape[1]))
     return float(np.max([np.abs(sub[i : i + step] - lhat).max() for i in range(0, len(sub), step)]))
 
 

@@ -1,7 +1,7 @@
 """Weighted rectangular means of double sequences.
 
-The field pass accumulates sigma(m, n) over a grid in row bands of
-_SUM_CHUNK words, with the bits of one double cumulative sum of the whole
+The field pass accumulates sigma(m, n) over a grid in the row bands of
+sequences._row_bands, with the bits of one double cumulative sum of the whole
 grid, and hands each band of u and of the numerator to its caller, which
 divides sigma (_divide) only where it reads it; the
 single-cell evaluator recomputes one mean by direct exact summation
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteValueError, PrefixOverflowError
+from . import sequences
 from .sequences import (
     DoubleSequence,
     Grid,
@@ -36,9 +37,7 @@ from .sequences import (
 )
 
 # Values math.fsum takes from one list: the Python floats alive at once
-# stay at one chunk (about 2 MiB) however large the summed block is.  A
-# lemma split streams its block in bands of as many cells, the mean field
-# in bands of as many float64 words (a complex cell is two); or one row.
+# stay at one chunk (about 2 MiB) however large the summed block is.
 _SUM_CHUNK = 1 << 16
 
 # Cells per band of the text kernel, whose scratch arrays stay near 4 MiB.
@@ -70,8 +69,7 @@ def weighted_mean_field(
     so the peak stays within that one grid and a band's u and numerator.
     """
     _check_grid(seq, m_max, n_max)  # before the grid is allocated
-    dtype = np.complex128 if seq.kind is ScalarKind.COMPLEX else np.float64
-    sigma = np.empty((m_max + 1, n_max + 1), dtype)
+    sigma = np.empty((m_max + 1, n_max + 1), seq.kind.dtype)
 
     def visit(r0, u, s, pp, qp):
         _divide(s, pp[r0 : r0 + len(s)], qp, sigma[r0 : r0 + len(s)])
@@ -88,13 +86,22 @@ def _divide(s, pp, qp, out):
     return np.divide(s, out, out=out)
 
 
+def _weighted(pw, qw, x, out):
+    """(pw (x) qw) * x into out, which is returned: the weight products, then
+    x multiplied into them in place, which promotes them as numpy would out
+    of place; overflow and NaN are left to the caller to find."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(pw[:, None], qw[None, :], out=out)
+        return np.multiply(out, x, out=out)
+
+
 def _mean_field_pass(seq, p, q, m_max, n_max, visit):
     """Call visit(r0, u, s, pp, qp) on each row band [r0, r0 + rows) x
     [0..n_max] of the grid, top to bottom, with u and the numerator s on it
     and the prefix sums pp, qp of p over [0..m_max] and of q over
-    [0..n_max]; a band holds at most _SUM_CHUNK float64 words (a complex
-    cell is two), or one row.  Bands are views of buffers the next band
-    reuses, so visit copies what it keeps; _divide makes sigma from them.
+    [0..n_max], in the bands of sequences._row_bands.  s is a view of a
+    buffer the next band reuses, so visit copies what it keeps; _divide
+    makes sigma from it.
 
     A band's first row of products takes the previous band's last row of
     sums down the columns, and each later row the row above it, one row-wise
@@ -118,20 +125,14 @@ def _mean_field_pass(seq, p, q, m_max, n_max, visit):
     except Exception as exc:  # raised once every band of u is checked
         late = exc
     cols = np.arange(n_max + 1)
-    # A complex u gets a complex buffer: numpy promotes the real weight
-    # products to complex in any case, so the bits are out-of-place ones.
-    dtype = np.dtype(np.complex128 if seq.kind is ScalarKind.COMPLEX else np.float64)
-    step = min(m_max + 1, max(1, 8 * _SUM_CHUNK // (dtype.itemsize * cols.size)))
-    buf = np.empty((step, cols.size), dtype)
-    for r0 in range(0, m_max + 1, step):
-        r1 = min(r0 + step, m_max + 1)
-        u = seq.block(np.arange(r0, r1), cols)
+    # Made before the first band, the numerator's buffer leaves the heap lower.
+    cells = max(cols.size, sequences._BAND_BYTES // seq.kind.dtype.itemsize)
+    buf = np.empty(min((m_max + 1) * cols.size, cells), seq.kind.dtype)
+    for r0, u in sequences._row_bands(seq, range(m_max + 1), cols):
         bad = None
         if not (nonfinite or late):
-            s = buf[: r1 - r0]
+            s = _weighted(pw[r0 : r0 + len(u)], qw, u, buf[: u.size].reshape(u.shape))
             with np.errstate(over="ignore", invalid="ignore"):
-                np.multiply(pw[r0:r1, None], qw[None, :], out=s)
-                np.multiply(s, u, out=s)
                 if r0:
                     s[0] += down
                 for i in range(1, len(s)):
@@ -261,11 +262,8 @@ def sigma_single(
     budget and non-finite cells raise as in eval_grid.
     """
     u = eval_grid(seq, m, n).values
-    # The weight products go into one buffer of u's dtype and u is
-    # multiplied into it in place: the same bits as (pw x qw) * u with two
-    # blocks alive instead of three, and u is freed before the summing.
-    terms = np.multiply(p.weights_array(m)[:, None], q.weights_array(n)[None, :], out=np.empty_like(u))
-    np.multiply(terms, u, out=terms)
+    # Two blocks alive instead of three, and u is freed before the summing.
+    terms = _weighted(p.weights_array(m), q.weights_array(n), u, np.empty_like(u))
     del u
     return _exact_sum(terms) / (p.prefix(m) * q.prefix(n))
 

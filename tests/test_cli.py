@@ -232,6 +232,10 @@ def test_weights_that_overflow_before_their_sums_back_off(tmp_path, args, code):
         # every term is finite, but the oracle's sum of a corner overflows
         (("verify-lemma", "--sequence", "1e307", "--m", "5", "--n", "5"), 1,
          "error: intermediate overflow in fsum"),
+        # the oracle's terms overflow: numpy's warning stays off stderr
+        (("verify-lemma", "--sequence", "1e300*(m+1)", "--weights-p", "power:beta=3",
+          "--weights-q", "power:beta=3", "--m", "100", "--n", "100"), 1,
+         "error: intermediate overflow in fsum"),
         # flag errors take the same path as any other bad input
         (("analyze", "--horizon", "abc"), 2, "error: argument --horizon: invalid int value: 'abc'"),
         (("analyze", "--lambdas", "2,x"), 2, "error: argument --lambdas: bad ladder '2,x'"),
@@ -700,12 +704,16 @@ def test_run_config_validates_ladders():
 # thresholds that must be finite, inf.  HarnessConfig owns the rules of the
 # harness settings and RunConfig.validate those of the CLI-only ones; the
 # CLI prints the same text as its one error line.  An argv of None marks a
-# value no flag or config key can carry (NaN for an integer).
+# value no flag or config key can carry (NaN or a fraction for an integer).
 _RULES = [
     ("horizon", 63, ("transform", "--horizon", "63"), "horizon must be >= 64, got 63"),
     ("horizon", NAN, None, "horizon must be >= 64, got nan"),
+    ("horizon", 100.5, None, "horizon must be an integer, got 100.5"),
+    ("horizon", 128.0, None, "horizon must be an integer, got 128.0"),
+    ("horizon", True, None, "horizon must be >= 64, got True"),
     ("class_horizon", 63, ("analyze", "--class-horizon", "63"), "class_horizon must be >= 64, got 63"),
     ("class_horizon", NAN, None, "class_horizon must be >= 64, got nan"),
+    ("class_horizon", 1000.5, None, "class_horizon must be an integer, got 1000.5"),
     ("lambda_ladder", (), ("analyze", "--config", "empty_ladder.json"), "lambda_ladder must not be empty"),
     (
         "lambda_ladder", (2.0, 1.0), ("analyze", "--lambdas", "2,1"),

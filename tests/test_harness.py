@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -348,13 +349,14 @@ def test_splits_keep_the_bits_of_four_sigma_single_calls(name, wp, wq):
         assert new == old, split
 
 
-def _set_band(monkeypatch, band, m, n, mu, eta):
-    """Cut the split's block into bands of one row, or of rows that end just
-    before row min(m, mu) or just after it; "default" keeps _SUM_CHUNK."""
+def _set_band(monkeypatch, seq, band, m, n, mu, eta):
+    """Cut seq's block of the split into bands of one row, or of rows that
+    end just before row min(m, mu) or just after it; "default" keeps the
+    band budget."""
     r0 = min(m, mu)
     rows = {"row": 1, "r0": max(r0, 1), "r0+1": r0 + 1}.get(band)
     if rows:
-        monkeypatch.setattr(harness, "_SUM_CHUNK", rows * (max(n, eta) + 1))
+        monkeypatch.setattr(tk.sequences, "_BAND_BYTES", rows * (max(n, eta) + 1) * seq.kind.dtype.itemsize)
 
 
 @pytest.mark.parametrize("wp, wq", [("ones", "ones"), ("power", "harmonic"),
@@ -365,7 +367,7 @@ def test_banded_splits_keep_the_bits_of_four_sigma_single_calls(monkeypatch, ban
     # the test above covers the default bands
     seq = tk.corpus_sequence(name)
     for split in _SPLITS:
-        _set_band(monkeypatch, band, *split)
+        _set_band(monkeypatch, seq, band, *split)
         new, old = _both_outcomes(seq, _WEIGHTS[wp], _WEIGHTS[wq], *split)
         assert new == old, split
 
@@ -400,7 +402,7 @@ _LATE = {
 @pytest.mark.parametrize("trouble", list(_LATE))
 def test_trouble_in_a_later_band_keeps_the_outcome_of_four_sigma_single_calls(monkeypatch, band, trouble):
     for seq, w, (m, n, mu, eta), held in _LATE[trouble]:
-        _set_band(monkeypatch, band, m, n, mu, eta)
+        _set_band(monkeypatch, seq, band, m, n, mu, eta)
         new, old = _both_outcomes(seq, _WEIGHTS[w], _WEIGHTS[w], m, n, mu, eta)
         assert new == old, (m, n, mu, eta)
         corners = ((m, n), (mu, n), (m, eta), (mu, eta))
@@ -419,9 +421,9 @@ def test_trouble_in_a_later_band_keeps_the_outcome_of_four_sigma_single_calls(mo
                                             ("complex_convergent", "ones", (3, 5, 4, 6))])
 def test_uncertified_split_fills_the_window_and_keeps_the_oracle_means(monkeypatch, band, name, w, split):
     calls = oracle_route(monkeypatch)
-    _set_band(monkeypatch, band, *split)
     m, n, mu, eta = split
     seq = tk.corpus_sequence(name)
+    _set_band(monkeypatch, seq, band, *split)
     corners = ((m, n), (mu, n), (m, eta), (mu, eta))
     blocks = _counting_blocks(monkeypatch)
     means, window = harness._corner_means(seq, _WEIGHTS[w](), _WEIGHTS[w](), corners)
@@ -437,8 +439,8 @@ def test_uncertified_split_fills_the_window_and_keeps_the_oracle_means(monkeypat
 
 def test_tripped_guard_reads_every_band(monkeypatch):
     m, n, mu, eta = 150, 150, 152, 153
-    _set_band(monkeypatch, "row", m, n, mu, eta)
     seq = tk.constant(1.5)
+    _set_band(monkeypatch, seq, "row", m, n, mu, eta)
     corners = ((m, n), (mu, n), (m, eta), (mu, eta))
     blocks = _counting_blocks(monkeypatch)
     means, window = harness._corner_means(seq, _WEIGHTS["geometric:r=10"](), _WEIGHTS["geometric:r=10"](), corners)
@@ -604,22 +606,23 @@ def _counting_blocks(monkeypatch):
 
 
 def _assert_anchor_then_bands(calls, m, n, rows, cols):
-    """The anchor's own cell, then the block [0..rows) x [0..cols) in row
-    bands of at most _SUM_CHUNK cells (or one row): each cell once."""
+    """The anchor's own cell, then the block [0..rows) x [0..cols) of a
+    real sequence in row bands of at most _BAND_BYTES (or one row): each
+    cell once."""
     assert [(a.tolist(), b.tolist()) for a, b in calls[:1]] == [([m], [n])]
     bands = calls[1:]
     assert np.array_equal(np.concatenate([a for a, _ in bands]), np.arange(rows))
     assert all(np.array_equal(b, np.arange(cols)) for _, b in bands)
     assert sum(a.size * b.size for a, b in bands) == rows * cols
-    assert max(a.size * b.size for a, b in bands) <= max(harness._SUM_CHUNK, cols)
+    assert max(a.size * b.size * 8 for a, b in bands) <= max(tk.sequences._BAND_BYTES, cols * 8)
 
 
 @pytest.mark.parametrize("split", [(40, 30, 55, 47), (40, 30, 25, 12)])
 def test_split_evaluates_one_block_and_the_window(monkeypatch, split):
     m, n, mu, eta = split
     lemma = tk.lemma_forward if mu > m else tk.lemma_backward
-    for chunk in (harness._SUM_CHUNK, 100):  # one band, then bands of two or three rows
-        monkeypatch.setattr(harness, "_SUM_CHUNK", chunk)
+    for budget in (tk.sequences._BAND_BYTES, 800):  # one band, then bands of two or three rows
+        monkeypatch.setattr(tk.sequences, "_BAND_BYTES", budget)
         calls = _counting_blocks(monkeypatch)
         lemma(ADD, tk.ones(), tk.harmonic(), m, n, mu, eta)
         # the window is copied out of the bands
@@ -629,8 +632,8 @@ def test_split_evaluates_one_block_and_the_window(monkeypatch, split):
 @pytest.mark.parametrize("fn", [tk.proof_inequality_forward, tk.proof_inequality_backward])
 def test_proof_step_evaluates_one_block_and_the_anchor(monkeypatch, fn):
     forward = fn is tk.proof_inequality_forward
-    for chunk in (harness._SUM_CHUNK, 100):
-        monkeypatch.setattr(harness, "_SUM_CHUNK", chunk)
+    for budget in (tk.sequences._BAND_BYTES, 800):
+        monkeypatch.setattr(tk.sequences, "_BAND_BYTES", budget)
         calls = _counting_blocks(monkeypatch)
         ineq = fn(ADD, tk.ones(), tk.harmonic(), 40, 30, *((1.1, 1.1, 0.1, 0.1) if forward else (0.9, 0.9, 0.2, 0.2)))
         rows, cols = max(ineq.m, ineq.mu) + 1, max(ineq.n, ineq.eta) + 1
@@ -770,7 +773,7 @@ def test_limits_and_bound_profiles_match_their_whole_grid_oracles(monkeypatch, n
     sigma = tk.weighted_mean_field(seq, p, q, h, h).sigma  # one band
     if rows is not None:
         words = 2 if seq.kind is tk.ScalarKind.COMPLEX else 1
-        monkeypatch.setattr(transform, "_SUM_CHUNK", rows * (h + 1) * words)
+        monkeypatch.setattr(tk.sequences, "_BAND_BYTES", rows * (h + 1) * words * 8)
     stats = [tk.hardy_stat]
     if seq.kind is tk.ScalarKind.REAL:
         stats.append(tk.landau_stat)
@@ -808,11 +811,51 @@ def test_landau_minimum_of_signed_zero_differences_is_positive_zero(monkeypatch,
     for r in ((1, 64), (1, 1), (4, 5), (4, 6), (30, 33), (9, 41)):
         assert repr(tk.landau_stat(seq, tk.ones(), tk.ones(), r, r)) == "(0.0, 0.0)", r
     if rows is not None:
-        monkeypatch.setattr(transform, "_SUM_CHUNK", rows * 65)
+        monkeypatch.setattr(tk.sequences, "_BAND_BYTES", rows * 65 * 8)
     cfg = tk.HarnessConfig(horizon=64, class_horizon=4096)
     _, _, u_limit, sigma_limit, profiles = harness._limits(seq, tk.ones(), tk.ones(), cfg, _BOUNDS["landau"])
     assert [repr(r.stat) for prof in profiles for r in prof.rungs] == ["0.0"] * 8
     assert [repr(r) for est in (u_limit, sigma_limit) for _, r in est.residual_profile] == ["0.0"] * 8
+
+
+def test_every_banded_read_of_u_stays_within_the_band_budget(monkeypatch):
+    # the pass and the window engine of a real and a complex analysis, a
+    # lemma split and the mean field.  A read may be one row wider than the
+    # budget, but none is here: the grids are narrower than a band, and the
+    # engine cuts the union rows of the harmonic columns (wider than a
+    # band) into column chunks.
+    reads, block = [], tk.DoubleSequence.block
+
+    def recorded(self, m_idx, n_idx):
+        out = block(self, m_idx, n_idx)
+        reads[-1].append(out)
+        return out
+
+    monkeypatch.setattr(tk.DoubleSequence, "block", recorded)
+    cfg = tk.HarnessConfig(horizon=512, class_horizon=4096)
+    cplx = tk.corpus_sequence("complex_convergent")
+    ops = {
+        "T41": lambda: tk.verify_theorem(ADD, tk.harmonic(), tk.harmonic(), tk.Theorem.T41, cfg),
+        "T51": lambda: tk.verify_theorem(cplx, tk.ones(), tk.power(1.5), tk.Theorem.T51, cfg),
+        "lemma": lambda: tk.lemma_forward(cplx, tk.ones(), tk.harmonic(), 300, 300, 400, 420),
+        "field": lambda: tk.weighted_mean_field(ADD, tk.ones(), tk.ones(), 700, 700),
+    }
+    budget = tk.sequences._BAND_BYTES
+    for name, op in ops.items():
+        reads.append([])
+        op()
+        assert all(u.nbytes <= budget for u in reads[-1]), name
+        assert sum(u.nbytes for u in reads[-1]) > 2 * budget, name  # so some reads are bands
+
+
+def test_numpy_integer_horizons_give_the_report_of_python_ints():
+    # a float horizon built and then failed: a TypeError in verify_theorem,
+    # an IndexError in classify (the refusals are in test_cli's _RULES)
+    cfg = tk.HarnessConfig(horizon=np.int64(64), class_horizon=np.int32(4096))
+    assert type(cfg.horizon) is type(cfg.class_horizon) is int
+    got = tk.verify_theorem(ADD, tk.ones(), tk.ones(), tk.Theorem.T41, cfg)
+    want = tk.verify_theorem(ADD, tk.ones(), tk.ones(), tk.Theorem.T41, tk.HarnessConfig(horizon=64, class_horizon=4096))
+    assert json.dumps(harness.report_json(got)) == json.dumps(harness.report_json(want))
 
 
 def test_limits_hold_no_square_of_a_real_sequence():

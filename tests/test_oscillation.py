@@ -670,7 +670,7 @@ _SEQUENCES = ["additive_convergent", "alternating", "separable_convergent", "com
 @pytest.fixture(params=[None, 64], ids=["default_bands", "tiny_bands"])
 def band_cells(request, monkeypatch):
     if request.param is not None:
-        monkeypatch.setattr(tk.oscillation, "_BAND_CELLS", request.param)
+        monkeypatch.setattr(tk.sequences, "_BAND_BYTES", request.param * 8)
 
 
 @pytest.mark.parametrize("weights", sorted(_WEIGHTS))
@@ -909,9 +909,9 @@ def test_no_engine_read_exceeds_a_band(monkeypatch):
     monkeypatch.setattr(tk.DoubleSequence, "block", counted_block)
     monkeypatch.setattr(tk.oscillation, "_window_values", flagged_values)
     profiles = tk.build_window_profiles(*args)
-    assert widest[0] > tk.oscillation._BAND_CELLS >= max(sizes)
+    assert widest[0] > tk.sequences._BAND_BYTES // 8 >= max(sizes)
     # chunks keep the values of one-band reads
-    monkeypatch.setattr(tk.oscillation, "_BAND_CELLS", 1 << 22)
+    monkeypatch.setattr(tk.sequences, "_BAND_BYTES", (1 << 22) * 8)
     assert tk.build_window_profiles(*args) == profiles
 
 

@@ -224,7 +224,7 @@ def test_window_engine_matches_a_per_window_reference_bitwise(band_cells, case):
             for w in wins]
     with pytest.MonkeyPatch.context() as mp:
         if band_cells is not None:
-            mp.setattr(tk.oscillation, "_BAND_CELLS", band_cells)
+            mp.setattr(tk.sequences, "_BAND_BYTES", band_cells * 8)
         got = tk.oscillation._window_values(tk.array_sequence(u), wins)
     assert [repr(v) for v in got] == want
 
@@ -245,7 +245,7 @@ def test_backward_windows_match_a_per_window_reference_bitwise(band_cells, case,
         want = _window_reference(w.spec, u[r0 : m + 1, c0 : n + 1], False)
         with pytest.MonkeyPatch.context() as mp:
             if band_cells is not None:
-                mp.setattr(tk.oscillation, "_BAND_CELLS", band_cells)
+                mp.setattr(tk.sequences, "_BAND_BYTES", band_cells * 8)
             got = tk.window_functional(name, seq, ones, ones, m, n, lam, kappa)
         assert repr(got) == want
 

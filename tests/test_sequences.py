@@ -224,6 +224,20 @@ def test_weights_array_matches_the_rule():
     assert w.tolist() == [1.0 / (i + 1.0) for i in range(21)]
 
 
+@pytest.mark.parametrize("name", ["geometric", "harmonic", "ones", "power", "wobble"])
+def test_arrays_below_the_empty_prefix_raise_as_prefix_does(name):
+    # ones().prefix_array(-2) returned 1,023 floats of the uninitialised cache
+    for fresh in (False, True):
+        p = tk.corpus_weight(name)
+        if not fresh:
+            p.ensure(10)
+        for read in (p.ensure, p.prefix, p.prefix_array, p.weights_array):
+            with pytest.raises(ValueError, match=r"prefix index must be >= -1, got -2$"):
+                read(-2)
+        assert p.prefix(-1) == 0.0
+        assert p.prefix_array(-1).shape == p.weights_array(-1).shape == (0,)
+
+
 # ---------------------------------------------------------------------------
 # Chunked prefix engine against the scalar Neumaier loop
 # ---------------------------------------------------------------------------

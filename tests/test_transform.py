@@ -139,13 +139,13 @@ def _bands(monkeypatch, seq, rows, m_max, n_max, last_row=None):
     """Yield seq with its rule wrapped to log the rows of each block call,
     and the mean-field pass set to bands of ``rows`` rows of an
     (n_max + 1)-column grid (None keeps the default, one band for these
-    grids; a complex cell counts two words of _SUM_CHUNK).  On exit, check
-    that the pass asked for u band by band, top to bottom, down to the band
-    of last_row (m_max by default)."""
+    grids; a complex cell counts two 8-byte words of _BAND_BYTES).  On exit,
+    check that the pass asked for u band by band, top to bottom, down to the
+    band of last_row (m_max by default)."""
     step = rows or m_max + 1
     if rows is not None:
         words = 2 if seq.kind is tk.ScalarKind.COMPLEX else 1
-        monkeypatch.setattr(transform, "_SUM_CHUNK", rows * (n_max + 1) * words)
+        monkeypatch.setattr(tk.sequences, "_BAND_BYTES", rows * (n_max + 1) * words * 8)
     calls = []
 
     def rule(M, N):
@@ -506,7 +506,7 @@ def test_positive_power_weighted_block_certifies_every_sum():
     u = tk.corpus_sequence("additive_convergent").block(np.arange(300), np.arange(300))
     w = tk.power(1.5).weights_array(299)
     terms = w[:, None] * w[None, :] * u
-    step = _SUM_CHUNK // 300
+    step = tk.sequences._BAND_BYTES // (8 * 300)  # rows of a lemma band
     bands = [(top, terms[top : top + step]) for top in range(0, 300, step)]
     for r0, c0 in ((0, 0), (149, 211), (299, 299)):
         got = _corner_sums(bands, r0, c0)
