@@ -123,7 +123,8 @@ def _window_average(window, p, q, r0, c0, anchor, flip):
     window[1:, 1:], for window u on [r0..] x [c0..]; exact accumulation."""
     pw = p.weights_array(r0 + len(window) - 1)[r0 + 1 :]
     qw = q.weights_array(c0 + window.shape[1] - 1)[c0 + 1 :]
-    diff = (anchor - window[1:, 1:]) if flip else (window[1:, 1:] - anchor)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are the caller's to read
+        diff = (anchor - window[1:, 1:]) if flip else (window[1:, 1:] - anchor)
     num = _exact_sum(_weighted(pw, qw, diff, np.empty_like(diff)))
     dp = _exact_sum(pw)
     dq = _exact_sum(qw)
@@ -262,7 +263,8 @@ def _least_drop(x, ref) -> float:
     orders them, as the window functionals do: a zero drop is -0.0 exactly
     when some x - ref is, a -0.0 cell against a +0.0 ref.  Rounding is
     monotone, so the row minima give the value."""
-    low = float((x.min(axis=1) - ref[:, 0]).min())
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite drop is the bound's to carry
+        low = float((x.min(axis=1) - ref[:, 0]).min())
     if low == 0.0:
         tied = (x == 0.0) & np.signbit(x) & (ref == 0.0) & ~np.signbit(ref)
         low = -0.0 if tied.any() else 0.0

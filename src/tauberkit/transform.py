@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import mmap
 import os
 from dataclasses import dataclass
 
@@ -40,8 +41,12 @@ from .sequences import (
 # stay at one chunk (about 2 MiB) however large the summed block is.
 _SUM_CHUNK = 1 << 16
 
-# Cells per band of the text kernel, whose scratch arrays stay near 4 MiB.
-_TEXT_BAND = 1 << 14
+# Cells per band of the text kernel, whose scratch arrays stay near 2 MiB.
+# Half of 2^14, which took about 4 MiB: over 12 alternating in-process
+# rounds of perfbench's grid_export transforms (2 vCPUs, x86-64), the median
+# round took 1.058 s against 1.090 s, and with sigma still on the malloc
+# heap a grid_export run peaked at 53.6 MiB RSS against 56.4.
+_TEXT_BAND = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -67,9 +72,20 @@ def weighted_mean_field(
     values or an overflowing accumulation, naming the first offending cell.
     Each band of _mean_field_pass is divided straight into the sigma grid,
     so the peak stays within that one grid and a band's u and numerator.
+
+    The grid sits on anonymous pages of its own (mmap), not on the malloc
+    heap: freed, it goes back to the system at once.  From the heap, once a
+    freed large array has lifted glibc's mmap threshold, grids of different
+    sizes leave holes that the heap keeps resident, and a run of transforms
+    peaked about a grid above one transform on its own.
     """
     _check_grid(seq, m_max, n_max)  # before the grid is allocated
-    sigma = np.empty((m_max + 1, n_max + 1), seq.kind.dtype)
+    shape, dtype = (m_max + 1, n_max + 1), seq.kind.dtype
+    try:
+        pages = mmap.mmap(-1, shape[0] * shape[1] * dtype.itemsize)
+    except OSError as exc:  # out of memory, which np.empty reports as MemoryError
+        raise MemoryError(f"cannot allocate a {shape[0]}x{shape[1]} {dtype} grid") from exc
+    sigma = np.frombuffer(pages, dtype).reshape(shape)
 
     def visit(r0, u, s, pp, qp):
         _divide(s, pp[r0 : r0 + len(s)], qp, sigma[r0 : r0 + len(s)])

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +269,22 @@ def test_splits_and_inequalities_keep_every_field(case, expect):
     fn, seq, p, q, args = case
     got = getattr(tk, fn)(tk.corpus_sequence(seq), getattr(tk, p)(), getattr(tk, q)(), *args)
     assert repr(got) == expect
+
+
+@pytest.mark.parametrize("fn, args", [
+    ("lemma_forward", (10, 10, 15, 15)),
+    ("lemma_backward", (10, 10, 5, 5)),
+    ("proof_inequality_forward", (10, 10, 2.0, 2.0, 0.5, 0.5)),
+    ("proof_inequality_backward", (10, 10, 0.5, 0.5, 0.5, 0.5)),
+])
+def test_window_differences_past_the_doubles_raise_no_warning(fn, args):
+    # u - u(m, n) overflows to inf on this sequence: the window term and the
+    # worst drop carry the infinity, and numpy's overflow warning stays off
+    seq = expression_sequence("1.5e308*cos(pi*(m+n))")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = getattr(tk, fn)(seq, tk.ones(), tk.ones(), *args)
+    assert math.isinf(got.term_window if fn.startswith("lemma") else got.bound_rect)
 
 
 def _window_average(seq, p, q, i_lo, i_hi, j_lo, j_hi, anchor, flip):
