@@ -601,6 +601,7 @@ _EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
     (OSError, 2),
     (ScalarKindError, 2),
     (TauberkitError, 1),
+    (MemoryError, 1),  # a grid the system cannot allocate
     (ArithmeticError, 1),  # math.fsum's intermediate overflow in the oracle
 )
 

@@ -61,11 +61,7 @@ def choose_mu(p: WeightSequence, m: int, delta: float) -> int:
         raise ValueError(f"forward chooser needs a finite delta > 0, got {delta}")
     if m < 0:
         raise ValueError(f"chooser anchor must be >= 0, got {m}")
-    target = (1.0 + delta / 2.0) * p.prefix(m)
-    p.ensure_sum_exceeds(target)
-    sums = p.prefix_snapshot()
-    idx = int(np.searchsorted(sums, target, side="left"))
-    return max(idx, m + 1)
+    return max(int(p.first_above((1.0 + delta / 2.0) * p.prefix(m), side="left")), m + 1)
 
 
 def choose_mu_backward(p: WeightSequence, m: int, delta: float) -> int:

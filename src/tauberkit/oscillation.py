@@ -83,26 +83,19 @@ def window_edge(p: WeightSequence, m, lam: float):
     window, the smallest i with P_i > lam * P_m.  An int for one anchor m,
     an int64 array for an array of anchors.
 
-    A forward window grows the prefix past the edge of the last anchor's
-    window first.  A HorizonError from max_index carries what was needed:
-    the anchor, or the threshold lam * P_m the sums had to exceed.
+    A HorizonError from max_index carries what was needed: the anchor, or
+    the threshold lam * P_m the sums had to exceed.
     """
     if not 0.0 < lam < 1.0:
         _require_forward(lam)
     anchors = np.asarray(m, dtype=np.int64)
-    top = int(anchors.max())
     if anchors.min() < 0:
         raise ValueError(f"window anchor must be >= 0, got {int(anchors.min())}")
-    if lam > 1.0:
-        p.ensure_sum_exceeds(lam * p.prefix(top))
-        sums = p.prefix_snapshot()
-        edges = np.searchsorted(sums, lam * sums[anchors], side="right") - 1
-    else:
-        sums = p.prefix_array(top)
-        # lam < 1 puts m itself in the window in exact arithmetic; keep that
-        # guarantee even if lam*P_m rounds up onto P_m.
-        edges = np.minimum(np.searchsorted(sums, lam * sums[anchors], side="right"), anchors)
-    return int(edges) if edges.ndim == 0 else edges.astype(np.int64)
+    edges = p.first_above(lam * p.prefix_array(int(anchors.max()))[anchors])
+    # lam < 1 puts m itself in the window in exact arithmetic; keep that
+    # guarantee even if lam*P_m rounds up onto P_m.
+    edges = edges - 1 if lam > 1.0 else np.minimum(edges, anchors)
+    return int(edges) if edges.ndim == 0 else edges
 
 
 def _require_forward(*scales) -> None:
@@ -178,8 +171,8 @@ def _functional(name: str, seq: DoubleSequence) -> _Functional:
 
 
 def _axis_window(w, anchor, scale, known) -> tuple[int, int]:
-    """(lo, hi) of one axis's window, cached in known: the prefix only grows
-    (past a forward window's edge first), so a resolved window is final."""
+    """(lo, hi) of one axis's window, cached in known: the partial sums
+    never change, so a resolved window is final."""
     key = (id(w), anchor, scale)
     if key not in known:
         edge = window_edge(w, anchor, scale)

@@ -1,8 +1,9 @@
 """Shared test code: slow, obviously-correct reference paths, the CLI runner,
-the corner-sum cases, a call counter and a peak-memory probe."""
+the corner-sum cases, a call counter and peak-memory probes."""
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -24,11 +25,13 @@ def run_python(*args, cwd, env=None):
     The child gets the parent's environment, updated from ``env``, with the
     directory holding the imported ``tauberkit`` package first on
     ``PYTHONPATH``, so it runs the same code as the in-process tests whether
-    or not the package is installed and whatever ``cwd`` is.
+    or not the package is installed and whatever ``cwd`` is, and this
+    directory next, so it can import these helpers.
     """
     env = {**os.environ, **(env or {})}
     root = str(Path(tauberkit.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    here = str(Path(__file__).resolve().parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, here, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
         cwd=cwd,
@@ -106,6 +109,13 @@ def oracle_route(monkeypatch) -> list:
 
     monkeypatch.setattr(tauberkit.harness, "_corner_sums", drained)
     return oracle_calls(monkeypatch)
+
+
+def peak_kib() -> int:
+    """Peak resident memory (Linux's VmHWM) of this process in KiB: for a
+    child of run_python, where the test's own peak does not count."""
+    with open("/proc/self/status") as fh:
+        return int(re.search(r"VmHWM:\s*(\d+) kB", fh.read()).group(1))
 
 
 def traced_peak(fn) -> int:

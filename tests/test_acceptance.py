@@ -191,8 +191,8 @@ def test_criterion_10_window_machinery_against_linear_scans():
         lam = float(1.0 + rng.uniform(0.01, 1.0))
         delta = float(rng.uniform(0.05, 1.0))
 
-        p.ensure_sum_exceeds(lam * p.prefix(m))
-        sums = p.prefix_snapshot()
+        # the sums up to the first one past the bound, read for the scan
+        sums = p.prefix_array(int(p.first_above(lam * p.prefix(m))))
         bound = lam * sums[m]
         i = m
         while i + 1 < len(sums) and sums[i + 1] <= bound:
@@ -201,8 +201,7 @@ def test_criterion_10_window_machinery_against_linear_scans():
 
         mu = tk.choose_mu(p, m, delta)
         target = (1.0 + delta / 2.0) * p.prefix(m)
-        p.ensure(mu)
-        sums = p.prefix_snapshot()
+        sums = p.prefix_array(mu)
         j = m + 1
         while sums[j] < target:
             j += 1
@@ -228,7 +227,7 @@ def test_criterion_11_lower_bound_bridges_to_the_window_functional():
             n = m
             grid_cache = None
             for lam in (2.0, 1.5, 1.25, 1.1, 1.05):
-                p.ensure_sum_exceeds(lam * p.prefix(m))
+                p.first_above(lam * p.prefix(m))
                 mu = tk.window_edge(p, m, lam)
                 pref = p.prefix_array(mu)
                 w = p.weights_array(mu)

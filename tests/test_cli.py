@@ -442,13 +442,10 @@ def test_transform_peak_memory_stays_near_two_grids(tmp_path, sequence, weights,
 # the peak of the child's own memory: ru_maxrss starts from the RSS of the
 # process that forked it, here the whole test session.
 _TRANSFORM_RUN_PEAK = r"""
-import contextlib, io, re, sys
+import contextlib, io, sys
 import numpy as np
+from helpers import peak_kib
 from tauberkit.cli import main
-
-def peak_kib():
-    with open("/proc/self/status") as fh:
-        return int(re.search(r"VmHWM:\s*(\d+) kB", fh.read()).group(1))
 
 warm_up = np.ones(1 << 20)
 del warm_up
@@ -475,6 +472,68 @@ def test_a_run_of_transforms_peaks_as_its_largest_alone(tmp_path):
         excess.append(int(res.stdout))
     run, alone = excess
     assert run - alone <= 1024, excess
+
+
+# A child frees 8 MiB, as a run of other work would, then runs harmonic T41
+# on additive_convergent at H = 2048, whose forward window edges reach index
+# 7.5M of the weights.
+_HARMONIC_WINDOWS_PEAK = r"""
+import contextlib, io
+import numpy as np
+from helpers import peak_kib
+from tauberkit.cli import main
+
+warm_up = np.ones(1 << 20)
+del warm_up
+warm = peak_kib()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["analyze", "--sequence", "additive_convergent", "--theorem", "T41",
+                 "--weights-p", "harmonic", "--weights-q", "harmonic", "--horizon", "2048"]) == 0
+print(peak_kib() - warm)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmHWM")
+def test_far_window_edges_keep_no_partial_sums_behind(tmp_path):
+    # Keeping every partial sum up to the farthest edge, 7.5M of them, rose
+    # 58-59 MiB above the warm-up; past the sums that are read, the weights
+    # keep a checkpoint per chunk of 2^16 indices, and the run rises 0.8 MiB.
+    res = run_python("-c", _HARMONIC_WINDOWS_PEAK, cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) <= 8 * 1024
+
+
+# A child caps its address space 256 MiB above what it holds and asks for a
+# 12001^2 sigma grid (1.07 GiB).
+_TRANSFORM_OUT_OF_MEMORY = r"""
+import re, resource, sys
+from tauberkit.cli import main
+with open("/proc/self/status") as fh:
+    held = int(re.search(r"VmSize:\s*(\d+) kB", fh.read()).group(1)) << 10
+resource.setrlimit(resource.RLIMIT_AS, (held + (256 << 20), resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(main(["transform", "--horizon", "12000"]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmSize")
+def test_transform_out_of_memory_exits_one_with_one_line(tmp_path):
+    res = run_python("-c", _TRANSFORM_OUT_OF_MEMORY, cwd=tmp_path)
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.splitlines() == ["error: cannot allocate a 12001x12001 float64 grid"]
+    assert not (tmp_path / "sigma.csv").exists()
+
+
+def test_transform_overflow_of_the_weight_products_exits_one(tmp_path):
+    # p_109 q_200 = 1e309 overflows before u = 1e-300 multiplies it in, though
+    # the numerator is finite; P_109 Q_200 overflows too, so re-forming only
+    # the numerator would not give the mean (see ROADMAP).  Pinned as it is.
+    res = run_cli(
+        "transform", "--sequence", "1e-300", "--weights-p", "geometric:r=10",
+        "--weights-q", "geometric:r=10", "--horizon", "200", cwd=tmp_path,
+    )
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.splitlines() == ["error: 1e-300: weighted numerator overflowed at (109, 200)"]
+    assert not (tmp_path / "sigma.csv").exists()
 
 
 # md5 of sweep.csv, captured at commit e1195a1 like the analyze digests above.

@@ -23,7 +23,7 @@ ALT = tk.corpus_sequence("alternating")
 
 def test_forward_window_upper_index_anchor():
     p = tk.ones()
-    p.ensure_sum_exceeds(1.5 * p.prefix(100))
+    assert p.first_above(1.5 * p.prefix(100)) == 151
     assert tk.window_edge(p, 100, 1.5) == 150
 
 
@@ -75,7 +75,7 @@ def test_backward_window_lower_index_anchor():
 
 def test_window_widens_with_the_scale():
     p = tk.harmonic()
-    p.ensure_sum_exceeds(2.0 * p.prefix(50))
+    p.first_above(2.0 * p.prefix(50))
     narrow = tk.window_edge(p, 50, 1.1)
     wide = tk.window_edge(p, 50, 2.0)
     assert narrow <= wide
@@ -580,7 +580,7 @@ _REF_SHAPES = {"sd_P": "p", "so_P": "p", "sd_Q": "q", "so_Q": "q"}
 
 
 def _ref_upper(w, anchor, scale):
-    w.ensure_sum_exceeds(scale * w.prefix(anchor))
+    w.first_above(scale * w.prefix(anchor))
     return tk.window_edge(w, anchor, scale)
 
 

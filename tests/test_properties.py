@@ -127,7 +127,7 @@ def test_backward_chooser_matches_its_contract(p, m, delta):
 )
 def test_window_upper_index_is_monotone_in_the_scale(p, m, lam_a, lam_b):
     lo, hi = sorted((lam_a, lam_b))
-    p.ensure_sum_exceeds(hi * p.prefix(m))
+    p.first_above(hi * p.prefix(m))
     assert tk.window_edge(p, m, lo) <= tk.window_edge(p, m, hi)
 
 

@@ -169,15 +169,17 @@ def test_odd_integer_weight_has_square_prefix():
     assert np.array_equal(sums, (np.arange(101.0) + 1.0) ** 2)
 
 
-def test_ensure_sum_exceeds_extends_far_enough():
+def test_first_above_extends_far_enough():
     p = tk.harmonic()
-    p.ensure_sum_exceeds(8.0)
-    assert p.prefix_snapshot()[-1] > 8.0
+    i = int(p.first_above(8.0))
+    assert p.evaluated_count > i
+    assert p.prefix(i - 1) <= 8.0 < p.prefix(i)
 
 
-def test_ensure_sum_exceeds_rejects_non_finite_targets():
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_first_above_rejects_non_finite_values(value):
     with pytest.raises(ValueError, match="finite"):
-        tk.geometric(2.0).ensure_sum_exceeds(float("inf"))
+        tk.geometric(2.0).first_above([1.0, value])
 
 
 def test_geometric_prefix_overflow_is_reported():
@@ -279,9 +281,9 @@ def test_chunked_prefix_is_bit_identical_to_the_scalar_loop(case):
     p.ensure(0)
     p.ensure(1023)
     p.ensure(1024)
-    p.ensure_sum_exceeds(p.prefix(3000) * 1.01)
+    p.first_above(p.prefix(3000) * 1.01)
     p.ensure(70_000)
-    p.ensure_sum_exceeds(p.prefix(70_000) * 1.001)
+    p.first_above(p.prefix(70_000) * 1.001)
     p.ensure(150_000)
     count = p.evaluated_count
     weights, sums = scalar_prefix(p._weight, count)
@@ -292,6 +294,16 @@ def test_chunked_prefix_is_bit_identical_to_the_scalar_loop(case):
 def _scalar_only(p):
     """The same family driven by its scalar rule alone."""
     return tk.WeightSequence(p._weight, name=p.name)
+
+
+def _dense(p):
+    """The sums p keeps densely."""
+    return p._sums[: p._marks[0][0]]
+
+
+def _evaluated(p):
+    """Every partial sum p has evaluated, read without growing it."""
+    return p.prefix_array(p.evaluated_count - 1)
 
 
 ARRAY_RULE_CASES = {
@@ -320,7 +332,7 @@ def test_array_weight_rules_keep_the_scalar_rule_bits(case):
     assert p.weights_array(p.evaluated_count - 1).tobytes() == ref.weights_array(
         ref.evaluated_count - 1
     ).tobytes()
-    assert p.prefix_snapshot().tobytes() == ref.prefix_snapshot().tobytes()
+    assert _evaluated(p).tobytes() == _evaluated(ref).tobytes()
 
 
 def test_array_weight_rules_overflow_where_the_scalar_rule_does():
@@ -330,11 +342,11 @@ def test_array_weight_rules_overflow_where_the_scalar_rule_does():
         got, want = _grow(p, index), _grow(ref, index)
         assert got == want
         assert p.evaluated_count == ref.evaluated_count
-        assert p.prefix_snapshot().tobytes() == ref.prefix_snapshot().tobytes()
+        assert _evaluated(p).tobytes() == _evaluated(ref).tobytes()
     assert want == (tk.PrefixOverflowError, f"{p.name}: partial sum overflowed at index "
                     f"{p.evaluated_count}")
     fresh = tk.power(200.0)
-    assert fresh.ensure_sum_exceeds(1e300) == _scalar_only(fresh).ensure_sum_exceeds(1e300)
+    assert int(fresh.first_above(1e300)) == int(_scalar_only(fresh).first_above(1e300))
 
 
 def test_an_array_rule_that_raises_mid_chunk_leaves_the_scalar_error():
@@ -352,7 +364,7 @@ def test_an_array_rule_that_raises_mid_chunk_leaves_the_scalar_error():
     ref = tk.WeightSequence(weight, name="hole")
     for index in (100, 2999, 3000, 70_000):
         assert _grow(p, index) == _grow(ref, index)
-        assert p.prefix_snapshot().tobytes() == ref.prefix_snapshot().tobytes()
+        assert _evaluated(p).tobytes() == _evaluated(ref).tobytes()
     assert _grow(p, 3000) == (ZeroDivisionError, "no weight at 3000")
     assert p.evaluated_count == 3000
 
@@ -418,13 +430,13 @@ def test_a_bad_index_raises_only_once_it_is_needed(kind, error):
 
 
 @pytest.mark.parametrize("kind", ["raise", "negative"])
-def test_ensure_sum_exceeds_stops_before_a_bad_index_past_the_crossing(kind):
+def test_first_above_stops_before_a_bad_index_past_the_crossing(kind):
     p = _bad_at_300(kind)
-    assert p.ensure_sum_exceeds(99.5) == 99
-    assert p.ensure_sum_exceeds(299.5) == 299
+    assert p.first_above(99.5) == 99
+    assert p.first_above(299.5) == 299
     assert p.evaluated_count == 300
     with pytest.raises((ZeroDivisionError, tk.WeightDomainError)):
-        p.ensure_sum_exceeds(300.0)
+        p.first_above(300.0)
 
 
 def test_horizon_error_reports_what_was_needed_at_max_index():
@@ -433,7 +445,7 @@ def test_horizon_error_reports_what_was_needed_at_max_index():
         p.ensure(5001)
     assert info.value.needed == 5001
     with pytest.raises(tk.HorizonError, match="reached index 5000") as info:
-        p.ensure_sum_exceeds(1e6)
+        p.first_above(1e6)
     assert info.value.needed == 1e6
     assert p.evaluated_count == 5001
     p.ensure(5000)
@@ -461,8 +473,51 @@ def test_mixed_requests_keep_the_stored_prefix_exact():
         rnd = np.random.default_rng(seed)
         for _ in range(40):
             if rnd.random() < 0.5:
-                p.ensure(int(rnd.integers(0, 300_000)))
+                m = int(rnd.integers(0, 300_000))
+                assert p.prefix(m) == reference[m]
             else:
-                p.ensure_sum_exceeds(float(rnd.uniform(0.0, reference[300_000])))
-            snap = p.prefix_snapshot()
-            assert snap.size and snap.tobytes() == reference[: snap.size].tobytes()
+                values = rnd.uniform(0.0, reference[300_000], size=3)
+                for side in ("left", "right"):
+                    got = p.first_above(values, side)
+                    assert got.tolist() == np.searchsorted(reference, values, side).tolist()
+            assert _dense(p).tobytes() == reference[: _dense(p).size].tobytes()
+    count = p.evaluated_count
+    assert p.prefix_array(count - 1).tobytes() == reference[:count].tobytes()
+
+
+def _counted(p):
+    """p with a count of its rule's range evaluations, in a list."""
+    calls, weights_over = [], p._weights_over
+
+    def counted(k0, k1):
+        calls.append((k0, k1))
+        return weights_over(k0, k1)
+
+    p._weights_over = counted
+    return calls
+
+
+def test_a_search_counts_the_indices_it_scans_once():
+    p = tk.harmonic()
+    p.ensure(100)  # one chunk of dense sums, P_0..P_1023
+    calls = _counted(p)
+    i = int(p.first_above(1.5 * p.prefix(100)))
+    # the chunk 1024..2047 holds the crossing, and past the dense sums
+    assert 1024 < i < 2048 and _dense(p).size == 1024
+    assert (p.evaluated_count, calls) == (2048, [(1024, 2048)])
+    # the chunk last evaluated is kept: reading inside it evaluates nothing
+    p.ensure(i)
+    assert p.prefix_array(2047).tobytes() == tk.harmonic().prefix_array(2047).tobytes()
+    assert (p.evaluated_count, calls) == (2048, [(1024, 2048)])
+
+
+def test_a_search_evaluates_again_only_the_chunk_of_a_crossing():
+    p, ref = tk.harmonic(), tk.harmonic().prefix_array(300_000)
+    calls = _counted(p)
+    assert int(p.first_above(ref[250_000])) == 250_001
+    scanned = p.evaluated_count
+    assert scanned == sum(k1 - k0 for k0, k1 in calls) and _dense(p).size == 0
+    del calls[:]
+    # 5000 lies in the chunk 4096..8191; 250_001 in the last one evaluated
+    assert p.first_above([ref[5000], ref[250_000]], "left").tolist() == [5000, 250_000]
+    assert (p.evaluated_count, calls) == (scanned, [(4096, 8192)])
