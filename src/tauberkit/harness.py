@@ -114,19 +114,6 @@ class LemmaDecomposition:
     rel_residual: float
 
 
-def _window_average(window, p, q, r0, c0, anchor, flip):
-    """Weighted average of u - anchor (anchor - u when flipped) over
-    window[1:, 1:], for window u on [r0..] x [c0..]; exact accumulation."""
-    pw = p.weights_array(r0 + len(window) - 1)[r0 + 1 :]
-    qw = q.weights_array(c0 + window.shape[1] - 1)[c0 + 1 :]
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are the caller's to read
-        diff = (anchor - window[1:, 1:]) if flip else (window[1:, 1:] - anchor)
-    num = _exact_sum(_weighted(pw, qw, diff, np.empty_like(diff)))
-    dp = _exact_sum(pw)
-    dq = _exact_sum(qw)
-    return num / (dp * dq), dp, dq
-
-
 def _corner_means(seq, p, q, corners):
     """sigma_single at each of the corners (m, n), (mu, n), (m, eta) and
     (mu, eta), with its bits, and u on the window [min(m, mu)..] x
@@ -164,14 +151,17 @@ def _corner_means(seq, p, q, corners):
     return [s / (p.prefix(i) * q.prefix(j)) for s, (i, j) in zip(sums[:: 1 if mu > m else -1], corners)], window
 
 
-def _lemma(forward, seq, p, q, m, n, mu, eta) -> tuple[LemmaDecomposition, np.ndarray]:
-    """Split against the block between the anchor (m, n) and (mu, eta), and
-    u on that block with its first row and column: [min(m, mu)..max(m, mu)]
-    x [min(n, eta)..max(n, eta)].
+def _split(forward, seq, p, q, m, n, mu, eta):
+    """What a split and a proof step both read of the block between the
+    anchor (m, n) and (mu, eta): (u(m, n), window, pw, qw, dp, dq, lhs, t1,
+    t2, t3).  window is u on the block with its first row and column,
+    [min(m, mu)..max(m, mu)] x [min(n, eta)..max(n, eta)]; pw and qw are the
+    weights past that row and column, dp and dq their exact sums; t1, t2 and
+    t3 are the corner, row and column terms.
 
     The forward block (m..mu] x (n..eta] needs mu > m and eta > n; the
     backward block (mu..m] x (eta..n] needs mu < m and eta < n and flips the
-    sign of each mean difference and of the window term.
+    sign of each mean difference.
     """
     for a, b, x, y in (("m", "mu", m, mu), ("n", "eta", n, eta)):
         if forward and not 0 <= x < y:
@@ -184,14 +174,26 @@ def _lemma(forward, seq, p, q, m, n, mu, eta) -> tuple[LemmaDecomposition, np.nd
     if means is None:
         means = [sigma_single(seq, p, q, i, j) for i, j in corners]
     s_mn, s_mu_n, s_m_eta, s_mu_eta = means
-    t_window, dp, dq = _window_average(window, p, q, min(m, mu), min(n, eta), u_mn, flip=not forward)
+    pw = p.weights_array(max(m, mu))[min(m, mu) + 1 :]
+    qw = q.weights_array(max(n, eta))[min(n, eta) + 1 :]
+    dp, dq = _exact_sum(pw), _exact_sum(qw)
     p_mu = p.prefix(mu)
     q_eta = q.prefix(eta)
     corner = _exact_sum(np.array([s_mu_eta, -s_mu_n, -s_m_eta, s_mn]))
     t1 = (p_mu * q_eta) / (dp * dq) * corner
     t2 = p_mu / dp * (s_mu_n - s_mn if forward else s_mn - s_mu_n)
     t3 = q_eta / dq * (s_m_eta - s_mn if forward else s_mn - s_m_eta)
-    lhs = u_mn - s_mn
+    return u_mn, window, pw, qw, dp, dq, u_mn - s_mn, t1, t2, t3
+
+
+def _lemma(forward, seq, p, q, m, n, mu, eta) -> LemmaDecomposition:
+    """_split plus the window term, the weighted average of u - u(m, n)
+    (u(m, n) - u on a backward split) over the block, summed exactly, and
+    the residual."""
+    u_mn, window, pw, qw, dp, dq, lhs, t1, t2, t3 = _split(forward, seq, p, q, m, n, mu, eta)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are the residual's to read
+        diff = (window[1:, 1:] - u_mn) if forward else (u_mn - window[1:, 1:])
+    t_window = _exact_sum(_weighted(pw, qw, diff, np.empty_like(diff))) / (dp * dq)
     residual = _exact_sum(np.array([lhs, -t1, -t2, -t3, t_window if forward else -t_window]))
     scale = max(1.0, abs(lhs), abs(t1), abs(t2), abs(t3), abs(t_window))
     return LemmaDecomposition(
@@ -207,21 +209,21 @@ def _lemma(forward, seq, p, q, m, n, mu, eta) -> tuple[LemmaDecomposition, np.nd
         term_window=t_window,
         residual=residual,
         rel_residual=abs(residual) / scale,
-    ), window
+    )
 
 
 def lemma_forward(
     seq: DoubleSequence, p: WeightSequence, q: WeightSequence, m: int, n: int, mu: int, eta: int
 ) -> LemmaDecomposition:
     """Split against the forward block (m..mu] x (n..eta]."""
-    return _lemma(True, seq, p, q, m, n, mu, eta)[0]
+    return _lemma(True, seq, p, q, m, n, mu, eta)
 
 
 def lemma_backward(
     seq: DoubleSequence, p: WeightSequence, q: WeightSequence, m: int, n: int, mu: int, eta: int
 ) -> LemmaDecomposition:
     """Split against the backward block (mu..m] x (eta..n]."""
-    return _lemma(False, seq, p, q, m, n, mu, eta)[0]
+    return _lemma(False, seq, p, q, m, n, mu, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +301,7 @@ def _proof_inequality(forward, seq, p, q, m, n, lam, kappa, delta, gamma) -> Pro
         raise ValueError(
             f"backward block is empty at (m={m}, n={n}) with delta={delta}, gamma={gamma}"
         )
-    dec, block = _lemma(forward, seq, p, q, m, n, mu, eta)
+    _, block, *_, lhs, t1, t2, t3 = _split(forward, seq, p, q, m, n, mu, eta)
     if forward:
         contained = p.prefix(mu) <= lam * p.prefix(m) and q.prefix(eta) <= kappa * q.prefix(n)
     else:
@@ -312,17 +314,9 @@ def _proof_inequality(forward, seq, p, q, m, n, lam, kappa, delta, gamma) -> Pro
     bound_rect = _least_drop(drops, drops[:, :1])
     bound_line = _least_drop(drops[:, :1], drops[:1, :1])
     bounds = [-bound_rect, -bound_line] if forward else [bound_rect, bound_line]
-    rhs = float(_exact_sum(np.array([dec.term_corner, dec.term_rows, dec.term_cols, *bounds])))
-    lhs = float(dec.lhs)
-    scale = max(
-        1.0,
-        abs(lhs)
-        + abs(dec.term_corner)
-        + abs(dec.term_rows)
-        + abs(dec.term_cols)
-        + abs(bound_rect)
-        + abs(bound_line),
-    )
+    rhs = float(_exact_sum(np.array([t1, t2, t3, *bounds])))
+    lhs = float(lhs)
+    scale = max(1.0, abs(lhs) + abs(t1) + abs(t2) + abs(t3) + abs(bound_rect) + abs(bound_line))
     # mean differences inside the lemma terms are amplified by ratio
     # prefactors of order 1/delta, so give the classifier more ulps than
     # the bare term sum would suggest
@@ -343,9 +337,9 @@ def _proof_inequality(forward, seq, p, q, m, n, lam, kappa, delta, gamma) -> Pro
         slack=slack,
         holds=lhs <= rhs + slack if forward else lhs >= rhs - slack,
         window_contained=bool(contained),
-        term_corner=float(dec.term_corner),
-        term_rows=float(dec.term_rows),
-        term_cols=float(dec.term_cols),
+        term_corner=float(t1),
+        term_rows=float(t2),
+        term_cols=float(t3),
         bound_rect=bound_rect,
         bound_line=bound_line,
     )

@@ -207,12 +207,23 @@ class _Window(NamedTuple):
     cols: tuple[int, int]
 
 
+def _unique(a):
+    """np.unique(a, return_inverse=True) of a non-empty integer array, read
+    flat, by one sort: np.unique's first call in a process imports numpy.ma."""
+    order = np.argsort(a, axis=None)
+    s = a.ravel()[order]
+    first = np.r_[True, s[1:] != s[:-1]]
+    inverse = np.empty_like(order)
+    inverse[order] = first.cumsum() - 1
+    return s[first], inverse
+
+
 def _cuts(spans):
     """Edges cutting an axis at both ends of every (lo, hi) span, and each
     span's (first, last + 1) segment: every span is a run of whole segments."""
     ends = np.fromiter(itertools.chain.from_iterable(spans), np.int64).reshape(-1, 2) + [0, 1]
-    edges = np.unique(ends)
-    return edges, np.searchsorted(edges, ends)
+    edges, inverse = _unique(ends)
+    return edges, inverse.reshape(ends.shape)
 
 
 _REFERENCES = ("corner", "row", "col")
@@ -230,7 +241,7 @@ def _references(wins, real, rspan, cspan, nseg, ncs):
     key = np.column_stack([kind, np.where(kind == 2, -1, rspan[:, 0]), np.where(kind == 1, -1, cspan[:, 0])])
     key[(kind == 0) & real] = -1
     radix = [(nseg + 1) * (ncs + 1), ncs + 1, 1]
-    codes, ids = np.unique(np.r_[0, (key + 1) @ radix], return_inverse=True)
+    codes, ids = _unique(np.r_[0, (key + 1) @ radix])
     keys, ids = codes[:, None] // radix % [4, nseg + 1, ncs + 1] - 1, ids[1:]
     # Each (window, row segment) pair.
     reps = rspan[:, 1] - rspan[:, 0]
@@ -346,7 +357,7 @@ def _box(tables, ids, rspan, cspan):
     then a masked minimum over the row segments."""
     out = np.empty((len(ids), tables.shape[2]))
     seg = np.arange(tables.shape[1])[:, None]
-    for t0 in np.unique(cspan[:, 0]):
+    for t0 in _unique(cspan[:, 0])[0]:
         w = np.flatnonzero(cspan[:, 0] == t0)
         prefix = tables[t0:].copy()
         for a, b in itertools.pairwise(prefix):

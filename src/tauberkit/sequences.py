@@ -377,9 +377,8 @@ def alternating() -> DoubleSequence:
     """u(m, n) = (-1)^(m+n); bounded, nowhere convergent."""
     return DoubleSequence(
         name="alternating",
-        # m + n is odd where the low bits differ: one bool per cell and no
-        # full-size integer sum, so the rule is fast and light on memory.
-        rule=lambda M, N: np.where((M & 1) != (N & 1), -1.0, 1.0),
+        # a row's sign times a column's: no full-size integer or bool grid
+        rule=lambda M, N: (1.0 - 2.0 * (M & 1)) * (1.0 - 2.0 * (N & 1)),
         declared_limit=None,
     )
 

@@ -547,6 +547,18 @@ def test_sweep_keeps_its_golden_bytes(tmp_path):
     assert digest == "61b7a8a96c9a17ab13f67451211f8974"
 
 
+@pytest.mark.parametrize("command", [
+    ["analyze", "--sequence", "alternating", "--theorem", "T41", "--horizon", "64"],
+    ["sweep", "--sequence", "alternating", "--functional", "so_both", "--horizon", "64"],
+])
+def test_window_profiles_leave_numpy_ma_unimported(tmp_path, command):
+    # np.unique imports numpy.ma on its first call in a process, about 10 ms
+    code = f"import sys; from tauberkit.cli import main; print(main({command!r}), 'numpy.ma' in sys.modules)"
+    res = run_python("-c", code, cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "0 False"
+
+
 @pytest.mark.parametrize("depth", [200, 3000])
 def test_deeply_nested_expressions_exit_two(tmp_path, depth):
     expr = "(" * depth + "m+n" + ")" * depth

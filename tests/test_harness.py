@@ -290,7 +290,7 @@ def test_window_differences_past_the_doubles_raise_no_warning(fn, args):
 def _window_average(seq, p, q, i_lo, i_hi, j_lo, j_hi, anchor, flip):
     """Weighted average over [i_lo..i_hi] x [j_lo..j_hi] of u - anchor
     (anchor - u when flipped) from a block of its own, exact accumulation:
-    the oracle of harness._window_average, which reads the lemma's block."""
+    the oracle of harness._lemma's window term, which reads the split's block."""
     pw = p.weights_array(i_hi)[i_lo:]
     qw = q.weights_array(j_hi)[j_lo:]
     block = seq.block(np.arange(i_lo, i_hi + 1), np.arange(j_lo, j_hi + 1))
@@ -655,6 +655,21 @@ def test_proof_step_evaluates_one_block_and_the_anchor(monkeypatch, fn):
         ineq = fn(ADD, tk.ones(), tk.harmonic(), 40, 30, *((1.1, 1.1, 0.1, 0.1) if forward else (0.9, 0.9, 0.2, 0.2)))
         rows, cols = max(ineq.m, ineq.mu) + 1, max(ineq.n, ineq.eta) + 1
         _assert_anchor_then_bands(calls, 40, 30, rows, cols)
+
+
+@pytest.mark.parametrize("fn", [tk.proof_inequality_forward, tk.proof_inequality_backward])
+def test_proof_step_sums_no_window_term(monkeypatch, fn):
+    # the drops replace the window average, so no block reaches the exact sum
+    shapes = []
+
+    def exact_sum(arr):
+        shapes.append(arr.shape)
+        return _exact_sum(arr)
+
+    monkeypatch.setattr(harness, "_exact_sum", exact_sum)
+    forward = fn is tk.proof_inequality_forward
+    fn(ADD, tk.ones(), tk.harmonic(), 40, 30, *((1.1, 1.1, 0.1, 0.1) if forward else (0.9, 0.9, 0.2, 0.2)))
+    assert shapes and all(len(shape) < 2 for shape in shapes)
 
 
 @pytest.mark.parametrize("fn, lam", [(tk.proof_inequality_forward, 2.0), (tk.proof_inequality_backward, 0.5)])

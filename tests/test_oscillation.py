@@ -954,3 +954,12 @@ def test_unsampled_rungs_say_why(monkeypatch):
     # the reason is a note on the rung, not part of its value
     gap = prof.rungs[1]
     assert gap.stat is None and gap == dataclasses.replace(gap, reason=None)
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (40, 2), (300,)])
+def test_unique_matches_numpy_unique(shape):
+    a = np.random.default_rng(len(shape) + shape[0]).integers(-5, 9, size=shape)
+    values, inverse = oscillation._unique(a)
+    want, want_inverse = np.unique(a.ravel(), return_inverse=True)
+    assert values.tolist() == want.tolist()
+    assert inverse.tolist() == want_inverse.tolist()

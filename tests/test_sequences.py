@@ -55,6 +55,16 @@ def test_alternating_parity_rule_matches_the_modulo_form_bitwise():
     assert got.tobytes() == old.tobytes()
 
 
+@pytest.mark.parametrize("top", [2**31, 2**40])
+def test_alternating_keeps_the_bits_of_its_parity_definition(top):
+    seq = tk.corpus_sequence("alternating")
+    rows, cols = np.array([0, 1, top - 3, top - 2, top]), np.array([0, 5, top - 1, top])
+    want = np.where((rows[:, None] + cols[None, :]) % 2 == 1, -1.0, 1.0)
+    assert seq.block(rows, cols).tobytes() == want.tobytes()
+    for m, n in ((0, 0), (1, top), (top, top - 1), (top, top)):  # 1 x 1 blocks
+        assert np.float64(seq.evaluate(m, n)).tobytes() == np.float64(-1.0 if (m + n) % 2 else 1.0).tobytes()
+
+
 def test_constant_sequence_is_flat():
     g = tk.eval_grid(tk.corpus_sequence("constant"), 5, 5)
     assert np.array_equal(g.values, np.ones((6, 6)))
