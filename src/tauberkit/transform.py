@@ -339,7 +339,8 @@ def _words(text: bytes) -> np.ndarray:
 
 
 def _text_tables():
-    """Byte words the kernel ORs together."""
+    """Byte words the kernel ORs together: the four digits of 0..9999, also
+    moved into a word's high half, and the tables below."""
     g = np.arange(10000, dtype=np.uint64)
     digits4 = sum((g // 10 ** (3 - i) % 10 + ord("0")) << (8 * i) for i in range(4)).astype(np.uint64)
     zeros4 = sum(g % 10**i == 0 for i in range(1, 5)).astype(np.uint8)
@@ -351,8 +352,9 @@ def _text_tables():
     # first in place, then a point, and moves the digits after it one byte
     # on; lead 0 (the exponent form too) keeps every digit in place and puts
     # the point in the head, after the first digit; lead 17..20 writes "0."
-    # and lead - 17 zeros in the head.  Columns: head bits, masks of the
-    # digits kept in place, masks of the digits moved, the point's bits.
+    # and lead - 17 zeros in the head.  Columns, each a contiguous array:
+    # head bits, masks of the digits kept in place, masks of the digits
+    # moved, the point's bits.  Only lead 1..16 moves digits or has a point.
     lead, last, at = np.ogrid[:21, :17, :16]
     stay = np.where((0 < lead) & (lead < 17), lead, last)
     move = (stay <= at) & (at < last)
@@ -362,15 +364,16 @@ def _text_tables():
         head[18 + z :, :, 3 + z] = ord("0")
     head[0, 1:, 7] = ord(".")
     columns = [head, 0xFF * (at < stay), 0xFF * move, ord(".") * ((at == stay) & move.any(axis=2, keepdims=True))]
-    forms = np.concatenate([c.astype(np.uint8) for c in columns], axis=2).view("<u8").reshape(-1, 7)
+    forms = np.concatenate([c.astype(np.uint8) for c in columns], axis=2).view("<u8").reshape(-1, 7).T.copy()
     # Per decimal exponent X: the layout's lead (times 17) and the exponent.
     xs = range(_K0 - 1, 9 - _K0)
     leads = np.array([17 * (x if 0 <= x < 17 else 16 - x if -4 <= x < 0 else 0) for x in xs], np.intp)
     suffix = _words(b"".join((b"" if -4 <= x < 17 else b"e%+03d" % x).ljust(8, b"\0") for x in xs))
-    return digits4, zeros4, heads, forms, leads, suffix
+    return (digits4, digits4 << np.uint64(32), zeros4, heads, *forms, leads, suffix)
 
 
-_DIGITS4, _ZEROS4, _HEADS, _FORMS, _LEAD, _SUFFIX = _text_tables()
+(_DIGITS4, _DIGITS4_HI, _ZEROS4, _HEADS, _FORM_HEAD, _KEEP_LO, _KEEP_HI, _MOVE_LO, _MOVE_HI, _POINT_LO, _POINT_HI,
+ _LEAD, _SUFFIX) = _text_tables()
 
 
 def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -398,67 +401,110 @@ def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     near = np.rint(r)
     sure = np.abs(r - near) < 0.5 - 2.0**-30
     d = p.astype(np.int64) + near.astype(np.int64)
-    carry = d == 10**17
-    d[carry] = 10**16
-    return d, k + carry + _K0, sure
+    carry = np.flatnonzero(d == 10**17)
+    if carry.size:
+        d[carry] = 10**16
+        k[carry] += 1
+    k += _K0
+    return d, k, sure
 
 
-def _text_words(v: np.ndarray, tail: int, out: np.ndarray) -> None:
+def _text_words(v: np.ndarray, tail: int, out: np.ndarray) -> bool:
     """Write the %.17g text of every double of the 1-D v into the rows of
     out, shape (len(v), 4), as NUL-padded uint64 words: the head (sign,
     "0.00" prefix, first digit, a point after it); digits 2..17 with a
     point among them, in two words and the first byte of the last; the
     exponent in the last word's bytes 0..4, ORed with tail (the separator
-    that follows the value, already shifted into bytes 5..7).
+    that follows the value, already shifted into bytes 5..7).  Every cell
+    gets its head and its digits kept in place; only the cells of decimal
+    exponent 1..16, where the point falls among the digits, are patched
+    with the point and the digits moved past it.
 
     A value the kernel cannot certify (a near-tie, nan, inf, or a nonzero
     |v| <= _TINY or >= _HUGE) gets the head word 1, b"\\1", and no other
-    text but tail.
+    text but tail.  Returns whether any value did.
     """
     a = np.abs(v)
     certain = (a > _TINY) & (a < _HUGE)
     d, x, sure = _decimal(np.where(certain, a, 1.0))
     zero = v == 0
-    d[zero] = 0
-    x[zero] = 0
-    q = d // 10**8
-    lo8 = (d - q * 10**8).astype(np.uint32)
-    hi8 = q.astype(np.uint32)
+    if zero.any():
+        d[zero] = 0
+        x[zero] = 0
+    hi8 = d // 10**8
+    lo8 = d - hi8 * 10**8
     first = hi8 // 10**8
     mid = hi8 - first * 10**8
     g1, g3 = mid // 10**4, lo8 // 10**4
     g2, g4 = mid - g1 * 10**4, lo8 - g3 * 10**4
-    zeros, tail_zero = _ZEROS4[g4], g4 == 0
-    if tail_zero.any():
-        for g in (g3, g2, g1):
-            zeros += tail_zero * _ZEROS4[g]
+    zeros = _ZEROS4[g4]
+    ends = np.flatnonzero(g4 == 0)  # trailing zeros may reach past the last group
+    if ends.size:
+        more, tail_zero = zeros[ends], np.ones(ends.size, bool)
+        for g in (g3[ends], g2[ends], g1[ends]):
+            more += tail_zero * _ZEROS4[g]
             tail_zero &= g == 0
+        zeros[ends] = more
     x -= _K0 - 1
-    form = np.take(_FORMS, _LEAD[x] + (16 - zeros), axis=0)
-    b_lo = _DIGITS4[g1] | (_DIGITS4[g2] << np.uint64(32))
-    b_hi = _DIGITS4[g3] | (_DIGITS4[g4] << np.uint64(32))
-    move_lo, move_hi = b_lo & form[:, 3], b_hi & form[:, 4]
-    b_lo &= form[:, 1]
-    b_lo |= form[:, 5]
-    b_hi &= form[:, 2]
-    b_hi |= form[:, 6]
-    b_hi |= move_lo >> np.uint64(56)
-    np.bitwise_or(_HEADS[first + 10 * np.signbit(v)], form[:, 0], out=out[:, 0])
-    np.bitwise_or(b_lo, move_lo << np.uint64(8), out=out[:, 1])
-    np.bitwise_or(b_hi, move_hi << np.uint64(8), out=out[:, 2])
-    np.bitwise_or(_SUFFIX[x] | np.uint64(tail), move_hi >> np.uint64(56), out=out[:, 3])
+    form = _LEAD[x] + (16 - zeros)
+    b_lo = _DIGITS4[g1] | _DIGITS4_HI[g2]
+    b_hi = _DIGITS4[g3] | _DIGITS4_HI[g4]
+    np.bitwise_or(_HEADS[first + 10 * np.signbit(v)], _FORM_HEAD[form], out=out[:, 0])
+    np.bitwise_and(b_lo, _KEEP_LO[form], out=out[:, 1])
+    np.bitwise_and(b_hi, _KEEP_HI[form], out=out[:, 2])
+    np.bitwise_or(_SUFFIX[x], np.uint64(tail), out=out[:, 3])
+    moved = np.flatnonzero((form >= 17) & (form < 17 * 17))  # lead 1..16
+    if moved.size:
+        f = form[moved]
+        move_lo, move_hi = b_lo[moved] & _MOVE_LO[f], b_hi[moved] & _MOVE_HI[f]
+        out[moved, 1] |= _POINT_LO[f] | (move_lo << np.uint64(8))
+        out[moved, 2] |= _POINT_HI[f] | (move_lo >> np.uint64(56)) | (move_hi << np.uint64(8))
+        out[moved, 3] |= move_hi >> np.uint64(56)
     fallback = ~(certain & sure | zero)
-    if fallback.any():
-        out[fallback, :3] = 0
-        out[fallback, 0] = 1
-        out[fallback, 3] = tail
+    if not fallback.any():
+        return False
+    out[fallback, :3] = 0
+    out[fallback, 0] = 1
+    out[fallback, 3] = tail
+    return True
 
 
-def _labels(count: int) -> np.ndarray:
-    """b"%d," for 0 .. count - 1, NUL-padded to whole uint64 words."""
-    width = -(-len(b"%d," % (count - 1)) // 8) * 8
-    text = b"".join((b"%d," % i).ljust(width, b"\0") for i in range(count))
-    return np.frombuffer(text, "<u8").reshape(count, -1)
+def _label_words(m_max: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column label words, shapes (words, m_max + 1) and (words,
+    n_max + 1): word j of rows[:, m] | cols[:, n] is word j of the
+    NUL-padded label b"%d,%d," % (m, n) of a cell.
+
+    m's label starts at byte 0 and n's at the byte after the longest m
+    label, in as few words as hold both: one word when b"m,n," for the
+    largest m and n fits in 8 bytes.
+    """
+    wm = len(b"%d," % m_max)
+    width = -(-(wm + len(b"%d," % n_max)) // 8) * 8
+
+    def labels(count: int, skip: int) -> np.ndarray:
+        text = b"".join((b"\0" * skip + b"%d," % i).ljust(width, b"\0") for i in range(count))
+        return np.frombuffer(text, "<u8").reshape(count, -1).T.copy()
+
+    return labels(m_max + 1, 0), labels(n_max + 1, wm)
+
+
+def _fill_labels(words: np.ndarray, start: int, rows: np.ndarray, cols: np.ndarray) -> None:
+    """Write the label words of the grid's cells start .. start + len(words)
+    - 1, row-major, into the first columns of words: the rest of the grid
+    row m the band starts in, the whole rows after it, then the start of
+    the row it ends in.  A word column at a time, so that every operation
+    runs along a grid row."""
+    count = cols.shape[1]
+    m, n = divmod(start, count)
+    head = min(len(words), -n % count)
+    first = m + (n > 0)
+    full = (len(words) - head) // count
+    at = head + full * count
+    body = words[head:at].reshape(full, count, words.shape[1])
+    for j in range(len(rows)):
+        np.bitwise_or(rows[j, m], cols[j, n : n + head], out=words[:head, j])
+        np.bitwise_or(rows[j, first : first + full, None], cols[j], out=body[:, :, j])
+        np.bitwise_or(rows[j, first + full : first + full + 1], cols[j, : len(words) - at], out=words[at:, j])
 
 
 def export_grid_csv(grid: Grid, path: str) -> None:
@@ -466,11 +512,16 @@ def export_grid_csv(grid: Grid, path: str) -> None:
 
     Real grids carry an explicit zero imaginary column so every export has
     the same shape.  Every value is the text b"%.17g" % value gives, which
-    format_float gives too: _text_words lays each band of cells out in
-    NUL-padded words, one translate drops the padding, and the values it
-    cannot certify are formatted one by one.  The file is written under a
-    temporary name beside path and renamed over it at the end, so a failed
-    export leaves no partial file and an existing one untouched.
+    format_float gives too.  Each band of cells is laid out as a record of
+    NUL-padded words: the cell's label, one word when the grid's largest
+    b"m,n," fits in 8 bytes (_label_words), sliced from row and column
+    labels made once (_fill_labels), then _text_words' words per value.
+    One translate drops the padding, and only when _text_words reports a
+    value it cannot certify are those values formatted one by one.  A real
+    cell takes 40 bytes of record with one label word, 48 with two.  The
+    file is written under a temporary name beside path and renamed over it
+    at the end, so a failed export leaves no partial file and an existing
+    one untouched.
     """
     if grid.kind is ScalarKind.COMPLEX:
         values = np.ascontiguousarray(grid.values, np.complex128).view(np.float64).reshape(-1, 2)
@@ -478,31 +529,28 @@ def export_grid_csv(grid: Grid, path: str) -> None:
     else:
         values = np.ascontiguousarray(grid.values, np.float64).reshape(-1, 1)
         tails = [int.from_bytes(b",0\n", "little")]
-    cols = grid.n_max + 1
-    labels = _labels(max(grid.m_max, grid.n_max) + 1)
-    width = labels.shape[1]
-    row_words = 2 * width + 4 * len(tails)
-    # One record serves every band.  A fresh bytes copy of each band's words
-    # left the heap fragmented: the next mean field then peaked a whole grid
-    # higher (grid_export peak RSS 84 -> 97 MiB, with numpy's huge pages).
-    record = bytearray(8 * row_words * min(_TEXT_BAND, len(values)))
+    row_labels, col_labels = _label_words(grid.m_max, grid.n_max)
+    width = len(row_labels)
+    # One record serves every band, and translate reads a bytes copy of its
+    # words.  With sigma on pages of its own, these band-sized copies no
+    # longer lift the next mean field's peak: grid_export peaked at 49.7 to
+    # 50.0 MiB RSS with them and without them.
+    record = np.empty((min(_TEXT_BAND, len(values)), width + 4 * len(tails)), np.uint64)
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"  # beside path, so os.replace is a rename
     try:
         with open(tmp, "xb") as fh:
             fh.write(b"m,n,value_re,value_im\n")
             for start in range(0, len(values), _TEXT_BAND):
                 band = values[start : start + _TEXT_BAND]
-                m, n = np.divmod(np.arange(start, start + len(band)), cols)
-                words = np.frombuffer(record, np.uint64, len(band) * row_words).reshape(len(band), -1)
-                np.take(labels, m, axis=0, out=words[:, :width], mode="clip")
-                np.take(labels, n, axis=0, out=words[:, width : 2 * width], mode="clip")
+                words = record[: len(band)]
+                _fill_labels(words, start, row_labels, col_labels)
+                fell_back = False
                 for part, tail in enumerate(tails):
-                    at = 2 * width + 4 * part
-                    _text_words(band[:, part], tail << 40, words[:, at : at + 4])
-                text = (record if words.nbytes == len(record) else words.tobytes()).translate(None, b"\0")
-                flagged = words[:, 2 * width :: 4] == 1
-                if flagged.any():
-                    fallback = np.flatnonzero(flagged)
+                    at = width + 4 * part
+                    fell_back |= _text_words(band[:, part], tail << 40, words[:, at : at + 4])
+                text = words.tobytes().translate(None, b"\0")
+                if fell_back:
+                    fallback = np.flatnonzero(words[:, width::4] == 1)
                     pieces = text.split(b"\1")
                     fixed = [b"%.17g" % x for x in band.ravel()[fallback].tolist()]
                     text = b"".join(itertools.chain(*zip(pieces, fixed), pieces[-1:]))

@@ -13,7 +13,8 @@ same manifest give the same bits on every operation the benchmark runs.
 
 ``--root`` names the checkout whose ``src/`` and ``perfbench/`` are used
 (default: the one holding this file).  ``--diff`` prints every difference
-and exits 1 if there is any.  Pytest does not collect this file.
+and exits 1 if there is any.  Pytest does not collect this file;
+``tests/test_manifest.py`` tests its ``--diff``.
 """
 from __future__ import annotations
 

@@ -627,6 +627,25 @@ def _oracle_grids():
     yield "complex mixed signs and exponents over bands", tk.Grid(
         1, _TEXT_BAND + 6, spread[:2] + 1j * spread[1:][::-1], tk.ScalarKind.COMPLEX
     )
+    # Points among the digits (decimal exponents 1..16) beside the "0.00"
+    # and plain forms (-4..0) and exponent forms in every band, whole numbers
+    # whose point falls after their last digit, zeros of both signs, and
+    # 1e-14, whose 17 digits carry to 10^17.
+    shape = (2, _TEXT_BAND + 7)
+    mixed = rng.uniform(1.0, 10.0, shape) * 10.0 ** rng.integers(-6, 19, shape) * rng.choice([-1.0, 1.0], shape)
+    mixed[:, ::5] = np.round(mixed[:, ::5])
+    mixed[:, ::89] = 0.0
+    mixed[:, ::178] = -0.0
+    mixed[:, 1::301] = [[1e-14], [-1e-14]]
+    yield "points among the digits over bands", tk.Grid(1, _TEXT_BAND + 6, mixed)
+    yield "complex points among the digits over bands", tk.Grid(
+        1, _TEXT_BAND + 6, mixed + 1j * mixed[::-1, ::-1], tk.ScalarKind.COMPLEX
+    )
+    # "9,10000," fills one label word; "10,10000," needs two.
+    wide = rng.standard_normal((11, 10001))
+    yield "one label word", tk.Grid(9, 10000, wide[:10])
+    yield "two label words", tk.Grid(10, 10000, wide)
+    yield "complex one label word", tk.Grid(9, 10000, wide[:10] - 1j * wide[1:], tk.ScalarKind.COMPLEX)
 
 
 @pytest.mark.parametrize("grid", [pytest.param(g, id=label) for label, g in _oracle_grids()])
@@ -656,7 +675,8 @@ doubles_by_bits = st.builds(
 def test_text_kernel_writes_the_bytes_of_percent_17g(tmp_path_factory, patterns):
     v = np.array(patterns, np.uint64).view(np.float64)
     words = np.empty((v.size, 4), np.uint64)
-    _text_words(v, 0, words)
+    fell_back = _text_words(v, 0, words)
+    assert fell_back == (words[:, 0] == 1).any()
     for x, row in zip(v.tolist(), words):
         text = row.tobytes().translate(None, b"\0")
         if row[0] == 1:
