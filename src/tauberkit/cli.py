@@ -16,6 +16,7 @@ verdict, 5 analyze ran on weights outside the regularly varying class
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import operator
@@ -528,6 +529,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache  # built on the first main call, then reused
 def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="tauberkit",

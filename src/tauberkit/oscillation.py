@@ -13,9 +13,9 @@ condition is trending the way the limit theory needs it to.
 One window engine computes every functional, on forward windows.  A set
 of profiles first resolves every window it samples -- by functional, then
 scale, horizon and 3x3 tail anchor -- under the per-anchor index and cell
-budgets.  It then makes one pass per horizon: u is evaluated once on the
-union of that horizon's windows, for all functionals and scales, in the
-row bands of sequences._row_bands, a row wider than their byte budget in
+budgets.  It then makes one pass: u is evaluated once on the union of
+those windows, for all functionals, scales and horizons, in the row
+bands of sequences._row_bands, a row wider than their byte budget in
 chunks of columns.  The window edges cut the union into segments.  Each
 reference (an anchor's cell, row or column) gets an integer id, and the
 bands fold, per id and pair of segments, the extrema of x - ref into
@@ -354,15 +354,17 @@ def _box(tables, ids, rspan, cspan):
     """The minimum of tables[t0:t1, s0:s1, :, k] for each window's column
     and row segment spans and reference id k, a row per window: prefix
     minima over the column segments from each distinct t0 (an anchor's),
-    then a masked minimum over the row segments."""
+    of only the segments and ids its windows read, then a masked minimum
+    over the row segments."""
     out = np.empty((len(ids), tables.shape[2]))
     seg = np.arange(tables.shape[1])[:, None]
     for t0 in _unique(cspan[:, 0])[0]:
         w = np.flatnonzero(cspan[:, 0] == t0)
-        prefix = tables[t0:].copy()
+        k, kw = _unique(ids[w])
+        prefix = tables[t0 : cspan[w, 1].max(), :, :, k]
         for a, b in itertools.pairwise(prefix):
             np.minimum(a, b, out=b)
-        part = prefix[cspan[w, 1] - t0 - 1, :, :, ids[w]].transpose(1, 0, 2)
+        part = prefix[cspan[w, 1] - t0 - 1, :, :, kw].transpose(1, 0, 2)
         inside = (seg >= rspan[w, 0]) & (seg < rspan[w, 1])
         out[w] = np.where(inside[:, :, None], part, np.inf).min(axis=0)
     return out
@@ -466,7 +468,7 @@ def _rung_values(seq, p, q, functionals, horizons, lambda_ladder, kappa_ladder,
     rung; a slot per anchor tried, in row-major order, holds its value or
     why it has none: ("horizon", HorizonError.needed) or ("budget", cells).
     With stop_at_gap the first such anchor ends its rung.  Every window is
-    resolved before any is evaluated, one pass per horizon.  Raises what
+    resolved before any is evaluated, all in one pass.  Raises what
     evaluating the rungs in turn would raise: any other error ends the
     resolution, raised after evaluating the windows resolved before it.  A
     scale at or below 1 on an axis a functional samples is refused before
@@ -503,16 +505,11 @@ def _rung_values(seq, p, q, functionals, horizons, lambda_ladder, kappa_ladder,
                         break
     except Exception as exc:
         failure = exc
-    wins = {}
-    for *_, h, _, slots in rungs:
-        wins.setdefault(h, []).extend(w for w in slots if isinstance(w, _Window))
-    values = {h: iter(_window_values(seq, ws)) for h, ws in wins.items() if ws}
+    wins = [w for *_, slots in rungs for w in slots if isinstance(w, _Window)]
+    values = iter(_window_values(seq, wins) if wins else ())
     if failure is not None:
         raise failure
-    return [
-        (*rung[:6], [next(values[rung[4]]) if isinstance(w, _Window) else w for w in rung[6]])
-        for rung in rungs
-    ]
+    return [(*rung[:6], [next(values) if isinstance(w, _Window) else w for w in rung[6]]) for rung in rungs]
 
 
 # ---------------------------------------------------------------------------
@@ -843,8 +840,8 @@ def build_window_profiles(
 
     Each rung takes the worst value (per the functional's sense) over a
     3x3 tail sample; a rung whose windows cannot be resolved within the
-    index or cell budget gets stat None.  One pass over u per horizon
-    serves every functional and scale.
+    index or cell budget gets stat None.  One pass over u serves every
+    functional, scale and horizon.
     """
     ladder = _rung_values(seq, p, q, functionals, horizons, lambda_ladder, kappa_ladder,
                           tail_fraction, stop_at_gap=True)

@@ -262,6 +262,38 @@ def test_help_exits_zero(capsys):
     assert capsys.readouterr().out.startswith("usage: tauberkit analyze")
 
 
+# A child counts the top-level parsers built while it imports tauberkit and
+# while main runs --help, a usage error and a small transform.
+_PARSER_BUILDS = r"""
+import argparse, contextlib, io
+
+builds, init = [], argparse.ArgumentParser.__init__
+
+
+def counted(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    builds.append(self.prog)
+
+
+argparse.ArgumentParser.__init__ = counted
+import tauberkit
+from tauberkit.cli import main
+
+on_import = builds.count("tauberkit")
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(["analyze", "--help"]), main(["analyze", "--no-such-flag"]),
+             main(["transform", "--horizon", "64", "--out", "t"])]
+print(on_import, builds.count("tauberkit"), codes)
+"""
+
+
+def test_main_builds_its_parser_once(tmp_path):
+    # one build takes about 1.7 ms, nearly all of a usage error's time in main
+    res = run_python("-c", _PARSER_BUILDS, cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split(maxsplit=2) == ["0", "1", "[0, 2, 0]\n"]
+
+
 # One case per row of the README exit-code table; bad usage has three.
 @pytest.mark.parametrize(
     "args, code",
@@ -501,6 +533,31 @@ def test_far_window_edges_keep_no_partial_sums_behind(tmp_path):
     res = run_python("-c", _HARMONIC_WINDOWS_PEAK, cwd=tmp_path)
     assert res.returncode == 0, res.stderr
     assert int(res.stdout) <= 8 * 1024
+
+
+# A child runs T51 on alternating at H = 2048 and prints how far its peak
+# RSS rose above its imports.
+_ONE_TABLE_SET_PEAK = r"""
+import contextlib, io
+from helpers import peak_kib
+from tauberkit.cli import main
+
+imported = peak_kib()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["analyze", "--sequence", "alternating", "--theorem", "T51", "--horizon", "2048"]) == 0
+print(peak_kib() - imported)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmHWM")
+def test_window_profiles_of_every_horizon_in_one_pass_stay_small(tmp_path):
+    # One engine pass holds one table set for all four horizons: the run rose
+    # 4.9 MiB, against 3.1 MiB with a pass per horizon; copying whole tables
+    # for each anchor column segment, not the segments and ids it reads, rose
+    # 6.5 MiB.
+    res = run_python("-c", _ONE_TABLE_SET_PEAK, cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) <= 6 * 1024
 
 
 # A child caps its address space 256 MiB above what it holds and asks for a

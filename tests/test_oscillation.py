@@ -803,7 +803,7 @@ def test_a_weight_error_is_raised_after_earlier_anchors_are_checked(cell):
 
 
 # ---------------------------------------------------------------------------
-# One pass per horizon for a whole set of functionals
+# One pass for a whole set of functionals
 # ---------------------------------------------------------------------------
 
 _THEOREM_SETS = {
@@ -915,8 +915,8 @@ def test_no_engine_read_exceeds_a_band(monkeypatch):
     assert tk.build_window_profiles(*args) == profiles
 
 
-def test_verify_theorem_reads_each_window_cell_of_a_horizon_once(monkeypatch):
-    cells, inside = [0], [False]
+def test_verify_theorem_reads_each_window_cell_once(monkeypatch):
+    cells, inside, calls = [0], [False], []
     block, values = tk.DoubleSequence.block, tk.oscillation._window_values
 
     def counted_block(self, i, j):
@@ -924,19 +924,49 @@ def test_verify_theorem_reads_each_window_cell_of_a_horizon_once(monkeypatch):
         cells[0] += out.size if inside[0] else 0
         return out
 
-    def flagged_values(*args):
+    def counted_values(seq, wins):
+        calls.append(wins)
         inside[0] = True
         try:
-            return values(*args)
+            return values(seq, wins)
         finally:
             inside[0] = False
 
     monkeypatch.setattr(tk.DoubleSequence, "block", counted_block)
-    monkeypatch.setattr(tk.oscillation, "_window_values", flagged_values)
+    monkeypatch.setattr(tk.oscillation, "_window_values", counted_values)
     tk.verify_theorem(ALT, tk.ones(), tk.ones(), tk.Theorem.T41, tk.HarnessConfig(horizon=256))
-    # one read of each horizon's union, against 664,028 when every rung
-    # read its own union
-    assert cells[0] == 198_736
+    # one engine call for every horizon's windows, reading their union once:
+    # one call per horizon read 198,736 cells, one per rung 664,028
+    (wins,) = calls
+    union = np.zeros((max(w.rows[1] for w in wins) + 1, max(w.cols[1] for w in wins) + 1), bool)
+    for w in wins:
+        union[w.rows[0] : w.rows[1] + 1, w.cols[0] : w.cols[1] + 1] = True
+    assert cells[0] == union.sum() == 176_324
+    calls.clear()
+    tk.profile_samples(ALT, tk.ones(), tk.ones(), "so_both", [64, 128, 256], [2.0, 1.5])
+    assert len(calls) == 1
+    calls.clear()
+    tk.window_functional("so_both", ALT, tk.ones(), tk.ones(), 64, 64, 1.5, 1.5)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seq, theorem, weights", [
+    (ALT, tk.Theorem.T41, tk.ones),
+    (ALT, tk.Theorem.T51, tk.ones),
+    (ADD, tk.Theorem.T41, tk.harmonic),
+])
+def test_one_table_set_serves_every_horizon_in_two_mib(monkeypatch, seq, theorem, weights):
+    # one set of per-segment tables covers all four horizons at H = 2048:
+    # 1,533,984 bytes with unit weights, 1,752,864 with harmonic ones
+    sizes, box = [], tk.oscillation._box
+
+    def recorded_box(tables, *args):
+        sizes.append(tables.nbytes)
+        return box(tables, *args)
+
+    monkeypatch.setattr(tk.oscillation, "_box", recorded_box)
+    tk.verify_theorem(seq, weights(), weights(), theorem, tk.HarnessConfig(horizon=2048))
+    assert len(sizes) == 1 and sizes[0] <= 2 << 20, sizes
 
 
 def test_unsampled_rungs_say_why(monkeypatch):
